@@ -21,7 +21,7 @@ import pathlib
 import numpy as np
 
 from . import cell, mesh as meshmod
-from .homog import HomogenizedCoefficients, TemperatureTable
+from .homog import COEFF_NAMES, HomogenizedCoefficients, TemperatureTable
 
 ARCHIVE_VERSION = 1
 
@@ -51,10 +51,6 @@ def law_hash(law) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-_COEFF_NAMES = ("S_hat", "k_hat", "lam_hat", "lam_hat_star", "rho_hat",
-                "c_hat", "beta_hat", "beta_hat_star")
-
-
 def save(path, cell_mesh, law, table: TemperatureTable) -> None:
     path = pathlib.Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -74,7 +70,7 @@ def save(path, cell_mesh, law, table: TemperatureTable) -> None:
         co = table.coeffs[i]
         data = {"T0": np.float64(T),
                 "M": first.M, "H": first.H, "N": first.N, "P": first.P}
-        for name in _COEFF_NAMES:
+        for name in COEFF_NAMES:
             data["coeff_" + name] = np.asarray(getattr(co, name))
         if table.second:
             for fam, arr in table.second[i].fields.items():
@@ -104,7 +100,7 @@ def load(path, cell_mesh=None, law=None) -> tuple:
         with np.load(path / f"T_{i:03d}.npz") as z:
             first.append(cell.FirstOrderCellSet(
                 T0=float(z["T0"]), M=z["M"], H=z["H"], N=z["N"], P=z["P"]))
-            kw = {name: z["coeff_" + name] for name in _COEFF_NAMES}
+            kw = {name: z["coeff_" + name] for name in COEFF_NAMES}
             kw = {k: (float(v) if v.ndim == 0 else v) for k, v in kw.items()}
             coeffs.append(HomogenizedCoefficients(T0=float(z["T0"]), **kw))
             if manifest["has_second_order"]:

@@ -72,13 +72,6 @@ class FirstOrderCellSet:
     N: np.ndarray
     P: np.ndarray
 
-    def h1_norm(self, mesh) -> float:
-        total = 0.0
-        for arr in (self.M, self.H, self.N.reshape(-1, self.N.shape[-1]), self.P):
-            g = fem.element_gradient(mesh, arr)
-            total += float(np.einsum("ati,ati,t->", g.reshape(-1, *g.shape[-2:]), g.reshape(-1, *g.shape[-2:]), mesh.areas))
-        return float(np.sqrt(total))
-
 
 @dataclass
 class SecondOrderCellSet:
@@ -97,13 +90,6 @@ class SecondOrderCellSet:
 
     def __getitem__(self, key):
         return self.fields[key]
-
-    def h1_norm(self, mesh) -> float:
-        total = 0.0
-        for arr in self.fields.values():
-            g = fem.element_gradient(mesh, arr.reshape(-1, arr.shape[-1]))
-            total += float(np.einsum("ati,ati,t->", g, g, mesh.areas))
-        return float(np.sqrt(total))
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +244,16 @@ def solve_second_order(
     first: FirstOrderCellSet,
     homog,
     Ttilde: float,
-    first_dT: FirstOrderCellSet | None = None,
-    homog_dT=None,
+    first_dT: FirstOrderCellSet,
+    homog_dT,
     bc: str = "dirichlet",
     compat_tol: float = 1e-8,
 ) -> SecondOrderCellSet:
     """Solve all 16 second-order corrector families at temperature T0.
 
-    `homog` carries the effective coefficients computed from `first`;
-    `first_dT` / `homog_dT` carry their finite-difference d/dT0 and may be
-    omitted only when the material laws are temperature independent (the
-    factored families then vanish identically).
+    `homog` (a HomogenizedCoefficients) carries the effective coefficients
+    computed from `first`; `first_dT` / `homog_dT` carry their
+    finite-difference d/dT0.
     """
     ops = _Operators(mesh, law, T0, bc)
     nn = mesh.num_nodes
@@ -294,23 +279,12 @@ def solve_second_order(
     M_e, H_e = emean(first.M), emean(first.H)  # (a, nt)
     N_e, P_e = emean(first.N), emean(first.P)  # (m,sup,k,nt), (k,nt)
 
-    if first_dT is None:
-        z = np.zeros
-        first_dT = FirstOrderCellSet(T0, z((2, nn)), z((2, nn)), z((2, 2, 2, nn)), z((2, nn)))
     gMp = fem.element_gradient(mesh, first_dT.M)
     gHp = fem.element_gradient(mesh, first_dT.H)
     gNp = fem.element_gradient(mesh, first_dT.N)
     gPp = fem.element_gradient(mesh, first_dT.P)
     Mp_e, Hp_e = emean(first_dT.M), emean(first_dT.H)
     Np_e, Pp_e = emean(first_dT.N), emean(first_dT.P)
-
-    if homog_dT is None:
-        class _Zero:
-            k_hat = np.zeros((2, 2))
-            lam_hat = np.zeros((2, 2))
-            c_hat = np.zeros((2, 2, 2, 2))
-            beta_hat = np.zeros((2, 2))
-        homog_dT = _Zero()
 
     def gN_kl(g, m, sup):
         """dN^sup_{k m}/dy_l as (nt, k, l)."""

@@ -39,7 +39,7 @@ _ALLOWED_FUNCS = {
 }
 _ALLOWED_NAMES = {"x1", "x2", "t", "pi"}
 _ALLOWED_NODES = (
-    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Num, ast.Constant, ast.Name,
+    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name,
     ast.Load, ast.Call, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow,
     ast.USub, ast.UAdd,
 )
@@ -59,6 +59,9 @@ def compile_expression(src):
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ConfigError(f"disallowed syntax {type(node).__name__!r} in expression {src!r}")
+        if isinstance(node, ast.Constant) and (
+                isinstance(node.value, bool) or not isinstance(node.value, (int, float))):
+            raise ConfigError(f"only numeric literals are allowed, got {node.value!r} in {src!r}")
         if isinstance(node, ast.Name) and node.id not in _ALLOWED_NAMES and node.id not in _ALLOWED_FUNCS:
             raise ConfigError(f"unknown name {node.id!r} in expression {src!r} "
                               f"(allowed: {sorted(_ALLOWED_NAMES | set(_ALLOWED_FUNCS))})")
@@ -296,9 +299,6 @@ class SimulationConfig:
     @property
     def write_vtk(self) -> bool:
         return bool(self.raw.get("output", {}).get("vtk", False))
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
 
 
 def example_config() -> dict:

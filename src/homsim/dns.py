@@ -13,6 +13,7 @@ import numpy as np
 
 from . import fem
 from .macro import Stepper, TimeGrid, Trajectory
+from .materials import elasticity_tensor
 from .mesh import Mesh, MeshError
 
 
@@ -50,34 +51,13 @@ class OscillatoryProvider:
         self.law = law
         _, _, self._phi = fem.quad_points(mesh)
         self._ab = {}
-        for q in ("rho", "c", "k", "lam", "beta"):
+        for q in ("rho", "c", "k", "lam", "beta", "E", "nu"):
             a = np.empty(mesh.num_triangles)
             b = np.empty(mesh.num_triangles)
             for ph in law.phases:
                 sel = mesh.phase_tag == ph
                 a[sel], b[sel] = law.coeffs[ph][q]
             self._ab[q] = (a, b)
-        # elasticity: nu is per-phase constant, E affine, so the Lame pair is affine
-        la_a = np.empty(mesh.num_triangles)
-        la_b = np.empty(mesh.num_triangles)
-        mu_a = np.empty(mesh.num_triangles)
-        mu_b = np.empty(mesh.num_triangles)
-        for ph in law.phases:
-            sel = mesh.phase_tag == ph
-            Ea, Eb = law.coeffs[ph]["E"]
-            nu = law.coeffs[ph]["nu"][0]
-            if law.plane == "strain":
-                lf = nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-            else:
-                lf = nu / (1.0 - nu**2)
-            mf = 1.0 / (2.0 * (1.0 + nu))
-            la_a[sel], la_b[sel] = Ea * lf, Eb * lf
-            mu_a[sel], mu_b[sel] = Ea * mf, Eb * mf
-        self._lame = (la_a, la_b)
-        self._mu = (mu_a, mu_b)
-        d = np.eye(2)
-        self._I4_lam = np.einsum("ij,kl->ijkl", d, d)
-        self._I4_mu = np.einsum("ik,jl->ijkl", d, d) + np.einsum("il,jk->ijkl", d, d)
         wsum = np.zeros(mesh.num_nodes)
         np.add.at(wsum, mesh.triangles.ravel(), np.repeat(mesh.areas, 3))
         self._wsum = wsum
@@ -95,10 +75,7 @@ class OscillatoryProvider:
         k = self._scal("k", T_qp)[..., None, None] * d
         lam = self._scal("lam", T_qp)[..., None, None] * d
         beta = self._scal("beta", T_qp)[..., None, None] * d
-        la = (self._lame[0][:, None] + self._lame[1][:, None] * T_qp)
-        mu = (self._mu[0][:, None] + self._mu[1][:, None] * T_qp)
-        c = (la[..., None, None, None, None] * self._I4_lam
-             + mu[..., None, None, None, None] * self._I4_mu)
+        c = elasticity_tensor(self._scal("E", T_qp), self._scal("nu", T_qp), self.law.plane)
         return {
             "S": self._scal("rho", T_qp) * self._scal("c", T_qp),
             "k": k,

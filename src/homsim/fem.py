@@ -210,9 +210,7 @@ def apply_dirichlet(A, b, dofs, values, allowed=None):
     keep = np.ones(n)
     keep[dofs] = 0.0
     D = sp.diags(keep)
-    A = (D @ A @ D).tolil()
-    A[dofs, dofs] = 1.0
-    A = A.tocsr()
+    A = (D @ A @ D + sp.diags(1.0 - keep)).tocsr()
     b[dofs] = values
     return A, b
 

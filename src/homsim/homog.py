@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cell, fem
+from .materials import voigt
 
 
 class HomogError(RuntimeError):
@@ -47,6 +48,10 @@ class HomogenizedCoefficients:
             ]
         )
 
+
+#: the coefficient block, in the order of the fields of HomogenizedCoefficients
+COEFF_NAMES = ("S_hat", "k_hat", "lam_hat", "lam_hat_star", "rho_hat",
+               "c_hat", "beta_hat", "beta_hat_star")
 
 CSV_HEADER = (
     ["T0", "S_hat", "rho_hat"]
@@ -147,7 +152,7 @@ def verify_identities(h: HomogenizedCoefficients, law=None, tol: float = 1e-8) -
             entry["pass"] = entry["pass"] and (ev.min() >= lo - slack) and (ev.max() <= hi + slack)
         rep["checks"][name] = entry
 
-    cm = _c_voigt(h.c_hat)
+    cm = voigt(h.c_hat)
     ev = np.linalg.eigvalsh(0.5 * (cm + cm.T))
     full_sym = max(
         float(np.abs(h.c_hat - np.transpose(h.c_hat, (1, 0, 2, 3))).max()),
@@ -163,20 +168,21 @@ def verify_identities(h: HomogenizedCoefficients, law=None, tol: float = 1e-8) -
     return rep
 
 
-def _c_voigt(c):
-    s2 = np.sqrt(2.0)
-    return np.array(
-        [
-            [c[0, 0, 0, 0], c[0, 0, 1, 1], c[0, 0, 0, 1] * s2],
-            [c[1, 1, 0, 0], c[1, 1, 1, 1], c[1, 1, 0, 1] * s2],
-            [c[0, 1, 0, 0] * s2, c[0, 1, 1, 1] * s2, 2 * c[0, 1, 0, 1]],
-        ]
-    )
-
-
 # ---------------------------------------------------------------------------
 # temperature table
 # ---------------------------------------------------------------------------
+
+
+def hat_weights(temps, T):
+    """Piecewise-linear interpolation in temperature, clamped to the grid ends.
+
+    Returns (i, s), each shaped like T: the value at T is (1 - s) times the
+    value at temps[i] plus s times the value at temps[i + 1].
+    """
+    t = np.asarray(temps, float)
+    T = np.clip(np.asarray(T, float), t[0], t[-1])
+    i = np.clip(np.searchsorted(t, T) - 1, 0, len(t) - 2)
+    return i, (T - t[i]) / (t[i + 1] - t[i])
 
 
 @dataclass
@@ -203,27 +209,17 @@ class TemperatureTable:
         t = self.temps
         if T0 < t[0] or T0 > t[-1]:
             warnings.warn(f"temperature {T0} outside table range [{t[0]}, {t[-1]}]; clamped")
-            T0 = float(np.clip(T0, t[0], t[-1]))
-        i = int(np.clip(np.searchsorted(t, T0) - 1, 0, len(t) - 2))
-        s = (T0 - t[i]) / (t[i + 1] - t[i])
-        return i, float(np.clip(s, 0.0, 1.0))
+        i, s = hat_weights(t, T0)
+        return int(i), float(s)
 
     def coeffs_at(self, T0) -> HomogenizedCoefficients:
         """Piecewise-linear interpolation of the coefficient block."""
         i, s = self._locate(float(T0))
         a, b = self.coeffs[i], self.coeffs[i + 1]
-        mix = lambda u, v: (1 - s) * np.asarray(u) + s * np.asarray(v)
-        return HomogenizedCoefficients(
-            T0=float(T0),
-            S_hat=float(mix(a.S_hat, b.S_hat)),
-            k_hat=mix(a.k_hat, b.k_hat),
-            lam_hat=mix(a.lam_hat, b.lam_hat),
-            lam_hat_star=mix(a.lam_hat_star, b.lam_hat_star),
-            rho_hat=float(mix(a.rho_hat, b.rho_hat)),
-            c_hat=mix(a.c_hat, b.c_hat),
-            beta_hat=mix(a.beta_hat, b.beta_hat),
-            beta_hat_star=mix(a.beta_hat_star, b.beta_hat_star),
-        )
+        return HomogenizedCoefficients(T0=float(T0), **{
+            n: (1 - s) * getattr(a, n) + s * getattr(b, n)
+            for n in COEFF_NAMES
+        })
 
     def coeff_fields(self, T_nodes) -> dict:
         """Vectorized interpolation for per-node temperatures.
@@ -231,27 +227,11 @@ class TemperatureTable:
         Returns arrays with the tensor axes leading and the node axis last,
         e.g. k_hat -> (2, 2, n).  Out-of-range temperatures are clamped.
         """
-        T = np.clip(np.asarray(T_nodes, float), self.temps[0], self.temps[-1])
+        i, s = hat_weights(self.temps, T_nodes)
         out = {}
-        stacks = {
-            "S_hat": np.array([c.S_hat for c in self.coeffs]),
-            "rho_hat": np.array([c.rho_hat for c in self.coeffs]),
-            "k_hat": np.stack([c.k_hat for c in self.coeffs], axis=-1),
-            "lam_hat": np.stack([c.lam_hat for c in self.coeffs], axis=-1),
-            "lam_hat_star": np.stack([c.lam_hat_star for c in self.coeffs], axis=-1),
-            "beta_hat": np.stack([c.beta_hat for c in self.coeffs], axis=-1),
-            "beta_hat_star": np.stack([c.beta_hat_star for c in self.coeffs], axis=-1),
-            "c_hat": np.stack([c.c_hat for c in self.coeffs], axis=-1),
-        }
-        for name, tab in stacks.items():
-            if tab.ndim == 1:
-                out[name] = np.interp(T, self.temps, tab)
-            else:
-                flat = tab.reshape(-1, len(self.temps))
-                vals = np.empty(flat.shape[:1] + T.shape)
-                for r in range(flat.shape[0]):
-                    vals[r] = np.interp(T, self.temps, flat[r])
-                out[name] = vals.reshape(tab.shape[:-1] + T.shape)
+        for name in COEFF_NAMES:
+            tab = np.stack([getattr(c, name) for c in self.coeffs], axis=-1)
+            out[name] = (1 - s) * tab[..., i] + s * tab[..., i + 1]
         return out
 
     def cells_at(self, T0):
@@ -267,21 +247,16 @@ class TemperatureTable:
         second = cell.SecondOrderCellSet(T0=float(T0), Ttilde=sa.Ttilde, fields=fields)
         return first, second
 
-    def coeff_dT(self, index: int):
+    def coeff_dT(self, index: int) -> HomogenizedCoefficients:
         """Finite-difference d/dT0 of the coefficient block at a table node."""
         lo = max(index - 1, 0)
         hi = min(index + 1, len(self.temps) - 1)
         dT = self.temps[hi] - self.temps[lo]
         a, b = self.coeffs[lo], self.coeffs[hi]
-
-        class _D:
-            pass
-
-        d = _D()
-        for name in ("S_hat", "k_hat", "lam_hat", "lam_hat_star", "rho_hat",
-                     "c_hat", "beta_hat", "beta_hat_star"):
-            setattr(d, name, (np.asarray(getattr(b, name)) - np.asarray(getattr(a, name))) / dT)
-        return d
+        return HomogenizedCoefficients(T0=float(self.temps[index]), **{
+            n: (getattr(b, n) - getattr(a, n)) / dT
+            for n in COEFF_NAMES
+        })
 
 
 def build_table(

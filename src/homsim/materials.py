@@ -91,10 +91,6 @@ class MaterialLaw:
         T = np.asarray(T)
         return bool(np.all((T >= self.T_range[0]) & (T <= self.T_range[1])))
 
-    def thermal_modulus_tensor(self, phase, T, order: int = 0):
-        """beta_ij = beta(T) * delta_ij (2x2)."""
-        return self.eval(phase, "beta", T, order) * np.eye(2)
-
     def conductivity_tensor(self, phase, quantity, T, order: int = 0):
         """k_ij or lambda_ij as value * identity (2x2)."""
         return self.eval(phase, quantity, T, order) * np.eye(2)
@@ -128,7 +124,7 @@ class MaterialLaw:
                 raise MaterialError(f"nu for phase {phase} leaves (0, 0.5)")
             for T in (Ts[0], Ts[-1]):
                 c = self.elasticity(phase, T)
-                ev = np.linalg.eigvalsh(_voigt(c)).min()
+                ev = np.linalg.eigvalsh(voigt(c)).min()
                 worst = min(worst, float(ev))
                 if ev < self.kappa0:
                     raise MaterialError(f"elasticity tensor for phase {phase} loses definiteness")
@@ -138,15 +134,19 @@ class MaterialLaw:
 def elasticity_tensor(E, nu, plane: str = "strain", _validate: bool = True):
     """Isotropic 2D elasticity tensor c_ijkl from engineering constants.
 
+    E and nu may be arrays; the result carries their broadcast axes in front
+    of the four tensor axes.
     Plane strain: lame = E nu /((1+nu)(1-2nu)), mu = E/(2(1+nu)).
     Plane stress uses the standard substitution E' = E(1+2nu)/(1+nu)^2 style
     reduction implemented via lame* = E nu/(1-nu^2).
     """
+    E, nu = np.asarray(E, float), np.asarray(nu, float)
     if _validate:
-        if not np.all(np.asarray(E) > 0):
+        if not np.all(E > 0):
             raise MaterialError(f"E must be positive, got {E}")
-        if not (0 <= nu < 0.5):
+        if not np.all((0 <= nu) & (nu < 0.5)):
             raise MaterialError(f"nu must lie in [0, 0.5), got {nu}")
+    E, nu = E[..., None, None, None, None], nu[..., None, None, None, None]
     mu = E / (2.0 * (1.0 + nu))
     if plane == "strain":
         lame = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
@@ -162,7 +162,7 @@ def elasticity_tensor(E, nu, plane: str = "strain", _validate: bool = True):
     return c
 
 
-def _voigt(c):
+def voigt(c):
     """2D Voigt matrix (11, 22, 12) with engineering shear factor for eigencheck."""
     return np.array(
         [

@@ -218,16 +218,6 @@ def _boundary_nodes(triangles):
     return np.unique(uniq[counts == 1])
 
 
-def boundary_edges(mesh: Mesh):
-    """Edges belonging to exactly one triangle (as sorted node pairs)."""
-    edges = np.concatenate(
-        [mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]], mesh.triangles[:, [2, 0]]]
-    )
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return uniq[counts == 1]
-
-
 # ---------------------------------------------------------------------------
 # structured generators
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .homog import hat_weights
 from .macro import recover_nodal_gradient
 
 
@@ -62,11 +63,9 @@ class CellSampler:
 
     def weights(self, T_eval):
         """Hat-function weights over table temperatures, (ntemp, npts)."""
-        T = np.clip(np.asarray(T_eval, float), self.temps[0], self.temps[-1])
-        i = np.clip(np.searchsorted(self.temps, T) - 1, 0, len(self.temps) - 2)
-        s = (T - self.temps[i]) / (self.temps[i + 1] - self.temps[i])
-        w = np.zeros((len(self.temps), len(T)))
-        rows = np.arange(len(T))
+        i, s = hat_weights(self.temps, T_eval)
+        w = np.zeros((len(self.temps), len(s)))
+        rows = np.arange(len(s))
         w[i, rows] = 1.0 - s
         w[i + 1, rows] += s
         return w

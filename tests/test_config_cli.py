@@ -43,6 +43,8 @@ def test_function_calls_allowed():
     "lambda: 1",
     "y3 + 1",
     "sin(x1, x2)",
+    "'abc'",
+    "True",
 ])
 def test_malicious_or_unknown_expressions_rejected(src):
     with pytest.raises(ConfigError):

@@ -1,5 +1,7 @@
 """Fine-mesh reference solver: tiling and coefficient equivalence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,12 +44,14 @@ def test_oscillatory_provider_phase_values(disk_cell_mesh, example_law):
                        rtol=1e-12)
 
 
-def test_provider_elasticity_matches_law(disk_cell_mesh, example_law):
-    provider = dns.OscillatoryProvider(disk_cell_mesh, example_law)
+@pytest.mark.parametrize("plane", ["strain", "stress"])
+def test_provider_elasticity_matches_law(disk_cell_mesh, example_law, plane):
+    law = dataclasses.replace(example_law, plane=plane)
+    provider = dns.OscillatoryProvider(disk_cell_mesh, law)
     co = provider(np.full(disk_cell_mesh.num_nodes, 333.0))
     for ph in (0, 1):
         sel = disk_cell_mesh.phase_tag == ph
-        c_exact = example_law.elasticity(ph, 333.0)
+        c_exact = law.elasticity(ph, 333.0)
         assert np.allclose(co["c"][sel], c_exact, rtol=1e-12)
 
 

@@ -85,10 +85,14 @@ def test_table_clamps_and_warns(small_table):
 
 
 def test_coeff_fields_matches_pointwise(small_table):
-    T_nodes = np.array([290.0, 333.0, 395.0])
+    # interior points, a table slot and a clamped out-of-range temperature
+    T_nodes = np.array([290.0, 333.0, 395.0, small_table.temps[1],
+                        small_table.temps[-1] + 40.0])
     fields = small_table.coeff_fields(T_nodes)
     for j, T in enumerate(T_nodes):
-        co = small_table.coeffs_at(float(T))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            co = small_table.coeffs_at(float(T))
         assert np.allclose(fields["k_hat"][:, :, j], co.k_hat, rtol=1e-12)
         assert fields["S_hat"][j] == pytest.approx(co.S_hat, rel=1e-12)
 
