@@ -118,13 +118,14 @@ class _Operators:
 
     def __init__(self, mesh, law, T0, bc: str = "dirichlet"):
         self.mesh = mesh
+        self.space = fem.FemSpace(mesh)
         self.bc = bc
         self.k_e = phase_scalar(mesh, law, "k", T0)
         self.lam_e = phase_scalar(mesh, law, "lam", T0)
         self.c_e = phase_elasticity(mesh, law, T0)
-        self.Kk = fem.assemble_grad_grad(mesh, self.k_e)
-        self.Kl = fem.assemble_grad_grad(mesh, self.lam_e)
-        self.Kc = fem.assemble_elasticity(mesh, self.c_e)
+        self.Kk = fem.assemble_grad_grad(self.space, self.k_e)
+        self.Kl = fem.assemble_grad_grad(self.space, self.lam_e)
+        self.Kc = fem.assemble_elasticity(self.space, self.c_e)
         if bc == "dirichlet":
             bn = mesh.boundary_nodes
             bd = np.concatenate([2 * bn, 2 * bn + 1])
@@ -171,21 +172,21 @@ def solve_first_order(mesh, law, T0, bc: str = "dirichlet") -> FirstOrderCellSet
     for a in range(2):
         G = np.zeros((nt, 2))
         G[:, a] = -ops.k_e
-        M[a] = ops.solve("k", fem.assemble_flux(mesh, G))
+        M[a] = ops.solve("k", fem.assemble_flux(ops.space, G))
         G = np.zeros((nt, 2))
         G[:, a] = -ops.lam_e
-        H[a] = ops.solve("lam", fem.assemble_flux(mesh, G))
+        H[a] = ops.solve("lam", fem.assemble_flux(ops.space, G))
 
     N = np.empty((2, 2, 2, nn))
     for m in range(2):
         for sup in range(2):
             Gt = -ops.c_e[:, :, :, m, sup]  # G_ij = -c_ij m sup
-            x = ops.solve("c", fem.assemble_tensor_flux(mesh, Gt))
+            x = ops.solve("c", fem.assemble_tensor_flux(ops.space, Gt))
             N[m, sup] = x.reshape(nn, 2).T
 
     beta_e = phase_scalar(mesh, law, "beta", T0)
     Gt = beta_e[:, None, None] * np.eye(2)[None, :, :]
-    P = ops.solve("c", fem.assemble_tensor_flux(mesh, Gt)).reshape(nn, 2).T
+    P = ops.solve("c", fem.assemble_tensor_flux(ops.space, Gt)).reshape(nn, 2).T
 
     return FirstOrderCellSet(T0=float(T0), M=M, H=H, N=N, P=P)
 
@@ -297,17 +298,17 @@ def solve_second_order(
     def scalar_solve(which, S_e=None, G_e=None):
         b = np.zeros(nn)
         if S_e is not None:
-            b -= fem.assemble_source(mesh, S_e)
+            b -= fem.assemble_source(ops.space, S_e)
         if G_e is not None:
-            b += fem.assemble_flux(mesh, G_e)
+            b += fem.assemble_flux(ops.space, G_e)
         return ops.solve(which, b)
 
     def vector_solve(S_e=None, G_e=None):
         b = np.zeros(2 * nn)
         if S_e is not None:
-            b -= fem.assemble_vector_source(mesh, S_e)
+            b -= fem.assemble_vector_source(ops.space, S_e)
         if G_e is not None:
-            b += fem.assemble_tensor_flux(mesh, G_e)
+            b += fem.assemble_tensor_flux(ops.space, G_e)
         return ops.solve("c", b).reshape(nn, 2).T
 
     F = {}

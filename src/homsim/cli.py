@@ -62,9 +62,9 @@ def cmd_online(cfg: SimulationConfig, args) -> int:
     macro_h, _ = cfg.mesh_targets
     mesh = build_macro_mesh(macro_h)
     cell.SOLVES.reset()
-    provider = macro.TableProvider(mesh, table)
-    stepper = macro.Stepper(mesh, provider, cfg.problem_data(), cfg.time_grid(),
-                            snapshot_stride=cfg.snapshot_stride())
+    space = fem.FemSpace(mesh)
+    stepper = macro.Stepper(space, macro.TableProvider(space, table), cfg.problem_data(),
+                            cfg.time_grid(), snapshot_stride=cfg.snapshot_stride())
     traj = stepper.run()
     if cell.SOLVES.count != 0:
         raise RuntimeError("on-line stage solved a cell problem; stage separation broken")

@@ -220,6 +220,8 @@ class SimulationConfig:
         tb = raw["table"]
         if not tb["T_min"] < tb["T_max"]:
             raise ConfigError("$['table']: T_min must be below T_max")
+        # compile every expression now, so that a bad one fails every stage
+        self._problem_data = self._compile_problem_data()
 
     @classmethod
     def from_file(cls, path):
@@ -263,19 +265,30 @@ class SimulationConfig:
         return int(self.raw["time"].get("snapshot_stride", 1))
 
     def problem_data(self) -> ProblemData:
-        s, b, i = self.raw["sources"], self.raw["boundary"], self.raw["initial"]
-        zero_vec = _vector_expression([0.0, 0.0])
+        return self._problem_data
+
+    def _compile_problem_data(self) -> ProblemData:
+        raw = self.raw
+
+        def expr(section, key, vector=False):
+            if key not in raw[section]:  # optional initial displacement/velocity
+                return _vector_expression([0.0, 0.0])
+            try:
+                return (_vector_expression if vector else compile_expression)(raw[section][key])
+            except ConfigError as e:
+                raise ConfigError(f"$[{section!r}][{key!r}]: {e}") from None
+
         return ProblemData(
-            f_T=compile_expression(s["f_T"]),
-            f_Phi=compile_expression(s["f_Phi"]),
-            f_U=_vector_expression(s["f_U"]),
-            bc_T=compile_expression(b["T"]),
-            bc_Phi=compile_expression(b["Phi"]),
-            bc_U=_vector_expression(b["U"]),
-            T_init=float(i["T"]),
-            U_init=_vector_expression(i["U"]) if "U" in i else zero_vec,
-            V_init=_vector_expression(i["V"]) if "V" in i else zero_vec,
-            coupling_temperature=self.raw.get("coupling_temperature", "scheme"),
+            f_T=expr("sources", "f_T"),
+            f_Phi=expr("sources", "f_Phi"),
+            f_U=expr("sources", "f_U", vector=True),
+            bc_T=expr("boundary", "T"),
+            bc_Phi=expr("boundary", "Phi"),
+            bc_U=expr("boundary", "U", vector=True),
+            T_init=float(raw["initial"]["T"]),
+            U_init=expr("initial", "U", vector=True),
+            V_init=expr("initial", "V", vector=True),
+            coupling_temperature=raw.get("coupling_temperature", "scheme"),
         )
 
     @property

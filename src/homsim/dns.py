@@ -46,10 +46,10 @@ def build_tiled_mesh(cell_mesh: Mesh, epsilon: float) -> Mesh:
 class OscillatoryProvider:
     """Phase-wise coefficients at quadrature-point temperatures."""
 
-    def __init__(self, mesh: Mesh, law):
-        self.mesh = mesh
+    def __init__(self, space: fem.FemSpace, law):
+        self.space = space
         self.law = law
-        _, _, self._phi = fem.quad_points(mesh)
+        mesh = space.mesh
         self._ab = {}
         for q in ("rho", "c", "k", "lam", "beta", "E", "nu"):
             a = np.empty(mesh.num_triangles)
@@ -58,16 +58,15 @@ class OscillatoryProvider:
                 sel = mesh.phase_tag == ph
                 a[sel], b[sel] = law.coeffs[ph][q]
             self._ab[q] = (a, b)
-        wsum = np.zeros(mesh.num_nodes)
-        np.add.at(wsum, mesh.triangles.ravel(), np.repeat(mesh.areas, 3))
-        self._wsum = wsum
+        # the affine coefficients of beta, area-averaged to the nodes
+        self._beta_nodal_ab = tuple(space.average @ v for v in self._ab["beta"])
 
     def _scal(self, q, T_qp):
         a, b = self._ab[q]
         return a[:, None] + b[:, None] * T_qp
 
     def __call__(self, T_nodal):
-        T_qp = np.einsum("ta,qa->tq", np.asarray(T_nodal)[self.mesh.triangles], self._phi)
+        T_qp = self.space.at_quadrature(T_nodal)
         # constant extension outside the validity range of the affine laws
         # (mirrors the clamping of the tabulated effective coefficients)
         T_qp = np.clip(T_qp, *self.law.T_range)
@@ -94,16 +93,9 @@ class OscillatoryProvider:
         evaluated at the nodal temperature, so single-phase laws reproduce
         beta(T_node) exactly.
         """
-        if not hasattr(self, "_beta_nodal_ab"):
-            a, b = self._ab["beta"]
-            na = np.zeros(self.mesh.num_nodes)
-            nb = np.zeros(self.mesh.num_nodes)
-            np.add.at(na, self.mesh.triangles.ravel(), np.repeat(a * self.mesh.areas, 3))
-            np.add.at(nb, self.mesh.triangles.ravel(), np.repeat(b * self.mesh.areas, 3))
-            self._beta_nodal_ab = (na / self._wsum, nb / self._wsum)
         na, nb = self._beta_nodal_ab
         nodal = na + nb * np.clip(np.asarray(T_nodal), *self.law.T_range)
-        out = np.zeros((2, 2, self.mesh.num_nodes))
+        out = np.zeros((2, 2, len(nodal)))
         out[0, 0] = nodal
         out[1, 1] = nodal
         return out
@@ -112,7 +104,8 @@ class OscillatoryProvider:
 def run_dns(fine_mesh: Mesh, law, data, grid: TimeGrid,
             snapshot_stride: int = 1) -> Trajectory:
     """Integrate the oscillatory-coefficient system on the fine mesh."""
-    stepper = Stepper(fine_mesh, OscillatoryProvider(fine_mesh, law), data, grid,
+    space = fem.FemSpace(fine_mesh)
+    stepper = Stepper(space, OscillatoryProvider(space, law), data, grid,
                       snapshot_stride=snapshot_stride)
     traj = stepper.run()
     traj.meta["solver"] = "dns"

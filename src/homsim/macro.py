@@ -87,18 +87,15 @@ class Trajectory:
 class TableProvider:
     """Effective coefficients from the off-line table, nodal then P1-interpolated."""
 
-    def __init__(self, mesh, table):
-        self.mesh = mesh
+    def __init__(self, space, table):
+        self.space = space
         self.table = table
 
     def __call__(self, T_nodal):
         f = self.table.coeff_fields(T_nodal)  # tensor axes leading, node axis last
-        tri = self.mesh.triangles
-        _, _, phi = fem.quad_points(self.mesh)
 
         def to_qp(arr):
-            vt = arr[..., tri]  # (..., nt, 3)
-            return np.moveaxis(np.einsum("...ta,qa->...tq", vt, phi), (-2, -1), (0, 1))
+            return np.moveaxis(self.space.at_quadrature(arr), (-2, -1), (0, 1))
 
         return {
             "S": to_qp(f["S_hat"]),
@@ -131,109 +128,44 @@ class ProblemData:
     coupling_temperature: str = "scheme"  # "scheme" (extrapolated T) or "reference"
 
 
-def _boundary_patches(mesh):
-    """Recovery patches for boundary nodes (cached on the mesh).
-
-    Area-weighted averaging is biased at boundary nodes (one-sided patches).
-    Instead, fit a linear function to the element gradients over the element
-    ring of the nearest interior node and evaluate the fit at the boundary
-    node; the interior ring keeps the superconvergence of centroid sampling.
-    """
-    cache = getattr(mesh, "_bnd_patch_cache", None)
-    if cache is not None:
-        return cache
-    nn = mesh.num_nodes
-    node_elems = [[] for _ in range(nn)]
-    for t, tri in enumerate(mesh.triangles):
-        for a in tri:
-            node_elems[a].append(t)
-    nbrs = [set() for _ in range(nn)]
-    for tri in mesh.triangles:
-        for a in tri:
-            nbrs[a].update(tri)
-    interior = np.ones(nn, dtype=bool)
-    interior[mesh.boundary_nodes] = False
-    centroids = mesh.nodes[mesh.triangles].mean(axis=1)
-    patches = []
-    for b in mesh.boundary_nodes:
-        cand = [a for a in nbrs[b] if interior[a]]
-        if not cand:  # corner node: widen to the second ring
-            two = set()
-            for a in nbrs[b]:
-                two.update(nbrs[a])
-            cand = [a for a in two if interior[a]]
-        cand = np.asarray(cand)
-        dist = np.sum((mesh.nodes[cand] - mesh.nodes[b]) ** 2, axis=1)
-        elems = np.asarray(node_elems[cand[np.argmin(dist)]])
-        # weighted least-squares linear fit of patch values, evaluated at the
-        # boundary node: value = row @ data with row precomputed from the
-        # design matrix [1, cx - x_b, cy - y_b] at the element centroids.
-        d = centroids[elems] - mesh.nodes[b]
-        X = np.column_stack([np.ones(len(elems)), d])
-        w = mesh.areas[elems]
-        A = X.T @ (w[:, None] * X)
-        row = np.linalg.solve(A, X.T * w)[0]
-        patches.append((elems, row))
-    mesh._bnd_patch_cache = patches
-    return patches
-
-
-def recover_nodal_gradient(mesh, nodal):
+def recover_nodal_gradient(space, nodal):
     """Gradient recovery: area-weighted averaging, least-squares at the boundary.
 
     nodal (..., nn) -> (..., nn, 2).
     """
-    nodal = np.asarray(nodal, dtype=float)
-    lead = nodal.shape[:-1]
-    flat = nodal.reshape(-1, mesh.num_nodes)
-    ge = fem.element_gradient(mesh, flat)  # (R, nt, 2)
-    wsum = np.zeros(mesh.num_nodes)
-    np.add.at(wsum, mesh.triangles.ravel(), np.repeat(mesh.areas, 3))
-    out = np.zeros((flat.shape[0], mesh.num_nodes, 2))
-    for r in range(flat.shape[0]):
-        for comp in range(2):
-            acc = np.zeros(mesh.num_nodes)
-            np.add.at(acc, mesh.triangles.ravel(), np.repeat(ge[r, :, comp] * mesh.areas, 3))
-            out[r, :, comp] = acc / wsum
-    patches = _boundary_patches(mesh)
-    for b, (elems, row) in zip(mesh.boundary_nodes, patches):
-        out[:, b, :] = ge[:, elems, :].transpose(0, 2, 1) @ row
-    return out.reshape(lead + (mesh.num_nodes, 2))
+    mesh = space.mesh
+    ge = fem.element_gradient(mesh, nodal)  # (..., nt, 2)
+    g = space.recovery @ np.moveaxis(ge, -2, 0).reshape(mesh.num_triangles, -1)
+    return np.moveaxis(g.reshape((mesh.num_nodes,) + ge.shape[:-2] + (2,)), 0, -2)
 
 
 class Stepper:
     """Time integrator for the coupled system on one mesh."""
 
-    def __init__(self, mesh, provider, data: ProblemData, grid: TimeGrid,
+    def __init__(self, space: fem.FemSpace, provider, data: ProblemData, grid: TimeGrid,
                  snapshot_stride: int = 1, solver_tol: float = 1e-10):
-        self.mesh = mesh
+        self.space = space
+        self.mesh = space.mesh
         self.provider = provider
         self.data = data
         self.grid = grid
         self.stride = max(1, snapshot_stride)
         self.tol = solver_tol
-        self.solve_count = 0
-        self._bn = mesh.boundary_nodes
+        self._bn = self.mesh.boundary_nodes
         self._bd = np.concatenate([2 * self._bn, 2 * self._bn + 1])
-        self._xq, self._wq, self._phi = fem.quad_points(mesh)
 
     # -- helpers ---------------------------------------------------------
     def _solve(self, A, b, dofs, vals):
         A, b = fem.apply_dirichlet(A, b, dofs, vals)
-        self.solve_count += 1
         return fem.SpdSolver(A, tol=self.tol).solve(b)
 
     def _qp_eval(self, fn, t):
-        pts = self._xq.reshape(-1, 2)
-        return np.asarray(fn(pts, t), dtype=float).reshape(self._xq.shape[:2] + (-1,)).squeeze(-1)
+        xq = self.space.xq
+        return np.asarray(fn(xq.reshape(-1, 2), t), dtype=float).reshape(xq.shape[:2] + (-1,)).squeeze(-1)
 
     def _qp_eval_vec(self, fn, t):
-        pts = self._xq.reshape(-1, 2)
-        return np.asarray(fn(pts, t), dtype=float).reshape(self._xq.shape[:2] + (2,))
-
-    def _nodal_to_qp(self, nodal):
-        vt = np.asarray(nodal)[..., self.mesh.triangles]
-        return np.einsum("...ta,qa->...tq", vt, self._phi)
+        xq = self.space.xq
+        return np.asarray(fn(xq.reshape(-1, 2), t), dtype=float).reshape(xq.shape[:2] + (2,))
 
     # -- schemes ---------------------------------------------------------
     def run(self) -> Trajectory:
@@ -251,6 +183,10 @@ class Stepper:
 
         # backward-Euler half step for the m=0 temperature extrapolant
         That = self._temperature_half_step(T0, Phi, V0, co)
+        # the coefficient arrays are the largest per-step data on a fine mesh:
+        # hold one set at a time, so that they do not add to the memory peak
+        # of the displacement factorization
+        del co
 
         traj = Trajectory(mesh=mesh, grid=grid)
         snap = Snapshot(0, 0.0, T0.copy(), T0.copy(), Phi.copy(), U0.copy(),
@@ -269,8 +205,9 @@ class Stepper:
                 Phi = self._potential_solve(co_half, t_half)
                 T_next = self._temperature_step(co_half, That, T_cur, Phi,
                                                 U_cur, U_prev, t_half, t_next)
-                co_next = self.provider(T_next)
-                U_next = self._displacement_step(co_next, T_next, U_cur, U_prev, t_next)
+                del co_half  # one coefficient set at a time, as above
+                U_next = self._displacement_step(self.provider(T_next), T_next, U_cur,
+                                                 U_prev, t_next)
             except fem.SolverError as e:
                 raise StepError(f"step {m}: {e}", step=m) from e
             T_prev, T_cur = T_cur, T_next
@@ -282,30 +219,30 @@ class Stepper:
         return traj
 
     def _potential_solve(self, co, t):
-        A = fem.assemble_grad_grad(self.mesh, co["lam"])
-        b = fem.assemble_source(self.mesh, self._qp_eval(self.data.f_Phi, t))
+        A = fem.assemble_grad_grad(self.space, co["lam"])
+        b = fem.assemble_source(self.space, self._qp_eval(self.data.f_Phi, t))
         vals = np.asarray(self.data.bc_Phi(self.mesh.nodes[self._bn], t), float)
         return self._solve(A, b, self._bn, vals)
 
     def _coupling_source(self, co, That, U_a, U_b, dt):
         """Nodal values of That * beta*_ij d/dt(dU_i/dx_j) by backward difference."""
-        gU = recover_nodal_gradient(self.mesh, U_a - U_b) / dt  # (2, nn, 2)
+        gU = recover_nodal_gradient(self.space, U_a - U_b) / dt  # (2, nn, 2)
         bstar = self.provider.nodal_beta_star(That)  # (2, 2, nn)
         Tfac = That if self.data.coupling_temperature == "scheme" else np.full_like(That, self.data.T_init)
         return Tfac * np.einsum("ijn,inj->n", bstar, gU)
 
     def _temperature_half_step(self, T0, Phi, V0, co):
-        mesh, dt = self.mesh, self.grid.dt
-        Ms = fem.assemble_mass(mesh, co["S"] * (2.0 / dt))
-        K = fem.assemble_grad_grad(mesh, co["k"])
+        space, mesh, dt = self.space, self.mesh, self.grid.dt
+        Ms = fem.assemble_mass(space, co["S"] * (2.0 / dt))
+        K = fem.assemble_grad_grad(space, co["k"])
         joule = self._joule_qp(co, Phi)
-        b = fem.assemble_source(mesh, joule + self._qp_eval(self.data.f_T, 0.5 * dt))
+        b = fem.assemble_source(space, joule + self._qp_eval(self.data.f_T, 0.5 * dt))
         # coupling with the initial velocity field
-        gV = recover_nodal_gradient(mesh, V0)  # (2, nn, 2)
+        gV = recover_nodal_gradient(space, V0)  # (2, nn, 2)
         bstar = self.provider.nodal_beta_star(T0)
         Tfac = T0 if self.data.coupling_temperature == "scheme" else np.full_like(T0, self.data.T_init)
         cpl = Tfac * np.einsum("ijn,inj->n", bstar, gV)
-        b -= fem.assemble_source(mesh, self._nodal_to_qp(cpl))
+        b -= fem.assemble_source(space, space.at_quadrature(cpl))
         b += Ms @ T0
         vals = np.asarray(self.data.bc_T(mesh.nodes[self._bn], 0.5 * dt), float)
         return self._solve((Ms + K).tocsr(), b, self._bn, vals)
@@ -315,26 +252,26 @@ class Stepper:
         return np.einsum("tqij,ti,tj->tq", co["lam_star"], gPhi, gPhi)
 
     def _temperature_step(self, co, That, T_cur, Phi, U_cur, U_prev, t_half, t_next):
-        mesh, dt = self.mesh, self.grid.dt
-        Ms = fem.assemble_mass(mesh, co["S"] / dt)
-        K = fem.assemble_grad_grad(mesh, co["k"])
-        b = fem.assemble_source(mesh, self._joule_qp(co, Phi) + self._qp_eval(self.data.f_T, t_half))
+        space, mesh, dt = self.space, self.mesh, self.grid.dt
+        Ms = fem.assemble_mass(space, co["S"] / dt)
+        K = fem.assemble_grad_grad(space, co["k"])
+        b = fem.assemble_source(space, self._joule_qp(co, Phi) + self._qp_eval(self.data.f_T, t_half))
         cpl = self._coupling_source(co, That, U_cur, U_prev, dt)
-        b -= fem.assemble_source(mesh, self._nodal_to_qp(cpl))
+        b -= fem.assemble_source(space, space.at_quadrature(cpl))
         b += Ms @ T_cur - 0.5 * (K @ T_cur)
         A = (Ms + 0.5 * K).tocsr()
         vals = np.asarray(self.data.bc_T(mesh.nodes[self._bn], t_next), float)
         return self._solve(A, b, self._bn, vals)
 
     def _displacement_step(self, co, T_next, U_cur, U_prev, t_next):
-        mesh, dt = self.mesh, self.grid.dt
-        Mr = fem.assemble_mass(mesh, co["rho"] / dt**2)
+        space, mesh, dt = self.space, self.mesh, self.grid.dt
+        Mr = fem.assemble_mass(space, co["rho"] / dt**2)
         Mv = _vectorize_mass(Mr)
-        Kc = fem.assemble_elasticity(mesh, co["c"])
-        dT_qp = self._nodal_to_qp(T_next - self.data.T_init)
+        Kc = fem.assemble_elasticity(space, co["c"])
+        dT_qp = space.at_quadrature(T_next - self.data.T_init)
         G = np.einsum("tqij,tq->tqij", co["beta"], dT_qp)
-        b = fem.assemble_tensor_flux(mesh, G)
-        b += fem.assemble_vector_source(mesh, self._qp_eval_vec(self.data.f_U, t_next))
+        b = fem.assemble_tensor_flux(space, G)
+        b += fem.assemble_vector_source(space, self._qp_eval_vec(self.data.f_U, t_next))
         b += Mv @ (2.0 * _flat(U_cur) - _flat(U_prev))
         A = (Mv + Kc).tocsr()
         arr = np.asarray(self.data.bc_U(mesh.nodes[self._bn], t_next), float).reshape(-1, 2)

@@ -24,34 +24,32 @@ NORMS = ("L2", "H1")
 COLUMNS = [f"{f}_{o}_{n}" for f in FIELDS for o in ORDERS for n in NORMS]
 
 
-def l2_norm(mesh, nodal) -> float:
+def l2_norm(space, nodal) -> float:
     """L2 norm of the P1 interpolant; leading axes are summed as components."""
-    nodal = np.asarray(nodal, float)
-    _, wq, phi = fem.quad_points(mesh)
-    vq = np.einsum("...ta,qa->...tq", nodal[..., mesh.triangles], phi)
-    return float(np.sqrt(np.sum(vq**2 * wq)))
+    vq = space.at_quadrature(nodal)
+    return float(np.sqrt(np.sum(vq**2 * space.wq)))
 
 
-def h1_seminorm(mesh, nodal) -> float:
+def h1_seminorm(space, nodal) -> float:
     """H1 seminorm from element gradients; leading axes summed as components."""
-    g = fem.element_gradient(mesh, nodal)  # (..., nt, 2)
-    return float(np.sqrt(np.sum(g**2 * mesh.areas[:, None])))
+    g = fem.element_gradient(space.mesh, nodal)  # (..., nt, 2)
+    return float(np.sqrt(np.sum(g**2 * space.mesh.areas[:, None])))
 
 
-def norm(mesh, nodal, kind: str) -> float:
+def norm(space, nodal, kind: str) -> float:
     if kind == "L2":
-        return l2_norm(mesh, nodal)
+        return l2_norm(space, nodal)
     if kind == "H1":
-        return h1_seminorm(mesh, nodal)
+        return h1_seminorm(space, nodal)
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def relative_error(mesh, approx, ref, kind: str) -> float:
+def relative_error(space, approx, ref, kind: str) -> float:
     """norm(approx - ref) / norm(ref); raises if the reference norm vanishes."""
-    denom = norm(mesh, ref, kind)
+    denom = norm(space, ref, kind)
     if denom <= 0.0:
         raise ValueError(f"reference field has zero {kind} norm")
-    return norm(mesh, np.asarray(approx) - np.asarray(ref), kind) / denom
+    return norm(space, np.asarray(approx) - np.asarray(ref), kind) / denom
 
 
 @dataclass
@@ -85,7 +83,7 @@ def evolutive_errors(ref_traj, macro_traj, recon: Reconstructor) -> ErrorSeries:
     evaluation mesh (its own nodes/elements), so the reconstructor must have
     been built with that mesh as the evaluation mesh.
     """
-    mesh = ref_traj.mesh
+    space = fem.FemSpace(ref_traj.mesh)
     series = ErrorSeries()
     dt = macro_traj.grid.dt
     for t in ref_traj.shared_times(macro_traj):
@@ -99,6 +97,6 @@ def evolutive_errors(ref_traj, macro_traj, recon: Reconstructor) -> ErrorSeries:
         for f in FIELDS:
             for o, h in zip(ORDERS, (h0, h1, h2)):
                 for n in NORMS:
-                    row[f"{f}_{o}_{n}"] = relative_error(mesh, h[f], refs[f], n)
+                    row[f"{f}_{o}_{n}"] = relative_error(space, h[f], refs[f], n)
         series.append(t, row)
     return series

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fem import FemSpace
 from .homog import hat_weights
 from .macro import recover_nodal_gradient
 
@@ -26,6 +27,7 @@ class MacroEvaluator:
 
     def __init__(self, macro_mesh, points):
         self.mesh = macro_mesh
+        self.space = FemSpace(macro_mesh)
         self.tri, self.bary = macro_mesh.locate_points(points)
 
     def scalar(self, nodal):
@@ -33,15 +35,15 @@ class MacroEvaluator:
 
     def gradient(self, nodal):
         """(..., nn) -> (..., npts, 2) recovered gradient at the points."""
-        g = recover_nodal_gradient(self.mesh, nodal)  # (..., nn, 2)
+        g = recover_nodal_gradient(self.space, nodal)  # (..., nn, 2)
         return np.stack(
             [self.scalar(g[..., 0]), self.scalar(g[..., 1])], axis=-1
         )
 
     def hessian(self, nodal):
         """(..., nn) -> (..., npts, 2, 2) by double gradient recovery."""
-        g = recover_nodal_gradient(self.mesh, nodal)  # (..., nn, 2)
-        rows = [recover_nodal_gradient(self.mesh, g[..., i]) for i in range(2)]
+        g = recover_nodal_gradient(self.space, nodal)  # (..., nn, 2)
+        rows = [recover_nodal_gradient(self.space, g[..., i]) for i in range(2)]
         h = np.stack(rows, axis=-2)  # (..., nn, i, j)
         out = np.empty(h.shape[:-3] + (len(self.tri), 2, 2))
         for i in range(2):

@@ -143,7 +143,8 @@ def test_degenerate_material_collapse(disk_cell):
         bc_U=zvec, T_init=300.0, U_init=zvec, V_init=zvec)
     grid = macro.TimeGrid(dt=1e-3, n_steps=10)
     ref = dns.run_dns(fine, ulaw, data, grid, snapshot_stride=10)
-    hom = macro.Stepper(fine, macro.TableProvider(fine, table), data, grid,
+    space = fem.FemSpace(fine)
+    hom = macro.Stepper(space, macro.TableProvider(space, table), data, grid,
                         snapshot_stride=10).run()
     a, b = ref.snapshots[-1], hom.snapshots[-1]
     dev = max(
@@ -194,11 +195,12 @@ def _heat_mms_error(table, h, dt, n):
         f_T=f_T, f_Phi=lambda p, t: np.zeros(len(p)), f_U=zvec,
         bc_T=sol, bc_Phi=lambda p, t: np.zeros(len(p)), bc_U=zvec,
         T_init=300.0, U_init=zvec, V_init=zvec)
-    traj = macro.Stepper(mesh, macro.TableProvider(mesh, table), data,
+    space = fem.FemSpace(mesh)
+    traj = macro.Stepper(space, macro.TableProvider(space, table), data,
                          macro.TimeGrid(dt=dt, n_steps=n),
                          snapshot_stride=n).run()
     s = traj.snapshots[-1]
-    return metrics.l2_norm(mesh, s.T - sol(mesh.nodes, s.t))
+    return metrics.l2_norm(space, s.T - sol(mesh.nodes, s.t))
 
 
 def _disp_mms_error(table, dt, n, h=0.1):
@@ -223,11 +225,12 @@ def _disp_mms_error(table, dt, n, h=0.1):
         bc_U=sol, T_init=300.0,
         U_init=lambda pts, t=0.0: g(0.0) * w(pts),
         V_init=lambda pts, t=0.0: gp(0.0) * w(pts))
-    traj = macro.Stepper(mesh, macro.TableProvider(mesh, table), data,
+    space = fem.FemSpace(mesh)
+    traj = macro.Stepper(space, macro.TableProvider(space, table), data,
                          macro.TimeGrid(dt=dt, n_steps=n),
                          snapshot_stride=n).run()
     s = traj.snapshots[-1]
-    return metrics.l2_norm(mesh, s.U - sol(mesh.nodes, s.t).T)
+    return metrics.l2_norm(space, s.U - sol(mesh.nodes, s.t).T)
 
 
 def test_scheme_convergence_rates():
@@ -263,7 +266,8 @@ def epsilon_runs(law):
         bc_Phi=lambda pts, t: np.zeros(len(pts)),
         bc_U=zvec, T_init=300.0, U_init=zvec, V_init=zvec)
     grid = macro.TimeGrid(dt=1e-3, n_steps=100)
-    traj = macro.Stepper(mm, macro.TableProvider(mm, table), data, grid,
+    space = fem.FemSpace(mm)
+    traj = macro.Stepper(space, macro.TableProvider(space, table), data, grid,
                          snapshot_stride=100).run()
     results = {}
     for eps in (0.25, 0.125):
@@ -325,13 +329,15 @@ def test_long_horizon_stability(law):
         bc_Phi=lambda pts, t: np.zeros(len(pts)),
         bc_U=zvec, T_init=300.0, U_init=zvec, V_init=zvec)
     grid = macro.TimeGrid(dt=5e-3, n_steps=200)
-    traj = macro.Stepper(mm, macro.TableProvider(mm, table), data, grid,
+    space = fem.FemSpace(mm)
+    traj = macro.Stepper(space, macro.TableProvider(space, table), data, grid,
                          snapshot_stride=200).run()
     fine = dns.build_tiled_mesh(cellm, eps)
     ref = dns.run_dns(fine, law, data, grid, snapshot_stride=200)
 
     s = ref.snapshots[-1]
-    norms = [metrics.norm(fine, v, "L2") for v in (s.T, s.Phi, s.U)]
+    fine_space = fem.FemSpace(fine)
+    norms = [metrics.norm(fine_space, v, "L2") for v in (s.T, s.Phi, s.U)]
     finite = all(np.isfinite(n) for n in norms)
 
     recon = reconstruct.Reconstructor(mm, cellm, table, eps, fine)

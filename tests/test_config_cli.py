@@ -157,6 +157,18 @@ def test_invalid_config_exits_2(tmp_path):
     assert cli.main(["offline", str(p)]) == 2
 
 
+def test_bad_expression_fails_offline_with_exit_2(tmp_path, capsys):
+    """Expressions compile when the configuration loads, before any stage runs."""
+    raw = _mini_config(tmp_path / "out")
+    raw["sources"]["f_T"] = "'abc'"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    assert cli.main(["offline", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "f_T" in err and "'abc'" in err
+    assert not (tmp_path / "out" / "archive").exists()
+
+
 def test_unparseable_json_exits_2(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{nope")

@@ -32,7 +32,7 @@ def test_non_reciprocal_epsilon_rejected(disk_cell_mesh):
 
 
 def test_oscillatory_provider_phase_values(disk_cell_mesh, example_law):
-    provider = dns.OscillatoryProvider(disk_cell_mesh, example_law)
+    provider = dns.OscillatoryProvider(fem.FemSpace(disk_cell_mesh), example_law)
     co = provider(np.full(disk_cell_mesh.num_nodes, 300.0))
     k_mat = example_law.eval(0, "k", 300.0)
     k_inc = example_law.eval(1, "k", 300.0)
@@ -47,7 +47,7 @@ def test_oscillatory_provider_phase_values(disk_cell_mesh, example_law):
 @pytest.mark.parametrize("plane", ["strain", "stress"])
 def test_provider_elasticity_matches_law(disk_cell_mesh, example_law, plane):
     law = dataclasses.replace(example_law, plane=plane)
-    provider = dns.OscillatoryProvider(disk_cell_mesh, law)
+    provider = dns.OscillatoryProvider(fem.FemSpace(disk_cell_mesh), law)
     co = provider(np.full(disk_cell_mesh.num_nodes, 333.0))
     for ph in (0, 1):
         sel = disk_cell_mesh.phase_tag == ph
@@ -63,7 +63,8 @@ def test_degenerate_dns_matches_table_driven_solve(disk_cell_mesh, uniform_law,
     data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
     grid = macro.TimeGrid(dt=1e-3, n_steps=5)
     ref = dns.run_dns(fine, uniform_law, data, grid, snapshot_stride=5)
-    hom = macro.Stepper(fine, macro.TableProvider(fine, uniform_table), data,
+    space = fem.FemSpace(fine)
+    hom = macro.Stepper(space, macro.TableProvider(space, uniform_table), data,
                         grid, snapshot_stride=5).run()
     a, b = ref.snapshots[-1], hom.snapshots[-1]
     assert np.abs(a.T - b.T).max() < 1e-8 * max(1.0, np.abs(b.T).max())

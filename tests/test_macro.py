@@ -10,9 +10,9 @@ from conftest import constant_problem_data
 
 
 def _run(mesh, table, data, dt, n, stride=None):
-    provider = macro.TableProvider(mesh, table)
+    space = fem.FemSpace(mesh)
     grid = macro.TimeGrid(dt=dt, n_steps=n)
-    stepper = macro.Stepper(mesh, provider, data, grid,
+    stepper = macro.Stepper(space, macro.TableProvider(space, table), data, grid,
                             snapshot_stride=stride or n)
     return stepper.run()
 
@@ -77,9 +77,92 @@ def test_trajectory_roundtrip(tmp_path, macro_mesh, small_table):
 
 def test_gradient_recovery_exact_for_linear(macro_mesh):
     nodal = 4.0 * macro_mesh.nodes[:, 0] - macro_mesh.nodes[:, 1]
-    g = macro.recover_nodal_gradient(macro_mesh, nodal)
+    g = macro.recover_nodal_gradient(fem.FemSpace(macro_mesh), nodal)
     assert np.allclose(g[:, 0], 4.0, atol=1e-12)
     assert np.allclose(g[:, 1], -1.0, atol=1e-12)
+
+
+def test_recovery_operator_matches_patch_loop(macro_mesh, disk_cell_mesh):
+    """The sparse operator equals area averaging plus the boundary patch fits."""
+    rng = np.random.default_rng(7)
+    for mesh in (macro_mesh, disk_cell_mesh):
+        nodal = rng.standard_normal((2, mesh.num_nodes))
+        ge = fem.element_gradient(mesh, nodal)  # (2, nt, 2)
+        tri = mesh.triangles.ravel()
+        wsum = np.zeros(mesh.num_nodes)
+        np.add.at(wsum, tri, np.repeat(mesh.areas, 3))
+        ref = np.zeros((2, mesh.num_nodes, 2))
+        for r in range(2):
+            for comp in range(2):
+                acc = np.zeros(mesh.num_nodes)
+                np.add.at(acc, tri, np.repeat(ge[r, :, comp] * mesh.areas, 3))
+                ref[r, :, comp] = acc / wsum
+        for b, (elems, row) in zip(mesh.boundary_nodes, fem._boundary_patches(mesh)):
+            ref[:, b, :] = ge[:, elems, :].transpose(0, 2, 1) @ row
+        got = macro.recover_nodal_gradient(fem.FemSpace(mesh), nodal)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        bn = mesh.boundary_nodes
+        assert np.abs(got[:, bn] - ref[:, bn]).max() <= 1e-12 * np.abs(ref[:, bn]).max()
+
+
+def _patches_by_full_adjacency(mesh):
+    """Boundary patches from adjacency lists of every node (reference)."""
+    nn = mesh.num_nodes
+    node_elems = [[] for _ in range(nn)]
+    for t, tri in enumerate(mesh.triangles):
+        for a in tri:
+            node_elems[a].append(t)
+    nbrs = [set() for _ in range(nn)]
+    for tri in mesh.triangles:
+        for a in tri:
+            nbrs[a].update(tri)
+    interior = np.ones(nn, dtype=bool)
+    interior[mesh.boundary_nodes] = False
+    centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+    patches = []
+    for b in mesh.boundary_nodes:
+        cand = [a for a in nbrs[b] if interior[a]]
+        if not cand:
+            two = set()
+            for a in nbrs[b]:
+                two.update(nbrs[a])
+            cand = [a for a in two if interior[a]]
+        cand = np.asarray(cand)
+        dist = np.sum((mesh.nodes[cand] - mesh.nodes[b]) ** 2, axis=1)
+        elems = np.asarray(node_elems[cand[np.argmin(dist)]])
+        d = centroids[elems] - mesh.nodes[b]
+        X = np.column_stack([np.ones(len(elems)), d])
+        w = mesh.areas[elems]
+        patches.append((elems, np.linalg.solve(X.T @ (w[:, None] * X), X.T * w)[0]))
+    return patches
+
+
+def test_boundary_patches_match_full_adjacency(macro_mesh, disk_cell_mesh, stripe_cell_mesh):
+    from homsim.dns import build_tiled_mesh
+
+    for mesh in (macro_mesh, disk_cell_mesh, stripe_cell_mesh,
+                 build_tiled_mesh(disk_cell_mesh, 0.25)):
+        got = fem._boundary_patches(mesh)
+        ref = _patches_by_full_adjacency(mesh)
+        assert len(got) == len(ref)
+        for (e1, r1), (e2, r2) in zip(got, ref):
+            assert np.array_equal(e1, e2) and np.array_equal(r1, r2)
+
+
+def test_stepper_builds_mesh_data_once(monkeypatch, macro_mesh, small_table):
+    calls = {"quad_points": 0, "_boundary_patches": 0}
+    for name in calls:
+        orig = getattr(fem, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(fem, name, counted)
+    data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
+    _run(macro_mesh, small_table, data, 1e-3, 4)
+    assert calls == {"quad_points": 1, "_boundary_patches": 1}
 
 
 def _manufactured_heat_error(h, dt, n_steps, table):
@@ -114,11 +197,12 @@ def _manufactured_heat_error(h, dt, n_steps, table):
         V_init=zvec,
     )
     grid = macro.TimeGrid(dt=dt, n_steps=n_steps)
-    traj = macro.Stepper(mesh, macro.TableProvider(mesh, table), data, grid,
+    space = fem.FemSpace(mesh)
+    traj = macro.Stepper(space, macro.TableProvider(space, table), data, grid,
                          snapshot_stride=n_steps).run()
     s = traj.snapshots[-1]
     exact = sol(mesh.nodes, s.t)
-    M = fem.assemble_mass(mesh, 1.0)
+    M = fem.assemble_mass(space, 1.0)
     e = s.T - exact
     return float(np.sqrt(e @ (M @ e)))
 

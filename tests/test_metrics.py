@@ -3,52 +3,57 @@
 import numpy as np
 import pytest
 
-from homsim import metrics
+from homsim import fem, metrics
 from homsim.mesh import build_macro_mesh
 
 
 @pytest.fixture(scope="module")
-def mesh():
-    return build_macro_mesh(0.1)
+def space():
+    return fem.FemSpace(build_macro_mesh(0.1))
 
 
-def test_l2_norm_of_constant(mesh):
+@pytest.fixture(scope="module")
+def mesh(space):
+    return space.mesh
+
+
+def test_l2_norm_of_constant(space, mesh):
     v = np.full(mesh.num_nodes, 3.0)
-    assert metrics.l2_norm(mesh, v) == pytest.approx(3.0, rel=1e-12)
+    assert metrics.l2_norm(space, v) == pytest.approx(3.0, rel=1e-12)
 
 
-def test_l2_norm_of_linear(mesh):
+def test_l2_norm_of_linear(space, mesh):
     v = mesh.nodes[:, 0]
-    assert metrics.l2_norm(mesh, v) == pytest.approx(np.sqrt(1.0 / 3.0), rel=1e-12)
+    assert metrics.l2_norm(space, v) == pytest.approx(np.sqrt(1.0 / 3.0), rel=1e-12)
 
 
-def test_h1_seminorm_of_linear(mesh):
+def test_h1_seminorm_of_linear(space, mesh):
     v = 2.0 * mesh.nodes[:, 0] - mesh.nodes[:, 1]
-    assert metrics.h1_seminorm(mesh, v) == pytest.approx(np.sqrt(5.0), rel=1e-12)
+    assert metrics.h1_seminorm(space, v) == pytest.approx(np.sqrt(5.0), rel=1e-12)
 
 
-def test_vector_norms_sum_components(mesh):
+def test_vector_norms_sum_components(space, mesh):
     U = np.stack([np.full(mesh.num_nodes, 3.0), np.full(mesh.num_nodes, 4.0)])
-    assert metrics.l2_norm(mesh, U) == pytest.approx(5.0, rel=1e-12)
+    assert metrics.l2_norm(space, U) == pytest.approx(5.0, rel=1e-12)
 
 
-def test_relative_error_constant_offset(mesh):
+def test_relative_error_constant_offset(space, mesh):
     """Reference (1,1) against approximation (1.1, 0.9) -> 10% in L2."""
     ref = np.ones((2, mesh.num_nodes))
     approx = np.stack([np.full(mesh.num_nodes, 1.1), np.full(mesh.num_nodes, 0.9)])
-    err = metrics.relative_error(mesh, approx, ref, "L2")
+    err = metrics.relative_error(space, approx, ref, "L2")
     assert err == pytest.approx(0.1, rel=1e-12)
 
 
-def test_relative_error_zero_reference_raises(mesh):
+def test_relative_error_zero_reference_raises(space, mesh):
     with pytest.raises(ValueError):
-        metrics.relative_error(mesh, np.ones(mesh.num_nodes),
+        metrics.relative_error(space, np.ones(mesh.num_nodes),
                                np.zeros(mesh.num_nodes), "L2")
 
 
-def test_unknown_norm_rejected(mesh):
+def test_unknown_norm_rejected(space, mesh):
     with pytest.raises(ValueError):
-        metrics.norm(mesh, np.ones(mesh.num_nodes), "Linf")
+        metrics.norm(space, np.ones(mesh.num_nodes), "Linf")
 
 
 def test_error_series_columns_and_csv(tmp_path):

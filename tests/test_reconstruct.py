@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from homsim import dns, macro, reconstruct
+from homsim import dns, fem, macro, reconstruct
 from homsim.mesh import build_macro_mesh
 
 from conftest import constant_problem_data
@@ -13,7 +13,8 @@ from conftest import constant_problem_data
 def driven_run(macro_mesh, small_table):
     data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
     grid = macro.TimeGrid(dt=1e-3, n_steps=10)
-    stepper = macro.Stepper(macro_mesh, macro.TableProvider(macro_mesh, small_table),
+    space = fem.FemSpace(macro_mesh)
+    stepper = macro.Stepper(space, macro.TableProvider(space, small_table),
                             data, grid, snapshot_stride=10)
     return stepper.run()
 
@@ -79,7 +80,8 @@ def test_degenerate_correctors_leave_fields_unchanged(macro_mesh, disk_cell_mesh
                                                       uniform_table):
     data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
     grid = macro.TimeGrid(dt=1e-3, n_steps=5)
-    traj = macro.Stepper(macro_mesh, macro.TableProvider(macro_mesh, uniform_table),
+    space = fem.FemSpace(macro_mesh)
+    traj = macro.Stepper(space, macro.TableProvider(space, uniform_table),
                          data, grid, snapshot_stride=5).run()
     fine = dns.build_tiled_mesh(disk_cell_mesh, 0.25)
     rec = reconstruct.Reconstructor(macro_mesh, disk_cell_mesh, uniform_table,
