@@ -35,6 +35,12 @@ def _out_dir(cfg) -> pathlib.Path:
     return d
 
 
+def _solver_work(traj) -> str:
+    m = traj.meta
+    return (f"{m['factorizations']} factorizations, {m['cg_iterations']} CG iterations, "
+            f"worst residual {m['worst_residual']:.2e}")
+
+
 def cmd_offline(cfg: SimulationConfig, args) -> int:
     out = _out_dir(cfg)
     law = cfg.law()
@@ -73,7 +79,7 @@ def cmd_online(cfg: SimulationConfig, args) -> int:
 
     save_mesh(mesh, out / "macro_mesh.txt")
     print(f"macro solve: {len(traj.snapshots)} snapshots, "
-          f"final |T| max {np.abs(traj.snapshots[-1].T).max():.4g}")
+          f"final |T| max {np.abs(traj.snapshots[-1].T).max():.4g}, {_solver_work(traj)}")
     if cfg.write_vtk:
         s = traj.snapshots[-1]
         vtkio.write_vtk(out / "macro_final.vtk", mesh,
@@ -95,7 +101,7 @@ def cmd_dns(cfg: SimulationConfig, args) -> int:
 
     save_mesh(fine, out / "dns_mesh.txt")
     print(f"dns solve: {len(traj.snapshots)} snapshots, "
-          f"final |T| max {np.abs(traj.snapshots[-1].T).max():.4g}")
+          f"final |T| max {np.abs(traj.snapshots[-1].T).max():.4g}, {_solver_work(traj)}")
     if cfg.write_vtk:
         s = traj.snapshots[-1]
         vtkio.write_vtk(out / "dns_final.vtk", fine,

@@ -80,7 +80,6 @@ class OscillatoryProvider:
             "k": k,
             "lam": lam,
             "lam_star": lam,
-            "beta_star": beta,
             "rho": self._scal("rho", T_qp),
             "c": c,
             "beta": beta,

@@ -179,8 +179,11 @@ def _accumulate(elem, shape_rows, shape_cols):
     """Assemble per-element dense blocks into a CSR matrix."""
     n = shape_rows.max() + 1
     m = shape_cols.max() + 1
-    rows = np.broadcast_to(shape_rows, elem.shape)
-    cols = np.broadcast_to(shape_cols, elem.shape)
+    # build the indices in the dtype scipy stores them in, so that the
+    # (nnz,) index arrays are not made as int64 and then copied again
+    idx = np.int32 if max(n, m) <= np.iinfo(np.int32).max else np.int64
+    rows = np.broadcast_to(shape_rows.astype(idx), elem.shape)
+    cols = np.broadcast_to(shape_cols.astype(idx), elem.shape)
     A = sp.coo_matrix((elem.ravel(), (rows.ravel(), cols.ravel())), shape=(n, m))
     return A.tocsr()
 
@@ -345,16 +348,21 @@ def solve_spd(A, b, tol: float = 1e-10, max_iter: int = 20000):
 
 
 class SpdSolver:
-    """Factorized sparse solver for repeated right-hand sides.
+    """Sparse LU factorization of one SPD matrix, with a residual guarantee.
 
-    Uses a sparse LU factorization and verifies the relative residual of
-    every solve against tol, so it honors the same contract as solve_spd.
+    solve(b) runs the triangular solves for a new right-hand side.
+    solve_near(A, b, max_iter) solves a nearby matrix A by conjugate
+    gradients preconditioned with this LU, so that a slowly varying operator
+    can reuse one factorization over many solves.  Both check the relative
+    residual against tol, the contract of solve_spd, and leave it in
+    self.residual.
     """
 
     def __init__(self, A, tol: float = 1e-10):
         self.A = A.tocsc()
         self.tol = tol
         self._lu = spla.splu(self.A)
+        self.residual = 0.0
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
@@ -362,10 +370,36 @@ class SpdSolver:
         if bn == 0.0:
             return np.zeros_like(b)
         x = self._lu.solve(b)
-        res = np.linalg.norm(self.A @ x - b) / bn
+        res = self.residual = np.linalg.norm(self.A @ x - b) / bn
         if res > self.tol:
             raise SolverError(f"factorized solve residual {res:.3e} above {self.tol}", residual=res)
         return x
+
+    def solve_near(self, A, b, max_iter: int):
+        """(x, iterations) for A x = b by CG preconditioned with this LU.
+
+        CG stops at tol * 1e-2, as solve_spd does.  x is None when the
+        residual is still above tol after max_iter iterations: the owner
+        should then factor A itself.
+        """
+        b = np.asarray(b, dtype=float)
+        bn = np.linalg.norm(b)
+        if bn == 0.0:
+            self.residual = 0.0
+            return np.zeros_like(b), 0
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        M = spla.LinearOperator(A.shape, matvec=self._lu.solve, dtype=float)
+        x, info = spla.cg(A, b, rtol=self.tol * 1e-2, atol=0.0, maxiter=max_iter, M=M,
+                          callback=count)
+        self.residual = np.linalg.norm(A @ x - b) / bn
+        if info != 0 or self.residual > self.tol:
+            return None, iterations
+        return x, iterations
 
 
 class PeriodicMap:

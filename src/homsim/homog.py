@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -228,11 +229,14 @@ class TemperatureTable:
         e.g. k_hat -> (2, 2, n).  Out-of-range temperatures are clamped.
         """
         i, s = hat_weights(self.temps, T_nodes)
-        out = {}
-        for name in COEFF_NAMES:
-            tab = np.stack([getattr(c, name) for c in self.coeffs], axis=-1)
-            out[name] = (1 - s) * tab[..., i] + s * tab[..., i + 1]
-        return out
+        return {name: (1 - s) * tab[..., i] + s * tab[..., i + 1]
+                for name, tab in self._coeff_tables.items()}
+
+    @cached_property
+    def _coeff_tables(self):
+        """Each coefficient over the table temperatures, temperature axis last."""
+        return {name: np.stack([getattr(c, name) for c in self.coeffs], axis=-1)
+                for name in COEFF_NAMES}
 
     def cells_at(self, T0):
         """Linearly interpolated (first, second) corrector sets at T0."""

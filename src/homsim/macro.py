@@ -18,6 +18,15 @@ Scheme per step m (time level t_m -> t_{m+1}):
   solve fully implicit with a centered second difference in time.
 Start-up: an elliptic potential solve at t_0 and a backward-Euler half step
 provide the m=0 extrapolant; U^{-1} = U^0 - dt * initial velocity.
+
+Linear solves: the coefficients drift only slowly with T, so the stepper
+keeps one sparse LU factorization per operator kind (potential, temperature,
+displacement).  A later solve of that kind runs conjugate gradients on the
+current Dirichlet-reduced matrix, preconditioned by the kept LU, and the
+operator is factored again only when CG has not converged within
+REUSE_MAX_ITER iterations.  The start-up half step is factored on its own and
+not kept, and every LU is released after its last use on the final step.
+Every solve meets a relative residual of 1e-10.
 """
 
 from __future__ import annotations
@@ -27,6 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
+
+#: CG iterations a kept LU may take on a later operator of its kind before
+#: that operator is factored again
+REUSE_MAX_ITER = 20
 
 
 class StepError(RuntimeError):
@@ -102,7 +115,6 @@ class TableProvider:
             "k": to_qp(f["k_hat"]),
             "lam": to_qp(f["lam_hat"]),
             "lam_star": to_qp(f["lam_hat_star"]),
-            "beta_star": to_qp(f["beta_hat_star"]),
             "rho": to_qp(f["rho_hat"]),
             "c": to_qp(f["c_hat"]),
             "beta": to_qp(f["beta_hat"]),
@@ -143,21 +155,39 @@ class Stepper:
     """Time integrator for the coupled system on one mesh."""
 
     def __init__(self, space: fem.FemSpace, provider, data: ProblemData, grid: TimeGrid,
-                 snapshot_stride: int = 1, solver_tol: float = 1e-10):
+                 snapshot_stride: int = 1):
         self.space = space
         self.mesh = space.mesh
         self.provider = provider
         self.data = data
         self.grid = grid
         self.stride = max(1, snapshot_stride)
-        self.tol = solver_tol
         self._bn = self.mesh.boundary_nodes
         self._bd = np.concatenate([2 * self._bn, 2 * self._bn + 1])
 
     # -- helpers ---------------------------------------------------------
-    def _solve(self, A, b, dofs, vals):
-        A, b = fem.apply_dirichlet(A, b, dofs, vals)
-        return fem.SpdSolver(A, tol=self.tol).solve(b)
+    def _solve(self, kind, A, b, keep=True):
+        """Solve the Dirichlet-reduced system A x = b of one operator kind.
+
+        Reuses the LU kept for kind as a CG preconditioner and factors A only
+        when there is none or CG does not converge; the LU in use is kept for
+        the next solve of that kind if keep.
+        """
+        stats = self._stats
+        solver = self._factors.pop(kind, None)
+        x = None
+        if solver is not None:
+            x, iterations = solver.solve_near(A, b, REUSE_MAX_ITER)
+            stats["cg_iterations"] += iterations
+        if x is None:
+            solver = None  # release the old LU before SuperLU runs
+            solver = fem.SpdSolver(A)
+            stats["factorizations"] += 1
+            x = solver.solve(b)
+        stats["worst_residual"] = max(stats["worst_residual"], solver.residual)
+        if keep:
+            self._factors[kind] = solver
+        return x
 
     def _qp_eval(self, fn, t):
         xq = self.space.xq
@@ -172,6 +202,8 @@ class Stepper:
         mesh, grid, data = self.mesh, self.grid, self.data
         nn = mesh.num_nodes
         dt = grid.dt
+        self._factors = {}  # operator kind -> the SpdSolver kept for reuse
+        self._stats = {"factorizations": 0, "cg_iterations": 0, "worst_residual": 0.0}
 
         T0 = np.full(nn, float(data.T_init))
         U0 = np.asarray(data.U_init(mesh.nodes, 0.0), float).reshape(nn, 2).T
@@ -179,10 +211,11 @@ class Stepper:
         U_m1 = U0 - dt * V0
 
         co = self.provider(T0)
-        Phi = self._potential_solve(co, 0.0)
+        Phi = self._solve("potential", *self._potential_system(co, 0.0))
 
-        # backward-Euler half step for the m=0 temperature extrapolant
-        That = self._temperature_half_step(T0, Phi, V0, co)
+        # backward-Euler half step for the m=0 temperature extrapolant; a
+        # one-off operator, so its LU is not kept
+        That = self._solve(None, *self._half_step_system(T0, Phi, V0, co), keep=False)
         # the coefficient arrays are the largest per-step data on a fine mesh:
         # hold one set at a time, so that they do not add to the memory peak
         # of the displacement factorization
@@ -198,16 +231,17 @@ class Stepper:
         for m in range(grid.n_steps):
             t_half = grid.time(m) + 0.5 * dt
             t_next = grid.time(m + 1)
+            keep = m + 1 < grid.n_steps  # release every LU after its last use
             if m > 0:
                 That = 1.5 * T_cur - 0.5 * T_prev
             co_half = self.provider(That)
             try:
-                Phi = self._potential_solve(co_half, t_half)
-                T_next = self._temperature_step(co_half, That, T_cur, Phi,
-                                                U_cur, U_prev, t_half, t_next)
+                Phi = self._solve("potential", *self._potential_system(co_half, t_half), keep)
+                T_next = self._solve("temperature", *self._temperature_system(
+                    co_half, That, T_cur, Phi, U_cur, U_prev, t_half, t_next), keep)
                 del co_half  # one coefficient set at a time, as above
-                U_next = self._displacement_step(self.provider(T_next), T_next, U_cur,
-                                                 U_prev, t_next)
+                U_next = self._solve("displacement", *self._displacement_system(
+                    T_next, U_cur, U_prev, t_next), keep).reshape(nn, 2).T
             except fem.SolverError as e:
                 raise StepError(f"step {m}: {e}", step=m) from e
             T_prev, T_cur = T_cur, T_next
@@ -216,13 +250,17 @@ class Stepper:
                 traj.snapshots.append(Snapshot(m + 1, t_next, T_cur.copy(), T_prev.copy(),
                                                Phi.copy(), U_cur.copy(), U_prev.copy(),
                                                U_prev2.copy()))
+        traj.meta.update(self._stats)
         return traj
 
-    def _potential_solve(self, co, t):
+    # Each *_system method returns the Dirichlet-reduced (A, b) of one solve.
+    # The unreduced operators and the coefficient arrays die with its frame,
+    # so they are freed before the factorization runs.
+    def _potential_system(self, co, t):
         A = fem.assemble_grad_grad(self.space, co["lam"])
         b = fem.assemble_source(self.space, self._qp_eval(self.data.f_Phi, t))
         vals = np.asarray(self.data.bc_Phi(self.mesh.nodes[self._bn], t), float)
-        return self._solve(A, b, self._bn, vals)
+        return fem.apply_dirichlet(A, b, self._bn, vals)
 
     def _coupling_source(self, co, That, U_a, U_b, dt):
         """Nodal values of That * beta*_ij d/dt(dU_i/dx_j) by backward difference."""
@@ -231,7 +269,7 @@ class Stepper:
         Tfac = That if self.data.coupling_temperature == "scheme" else np.full_like(That, self.data.T_init)
         return Tfac * np.einsum("ijn,inj->n", bstar, gU)
 
-    def _temperature_half_step(self, T0, Phi, V0, co):
+    def _half_step_system(self, T0, Phi, V0, co):
         space, mesh, dt = self.space, self.mesh, self.grid.dt
         Ms = fem.assemble_mass(space, co["S"] * (2.0 / dt))
         K = fem.assemble_grad_grad(space, co["k"])
@@ -245,13 +283,13 @@ class Stepper:
         b -= fem.assemble_source(space, space.at_quadrature(cpl))
         b += Ms @ T0
         vals = np.asarray(self.data.bc_T(mesh.nodes[self._bn], 0.5 * dt), float)
-        return self._solve((Ms + K).tocsr(), b, self._bn, vals)
+        return fem.apply_dirichlet((Ms + K).tocsr(), b, self._bn, vals)
 
     def _joule_qp(self, co, Phi):
         gPhi = fem.element_gradient(self.mesh, Phi)
         return np.einsum("tqij,ti,tj->tq", co["lam_star"], gPhi, gPhi)
 
-    def _temperature_step(self, co, That, T_cur, Phi, U_cur, U_prev, t_half, t_next):
+    def _temperature_system(self, co, That, T_cur, Phi, U_cur, U_prev, t_half, t_next):
         space, mesh, dt = self.space, self.mesh, self.grid.dt
         Ms = fem.assemble_mass(space, co["S"] / dt)
         K = fem.assemble_grad_grad(space, co["k"])
@@ -261,10 +299,11 @@ class Stepper:
         b += Ms @ T_cur - 0.5 * (K @ T_cur)
         A = (Ms + 0.5 * K).tocsr()
         vals = np.asarray(self.data.bc_T(mesh.nodes[self._bn], t_next), float)
-        return self._solve(A, b, self._bn, vals)
+        return fem.apply_dirichlet(A, b, self._bn, vals)
 
-    def _displacement_step(self, co, T_next, U_cur, U_prev, t_next):
+    def _displacement_system(self, T_next, U_cur, U_prev, t_next):
         space, mesh, dt = self.space, self.mesh, self.grid.dt
+        co = self.provider(T_next)
         Mr = fem.assemble_mass(space, co["rho"] / dt**2)
         Mv = _vectorize_mass(Mr)
         Kc = fem.assemble_elasticity(space, co["c"])
@@ -277,8 +316,7 @@ class Stepper:
         arr = np.asarray(self.data.bc_U(mesh.nodes[self._bn], t_next), float).reshape(-1, 2)
         # self._bd lists all x-dofs then all y-dofs of the boundary nodes
         vals = np.concatenate([arr[:, 0], arr[:, 1]])
-        x = self._solve(A, b, self._bd, vals)
-        return x.reshape(mesh.num_nodes, 2).T
+        return fem.apply_dirichlet(A, b, self._bd, vals)
 
 
 def _flat(U):

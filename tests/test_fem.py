@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from homsim import fem
+from homsim import fem, macro
 from homsim.mesh import Mesh, build_macro_mesh
 
 
@@ -193,6 +193,29 @@ def test_spd_solver_matches_direct(macro_mesh, macro_space):
     x1 = fem.solve_spd(A, b)
     x2 = fem.SpdSolver(A).solve(b)
     assert np.allclose(x1, x2, atol=1e-8 * np.abs(x2).max())
+
+
+def test_spd_solver_reuses_its_lu_on_a_nearby_matrix(macro_mesh, macro_space):
+    """CG preconditioned by one LU solves a nearby matrix and gives up on a far one."""
+    rng = np.random.default_rng(3)
+    bn = macro_mesh.boundary_nodes
+
+    def reduced_system(k):
+        A = (fem.assemble_grad_grad(macro_space, k) + fem.assemble_mass(macro_space, 50.0)).tocsr()
+        return fem.apply_dirichlet(A, rng.standard_normal(A.shape[0]), bn, 0.0)
+
+    nt = macro_mesh.num_triangles
+    solver = fem.SpdSolver(reduced_system(1.0)[0])
+    near, b = reduced_system(1.0 + 0.01 * rng.random(nt))
+    x, iterations = solver.solve_near(near, b, macro.REUSE_MAX_ITER)
+    assert x is not None and 0 < iterations <= macro.REUSE_MAX_ITER
+    assert np.linalg.norm(near @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert solver.residual <= 1e-10
+    assert np.allclose(x, fem.SpdSolver(near).solve(b), rtol=0.0, atol=1e-9 * np.abs(x).max())
+    far, b = reduced_system(10.0 ** rng.uniform(-2.0, 2.0, nt))
+    x, iterations = solver.solve_near(far, b, macro.REUSE_MAX_ITER)
+    assert x is None and iterations == macro.REUSE_MAX_ITER
+    assert solver.residual > 1e-10
 
 
 def test_periodic_map_constant_nullspace(disk_cell_mesh):

@@ -1,5 +1,8 @@
 """Macroscopic time stepping: equilibria, convergence, determinism."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,58 @@ def test_stepper_builds_mesh_data_once(monkeypatch, macro_mesh, small_table):
     data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
     _run(macro_mesh, small_table, data, 1e-3, 4)
     assert calls == {"quad_points": 1, "_boundary_patches": 1}
+
+
+class _FactorEverySolve(macro.Stepper):
+    """Reference stepper: a new factorization for every solve, no LU reuse."""
+
+    def _solve(self, kind, A, b, keep=True):
+        return fem.SpdSolver(A).solve(b)
+
+
+def test_stepper_reuses_one_lu_per_operator_kind(monkeypatch, macro_mesh, small_table):
+    space = fem.FemSpace(macro_mesh)
+    data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
+    grid = macro.TimeGrid(dt=1e-3, n_steps=12)
+    ref = _FactorEverySolve(space, macro.TableProvider(space, small_table), data, grid).run()
+    factored = []
+    splu = fem.spla.splu
+
+    def counted(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", counted)
+    traj = macro.Stepper(space, macro.TableProvider(space, small_table), data, grid).run()
+    # potential, temperature, displacement, and the start-up half step
+    assert len(factored) <= 4
+    assert traj.meta["factorizations"] == len(factored)
+    assert traj.meta["cg_iterations"] > 0
+    assert 0.0 < traj.meta["worst_residual"] <= 1e-10
+    assert [s.t for s in traj.snapshots] == [s.t for s in ref.snapshots]
+    for a, b in zip(traj.snapshots, ref.snapshots):
+        for name in ("T", "Phi", "U"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.abs(x - y).max() <= 1e-9 * np.abs(y).max()
+
+
+def test_stepper_releases_every_lu(monkeypatch, macro_mesh, small_table):
+    made = []
+
+    class Tracked(fem.SpdSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(fem, "SpdSolver", Tracked)
+    space = fem.FemSpace(macro_mesh)
+    data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
+    stepper = macro.Stepper(space, macro.TableProvider(space, small_table), data,
+                            macro.TimeGrid(dt=1e-3, n_steps=4))
+    stepper.run()
+    assert made and stepper._factors == {}
+    gc.collect()
+    assert all(ref() is None for ref in made)
 
 
 def _manufactured_heat_error(h, dt, n_steps, table):
