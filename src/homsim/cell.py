@@ -8,7 +8,8 @@ the high-order reconstruction.
 
 All problems share one of three operators (scalar heat-conduction form,
 scalar electric-conduction form, vector elasticity form), so each operator is
-factorized once per temperature and reused for every right-hand side.
+assembled and constrained once per temperature (CellOperators) and reused for
+every right-hand side of both orders.
 
 Families whose right-hand sides contain macroscopic x-derivatives (R, Z, A, B)
 are solved in factored form: the x-derivative acts only through T0(x), so
@@ -113,36 +114,43 @@ def phase_elasticity(mesh, law, T0, order: int = 0):
     return out
 
 
-class _Operators:
-    """Constrained, factorized cell operators for one (mesh, law, T0)."""
+class CellOperators:
+    """The three constrained cell operators at one (mesh, law, T0).
 
-    def __init__(self, mesh, law, T0, bc: str = "dirichlet"):
-        self.mesh = mesh
-        self.space = fem.FemSpace(mesh)
+    Heat conduction ("k"), electric conduction ("lam") and elasticity ("c")
+    are assembled and constrained once, here; solve(which, b) then costs one
+    constrained solve per right-hand side.  Dirichlet cells factor each
+    operator; periodic cells reduce it to periodic fields once and solve by
+    Jacobi-CG.  One set serves the first- and the second-order problems at
+    T0, so the off-line stage builds one set per temperature.
+    """
+
+    def __init__(self, space, law, T0, bc: str = "dirichlet"):
+        if not law.in_range(T0):
+            raise CellError(f"T0={T0} outside the declared material range {law.T_range}")
+        if bc not in ("dirichlet", "periodic"):
+            raise CellError(f"unknown cell boundary condition {bc!r}")
+        mesh = self.mesh = space.mesh
+        self.space = space
+        self.law = law
+        self.T0 = float(T0)
         self.bc = bc
         self.k_e = phase_scalar(mesh, law, "k", T0)
         self.lam_e = phase_scalar(mesh, law, "lam", T0)
         self.c_e = phase_elasticity(mesh, law, T0)
-        self.Kk = fem.assemble_grad_grad(self.space, self.k_e)
-        self.Kl = fem.assemble_grad_grad(self.space, self.lam_e)
-        self.Kc = fem.assemble_elasticity(self.space, self.c_e)
+        ops = {"k": fem.assemble_grad_grad(space, self.k_e),
+               "lam": fem.assemble_grad_grad(space, self.lam_e),
+               "c": fem.assemble_elasticity(space, self.c_e)}
         if bc == "dirichlet":
             bn = mesh.boundary_nodes
-            bd = np.concatenate([2 * bn, 2 * bn + 1])
+            self._dofs = {"k": bn, "lam": bn, "c": np.concatenate([2 * bn, 2 * bn + 1])}
             self._solvers = {}
-            self._dofs = {"k": bn, "lam": bn, "c": bd}
-            for name, K in (("k", self.Kk), ("lam", self.Kl), ("c", self.Kc)):
-                Kc_, _ = fem.apply_dirichlet(K, np.zeros(K.shape[0]), self._dofs[name], 0.0)
-                self._solvers[name] = fem.SpdSolver(Kc_)
-        elif bc == "periodic":
-            ma, sl = periodic_pairs(mesh)
-            self._maps = {
-                "k": fem.PeriodicMap(mesh, ma, sl, 1),
-                "lam": fem.PeriodicMap(mesh, ma, sl, 1),
-                "c": fem.PeriodicMap(mesh, ma, sl, 2),
-            }
+            for name, K in ops.items():
+                K, _ = fem.apply_dirichlet(K, np.zeros(K.shape[0]), self._dofs[name], 0.0)
+                self._solvers[name] = fem.SpdSolver(K)
         else:
-            raise CellError(f"unknown cell boundary condition {bc!r}")
+            ma, sl = periodic_pairs(mesh)
+            self._maps = {name: fem.PeriodicMap(mesh, ma, sl, K) for name, K in ops.items()}
 
     def solve(self, which, b):
         SOLVES.tick()
@@ -150,8 +158,7 @@ class _Operators:
             b = b.copy()
             b[self._dofs[which]] = 0.0
             return self._solvers[which].solve(b)
-        K = {"k": self.Kk, "lam": self.Kl, "c": self.Kc}[which]
-        return self._maps[which].solve(K, b)
+        return self._maps[which].solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +166,9 @@ class _Operators:
 # ---------------------------------------------------------------------------
 
 
-def solve_first_order(mesh, law, T0, bc: str = "dirichlet") -> FirstOrderCellSet:
-    """Solve the 4 first-order corrector families at temperature T0."""
-    if not law.in_range(T0):
-        raise CellError(f"T0={T0} outside the declared material range {law.T_range}")
-    ops = _Operators(mesh, law, T0, bc)
+def solve_first_order(ops: CellOperators) -> FirstOrderCellSet:
+    """Solve the 4 first-order corrector families at the temperature of ops."""
+    mesh, law, T0 = ops.mesh, ops.law, ops.T0
     nn = mesh.num_nodes
     nt = mesh.num_triangles
 
@@ -239,24 +244,21 @@ def _check_compat(mesh, name, S_e, tol):
 
 
 def solve_second_order(
-    mesh,
-    law,
-    T0,
+    ops: CellOperators,
     first: FirstOrderCellSet,
     homog,
     Ttilde: float,
     first_dT: FirstOrderCellSet,
     homog_dT,
-    bc: str = "dirichlet",
     compat_tol: float = 1e-8,
 ) -> SecondOrderCellSet:
-    """Solve all 16 second-order corrector families at temperature T0.
+    """Solve all 16 second-order corrector families at the temperature of ops.
 
     `homog` (a HomogenizedCoefficients) carries the effective coefficients
     computed from `first`; `first_dT` / `homog_dT` carry their
     finite-difference d/dT0.
     """
-    ops = _Operators(mesh, law, T0, bc)
+    mesh, law, T0 = ops.mesh, ops.law, ops.T0
     nn = mesh.num_nodes
     nt = mesh.num_triangles
     d2 = np.eye(2)

@@ -126,15 +126,23 @@ def cmd_verify(cfg: SimulationConfig, args) -> int:
     return 0
 
 
+#: the outputs `errors` reads, and the stage that writes each
+_ERRORS_INPUTS = {"macro_mesh.txt": "online", "macro_trajectory.npz": "online",
+                  "dns_mesh.txt": "dns", "dns_trajectory.npz": "dns"}
+
+
 def cmd_errors(cfg: SimulationConfig, args) -> int:
     out = _out_dir(cfg)
     from .mesh import load_mesh
 
+    for name, stage in _ERRORS_INPUTS.items():
+        if not (out / name).is_file():
+            raise ConfigError(f"{out / name} not found; `homsim {stage}` writes it")
     macro_mesh = load_mesh(out / "macro_mesh.txt")
     fine_mesh = load_mesh(out / "dns_mesh.txt")
     traj = macro.load_trajectory(out / "macro_trajectory.npz", macro_mesh)
     ref = macro.load_trajectory(out / "dns_trajectory.npz", fine_mesh)
-    cell_mesh, table = archive.load(out / "archive")
+    cell_mesh, table = archive.load(out / "archive", law=cfg.law())
     rec = reconstruct.Reconstructor(macro_mesh, cell_mesh, table, cfg.epsilon, fine_mesh)
     series = metrics.evolutive_errors(ref, traj, rec)
     series.to_csv(out / "errors.csv")

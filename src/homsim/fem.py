@@ -249,14 +249,25 @@ def assemble_elasticity(space, c):
     return _accumulate(ke2, d[:, :, None], d[:, None, :])
 
 
+def _scatter(elem, dofs, n):
+    """Sum per-element load entries into a length-n vector.
+
+    elem holds one entry per element dof, in the order of dofs (nt, k); the
+    entries are added one after another in that order, into zeros.
+    np.add.at, not np.bincount: on numpy 2.4 bincount sums in the same order
+    but is slower per call and raised the peak RSS of `homsim online`.
+    """
+    out = np.zeros(n)
+    np.add.at(out, dofs.ravel(), elem.ravel())
+    return out
+
+
 def assemble_source(space, f):
     """Load vector  integral  f v."""
     mesh, wq, phi = space.mesh, space.wq, space.phi
     fq = _as_tq(space, f)
     elem = np.einsum("tq,qa->ta", wq * fq, phi)
-    out = np.zeros(mesh.num_nodes)
-    np.add.at(out, mesh.triangles.ravel(), elem.ravel())
-    return out
+    return _scatter(elem, mesh.triangles, mesh.num_nodes)
 
 
 def assemble_flux(space, g):
@@ -264,9 +275,7 @@ def assemble_flux(space, g):
     mesh = space.mesh
     gq = _as_tq(space, g, (2,))
     elem = np.einsum("tq,tqi,tai->ta", space.wq, gq, mesh.grads)
-    out = np.zeros(mesh.num_nodes)
-    np.add.at(out, mesh.triangles.ravel(), elem.ravel())
-    return out
+    return _scatter(elem, mesh.triangles, mesh.num_nodes)
 
 
 def assemble_vector_source(space, f):
@@ -274,10 +283,7 @@ def assemble_vector_source(space, f):
     mesh = space.mesh
     fq = _as_tq(space, f, (2,))
     elem = np.einsum("tq,tqi,qa->tai", space.wq, fq, space.phi)
-    out = np.zeros(2 * mesh.num_nodes)
-    d = vector_dofs(mesh.triangles).reshape(-1, 3, 2)
-    np.add.at(out, d.ravel(), elem.ravel())
-    return out
+    return _scatter(elem, vector_dofs(mesh.triangles), 2 * mesh.num_nodes)
 
 
 def assemble_tensor_flux(space, G):
@@ -288,10 +294,7 @@ def assemble_tensor_flux(space, G):
     else:
         Gq = _as_tq(space, G, (2, 2))
         elem = np.einsum("tq,tqij,taj->tai", space.wq, Gq, mesh.grads)
-    out = np.zeros(2 * mesh.num_nodes)
-    d = vector_dofs(mesh.triangles).reshape(-1, 3, 2)
-    np.add.at(out, d.ravel(), elem.ravel())
-    return out
+    return _scatter(elem, vector_dofs(mesh.triangles), 2 * mesh.num_nodes)
 
 
 def element_gradient(mesh, nodal):
@@ -335,12 +338,19 @@ def apply_dirichlet(A, b, dofs, values, allowed=None):
 
 
 def solve_spd(A, b, tol: float = 1e-10, max_iter: int = 20000):
-    """Diagonally preconditioned conjugate gradients with residual guarantee."""
+    """Diagonally preconditioned conjugate gradients with residual guarantee.
+
+    The operator and the Jacobi step go to CG as plain callables; given the
+    matrices, scipy wraps each one and sends every product through its
+    matrix-matrix wrappers.
+    """
     bn = np.linalg.norm(b)
     if bn == 0.0:
         return np.zeros_like(b)
-    M = sp.diags(1.0 / A.diagonal())
-    x, info = spla.cg(A, b, rtol=tol * 1e-2, atol=0.0, maxiter=max_iter, M=M)
+    dinv = 1.0 / A.diagonal()
+    op = spla.LinearOperator(A.shape, matvec=A.__matmul__, dtype=float)
+    M = spla.LinearOperator(A.shape, matvec=lambda r: dinv * r, dtype=float)
+    x, info = spla.cg(op, b, rtol=tol * 1e-2, atol=0.0, maxiter=max_iter, M=M)
     res = np.linalg.norm(A @ x - b) / bn
     if res > tol:
         raise SolverError(f"conjugate gradients stalled at residual {res:.3e}", residual=res)
@@ -403,15 +413,19 @@ class SpdSolver:
 
 
 class PeriodicMap:
-    """Reduction operator identifying opposite-boundary nodes of the unit cell.
+    """A cell operator constrained to periodic fields, for many right-hand sides.
 
-    Builds R with full-dof rows and reduced-dof columns so that A_red = R^T A R,
-    b_red = R^T b, and x_full = R x_red.  One anchor node (the origin corner
-    master) is additionally pinned to remove the constant null space.
+    R has full-dof rows and reduced-dof columns, identifying opposite-boundary
+    nodes of the unit cell, so that x_full = R x_red.  The reduced operator
+    R^T K R, with the anchor (the origin corner master) additionally pinned to
+    remove the constant null space, is built once here; solve(b) then reduces
+    b, solves and expands.  K is scalar (nn dofs) or interleaved vector
+    (2 nn dofs).
     """
 
-    def __init__(self, mesh, masters, slaves, components: int = 1):
+    def __init__(self, mesh, masters, slaves, K):
         nn = mesh.num_nodes
+        components = K.shape[0] // nn
         rep = np.arange(nn)
         rep[slaves] = masters
         keep = np.setdiff1d(np.arange(nn), slaves)
@@ -419,21 +433,21 @@ class PeriodicMap:
         col_of[keep] = np.arange(len(keep))
         rows = np.arange(nn)
         cols = col_of[rep[rows]]
+        a = col_of[rep[int(np.argmin(np.sum(mesh.nodes**2, axis=1)))]]
         if components == 1:
             R = sp.coo_matrix((np.ones(nn), (rows, cols)), shape=(nn, len(keep)))
-            anchor = col_of[rep[int(np.argmin(np.sum(mesh.nodes**2, axis=1)))]]
-            self.anchors = np.array([anchor])
+            self.anchors = np.array([a])
         else:
             r2 = np.concatenate([2 * rows, 2 * rows + 1])
             c2 = np.concatenate([2 * cols, 2 * cols + 1])
             R = sp.coo_matrix((np.ones(2 * nn), (r2, c2)), shape=(2 * nn, 2 * len(keep)))
-            a = col_of[rep[int(np.argmin(np.sum(mesh.nodes**2, axis=1)))]]
             self.anchors = np.array([2 * a, 2 * a + 1])
         self.R = R.tocsr()
+        Ar = (self.R.T @ K @ self.R).tocsr()
+        self.A, _ = apply_dirichlet(Ar, np.zeros(Ar.shape[0]), self.anchors, 0.0)
 
-    def solve(self, A, b, tol: float = 1e-10):
-        Ar = (self.R.T @ A @ self.R).tocsr()
+    def solve(self, b, tol: float = 1e-10):
+        # the anchored right-hand side apply_dirichlet gives for the value 0
         br = self.R.T @ b
-        Ar, br = apply_dirichlet(Ar, br, self.anchors, 0.0)
-        xr = solve_spd(Ar, br, tol=tol)
-        return self.R @ xr
+        br[self.anchors] = 0.0
+        return self.R @ solve_spd(self.A, br, tol=tol)

@@ -276,6 +276,12 @@ def build_table(
 ) -> TemperatureTable:
     """Off-line stage: correctors and coefficients at equidistant temperatures.
 
+    One pass over the temperatures builds one cell.CellOperators per
+    temperature and uses it for both orders.  The second order at temps[i]
+    needs the first order at temps[i + 1] (its temperature derivatives), so
+    the operators of temps[i] and temps[i + 1] are alive together, and never
+    more than those two.
+
     progress, if given, is called as progress(T0, seconds) with the wall time
     attributable to each representative temperature.
     """
@@ -284,27 +290,33 @@ def build_table(
     if count < 2:
         raise HomogError("table count must be >= 2")
     temps = np.linspace(Tmin, Tmax, count)
+    space = fem.FemSpace(mesh)
     elapsed = np.zeros(count)
-    first = []
-    for i, T in enumerate(temps):
-        t0 = _time.perf_counter()
-        first.append(cell.solve_first_order(mesh, law, T, bc=bc))
-        elapsed[i] += _time.perf_counter() - t0
-    coeffs = [compute_coefficients(mesh, law, T, f) for T, f in zip(temps, first)]
-    table = TemperatureTable(temps=temps, first=first, second=[], coeffs=coeffs,
+    table = TemperatureTable(temps=temps, first=[], second=[], coeffs=[],
                              Ttilde=Ttilde, bc=bc)
-    if with_second_order:
-        for i, T in enumerate(temps):
+
+    def first_order(i):
+        t0 = _time.perf_counter()
+        ops = cell.CellOperators(space, law, temps[i], bc)
+        table.first.append(cell.solve_first_order(ops))
+        elapsed[i] += _time.perf_counter() - t0
+        table.coeffs.append(compute_coefficients(mesh, law, temps[i], table.first[i]))
+        return ops
+
+    ops = first_order(0)
+    for i, T in enumerate(temps):
+        ops_next = first_order(i + 1) if i + 1 < count else None
+        if with_second_order:
+            # table.first and table.coeffs hold temps[: i + 2], all that the
+            # centred differences at temps[i] read
             t0 = _time.perf_counter()
-            f_dT = cell.dT_of_first_order(first, T)
-            h_dT = table.coeff_dT(i)
-            table.second.append(
-                cell.solve_second_order(
-                    mesh, law, T, first[i], coeffs[i], Ttilde,
-                    first_dT=f_dT, homog_dT=h_dT, bc=bc,
-                )
-            )
+            table.second.append(cell.solve_second_order(
+                ops, table.first[i], table.coeffs[i], Ttilde,
+                first_dT=cell.dT_of_first_order(table.first, T),
+                homog_dT=table.coeff_dT(i),
+            ))
             elapsed[i] += _time.perf_counter() - t0
+        ops = ops_next
     if progress is not None:
         for T, dt in zip(temps, elapsed):
             progress(float(T), float(dt))

@@ -88,7 +88,8 @@ def test_ellipticity_bounds(coeff_table, law):
 
 def test_laminate_oracle(law):
     stripe = build_unit_cell_mesh(PhaseGeometry("stripe", band=(0.25, 0.75)), 0.1)
-    first = cell.solve_first_order(stripe, law, 300.0, bc="periodic")
+    ops = cell.CellOperators(fem.FemSpace(stripe), law, 300.0, bc="periodic")
+    first = cell.solve_first_order(ops)
     co = homog.compute_coefficients(stripe, law, 300.0, first)
     km, ki = law.eval(0, "k", 300.0), law.eval(1, "k", 300.0)
     harmonic = 2.0 / (1.0 / km + 1.0 / ki)
@@ -101,7 +102,7 @@ def test_laminate_oracle(law):
     vals = []
     for h in (0.1, 0.05, 0.025):
         m = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), h)
-        f = cell.solve_first_order(m, law, 300.0, bc="periodic")
+        f = cell.solve_first_order(cell.CellOperators(fem.FemSpace(m), law, 300.0, bc="periodic"))
         vals.append(homog.compute_coefficients(m, law, 300.0, f).k_hat[0, 0])
     ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
 
@@ -358,7 +359,7 @@ def test_long_horizon_stability(law):
 # ---------------------------------------------------------------------------
 
 def test_corrector_continuity_in_temperature(disk_cell, law):
-    base = cell.solve_first_order(disk_cell, law, 300.0)
+    base = cell.solve_first_order(cell.CellOperators(fem.FemSpace(disk_cell), law, 300.0))
 
     def diff_norm(other):
         tot = 0.0
@@ -367,7 +368,8 @@ def test_corrector_continuity_in_temperature(disk_cell, law):
                                      getattr(other, n) - getattr(base, n)) ** 2
         return np.sqrt(tot)
 
-    norms = [diff_norm(cell.solve_first_order(disk_cell, law, 300.0 + d))
+    space = fem.FemSpace(disk_cell)
+    norms = [diff_norm(cell.solve_first_order(cell.CellOperators(space, law, 300.0 + d)))
              for d in (10.0, 5.0, 2.5)]
     ok = norms[0] > norms[1] > norms[2]
     _line("corrector continuity in temperature",

@@ -1,6 +1,7 @@
 """Configuration validation, expression grammar and the CLI pipeline."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -198,3 +199,26 @@ def test_numerical_failure_exits_3(pipeline, monkeypatch):
 
     monkeypatch.setattr(macro.Stepper, "run", boom)
     assert cli.main(["online", str(pipeline / "config.json")]) == 3
+
+
+@pytest.mark.parametrize("name, stage", sorted(cli._ERRORS_INPUTS.items()))
+def test_errors_before_its_inputs_exist_exits_2(pipeline, tmp_path, capsys, name, stage):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    (out / name).unlink()
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_mini_config(out)))
+    assert cli.main(["errors", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and f"homsim {stage}" in err
+
+
+def test_errors_refuses_archive_of_another_law(pipeline, tmp_path, capsys):
+    raw = json.loads((pipeline / "config.json").read_text())
+    raw["materials"]["matrix"]["k"] = [9.9, 0.0]  # different law than archived
+    p = tmp_path / "tampered.json"
+    p.write_text(json.dumps(raw))
+    before = (pipeline / "out" / "errors.csv").read_bytes()
+    assert cli.main(["errors", str(p)]) == 2
+    assert "material-law hash mismatch" in capsys.readouterr().err
+    assert (pipeline / "out" / "errors.csv").read_bytes() == before

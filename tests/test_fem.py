@@ -224,12 +224,49 @@ def test_periodic_map_constant_nullspace(disk_cell_mesh):
     space = fem.FemSpace(disk_cell_mesh)
     A = fem.assemble_grad_grad(space, 1.0).tocsr()
     masters, slaves = periodic_pairs(disk_cell_mesh)
-    pm = fem.PeriodicMap(disk_cell_mesh, masters, slaves)
+    pm = fem.PeriodicMap(disk_cell_mesh, masters, slaves, A)
     b = np.zeros(disk_cell_mesh.num_nodes)
-    x = pm.solve(A, b)
+    x = pm.solve(b)
     assert np.allclose(x, 0.0, atol=1e-10)
     # periodic solution of -div grad u = sin(2 pi x): values match across the cell
     f = np.sin(2 * np.pi * space.xq[..., 0])
-    u = pm.solve(A, fem.assemble_source(space, f))
+    u = pm.solve(fem.assemble_source(space, f))
     um = u[masters] if len(masters) else u
     assert np.allclose(u[slaves], um, atol=1e-10)
+
+
+def test_load_vectors_equal_the_add_at_scatter(macro_mesh, macro_space):
+    """Each load kernel sums exactly as an np.add.at scatter of its element entries."""
+    rng = np.random.default_rng(11)
+    mesh, space = macro_mesh, macro_space
+    wq, phi, g = space.wq, space.phi, mesh.grads
+    f = rng.standard_normal(wq.shape)
+    G = rng.standard_normal(wq.shape + (2,))
+    F = rng.standard_normal(wq.shape + (2,))
+    T = rng.standard_normal(wq.shape + (2, 2))
+    T_e = rng.standard_normal((mesh.num_triangles, 2, 2))
+    scalar = mesh.triangles.ravel()
+    vector = fem.vector_dofs(mesh.triangles).ravel()
+
+    def add_at(n, idx, elem):
+        out = np.zeros(n)
+        np.add.at(out, idx, elem.ravel())
+        return out
+
+    nn = mesh.num_nodes
+    cases = [
+        (fem.assemble_source(space, f),
+         add_at(nn, scalar, np.einsum("tq,qa->ta", wq * f, phi))),
+        (fem.assemble_flux(space, G),
+         add_at(nn, scalar, np.einsum("tq,tqi,tai->ta", wq, G, g))),
+        (fem.assemble_vector_source(space, F),
+         add_at(2 * nn, vector, np.einsum("tq,tqi,qa->tai", wq, F, phi))),
+        (fem.assemble_tensor_flux(space, T),
+         add_at(2 * nn, vector, np.einsum("tij,taj->tai",
+                                          np.einsum("tq,tqij->tij", wq, T), g))),
+        (fem.assemble_tensor_flux(space, T_e),
+         add_at(2 * nn, vector, np.einsum("tq,tqij,taj->tai", wq,
+                                          np.broadcast_to(T_e[:, None], T.shape), g))),
+    ]
+    for got, ref in cases:
+        assert np.array_equal(got, ref)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from homsim import cell, homog
+from homsim import cell, fem, homog
 from homsim.mesh import PhaseGeometry, build_unit_cell_mesh
 
 
@@ -45,7 +45,8 @@ def test_uniform_material_recovers_plain_coefficients(uniform_table, uniform_law
 def test_laminate_limits_periodic(example_law):
     """Stripe laminate: series (harmonic) across, parallel (arithmetic) along."""
     mesh = build_unit_cell_mesh(PhaseGeometry("stripe", band=(0.25, 0.75)), 0.1)
-    first = cell.solve_first_order(mesh, example_law, 300.0, bc="periodic")
+    ops = cell.CellOperators(fem.FemSpace(mesh), example_law, 300.0, bc="periodic")
+    first = cell.solve_first_order(ops)
     co = homog.compute_coefficients(mesh, example_law, 300.0, first)
     k1 = example_law.eval(0, "k", 300.0)
     k2 = example_law.eval(1, "k", 300.0)
