@@ -95,9 +95,19 @@ def load(path, cell_mesh=None, law=None) -> tuple:
         raise ArchiveError(f"{path}: material-law hash mismatch; re-run the off-line stage")
 
     temps = np.asarray(manifest["temperatures"], float)
+    required = ["T0", "M", "H", "N", "P"] + ["coeff_" + n for n in COEFF_NAMES]
+    if manifest["has_second_order"]:
+        required += ["second_" + f for f in cell.SECOND_ORDER_FAMILIES]
     first, second, coeffs = [], [], []
     for i, T in enumerate(temps):
-        with np.load(path / f"T_{i:03d}.npz") as z:
+        npz = path / f"T_{i:03d}.npz"
+        if not npz.is_file():
+            raise ArchiveError(f"{npz}: missing; re-run the off-line stage")
+        with np.load(npz) as z:
+            missing = [k for k in required if k not in z.files]
+            if missing:
+                raise ArchiveError(f"{npz}: missing array(s) {', '.join(missing)}; "
+                                   f"re-run the off-line stage")
             first.append(cell.FirstOrderCellSet(
                 T0=float(z["T0"]), M=z["M"], H=z["H"], N=z["N"], P=z["P"]))
             kw = {name: z["coeff_" + name] for name in COEFF_NAMES}

@@ -149,11 +149,6 @@ class Mesh:
                     bins[ix * nb + iy].append(t)
         self._locator = (nb, lo, span, [np.array(b, dtype=np.int64) for b in bins])
 
-    def locate_point(self, p, tol: float = 1e-10):
-        """Find (triangle index, barycentric coords) for a point in the domain."""
-        tri, bary = self.locate_points(np.asarray(p, dtype=float)[None, :], tol=tol)
-        return int(tri[0]), bary[0]
-
     def locate_points(self, pts, tol: float = 1e-10):
         """Vectorized point location; raises MeshError if any point is outside."""
         pts = np.asarray(pts, dtype=float)

@@ -168,3 +168,82 @@ def test_build_table_keeps_at_most_two_operator_sets(monkeypatch, disk_cell_mesh
     assert len(made) == 4 and max(alive) == 2
     gc.collect()
     assert all(ref() is None for ref in made)
+
+
+def _periodic_second_order_inputs(mesh, law):
+    """CellOperators at 300 K and the arguments solve_second_order takes there."""
+    space = fem.FemSpace(mesh)
+    temps = [300.0, 320.0]
+    ops = [cell.CellOperators(space, law, T, bc="periodic") for T in temps]
+    first = [cell.solve_first_order(o) for o in ops]
+    coeffs = [homog.compute_coefficients(mesh, law, T, f) for T, f in zip(temps, first)]
+    table = homog.TemperatureTable(temps=np.array(temps), first=first, second=[],
+                                   coeffs=coeffs, Ttilde=300.0, bc="periodic")
+    return ops[0], (first[0], coeffs[0], 300.0), {
+        "first_dT": cell.dT_of_first_order(first, 300.0), "homog_dT": table.coeff_dT(0)}
+
+
+def test_factored_second_order_matches_jacobi_cg(monkeypatch, disk_cell_mesh, example_law):
+    ops, args, kwargs = _periodic_second_order_inputs(disk_cell_mesh, example_law)
+    residuals = []
+    lu_solve = fem.SpdSolver.solve
+
+    def recorded(self, b):
+        x = lu_solve(self, b)
+        residuals.append(self.residual)
+        return x
+
+    monkeypatch.setattr(fem.SpdSolver, "solve", recorded)
+    factored = cell.solve_second_order(ops, *args, **kwargs)
+    assert len(residuals) == 65 and max(residuals) <= 1e-10
+    # the same right-hand sides through the Jacobi-CG path
+    monkeypatch.setattr(ops, "solve", lambda which, b: ops._maps[which].solve(b))
+    cg = cell.solve_second_order(ops, *args, **kwargs)
+    assert len(residuals) == 65
+    for name in cell.SECOND_ORDER_FAMILIES:
+        a, b = factored[name], cg[name]
+        assert np.abs(a - b).max() <= 1e-9 * np.abs(a).max(), name
+
+
+def test_periodic_first_order_stays_on_jacobi_cg(disk_cell_mesh, example_law):
+    mesh = disk_cell_mesh
+    nn, nt = mesh.num_nodes, mesh.num_triangles
+    space = fem.FemSpace(mesh)
+    ops = cell.CellOperators(space, example_law, 300.0, bc="periodic")
+    first = cell.solve_first_order(ops)
+    assert "_solvers" not in vars(ops)  # the first order factors nothing
+    masters, slaves = periodic_pairs(mesh)
+    for coef, field in ((ops.k_e, first.M), (ops.lam_e, first.H)):
+        pm = fem.PeriodicMap(mesh, masters, slaves, fem.assemble_grad_grad(space, coef))
+        for a in range(2):
+            G = np.zeros((nt, 2))
+            G[:, a] = -coef
+            assert np.array_equal(field[a], pm.solve(fem.assemble_flux(space, G)))
+    pm = fem.PeriodicMap(mesh, masters, slaves, fem.assemble_elasticity(space, ops.c_e))
+    for m in range(2):
+        for sup in range(2):
+            x = pm.solve(fem.assemble_tensor_flux(space, -ops.c_e[:, :, :, m, sup]))
+            assert np.array_equal(first.N[m, sup], x.reshape(nn, 2).T)
+    beta_e = cell.phase_scalar(mesh, example_law, "beta", 300.0)
+    x = pm.solve(fem.assemble_tensor_flux(space, beta_e[:, None, None] * np.eye(2)))
+    assert np.array_equal(first.P, x.reshape(nn, 2).T)
+
+
+def test_periodic_table_factors_each_operator_once(monkeypatch, disk_cell_mesh, example_law):
+    calls = {"splu": 0, "solve_spd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fem.spla, "splu", counted("splu", fem.spla.splu))
+    monkeypatch.setattr(fem, "solve_spd", counted("solve_spd", fem.solve_spd))
+    before = cell.SOLVES.count
+    homog.build_table(disk_cell_mesh, example_law, 280.0, 400.0, 3, Ttilde=300.0,
+                      bc="periodic")
+    # per temperature: one LU per operator, Jacobi-CG for the 9 first-order
+    # correctors only, and 9 + 65 cell solves in all
+    assert calls == {"splu": 3 * 3, "solve_spd": 9 * 3}
+    assert cell.SOLVES.count - before == 74 * 3

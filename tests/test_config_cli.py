@@ -222,3 +222,28 @@ def test_errors_refuses_archive_of_another_law(pipeline, tmp_path, capsys):
     assert cli.main(["errors", str(p)]) == 2
     assert "material-law hash mismatch" in capsys.readouterr().err
     assert (pipeline / "out" / "errors.csv").read_bytes() == before
+
+
+def _damaged_copy(pipeline, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_mini_config(out)))
+    return out / "archive", p
+
+
+def test_online_with_missing_temperature_file_exits_2(pipeline, tmp_path, capsys):
+    arch, p = _damaged_copy(pipeline, tmp_path)
+    (arch / "T_001.npz").unlink()
+    assert cli.main(["online", str(p)]) == 2
+    assert "T_001.npz: missing" in capsys.readouterr().err
+
+
+def test_errors_with_missing_second_order_array_exits_2(pipeline, tmp_path, capsys):
+    arch, p = _damaged_copy(pipeline, tmp_path)
+    with np.load(arch / "T_000.npz") as z:
+        kept = {k: z[k] for k in z.files if k != "second_Q"}
+    np.savez_compressed(arch / "T_000.npz", **kept)
+    assert cli.main(["errors", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "T_000.npz" in err and "second_Q" in err
