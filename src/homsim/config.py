@@ -177,7 +177,6 @@ SCHEMA = {
             },
             "required": ["T_min", "T_max", "count"],
         },
-        "coupling_temperature": {"enum": ["scheme", "reference"]},
         "output": {
             "type": "object",
             "properties": {
@@ -288,7 +287,6 @@ class SimulationConfig:
             T_init=float(raw["initial"]["T"]),
             U_init=expr("initial", "U", vector=True),
             V_init=expr("initial", "V", vector=True),
-            coupling_temperature=raw.get("coupling_temperature", "scheme"),
         )
 
     @property

@@ -65,25 +65,26 @@ class OscillatoryProvider:
         a, b = self._ab[q]
         return a[:, None] + b[:, None] * T_qp
 
-    def __call__(self, T_nodal):
+    def _field(self, name, T_qp):
+        if name == "S":
+            return self._scal("rho", T_qp) * self._scal("c", T_qp)
+        if name == "rho":
+            return self._scal("rho", T_qp)
+        if name == "c":
+            return elasticity_tensor(self._scal("E", T_qp), self._scal("nu", T_qp), self.law.plane)
+        # k, lam, lam* = lam and beta are isotropic in each phase
+        return self._scal("lam" if name == "lam_star" else name, T_qp)[..., None, None] * np.eye(2)
+
+    def __call__(self, T_nodal, fields):
         T_qp = self.space.at_quadrature(T_nodal)
         # constant extension outside the validity range of the affine laws
         # (mirrors the clamping of the tabulated effective coefficients)
         T_qp = np.clip(T_qp, *self.law.T_range)
-        d = np.eye(2)
-        k = self._scal("k", T_qp)[..., None, None] * d
-        lam = self._scal("lam", T_qp)[..., None, None] * d
-        beta = self._scal("beta", T_qp)[..., None, None] * d
-        c = elasticity_tensor(self._scal("E", T_qp), self._scal("nu", T_qp), self.law.plane)
-        return {
-            "S": self._scal("rho", T_qp) * self._scal("c", T_qp),
-            "k": k,
-            "lam": lam,
-            "lam_star": lam,
-            "rho": self._scal("rho", T_qp),
-            "c": c,
-            "beta": beta,
-        }
+        out = {}
+        for name in fields:
+            # lam* = lam: one array serves both
+            out[name] = out["lam"] if name == "lam_star" and "lam" in out else self._field(name, T_qp)
+        return out
 
     def nodal_beta_star(self, T_nodal):
         """Nodal thermal modulus beta*_ij = beta delta_ij.

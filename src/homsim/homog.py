@@ -8,7 +8,6 @@ block, and answers interpolation queries from the on-line stage.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -206,50 +205,22 @@ class TemperatureTable:
         if np.max(np.abs(sp - sp[0])) > 1e-9 * sp[0]:
             raise HomogError("table temperatures must be equidistant")
 
-    def _locate(self, T0):
-        t = self.temps
-        if T0 < t[0] or T0 > t[-1]:
-            warnings.warn(f"temperature {T0} outside table range [{t[0]}, {t[-1]}]; clamped")
-        i, s = hat_weights(t, T0)
-        return int(i), float(s)
-
-    def coeffs_at(self, T0) -> HomogenizedCoefficients:
-        """Piecewise-linear interpolation of the coefficient block."""
-        i, s = self._locate(float(T0))
-        a, b = self.coeffs[i], self.coeffs[i + 1]
-        return HomogenizedCoefficients(T0=float(T0), **{
-            n: (1 - s) * getattr(a, n) + s * getattr(b, n)
-            for n in COEFF_NAMES
-        })
-
-    def coeff_fields(self, T_nodes) -> dict:
-        """Vectorized interpolation for per-node temperatures.
+    def coeff_fields(self, T_nodes, names=COEFF_NAMES) -> dict:
+        """Vectorized interpolation of the named coefficients at per-node temperatures.
 
         Returns arrays with the tensor axes leading and the node axis last,
         e.g. k_hat -> (2, 2, n).  Out-of-range temperatures are clamped.
         """
         i, s = hat_weights(self.temps, T_nodes)
-        return {name: (1 - s) * tab[..., i] + s * tab[..., i + 1]
-                for name, tab in self._coeff_tables.items()}
+        tables = self._coeff_tables
+        return {name: (1 - s) * tables[name][..., i] + s * tables[name][..., i + 1]
+                for name in names}
 
     @cached_property
     def _coeff_tables(self):
         """Each coefficient over the table temperatures, temperature axis last."""
         return {name: np.stack([getattr(c, name) for c in self.coeffs], axis=-1)
                 for name in COEFF_NAMES}
-
-    def cells_at(self, T0):
-        """Linearly interpolated (first, second) corrector sets at T0."""
-        i, s = self._locate(float(T0))
-        fa, fb = self.first[i], self.first[i + 1]
-        first = cell.FirstOrderCellSet(
-            T0=float(T0),
-            **{n: (1 - s) * getattr(fa, n) + s * getattr(fb, n) for n in ("M", "H", "N", "P")},
-        )
-        sa, sb = self.second[i], self.second[i + 1]
-        fields = {k: (1 - s) * sa.fields[k] + s * sb.fields[k] for k in sa.fields}
-        second = cell.SecondOrderCellSet(T0=float(T0), Ttilde=sa.Ttilde, fields=fields)
-        return first, second
 
     def coeff_dT(self, index: int) -> HomogenizedCoefficients:
         """Finite-difference d/dT0 of the coefficient block at a table node."""

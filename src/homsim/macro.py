@@ -3,7 +3,9 @@
 One engine integrates the coupled temperature / potential / displacement
 system.  The homogenized solver and the fine-mesh reference solver differ
 only in how coefficients are produced at quadrature points, expressed through
-the CoefficientProvider protocol:
+the CoefficientProvider protocol -- provider(T_nodal, fields) returns the
+named coefficient fields at the quadrature points, and
+provider.nodal_beta_star(T_nodal) the nodal thermal modulus:
 
   * TableProvider  -- effective coefficients interpolated from the off-line
     temperature table at each node, then P1-interpolated into quadrature;
@@ -12,12 +14,18 @@ the CoefficientProvider protocol:
 
 Scheme per step m (time level t_m -> t_{m+1}):
   potential solve at coefficients frozen at the extrapolated temperature
-  (3 T^m - T^{m-1})/2; temperature solve with the trapezoidal average
-  (T^m + T^{m+1})/2 in the diffusion term, Joule source from the half-step
-  potential, and a backward-difference mechanical coupling; displacement
-  solve fully implicit with a centered second difference in time.
-Start-up: an elliptic potential solve at t_0 and a backward-Euler half step
-provide the m=0 extrapolant; U^{-1} = U^0 - dt * initial velocity.
+  That = (3 T^m - T^{m-1})/2; temperature solve by the theta-scheme with
+  theta = 1/2 (trapezoidal diffusion), Joule source from the half-step
+  potential and the deformation-rate sink That * beta*_ij dV_i/dx_j with the
+  backward-difference velocity V = (U^m - U^{m-1})/dt; displacement solve
+  fully implicit with a centered second difference in time.
+Start-up: an elliptic potential solve at t_0, then the same temperature
+system with theta = 1 (backward Euler) over dt/2, driven by the initial
+velocity, provides the m=0 extrapolant; U^{-1} = U^0 - dt * initial velocity.
+
+Each solve asks its provider only for the coefficient fields it reads:
+THERMAL for the potential and temperature solves, MECHANICAL for the
+displacement solve.
 
 Linear solves: the coefficients drift only slowly with T, so the stepper
 keeps one sparse LU factorization per operator kind (potential, temperature,
@@ -41,6 +49,11 @@ from . import fem
 #: that operator is factored again
 REUSE_MAX_ITER = 20
 
+#: coefficient fields read by the potential and temperature solves
+THERMAL = ("S", "k", "lam", "lam_star")
+#: coefficient fields read by the displacement solve
+MECHANICAL = ("rho", "c", "beta")
+
 
 class StepError(RuntimeError):
     def __init__(self, msg, step=None):
@@ -56,10 +69,6 @@ class TimeGrid:
     def __post_init__(self):
         if self.dt <= 0 or self.n_steps < 1:
             raise ValueError("time grid needs dt > 0 and n_steps >= 1")
-
-    @property
-    def t_final(self):
-        return self.dt * self.n_steps
 
     def time(self, m):
         return m * self.dt
@@ -100,28 +109,22 @@ class Trajectory:
 class TableProvider:
     """Effective coefficients from the off-line table, nodal then P1-interpolated."""
 
+    #: provider field -> table coefficient
+    NAMES = {"S": "S_hat", "k": "k_hat", "lam": "lam_hat", "lam_star": "lam_hat_star",
+             "rho": "rho_hat", "c": "c_hat", "beta": "beta_hat"}
+
     def __init__(self, space, table):
         self.space = space
         self.table = table
 
-    def __call__(self, T_nodal):
-        f = self.table.coeff_fields(T_nodal)  # tensor axes leading, node axis last
-
-        def to_qp(arr):
-            return np.moveaxis(self.space.at_quadrature(arr), (-2, -1), (0, 1))
-
-        return {
-            "S": to_qp(f["S_hat"]),
-            "k": to_qp(f["k_hat"]),
-            "lam": to_qp(f["lam_hat"]),
-            "lam_star": to_qp(f["lam_hat_star"]),
-            "rho": to_qp(f["rho_hat"]),
-            "c": to_qp(f["c_hat"]),
-            "beta": to_qp(f["beta_hat"]),
-        }
+    def __call__(self, T_nodal, fields):
+        # tensor axes leading, node axis last
+        f = self.table.coeff_fields(T_nodal, [self.NAMES[n] for n in fields])
+        return {n: np.moveaxis(self.space.at_quadrature(f[self.NAMES[n]]), (-2, -1), (0, 1))
+                for n in fields}
 
     def nodal_beta_star(self, T_nodal):
-        return self.table.coeff_fields(T_nodal)["beta_hat_star"]
+        return self.table.coeff_fields(T_nodal, ["beta_hat_star"])["beta_hat_star"]
 
 
 @dataclass
@@ -137,7 +140,6 @@ class ProblemData:
     T_init: float
     U_init: callable         # -> (npts, 2)
     V_init: callable         # -> (npts, 2)
-    coupling_temperature: str = "scheme"  # "scheme" (extrapolated T) or "reference"
 
 
 def recover_nodal_gradient(space, nodal):
@@ -190,12 +192,10 @@ class Stepper:
         return x
 
     def _qp_eval(self, fn, t):
+        """fn at the quadrature points: (npts, ...) values -> (nt, nq, ...)."""
         xq = self.space.xq
-        return np.asarray(fn(xq.reshape(-1, 2), t), dtype=float).reshape(xq.shape[:2] + (-1,)).squeeze(-1)
-
-    def _qp_eval_vec(self, fn, t):
-        xq = self.space.xq
-        return np.asarray(fn(xq.reshape(-1, 2), t), dtype=float).reshape(xq.shape[:2] + (2,))
+        v = np.asarray(fn(xq.reshape(-1, 2), t), dtype=float)
+        return v.reshape(xq.shape[:2] + v.shape[1:])
 
     # -- schemes ---------------------------------------------------------
     def run(self) -> Trajectory:
@@ -210,12 +210,13 @@ class Stepper:
         V0 = np.asarray(data.V_init(mesh.nodes, 0.0), float).reshape(nn, 2).T
         U_m1 = U0 - dt * V0
 
-        co = self.provider(T0)
+        co = self.provider(T0, THERMAL)
         Phi = self._solve("potential", *self._potential_system(co, 0.0))
 
         # backward-Euler half step for the m=0 temperature extrapolant; a
         # one-off operator, so its LU is not kept
-        That = self._solve(None, *self._half_step_system(T0, Phi, V0, co), keep=False)
+        That = self._solve(None, *self._temperature_system(
+            co, T0, T0, Phi, V0, 0.5 * dt, 0.5 * dt, 0.5 * dt, 1.0), keep=False)
         # the coefficient arrays are the largest per-step data on a fine mesh:
         # hold one set at a time, so that they do not add to the memory peak
         # of the displacement factorization
@@ -234,11 +235,12 @@ class Stepper:
             keep = m + 1 < grid.n_steps  # release every LU after its last use
             if m > 0:
                 That = 1.5 * T_cur - 0.5 * T_prev
-            co_half = self.provider(That)
+            co_half = self.provider(That, THERMAL)
             try:
                 Phi = self._solve("potential", *self._potential_system(co_half, t_half), keep)
                 T_next = self._solve("temperature", *self._temperature_system(
-                    co_half, That, T_cur, Phi, U_cur, U_prev, t_half, t_next), keep)
+                    co_half, That, T_cur, Phi, (U_cur - U_prev) / dt, t_half, t_next, dt, 0.5),
+                    keep)
                 del co_half  # one coefficient set at a time, as above
                 U_next = self._solve("displacement", *self._displacement_system(
                     T_next, U_cur, U_prev, t_next), keep).reshape(nn, 2).T
@@ -262,55 +264,39 @@ class Stepper:
         vals = np.asarray(self.data.bc_Phi(self.mesh.nodes[self._bn], t), float)
         return fem.apply_dirichlet(A, b, self._bn, vals)
 
-    def _coupling_source(self, co, That, U_a, U_b, dt):
-        """Nodal values of That * beta*_ij d/dt(dU_i/dx_j) by backward difference."""
-        gU = recover_nodal_gradient(self.space, U_a - U_b) / dt  # (2, nn, 2)
-        bstar = self.provider.nodal_beta_star(That)  # (2, 2, nn)
-        Tfac = That if self.data.coupling_temperature == "scheme" else np.full_like(That, self.data.T_init)
-        return Tfac * np.einsum("ijn,inj->n", bstar, gU)
-
-    def _half_step_system(self, T0, Phi, V0, co):
-        space, mesh, dt = self.space, self.mesh, self.grid.dt
-        Ms = fem.assemble_mass(space, co["S"] * (2.0 / dt))
-        K = fem.assemble_grad_grad(space, co["k"])
-        joule = self._joule_qp(co, Phi)
-        b = fem.assemble_source(space, joule + self._qp_eval(self.data.f_T, 0.5 * dt))
-        # coupling with the initial velocity field
-        gV = recover_nodal_gradient(space, V0)  # (2, nn, 2)
-        bstar = self.provider.nodal_beta_star(T0)
-        Tfac = T0 if self.data.coupling_temperature == "scheme" else np.full_like(T0, self.data.T_init)
-        cpl = Tfac * np.einsum("ijn,inj->n", bstar, gV)
-        b -= fem.assemble_source(space, space.at_quadrature(cpl))
-        b += Ms @ T0
-        vals = np.asarray(self.data.bc_T(mesh.nodes[self._bn], 0.5 * dt), float)
-        return fem.apply_dirichlet((Ms + K).tocsr(), b, self._bn, vals)
-
     def _joule_qp(self, co, Phi):
         gPhi = fem.element_gradient(self.mesh, Phi)
         return np.einsum("tqij,ti,tj->tq", co["lam_star"], gPhi, gPhi)
 
-    def _temperature_system(self, co, That, T_cur, Phi, U_cur, U_prev, t_half, t_next):
-        space, mesh, dt = self.space, self.mesh, self.grid.dt
-        Ms = fem.assemble_mass(space, co["S"] / dt)
+    def _temperature_system(self, co, That, T_start, Phi, V, t_src, t_end, tau, theta):
+        """Theta-scheme temperature step of length tau from T_start, boundary values at t_end.
+
+        S (T - T_start)/tau + K (theta T + (1 - theta) T_start) = Joule + f_T(t_src) - sink,
+        with the deformation-rate sink That * beta*_ij dV_i/dx_j of the velocity V.
+        """
+        space, mesh = self.space, self.mesh
+        Ms = fem.assemble_mass(space, co["S"] / tau)
         K = fem.assemble_grad_grad(space, co["k"])
-        b = fem.assemble_source(space, self._joule_qp(co, Phi) + self._qp_eval(self.data.f_T, t_half))
-        cpl = self._coupling_source(co, That, U_cur, U_prev, dt)
-        b -= fem.assemble_source(space, space.at_quadrature(cpl))
-        b += Ms @ T_cur - 0.5 * (K @ T_cur)
-        A = (Ms + 0.5 * K).tocsr()
-        vals = np.asarray(self.data.bc_T(mesh.nodes[self._bn], t_next), float)
+        b = fem.assemble_source(space, self._joule_qp(co, Phi) + self._qp_eval(self.data.f_T, t_src))
+        gV = recover_nodal_gradient(space, V)  # (2, nn, 2)
+        bstar = self.provider.nodal_beta_star(That)  # (2, 2, nn)
+        sink = That * np.einsum("ijn,inj->n", bstar, gV)
+        b -= fem.assemble_source(space, space.at_quadrature(sink))
+        b += Ms @ T_start - (1.0 - theta) * (K @ T_start)
+        A = (Ms + theta * K).tocsr()
+        vals = np.asarray(self.data.bc_T(mesh.nodes[self._bn], t_end), float)
         return fem.apply_dirichlet(A, b, self._bn, vals)
 
     def _displacement_system(self, T_next, U_cur, U_prev, t_next):
         space, mesh, dt = self.space, self.mesh, self.grid.dt
-        co = self.provider(T_next)
+        co = self.provider(T_next, MECHANICAL)
         Mr = fem.assemble_mass(space, co["rho"] / dt**2)
         Mv = _vectorize_mass(Mr)
         Kc = fem.assemble_elasticity(space, co["c"])
         dT_qp = space.at_quadrature(T_next - self.data.T_init)
         G = np.einsum("tqij,tq->tqij", co["beta"], dT_qp)
         b = fem.assemble_tensor_flux(space, G)
-        b += fem.assemble_vector_source(space, self._qp_eval_vec(self.data.f_U, t_next))
+        b += fem.assemble_vector_source(space, self._qp_eval(self.data.f_U, t_next))
         b += Mv @ (2.0 * _flat(U_cur) - _flat(U_prev))
         A = (Mv + Kc).tocsr()
         arr = np.asarray(self.data.bc_U(mesh.nodes[self._bn], t_next), float).reshape(-1, 2)

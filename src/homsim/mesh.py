@@ -130,9 +130,6 @@ class Mesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    def centroids(self):
-        return self.nodes[self.triangles].mean(axis=1)
-
     # ---- point location -------------------------------------------------
     def _build_locator(self):
         nb = max(1, int(math.sqrt(self.num_triangles / 2.0)))

@@ -119,12 +119,17 @@ class Reconstructor:
         st["acc"] = np.stack([self.ev.scalar(acc[c]) for c in range(2)])
         return st
 
-    def homogenized(self, snap, dt):
-        st = self._macro_state(snap, dt)
-        return {"T": st["T0"], "Phi": st["Phi"], "U": st["U"]}, st
+    def all_orders(self, snap, dt):
+        """(order 0, order 1, order 2) fields from one macro-state evaluation.
 
-    def loms(self, snap, dt, _st=None):
-        st = _st or self._macro_state(snap, dt)
+        The order-2 dict also holds the individual epsilon^2 terms under "terms".
+        """
+        st = self._macro_state(snap, dt)
+        h0 = {"T": st["T0"], "Phi": st["Phi"], "U": st["U"]}
+        h1 = self._first_order(st)
+        return h0, h1, self._second_order(st, h1)
+
+    def _first_order(self, st):
         T0 = st["T0"]
         firsts = self.table.first
         M = self.cs.sample([f.M for f in firsts], T0)        # (2, npts)
@@ -137,12 +142,9 @@ class Reconstructor:
         U1 = st["U"] + e * (
             np.einsum("makp,mpa->kp", N, st["gU"]) + P * (T0 - self.Ttilde)
         )
-        return {"T": T1, "Phi": Phi1, "U": U1}, st
+        return {"T": T1, "Phi": Phi1, "U": U1}
 
-    def homs(self, snap, dt, _st=None):
-        """Order-2 fields plus the individual epsilon^2 terms for diagnostics."""
-        st = _st or self._macro_state(snap, dt)
-        low, st = self.loms(snap, dt, _st=st)
+    def _second_order(self, st, low):
         T0 = st["T0"]
         dT = T0 - self.Ttilde
         sec = self.table.second
@@ -172,11 +174,4 @@ class Reconstructor:
         T2 = low["T"] + e2 * sum(terms[k] for k in terms if k.startswith("T:"))
         Phi2 = low["Phi"] + e2 * sum(terms[k] for k in terms if k.startswith("Phi:"))
         U2 = low["U"] + e2 * sum(terms[k] for k in terms if k.startswith("U:"))
-        return {"T": T2, "Phi": Phi2, "U": U2, "terms": terms}, st
-
-    def all_orders(self, snap, dt):
-        """(homogenized, loms, homs) dicts sharing one macro-state evaluation."""
-        h0, st = self.homogenized(snap, dt)
-        h1, st = self.loms(snap, dt, _st=st)
-        h2, st = self.homs(snap, dt, _st=st)
-        return h0, h1, h2
+        return {"T": T2, "Phi": Phi2, "U": U2, "terms": terms}

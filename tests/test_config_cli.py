@@ -170,6 +170,16 @@ def test_bad_expression_fails_offline_with_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "archive").exists()
 
 
+def test_removed_coupling_temperature_option_exits_2(tmp_path, capsys):
+    raw = _mini_config(tmp_path / "out")
+    raw["coupling_temperature"] = "scheme"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    assert cli.main(["offline", str(p)]) == 2
+    assert "coupling_temperature" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "archive").exists()
+
+
 def test_unparseable_json_exits_2(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{nope")

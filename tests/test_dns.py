@@ -33,7 +33,7 @@ def test_non_reciprocal_epsilon_rejected(disk_cell_mesh):
 
 def test_oscillatory_provider_phase_values(disk_cell_mesh, example_law):
     provider = dns.OscillatoryProvider(fem.FemSpace(disk_cell_mesh), example_law)
-    co = provider(np.full(disk_cell_mesh.num_nodes, 300.0))
+    co = provider(np.full(disk_cell_mesh.num_nodes, 300.0), macro.THERMAL + ("rho",))
     k_mat = example_law.eval(0, "k", 300.0)
     k_inc = example_law.eval(1, "k", 300.0)
     kq = co["k"][:, :, 0, 0]
@@ -48,11 +48,29 @@ def test_oscillatory_provider_phase_values(disk_cell_mesh, example_law):
 def test_provider_elasticity_matches_law(disk_cell_mesh, example_law, plane):
     law = dataclasses.replace(example_law, plane=plane)
     provider = dns.OscillatoryProvider(fem.FemSpace(disk_cell_mesh), law)
-    co = provider(np.full(disk_cell_mesh.num_nodes, 333.0))
+    co = provider(np.full(disk_cell_mesh.num_nodes, 333.0), ("c",))
     for ph in (0, 1):
         sel = disk_cell_mesh.phase_tag == ph
         c_exact = law.elasticity(ph, 333.0)
         assert np.allclose(co["c"][sel], c_exact, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["table", "oscillatory"])
+@pytest.mark.parametrize("fields", [macro.THERMAL, macro.MECHANICAL, ("lam_star",),
+                                    ("c", "lam_star", "S")])
+def test_provider_builds_exactly_the_fields_asked_for(disk_cell_mesh, example_law,
+                                                      small_table, kind, fields):
+    space = fem.FemSpace(disk_cell_mesh)
+    if kind == "table":
+        provider = macro.TableProvider(space, small_table)
+    else:
+        provider = dns.OscillatoryProvider(space, example_law)
+    T = np.linspace(290.0, 390.0, disk_cell_mesh.num_nodes)
+    every = provider(T, macro.THERMAL + macro.MECHANICAL)
+    co = provider(T, fields)
+    assert set(co) == set(fields)
+    for name in fields:
+        assert np.array_equal(co[name], every[name]), name
 
 
 def test_degenerate_dns_matches_table_driven_solve(disk_cell_mesh, uniform_law,

@@ -1,7 +1,5 @@
 """Effective coefficients: identities, bounds, laminate limits, table queries."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -64,48 +62,54 @@ def test_table_requires_equidistant_temps():
 
 
 def test_table_interpolation_exact_at_slots(small_table):
-    for i, T in enumerate(small_table.temps):
-        co = small_table.coeffs_at(float(T))
-        assert np.allclose(co.k_hat, small_table.coeffs[i].k_hat, rtol=1e-12)
+    fields = small_table.coeff_fields(small_table.temps)
+    for i in range(len(small_table.temps)):
+        assert np.allclose(fields["k_hat"][:, :, i], small_table.coeffs[i].k_hat, rtol=1e-12)
 
 
 def test_table_interpolation_linear_between_slots(small_table):
     Ta, Tb = small_table.temps[0], small_table.temps[1]
     mid = 0.5 * (Ta + Tb)
-    co = small_table.coeffs_at(mid)
+    k = small_table.coeff_fields(np.array([mid]))["k_hat"][:, :, 0]
     expect = 0.5 * (small_table.coeffs[0].k_hat + small_table.coeffs[1].k_hat)
-    assert np.allclose(co.k_hat, expect, rtol=1e-12)
+    assert np.allclose(k, expect, rtol=1e-12)
 
 
-def test_table_clamps_and_warns(small_table):
-    with warnings.catch_warnings(record=True) as w:
-        warnings.simplefilter("always")
-        co = small_table.coeffs_at(small_table.temps[0] - 50.0)
-    assert any("clamped" in str(x.message) for x in w)
-    assert np.allclose(co.k_hat, small_table.coeffs[0].k_hat, rtol=1e-12)
+def _pointwise(table, name, T):
+    """The coefficient at T by linear interpolation between its two slots,
+    clamped to the end slots outside the table."""
+    t = table.temps
+    if T <= t[0]:
+        return getattr(table.coeffs[0], name)
+    if T >= t[-1]:
+        return getattr(table.coeffs[-1], name)
+    j = int(np.nonzero(t <= T)[0][-1])
+    w = (T - t[j]) / (t[j + 1] - t[j])
+    return (1 - w) * getattr(table.coeffs[j], name) + w * getattr(table.coeffs[j + 1], name)
 
 
 def test_coeff_fields_matches_pointwise(small_table):
-    # interior points, a table slot and a clamped out-of-range temperature
+    # interior points, a table slot and clamped out-of-range temperatures
+    # on both sides
     T_nodes = np.array([290.0, 333.0, 395.0, small_table.temps[1],
-                        small_table.temps[-1] + 40.0])
+                        small_table.temps[-1] + 40.0, small_table.temps[0] - 50.0])
     fields = small_table.coeff_fields(T_nodes)
     for j, T in enumerate(T_nodes):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            co = small_table.coeffs_at(float(T))
-        assert np.allclose(fields["k_hat"][:, :, j], co.k_hat, rtol=1e-12)
-        assert fields["S_hat"][j] == pytest.approx(co.S_hat, rel=1e-12)
+        assert np.allclose(fields["k_hat"][:, :, j], _pointwise(small_table, "k_hat", T),
+                           rtol=1e-12)
+        assert fields["S_hat"][j] == pytest.approx(_pointwise(small_table, "S_hat", T), rel=1e-12)
+    assert np.allclose(fields["k_hat"][:, :, -2], small_table.coeffs[-1].k_hat, rtol=1e-12)
+    assert np.allclose(fields["k_hat"][:, :, -1], small_table.coeffs[0].k_hat, rtol=1e-12)
 
 
-def test_cells_at_interpolates_correctors(small_table):
-    Ta, Tb = small_table.temps[0], small_table.temps[1]
-    first, second = small_table.cells_at(0.5 * (Ta + Tb))
-    expect = 0.5 * (small_table.first[0].M + small_table.first[1].M)
-    assert np.allclose(first.M, expect, atol=1e-14)
-    for k in second.fields:
-        e = 0.5 * (small_table.second[0].fields[k] + small_table.second[1].fields[k])
-        assert np.allclose(second.fields[k], e, atol=1e-12)
+def test_coeff_fields_builds_only_the_named_coefficients(small_table):
+    T_nodes = np.array([290.0, 333.0])
+    some = small_table.coeff_fields(T_nodes, ["beta_hat_star", "S_hat"])
+    assert set(some) == {"beta_hat_star", "S_hat"}
+    every = small_table.coeff_fields(T_nodes)
+    assert set(every) == set(homog.COEFF_NAMES)
+    for name, arr in some.items():
+        assert np.array_equal(arr, every[name])
 
 
 def test_csv_export_roundtrip(tmp_path, small_table):

@@ -228,9 +228,9 @@ def _manufactured_heat_error(h, dt, n_steps, table):
     exercised in isolation.
     """
     mesh = build_macro_mesh(h)
-    co = table.coeffs_at(300.0)
-    k = float(co.k_hat[0, 0])
-    S = float(co.S_hat)
+    co = table.coeff_fields(np.array([300.0]))
+    k = float(co["k_hat"][0, 0, 0])
+    S = float(co["S_hat"][0])
 
     def sol(pts, t):
         return 300.0 + t * np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])

@@ -56,8 +56,7 @@ def test_homs_equals_loms_plus_terms(macro_mesh, disk_cell_mesh, small_table,
                                     eps, fine)
     snap = driven_run.snapshots[-1]
     dt = driven_run.grid.dt
-    h1, st = rec.loms(snap, dt)
-    h2, _ = rec.homs(snap, dt, _st=st)
+    _, h1, h2 = rec.all_orders(snap, dt)
     terms = h2["terms"]
     for f, keys in (("T", "T:"), ("Phi", "Phi:"), ("U", "U:")):
         total = sum(v for k, v in terms.items() if k.startswith(keys))
@@ -69,7 +68,7 @@ def test_all_sixteen_terms_present(macro_mesh, disk_cell_mesh, small_table,
     fine = dns.build_tiled_mesh(disk_cell_mesh, 0.25)
     rec = reconstruct.Reconstructor(macro_mesh, disk_cell_mesh, small_table,
                                     0.25, fine)
-    h2, _ = rec.homs(driven_run.snapshots[-1], driven_run.grid.dt)
+    _, _, h2 = rec.all_orders(driven_run.snapshots[-1], driven_run.grid.dt)
     expected = {"T:Q", "T:M2", "T:R", "T:O", "T:G", "T:J",
                 "Phi:H2", "Phi:Z", "Phi:W",
                 "U:N2", "U:F", "U:X", "U:A", "U:B", "U:C", "U:D"}
