@@ -10,6 +10,10 @@ Layout:
 The on-line stage refuses an archive whose hashes do not match the current
 configuration, so tabulated correctors can never be silently combined with
 different microstructure or laws.
+
+load() checks that every array is present but decompresses only the first
+order and the coefficients; load_second_order() adds the second-order
+correctors, which only the error harness reconstructs with.
 """
 
 from __future__ import annotations
@@ -79,7 +83,10 @@ def save(path, cell_mesh, law, table: TemperatureTable) -> None:
 
 
 def load(path, cell_mesh=None, law=None) -> tuple:
-    """Load (cell_mesh, table); verify hashes when mesh/law are supplied."""
+    """Load (cell_mesh, table); verify hashes when mesh/law are supplied.
+
+    table.second stays empty; see load_second_order.
+    """
     path = pathlib.Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_text())
@@ -98,7 +105,7 @@ def load(path, cell_mesh=None, law=None) -> tuple:
     required = ["T0", "M", "H", "N", "P"] + ["coeff_" + n for n in COEFF_NAMES]
     if manifest["has_second_order"]:
         required += ["second_" + f for f in cell.SECOND_ORDER_FAMILIES]
-    first, second, coeffs = [], [], []
+    first, coeffs = [], []
     for i, T in enumerate(temps):
         npz = path / f"T_{i:03d}.npz"
         if not npz.is_file():
@@ -113,12 +120,22 @@ def load(path, cell_mesh=None, law=None) -> tuple:
             kw = {name: z["coeff_" + name] for name in COEFF_NAMES}
             kw = {k: (float(v) if v.ndim == 0 else v) for k, v in kw.items()}
             coeffs.append(HomogenizedCoefficients(T0=float(z["T0"]), **kw))
-            if manifest["has_second_order"]:
-                fields = {k[len("second_"):]: z[k] for k in z.files
-                          if k.startswith("second_")}
-                second.append(cell.SecondOrderCellSet(
-                    T0=float(z["T0"]), Ttilde=manifest["T_ref"], fields=fields))
-    table = TemperatureTable(temps=temps, first=first, second=second,
+    table = TemperatureTable(temps=temps, first=first, second=[],
                              coeffs=coeffs, Ttilde=manifest["T_ref"],
                              bc=manifest["cell_bc"])
     return stored_mesh, table
+
+
+def load_second_order(path, table) -> None:
+    """Fill table.second from the archive at path that load() read table from."""
+    path = pathlib.Path(path)
+    table.second = []
+    for i, T in enumerate(table.temps):
+        npz = path / f"T_{i:03d}.npz"
+        with np.load(npz) as z:
+            try:
+                fields = {f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES}
+            except KeyError as e:
+                raise ArchiveError(f"{npz}: missing array {e}; re-run the off-line stage") from None
+        table.second.append(cell.SecondOrderCellSet(T0=float(T), Ttilde=table.Ttilde,
+                                                    fields=fields))

@@ -14,6 +14,10 @@ periodic cells: those correctors feed the homogenized coefficients, whose
 benchmark digest pins the rounding of pure-noise columns, so they keep the
 Jacobi-CG solve (fem.PeriodicMap.solve) that produced the digest.
 
+Each second-order family is solved as one block: its element-constant data
+for every index combination are stacked, mapped to an (ndof, k) load block
+by the FemSpace load operators, and solved by one multi-column LU call.
+
 Families whose right-hand sides contain macroscopic x-derivatives (R, Z, A, B)
 are solved in factored form: the x-derivative acts only through T0(x), so
 d/dx_beta = (dT0/dx_beta) d/dT0 and the tabulated functions carry an extra
@@ -143,9 +147,11 @@ class CellOperators:
     boundary, periodic cells reduce to periodic fields (fem.PeriodicMap).
     Each constrained operator is factored once (fem.SpdSolver), on the first
     solve, and solve(which, b) then costs one reduction, one pair of
-    triangular solves and one expansion.  One set serves the first- and the
-    second-order problems at T0, so the off-line stage builds one set per
-    temperature; a set that only ran periodic first-order solves holds no LU.
+    triangular solves and one expansion, for a right-hand side (ndof,) or a
+    block (ndof, k) alike; SOLVES counts the columns.  One set serves the
+    first- and the second-order problems at T0, so the off-line stage builds
+    one set per temperature; a set that only ran periodic first-order solves
+    holds no LU.
     """
 
     def __init__(self, space, law, T0, bc: str = "dirichlet"):
@@ -177,7 +183,7 @@ class CellOperators:
         return {name: fem.SpdSolver(m.A) for name, m in self._maps.items()}
 
     def solve(self, which, b):
-        SOLVES.tick()
+        SOLVES.tick(1 if np.ndim(b) == 1 else np.shape(b)[1])
         m = self._maps[which]
         return m.expand(self._solvers[which].solve(m.reduce(b)))
 
@@ -203,6 +209,9 @@ class CellOperators:
 
 def solve_first_order(ops: CellOperators) -> FirstOrderCellSet:
     """Solve the 4 first-order corrector families at the temperature of ops."""
+    # One right-hand side at a time, assembled by the fem kernels: these solves
+    # feed the coefficients.csv digest (see CellOperators.solve_first).  They
+    # move onto the FemSpace load operators and blocks with ROADMAP item 1.
     mesh, law, T0 = ops.mesh, ops.law, ops.T0
     nn = mesh.num_nodes
     nt = mesh.num_triangles
@@ -269,13 +278,37 @@ def _check_compat(mesh, name, S_e, tol):
     S_e = np.asarray(S_e)
     mean = np.einsum("...t,t->...", S_e, mesh.areas)
     norm = np.sqrt(np.einsum("...t,t->...", S_e**2, mesh.areas))
-    if norm.max() <= 1e-12:
-        return
-    if np.any(np.abs(mean) > tol * np.maximum(norm, 1e-300)):
+    # each source on its own: a source of norm below 1e-12 is not checked
+    if np.any((norm > 1e-12) & (np.abs(mean) > tol * norm)):
         raise CellError(
             f"family {name}: source mean {np.abs(mean).max():.3e} exceeds "
             f"{tol:.1e} x norm {norm.max():.3e} (inconsistent homogenized inputs)"
         )
+
+
+def _solve_family(ops, which, S=None, G=None):
+    """One second-order family as one block: -int S v + int G . grad v per index.
+
+    Scalar families ("k", "lam"): S (..., nt), G (..., nt, 2), result
+    (..., nn).  Elasticity ("c"): S (..., nt, 2), G (..., nt, 2, 2), result
+    (..., 2, nn); component i of its load is the scalar load of S[..., i]
+    and G[..., i, :].  The leading axes index the family: one product per
+    load operator and component, and one CellOperators.solve, serve all of
+    them.
+    """
+    space, nc = ops.space, 2 if which == "c" else 1
+    nn = ops.mesh.num_nodes
+    fam = S.shape[:S.ndim - nc] if S is not None else G.shape[:G.ndim - nc - 1]
+    k = int(np.prod(fam))
+    B = np.zeros((nn, nc, k))
+    for i in range(nc):
+        if S is not None:
+            B[:, i] -= space.source_load @ S.reshape(k, -1, nc)[:, :, i].T
+        if G is not None:
+            B[:, i] += space.flux_load @ G.reshape(k, -1, nc, 2)[:, :, i].reshape(k, -1).T
+    X = ops.solve(which, B.reshape(nc * nn, k)).T.reshape(fam + (nn, nc))
+    X = np.moveaxis(X, -1, -2)  # (..., component, node)
+    return np.ascontiguousarray(X if nc == 2 else X[..., 0, :])
 
 
 def solve_second_order(
@@ -294,8 +327,6 @@ def solve_second_order(
     finite-difference d/dT0.
     """
     mesh, law, T0 = ops.mesh, ops.law, ops.T0
-    nn = mesh.num_nodes
-    nt = mesh.num_triangles
     d2 = np.eye(2)
 
     k_e, lam_e, c_e = ops.k_e, ops.lam_e, ops.c_e
@@ -324,148 +355,105 @@ def solve_second_order(
     Mp_e, Hp_e = emean(first_dT.M), emean(first_dT.H)
     Np_e, Pp_e = emean(first_dT.N), emean(first_dT.P)
 
-    def gN_kl(g, m, sup):
-        """dN^sup_{k m}/dy_l as (nt, k, l)."""
-        return np.transpose(g[m, sup], (1, 0, 2))
+    def solve(which, **data):
+        return _solve_family(ops, which, **data)
 
-    def gP_kl(g):
-        """dP_k/dy_l as (nt, k, l)."""
-        return np.transpose(g, (1, 0, 2))
+    def along(v):
+        """(a1, a2, t, j) = v[a2, t] delta(a1, j): v placed in component a1."""
+        return v[None, :, :, None] * d2[:, None, None, :]
 
-    def scalar_solve(which, S_e=None, G_e=None):
-        b = np.zeros(nn)
-        if S_e is not None:
-            b -= fem.assemble_source(ops.space, S_e)
-        if G_e is not None:
-            b += fem.assemble_flux(ops.space, G_e)
-        return ops.solve(which, b)
+    def cross(g):
+        """(a1, a2, t) = g[a2, t, a1] for an (a2, nt, 2) element gradient."""
+        return np.einsum("bti->ibt", g)
 
-    def vector_solve(S_e=None, G_e=None):
-        b = np.zeros(2 * nn)
-        if S_e is not None:
-            b -= fem.assemble_vector_source(ops.space, S_e)
-        if G_e is not None:
-            b += fem.assemble_tensor_flux(ops.space, G_e)
-        return ops.solve("c", b).reshape(nn, 2).T
-
+    dd = d2[:, :, None]
     F = {}
 
     # Q: transient corrector, heat operator, pure source
     S = rho_e * cap_e - homog.S_hat + T0 * beta_e * np.einsum("ktk->t", gP)
     _check_compat(mesh, "Q", S, compat_tol)
-    F["Q"] = scalar_solve("k", S_e=S)
+    F["Q"] = solve("k", S=S)
 
-    M2 = np.empty((2, 2, nn)); R = np.empty((2, 2, nn))
-    O = np.empty((2, 2, nn)); Gf = np.empty((2, 2, nn))
-    J = np.empty((2, 2, nn)); H2 = np.empty((2, 2, nn))
-    Z = np.empty((2, 2, nn)); W = np.empty((2, 2, nn))
-    for a1 in range(2):
-        for a2 in range(2):
-            # second thermal corrector
-            S = homog.k_hat[a1, a2] - k_e * d2[a1, a2] - k_e * gM[a2][:, a1]
-            Ge = np.zeros((nt, 2))
-            Ge[:, a1] = -k_e * M_e[a2]
-            M2[a1, a2] = scalar_solve("k", S_e=S, G_e=Ge)
+    # scalar families indexed [a1, a2]
+    # second thermal corrector
+    F["M2"] = solve("k", S=homog.k_hat[:, :, None] - k_e * dd - k_e * cross(gM),
+                    G=along(-k_e * M_e))
+    # factored x-derivative thermal corrector (beta=a1, dir=a2)
+    F["R"] = solve("k", S=(homog_dT.k_hat[:, :, None] - dk_e * dd
+                           - dk_e * cross(gM) - k_e * cross(gMp)),
+                   G=along(-k_e * Mp_e))
+    # quadratic temperature-gradient corrector
+    F["O"] = solve("k", G=-(M_e * dk_e)[:, None, :, None] * (d2[:, None, :] + gM)[None])
 
-            # factored x-derivative thermal corrector (beta=a1, dir=a2)
-            S = (homog_dT.k_hat[a1, a2] - dk_e * d2[a1, a2]
-                 - dk_e * gM[a2][:, a1] - k_e * gMp[a2][:, a1])
-            Ge = np.zeros((nt, 2))
-            Ge[:, a1] = -k_e * Mp_e[a2]
-            R[a1, a2] = scalar_solve("k", S_e=S, G_e=Ge)
+    # Joule corrector (heat operator, electric data)
+    S = (homog.lam_hat_star[:, :, None] - lam_e * dd
+         - lam_e * np.einsum("ati->ait", gH) - lam_e * cross(gH)
+         - lam_e * np.einsum("ati,bti->abt", gH, gH))
+    _check_compat(mesh, "G", S, compat_tol)
+    F["G"] = solve("k", S=S)
 
-            # quadratic temperature-gradient corrector
-            Ge = -(M_e[a1] * dk_e)[:, None] * (d2[a2][None, :] + gM[a2])
-            O[a1, a2] = scalar_solve("k", G_e=Ge)
+    # thermo-mechanical transient corrector
+    S = T0 * (beta_e * dd - homog.beta_hat_star[:, :, None]
+              + beta_e * np.einsum("abiti->abt", gN))
+    _check_compat(mesh, "J", S, compat_tol)
+    F["J"] = solve("k", S=S)
 
-            # Joule corrector (heat operator, electric data)
-            S = (homog.lam_hat_star[a1, a2] - lam_e * d2[a1, a2]
-                 - lam_e * gH[a1][:, a2] - lam_e * gH[a2][:, a1]
-                 - lam_e * np.einsum("ti,ti->t", gH[a1], gH[a2]))
-            _check_compat(mesh, "G", S, compat_tol)
-            Gf[a1, a2] = scalar_solve("k", S_e=S)
+    # electric analogues on the electric operator
+    F["H2"] = solve("lam", S=homog.lam_hat[:, :, None] - lam_e * dd - lam_e * cross(gH),
+                    G=along(-lam_e * H_e))
+    F["Z"] = solve("lam", S=(homog_dT.lam_hat[:, :, None] - dlam_e * dd
+                             - dlam_e * cross(gH) - lam_e * cross(gHp)),
+                   G=along(-lam_e * Hp_e))
+    F["W"] = solve("lam", G=-(M_e * dlam_e)[:, None, :, None] * (d2[:, None, :] + gH)[None])
 
-            # thermo-mechanical transient corrector
-            S = T0 * (beta_e * d2[a1, a2] - homog.beta_hat_star[a1, a2]
-                      + beta_e * np.einsum("iti->t", gN[a1, a2]))
-            _check_compat(mesh, "J", S, compat_tol)
-            J[a1, a2] = scalar_solve("k", S_e=S)
+    # elastic families indexed [a1, a2, m], data as (a1, a2, m, t, i[, j])
+    def c_at(c_hat, c):
+        """c_hat[i, a1, m, a2] - c[t, i, a1, m, a2]."""
+        return (np.transpose(c_hat, (1, 3, 2, 0))[:, :, :, None, :]
+                - np.transpose(c, (2, 4, 3, 0, 1)))
 
-            # electric analogues on the electric operator
-            S = homog.lam_hat[a1, a2] - lam_e * d2[a1, a2] - lam_e * gH[a2][:, a1]
-            Ge = np.zeros((nt, 2))
-            Ge[:, a1] = -lam_e * H_e[a2]
-            H2[a1, a2] = scalar_solve("lam", S_e=S, G_e=Ge)
+    def c_gN(c, g):
+        """sum_kl c[t, i, a1, k, l] g[m, a2, k, t, l]."""
+        return np.einsum("tiakl,mbktl->abmti", c, g)
 
-            S = (homog_dT.lam_hat[a1, a2] - dlam_e * d2[a1, a2]
-                 - dlam_e * gH[a2][:, a1] - lam_e * gHp[a2][:, a1])
-            Ge = np.zeros((nt, 2))
-            Ge[:, a1] = -lam_e * Hp_e[a2]
-            Z[a1, a2] = scalar_solve("lam", S_e=S, G_e=Ge)
+    def c_N(Ne):
+        """-sum_k c_e[t, i, j, k, a1] Ne[m, a2, k, t]."""
+        return np.einsum("tijka,mbkt->abmtij", c_e, -Ne)
 
-            Ge = -(M_e[a1] * dlam_e)[:, None] * (d2[a2][None, :] + gH[a2])
-            W[a1, a2] = scalar_solve("lam", G_e=Ge)
+    # second elastic corrector
+    F["N2"] = solve("c", S=c_at(homog.c_hat, c_e) - c_gN(c_e, gN), G=c_N(N_e))
+    # factored x-derivative elastic corrector (beta=a1, sup=a2)
+    F["A"] = solve("c", S=c_at(homog_dT.c_hat, dc_e) - c_gN(dc_e, gN) - c_gN(c_e, gNp),
+                   G=c_N(Np_e))
+    # gradient-coupled elastic corrector
+    F["D"] = solve("c", G=-M_e[:, None, None, :, None, None] * (
+        np.transpose(dc_e, (4, 3, 0, 1, 2)) + np.einsum("tijkl,mbktl->bmtij", dc_e, gN))[None])
 
-    N2 = np.empty((2, 2, 2, 2, nn))
-    A = np.empty((2, 2, 2, 2, nn))
-    D = np.empty((2, 2, 2, 2, nn))
-    for m in range(2):
-        for a1 in range(2):
-            for a2 in range(2):
-                # second elastic corrector
-                S = (homog.c_hat[:, a1, m, a2][None, :]
-                     - c_e[:, :, a1, m, a2]
-                     - np.einsum("tikl,tkl->ti", c_e[:, :, a1], gN_kl(gN, m, a2)))
-                Ge = -np.einsum("tijk,kt->tij", c_e[..., a1], N_e[m, a2])
-                N2[a1, a2, m] = vector_solve(S_e=S, G_e=Ge)
+    # elastic families indexed [a1], data as (a1, t, i[, j])
+    def c_gP(c, g):
+        """sum_kl c[t, i, a1, k, l] g[k, t, l]."""
+        return np.einsum("tiakl,ktl->ati", c, g)
 
-                # factored x-derivative elastic corrector (beta=a1, sup=a2)
-                S = (homog_dT.c_hat[:, a1, m, a2][None, :]
-                     - dc_e[:, :, a1, m, a2]
-                     - np.einsum("tikl,tkl->ti", dc_e[:, :, a1], gN_kl(gN, m, a2))
-                     - np.einsum("tikl,tkl->ti", c_e[:, :, a1], gN_kl(gNp, m, a2)))
-                Ge = -np.einsum("tijk,kt->tij", c_e[..., a1], Np_e[m, a2])
-                A[a1, a2, m] = vector_solve(S_e=S, G_e=Ge)
+    def c_P(Pe):
+        """-sum_k c_e[t, i, j, k, a1] Pe[k, t]."""
+        return np.einsum("tijka,kt->atij", c_e, -Pe)
 
-                # gradient-coupled elastic corrector
-                Ge = -M_e[a1][:, None, None] * (
-                    dc_e[:, :, :, m, a2]
-                    + np.einsum("tijkl,tkl->tij", dc_e, gN_kl(gN, m, a2)))
-                D[a1, a2, m] = vector_solve(G_e=Ge)
+    # inertia corrector, pure source
+    S = (rho_e - homog.rho_hat)[None, :, None] * d2[:, None, :]
+    _check_compat(mesh, "F", np.swapaxes(S, -1, -2), compat_tol)
+    F["F"] = solve("c", S=S)
+    # thermal-stress gradient corrector
+    F["X"] = solve("c", S=(beta_e[None, :, None] * d2[:, None, :]
+                           - homog.beta_hat.T[:, None, :] - c_gP(c_e, gP)),
+                   G=c_P(P_e) + (beta_e * M_e)[:, :, None, None] * d2)
+    # factored x-derivative thermal-stress corrector (beta=a1)
+    F["B"] = solve("c", S=(dbeta_e[None, :, None] * d2[:, None, :]
+                           - homog_dT.beta_hat.T[:, None, :]
+                           - c_gP(dc_e, gP) - c_gP(c_e, gPp)),
+                   G=c_P(Pp_e))
+    # temperature-offset gradient corrector
+    F["C"] = solve("c", G=M_e[:, :, None, None] * (
+        dbeta_e[:, None, None] * d2 - np.einsum("tijkl,ktl->tij", dc_e, gP))[None])
 
-    Ff = np.empty((2, 2, nn))
-    X = np.empty((2, 2, nn))
-    B = np.empty((2, 2, nn))
-    C = np.empty((2, 2, nn))
-    for a1 in range(2):
-        # inertia corrector, pure source
-        S = np.zeros((nt, 2))
-        S[:, a1] = rho_e - homog.rho_hat
-        _check_compat(mesh, "F", S.T, compat_tol)
-        Ff[a1] = vector_solve(S_e=S)
-
-        # thermal-stress gradient corrector
-        S = (beta_e[:, None] * d2[None, :, a1]
-             - homog.beta_hat[:, a1][None, :]
-             - np.einsum("tikl,tkl->ti", c_e[:, :, a1], gP_kl(gP)))
-        Ge = (-np.einsum("tijk,kt->tij", c_e[..., a1], P_e)
-              + (beta_e * M_e[a1])[:, None, None] * d2[None, :, :])
-        X[a1] = vector_solve(S_e=S, G_e=Ge)
-
-        # factored x-derivative thermal-stress corrector (beta=a1)
-        S = (dbeta_e[:, None] * d2[None, :, a1]
-             - homog_dT.beta_hat[:, a1][None, :]
-             - np.einsum("tikl,tkl->ti", dc_e[:, :, a1], gP_kl(gP))
-             - np.einsum("tikl,tkl->ti", c_e[:, :, a1], gP_kl(gPp)))
-        Ge = -np.einsum("tijk,kt->tij", c_e[..., a1], Pp_e)
-        B[a1] = vector_solve(S_e=S, G_e=Ge)
-
-        # temperature-offset gradient corrector
-        Ge = M_e[a1][:, None, None] * (
-            dbeta_e[:, None, None] * d2[None, :, :]
-            - np.einsum("tijkl,tkl->tij", dc_e, gP_kl(gP)))
-        C[a1] = vector_solve(G_e=Ge)
-
-    F.update(M2=M2, R=R, O=O, G=Gf, J=J, H2=H2, Z=Z, W=W,
-             N2=N2, F=Ff, X=X, A=A, B=B, C=C, D=D)
-    return SecondOrderCellSet(T0=float(T0), Ttilde=float(Ttilde), fields=F)
+    return SecondOrderCellSet(T0=float(T0), Ttilde=float(Ttilde),
+                              fields={name: F[name] for name in SECOND_ORDER_FAMILIES})

@@ -143,6 +143,7 @@ def cmd_errors(cfg: SimulationConfig, args) -> int:
     traj = macro.load_trajectory(out / "macro_trajectory.npz", macro_mesh)
     ref = macro.load_trajectory(out / "dns_trajectory.npz", fine_mesh)
     cell_mesh, table = archive.load(out / "archive", law=cfg.law())
+    archive.load_second_order(out / "archive", table)
     rec = reconstruct.Reconstructor(macro_mesh, cell_mesh, table, cfg.epsilon, fine_mesh)
     series = metrics.evolutive_errors(ref, traj, rec)
     series.to_csv(out / "errors.csv")

@@ -118,6 +118,13 @@ class FemSpace:
     Build it once per mesh, in the object that owns the mesh, and pass it to
     the kernels below, so that quadrature points, node area sums and the
     gradient-recovery operator are not recomputed on every call.
+
+    The element-constant load operators source_load and flux_load map
+    per-element data, flattened element-major, to the load vector of the
+    source and the flux form, so that a block of right-hand sides costs one
+    sparse product per form (per component for the vector forms).  Like
+    average and recovery they are built on first use: only the cell
+    problems need them.
     """
 
     def __init__(self, mesh):
@@ -157,6 +164,29 @@ class FemSpace:
         vals = [avg.data[keep]] + [r for _, r in patches]
         return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=avg.shape)
+
+    # The two element-constant load operators below serve the vector forms
+    # too: component i of integral f_i v_i or of integral G_ij dv_i/dx_j is
+    # the scalar load of f_i or of the row G_i.
+    def _load(self, elem):
+        """(nn, nt * per) operator from elem (nt, per, 3): column t * per + c
+        adds elem[t, c, a] at node a of element t."""
+        mesh = self.mesh
+        nt, per = elem.shape[:2]
+        rows = np.repeat(mesh.triangles, per, axis=0)
+        return sp.csc_matrix((elem.ravel(), rows.ravel(), np.arange(0, elem.size + 1, 3)),
+                             shape=(mesh.num_nodes, nt * per))
+
+    @cached_property
+    def source_load(self):
+        """(nn, nt): element-constant f -> integral f v."""
+        return self._load((self.wq @ self.phi)[:, None, :])
+
+    @cached_property
+    def flux_load(self):
+        """(nn, 2 nt): element-constant g (nt, 2) -> integral g_i dv/dx_i."""
+        mesh = self.mesh
+        return self._load((mesh.areas[:, None, None] * mesh.grads).transpose(0, 2, 1))
 
 
 def _as_tq(space, coef, extra=()):
@@ -363,11 +393,12 @@ def solve_spd(A, b, tol: float = 1e-10, max_iter: int = 20000):
 class SpdSolver:
     """Sparse LU factorization of one SPD matrix, with a residual guarantee.
 
-    solve(b) runs the triangular solves for a new right-hand side.
-    solve_near(A, b, max_iter) solves a nearby matrix A by conjugate
-    gradients preconditioned with this LU, so that a slowly varying operator
-    can reuse one factorization over many solves.  Both check the relative
-    residual against tol, the contract of solve_spd, and leave it in
+    solve(b) runs the triangular solves for a right-hand side (n,) or a
+    block of them (n, k), in one call.  solve_near(A, b, max_iter) solves a
+    nearby matrix A by conjugate gradients preconditioned with this LU, so
+    that a slowly varying operator can reuse one factorization over many
+    solves.  Both check the relative residual of every right-hand side
+    against tol, the contract of solve_spd, and leave the worst in
     self.residual.
     """
 
@@ -378,15 +409,22 @@ class SpdSolver:
         self.residual = 0.0
 
     def solve(self, b):
+        """x with A x = b for b (n,) or (n, k); an all-zero column gives zeros."""
         b = np.asarray(b, dtype=float)
-        bn = np.linalg.norm(b)
-        if bn == 0.0:
-            return np.zeros_like(b)
-        x = self._lu.solve(b)
-        res = self.residual = np.linalg.norm(self.A @ x - b) / bn
+        cols = b.reshape(len(b), -1)
+        bn = np.linalg.norm(cols, axis=0)
+        live = bn > 0.0
+        if not live.all():
+            x = np.zeros_like(cols)
+            self.residual = 0.0
+            if live.any():
+                x[:, live] = self.solve(cols[:, live])
+            return x.reshape(b.shape)
+        x = self._lu.solve(cols)
+        res = self.residual = float(np.max(np.linalg.norm(self.A @ x - cols, axis=0) / bn))
         if res > self.tol:
             raise SolverError(f"factorized solve residual {res:.3e} above {self.tol}", residual=res)
-        return x
+        return x.reshape(b.shape)
 
     def solve_near(self, A, b, max_iter: int):
         """(x, iterations) for A x = b by CG preconditioned with this LU.
@@ -424,10 +462,10 @@ class PeriodicMap:
     pinned to remove the constant null space, is built once here.  K is
     scalar (nn dofs) or interleaved vector (2 nn dofs).
 
-    reduce(b) and expand(x) map a right-hand side to A's dofs and a solution
-    back; cell.CellOperators factors A once (SpdSolver) and solves between
-    them.  solve(b) is the Jacobi-CG path, kept only for the first-order
-    correctors (see solve_spd).
+    reduce(b) and expand(x) map a right-hand side, or a block (n, k) of
+    them, to A's dofs and a solution back; cell.CellOperators factors A once
+    (SpdSolver) and solves between them.  solve(b) is the Jacobi-CG path,
+    kept only for the first-order correctors (see solve_spd).
     """
 
     def __init__(self, mesh, masters, slaves, K):

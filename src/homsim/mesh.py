@@ -202,12 +202,14 @@ def _signed_areas(p):
 
 
 def _boundary_nodes(triangles):
-    edges = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
-    )
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return np.unique(uniq[counts == 1])
+    """Sorted nodes of the edges that belong to one triangle only."""
+    a = triangles.ravel()
+    b = triangles[:, [1, 2, 0]].ravel()
+    nn = int(triangles.max()) + 1
+    keys = np.minimum(a, b) * nn + np.maximum(a, b)  # one int64 key per edge
+    uniq, counts = np.unique(keys, return_counts=True)
+    edges = uniq[counts == 1]
+    return np.unique(np.concatenate([edges // nn, edges % nn]))
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +436,9 @@ def save_mesh(mesh: Mesh, path) -> None:
     with open(path, "w") as f:
         f.write("homsim-mesh 1\n")
         f.write(f"{mesh.num_nodes} {mesh.num_triangles}\n")
-        for x, y in mesh.nodes:
-            f.write(f"{float(x)!r} {float(y)!r}\n")
-        for (a, b, c), t in zip(mesh.triangles, mesh.phase_tag):
-            f.write(f"{a} {b} {c} {t}\n")
+        f.write("".join(f"{x!r} {y!r}\n" for x, y in mesh.nodes.tolist()))
+        f.write("".join(f"{a} {b} {c} {t}\n" for (a, b, c), t
+                        in zip(mesh.triangles.tolist(), mesh.phase_tag.tolist())))
 
 
 def load_mesh(path) -> Mesh:
@@ -446,6 +447,6 @@ def load_mesh(path) -> Mesh:
         if header[:1] != ["homsim-mesh"]:
             raise MeshError(f"{path}: not a homsim mesh file")
         nn, nt = map(int, f.readline().split())
-        nodes = np.array([[float(v) for v in f.readline().split()] for _ in range(nn)])
-        rows = np.array([[int(v) for v in f.readline().split()] for _ in range(nt)])
+        nodes = np.loadtxt(f, max_rows=nn, ndmin=2)
+        rows = np.loadtxt(f, dtype=np.int64, max_rows=nt, ndmin=2)
     return Mesh(nodes, rows[:, :3], rows[:, 3])

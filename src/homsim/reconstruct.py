@@ -35,14 +35,21 @@ class MacroEvaluator:
 
     def gradient(self, nodal):
         """(..., nn) -> (..., npts, 2) recovered gradient at the points."""
-        g = recover_nodal_gradient(self.space, nodal)  # (..., nn, 2)
-        return np.stack(
-            [self.scalar(g[..., 0]), self.scalar(g[..., 1])], axis=-1
-        )
+        return self._gradient_at(recover_nodal_gradient(self.space, nodal))
 
     def hessian(self, nodal):
         """(..., nn) -> (..., npts, 2, 2) by double gradient recovery."""
+        return self._hessian_at(recover_nodal_gradient(self.space, nodal))
+
+    def derivatives(self, nodal):
+        """(gradient, hessian) at the points from one recovery of the gradient."""
         g = recover_nodal_gradient(self.space, nodal)  # (..., nn, 2)
+        return self._gradient_at(g), self._hessian_at(g)
+
+    def _gradient_at(self, g):
+        return np.stack([self.scalar(g[..., 0]), self.scalar(g[..., 1])], axis=-1)
+
+    def _hessian_at(self, g):
         rows = [recover_nodal_gradient(self.space, g[..., i]) for i in range(2)]
         h = np.stack(rows, axis=-2)  # (..., nn, i, j)
         out = np.empty(h.shape[:-3] + (len(self.tri), 2, 2))
@@ -105,15 +112,12 @@ class Reconstructor:
     def _macro_state(self, snap, dt):
         st = {}
         st["T0"] = self.ev.scalar(snap.T)
-        st["gT"] = self.ev.gradient(snap.T)          # (npts, 2)
-        st["hT"] = self.ev.hessian(snap.T)           # (npts, 2, 2)
+        st["gT"], st["hT"] = self.ev.derivatives(snap.T)  # (npts, 2), (npts, 2, 2)
         st["dTdt"] = self.ev.scalar((snap.T - snap.T_prev) / dt)
         st["Phi"] = self.ev.scalar(snap.Phi)
-        st["gPhi"] = self.ev.gradient(snap.Phi)
-        st["hPhi"] = self.ev.hessian(snap.Phi)
+        st["gPhi"], st["hPhi"] = self.ev.derivatives(snap.Phi)
         st["U"] = np.stack([self.ev.scalar(snap.U[c]) for c in range(2)])
-        st["gU"] = self.ev.gradient(snap.U)          # (2, npts, 2)
-        st["hU"] = self.ev.hessian(snap.U)           # (2, npts, 2, 2)
+        st["gU"], st["hU"] = self.ev.derivatives(snap.U)  # (2, npts, 2), (2, npts, 2, 2)
         st["gV"] = self.ev.gradient((snap.U - snap.U_prev) / dt)
         acc = (snap.U - 2.0 * snap.U_prev + snap.U_prevprev) / dt**2
         st["acc"] = np.stack([self.ev.scalar(acc[c]) for c in range(2)])

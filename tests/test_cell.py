@@ -185,24 +185,110 @@ def _periodic_second_order_inputs(mesh, law):
 
 def test_factored_second_order_matches_jacobi_cg(monkeypatch, disk_cell_mesh, example_law):
     ops, args, kwargs = _periodic_second_order_inputs(disk_cell_mesh, example_law)
-    residuals = []
+    columns, residuals = [], []
     lu_solve = fem.SpdSolver.solve
 
     def recorded(self, b):
         x = lu_solve(self, b)
+        columns.append(b.shape[1])
         residuals.append(self.residual)
         return x
 
     monkeypatch.setattr(fem.SpdSolver, "solve", recorded)
     factored = cell.solve_second_order(ops, *args, **kwargs)
-    assert len(residuals) == 65 and max(residuals) <= 1e-10
-    # the same right-hand sides through the Jacobi-CG path
-    monkeypatch.setattr(ops, "solve", lambda which, b: ops._maps[which].solve(b))
+    assert sum(columns) == 65 and max(residuals) <= 1e-10
+    # the same right-hand sides through the Jacobi-CG path, column by column
+    monkeypatch.setattr(ops, "solve", lambda which, B: np.column_stack(
+        [ops._maps[which].solve(b) for b in B.T]))
     cg = cell.solve_second_order(ops, *args, **kwargs)
-    assert len(residuals) == 65
+    assert sum(columns) == 65
     for name in cell.SECOND_ORDER_FAMILIES:
         a, b = factored[name], cg[name]
         assert np.abs(a - b).max() <= 1e-9 * np.abs(a).max(), name
+
+
+def _per_column_family(ops, which, S=None, G=None):
+    """cell._solve_family one right-hand side at a time: each load assembled
+    by the fem kernels and solved by its own ops.solve."""
+    vector = which == "c"
+    source = fem.assemble_vector_source if vector else fem.assemble_source
+    flux = fem.assemble_tensor_flux if vector else fem.assemble_flux
+    fam = S.shape[:S.ndim - 1 - vector] if S is not None else G.shape[:G.ndim - 2 - vector]
+    nn = ops.mesh.num_nodes
+    out = []
+    for idx in np.ndindex(*fam):
+        b = np.zeros((1 + vector) * nn)
+        if S is not None:
+            b -= source(ops.space, S[idx])
+        if G is not None:
+            b += flux(ops.space, G[idx])
+        x = ops.solve(which, b)
+        out.append(x.reshape(nn, 2).T if vector else x)
+    return np.reshape(out, fam + out[0].shape)
+
+
+def _second_order_at(mesh, law, temps, i, bc):
+    """solve_second_order at temps[i] with centred differences, as build_table runs it."""
+    space = fem.FemSpace(mesh)
+    ops = [cell.CellOperators(space, law, T, bc) for T in temps]
+    first = [cell.solve_first_order(o) for o in ops]
+    coeffs = [homog.compute_coefficients(mesh, law, T, f) for T, f in zip(temps, first)]
+    table = homog.TemperatureTable(temps=np.array(temps), first=first, second=[],
+                                   coeffs=coeffs, Ttilde=300.0, bc=bc)
+    return lambda: cell.solve_second_order(
+        ops[i], first[i], coeffs[i], 300.0,
+        first_dT=cell.dT_of_first_order(first, temps[i]), homog_dT=table.coeff_dT(i))
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("i", [0, 1])
+def test_batched_second_order_matches_per_column_reference(
+        monkeypatch, disk_cell_mesh, example_law, bc, i):
+    solve = _second_order_at(disk_cell_mesh, example_law, [280.0, 340.0, 400.0], i, bc)
+    worst = []
+    lu_solve = fem.SpdSolver.solve
+
+    def checked(self, b):
+        x = lu_solve(self, b)
+        bn = np.linalg.norm(b, axis=0)
+        live = bn > 0.0
+        worst.append(np.max(np.linalg.norm(self.A @ x - b, axis=0)[live] / bn[live]))
+        return x
+
+    monkeypatch.setattr(fem.SpdSolver, "solve", checked)
+    batched = solve()
+    assert len(worst) == 16 and max(worst) <= 1e-10  # every column of every block
+    monkeypatch.setattr(cell, "_solve_family", _per_column_family)
+    reference = solve()
+    assert len(worst) == 16 + 65
+    for name in cell.SECOND_ORDER_FAMILIES:
+        a, b = batched[name], reference[name]
+        assert a.shape == b.shape and a.flags.c_contiguous, name
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+def test_second_order_solves_one_block_per_family(monkeypatch, disk_cell_mesh, example_law, bc):
+    calls = {"lu": 0, "second": 0}
+    lu_solve = fem.SpdSolver.solve
+    second_order = cell.solve_second_order
+
+    def counted_lu(self, b):
+        calls["lu"] += 1
+        return lu_solve(self, b)
+
+    def counted_second(*args, **kwargs):
+        before = calls["lu"]
+        out = second_order(*args, **kwargs)
+        calls["second"] += calls["lu"] - before
+        return out
+
+    monkeypatch.setattr(fem.SpdSolver, "solve", counted_lu)
+    monkeypatch.setattr(cell, "solve_second_order", counted_second)
+    before = cell.SOLVES.count
+    homog.build_table(disk_cell_mesh, example_law, 280.0, 400.0, 3, Ttilde=300.0, bc=bc)
+    assert calls["second"] <= 16 * 3
+    assert cell.SOLVES.count - before == 74 * 3
 
 
 def test_periodic_first_order_stays_on_jacobi_cg(disk_cell_mesh, example_law):

@@ -249,6 +249,23 @@ def test_online_with_missing_temperature_file_exits_2(pipeline, tmp_path, capsys
     assert "T_001.npz: missing" in capsys.readouterr().err
 
 
+def test_only_errors_decompresses_the_second_order(pipeline, monkeypatch):
+    read = []
+    getitem = np.lib.npyio.NpzFile.__getitem__
+
+    def recorded(self, key):
+        read.append(key)
+        return getitem(self, key)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recorded)
+    cfg = str(pipeline / "config.json")
+    for cmdname in ("online", "verify"):
+        assert cli.main([cmdname, cfg]) == 0, cmdname
+    assert "M" in read and not any(k.startswith("second_") for k in read)
+    assert cli.main(["errors", cfg]) == 0
+    assert "second_Q" in read
+
+
 def test_errors_with_missing_second_order_array_exits_2(pipeline, tmp_path, capsys):
     arch, p = _damaged_copy(pipeline, tmp_path)
     with np.load(arch / "T_000.npz") as z:

@@ -118,3 +118,44 @@ def test_negative_orientation_rejected():
     tris = np.array([[0, 2, 1]])  # clockwise
     m = Mesh(nodes, tris, np.array([MATRIX]))
     assert m.areas[0] > 0  # construction reorients rather than failing
+
+
+def _boundary_nodes_by_edge_rows(triangles):
+    """The boundary-node formula with 2-D np.unique over sorted edge rows."""
+    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
+    uniq, counts = np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
+    return np.unique(uniq[counts == 1])
+
+
+def test_boundary_nodes_match_the_edge_row_formula(disk_cell_mesh, stripe_cell_mesh, macro_mesh):
+    from homsim.dns import build_tiled_mesh
+
+    for m in (macro_mesh, disk_cell_mesh, stripe_cell_mesh, build_tiled_mesh(disk_cell_mesh, 0.25)):
+        ref = _boundary_nodes_by_edge_rows(m.triangles)
+        assert np.array_equal(m.boundary_nodes, ref)
+        assert m.boundary_nodes.dtype == ref.dtype
+
+
+def _save_mesh_line_by_line(mesh, path):
+    """The plain-text mesh writer, one formatted write per line."""
+    with open(path, "w") as f:
+        f.write("homsim-mesh 1\n")
+        f.write(f"{mesh.num_nodes} {mesh.num_triangles}\n")
+        for x, y in mesh.nodes:
+            f.write(f"{float(x)!r} {float(y)!r}\n")
+        for (a, b, c), t in zip(mesh.triangles, mesh.phase_tag):
+            f.write(f"{a} {b} {c} {t}\n")
+
+
+def test_mesh_file_bytes_unchanged_and_reload_exact(tmp_path, disk_cell_mesh, macro_mesh):
+    from homsim.dns import build_tiled_mesh
+
+    for i, m in enumerate((macro_mesh, disk_cell_mesh, build_tiled_mesh(disk_cell_mesh, 0.25))):
+        p, ref = tmp_path / f"mesh{i}.txt", tmp_path / f"ref{i}.txt"
+        save_mesh(m, p)
+        _save_mesh_line_by_line(m, ref)
+        assert p.read_bytes() == ref.read_bytes()
+        loaded = load_mesh(p)
+        for name in ("nodes", "triangles", "phase_tag", "boundary_nodes"):
+            a, b = getattr(loaded, name), getattr(m, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name

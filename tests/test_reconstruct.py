@@ -108,3 +108,25 @@ def test_bad_epsilon_rejected(macro_mesh, disk_cell_mesh, small_table):
     with pytest.raises(ValueError):
         reconstruct.Reconstructor(macro_mesh, disk_cell_mesh, small_table,
                                   0.3, build_macro_mesh(0.3))
+
+
+def test_all_orders_recovers_each_gradient_once(monkeypatch, macro_mesh, disk_cell_mesh,
+                                                small_table, driven_run):
+    rec = reconstruct.Reconstructor(macro_mesh, disk_cell_mesh, small_table, 0.25,
+                                    dns.build_tiled_mesh(disk_cell_mesh, 0.25))
+    snap = driven_run.snapshots[-1]
+    calls = []
+    recover = reconstruct.recover_nodal_gradient
+
+    def counted(space, nodal):
+        calls.append(np.shape(nodal))
+        return recover(space, nodal)
+
+    monkeypatch.setattr(reconstruct, "recover_nodal_gradient", counted)
+    rec.all_orders(snap, driven_run.grid.dt)
+    # T, Phi, U: the gradient and its two components again; the velocity once
+    assert len(calls) == 10
+    for nodal in (snap.T, snap.U):
+        g, h = rec.ev.derivatives(nodal)
+        assert np.array_equal(g, rec.ev.gradient(nodal))
+        assert np.array_equal(h, rec.ev.hessian(nodal))
