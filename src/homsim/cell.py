@@ -146,12 +146,14 @@ class CellOperators:
     are assembled and constrained once, here: Dirichlet cells eliminate the
     boundary, periodic cells reduce to periodic fields (fem.PeriodicMap).
     Each constrained operator is factored once (fem.SpdSolver), on the first
-    solve, and solve(which, b) then costs one reduction, one pair of
-    triangular solves and one expansion, for a right-hand side (ndof,) or a
-    block (ndof, k) alike; SOLVES counts the columns.  One set serves the
-    first- and the second-order problems at T0, so the off-line stage builds
-    one set per temperature; a set that only ran periodic first-order solves
-    holds no LU.
+    solve, in SuperLU's symmetric mode on periodic cells and with SciPy's
+    default ordering on Dirichlet cells (see solve_first).  solve(which, b)
+    then costs one reduction, one pair of triangular solves and one
+    expansion, for a right-hand side (ndof,) or a block (ndof, k) alike;
+    SOLVES counts the columns.  One set serves the first- and the
+    second-order problems at T0, so the off-line stage builds one set per
+    temperature; a set that only ran periodic first-order solves holds no
+    LU.
     """
 
     def __init__(self, space, law, T0, bc: str = "dirichlet"):
@@ -180,7 +182,10 @@ class CellOperators:
 
     @cached_property
     def _solvers(self):
-        return {name: fem.SpdSolver(m.A) for name, m in self._maps.items()}
+        # Dirichlet cells keep SciPy's default ordering (see solve_first)
+        default = self.bc == "dirichlet"
+        return {name: fem.SpdSolver(m.A, default_ordering=default)
+                for name, m in self._maps.items()}
 
     def solve(self, which, b):
         SOLVES.tick(1 if np.ndim(b) == 1 else np.shape(b)[1])
@@ -190,10 +195,13 @@ class CellOperators:
     def solve_first(self, which, b):
         """solve() for the first-order correctors, which feed the coefficients.
 
-        Periodic cells solve these by Jacobi-CG (fem.PeriodicMap.solve), not
-        by the LU: the benchmark's coefficients.csv digest pins the rounding
-        of noise columns such as k_hat_12, and the LU rounds them otherwise.
-        Delete this method and fem.solve_spd once that digest scales its
+        The benchmark's coefficients.csv digest pins the rounding of noise
+        columns such as k_hat_12, so these solves keep the path that produced
+        it.  Periodic cells solve them by Jacobi-CG (fem.PeriodicMap.solve),
+        not by the LU, which rounds them otherwise; Dirichlet cells solve
+        them by an LU with SciPy's default ordering (fem.SpdSolver's
+        default_ordering), not in SuperLU's symmetric mode.  Delete this
+        method, that argument and fem.solve_spd once that digest scales its
         tolerance by the whole tensor (ROADMAP item 1).
         """
         if self.bc == "dirichlet":

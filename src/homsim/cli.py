@@ -37,8 +37,8 @@ def _out_dir(cfg) -> pathlib.Path:
 
 def _solver_work(traj) -> str:
     m = traj.meta
-    return (f"{m['factorizations']} factorizations, {m['cg_iterations']} CG iterations, "
-            f"worst residual {m['worst_residual']:.2e}")
+    return (f"{m['factorizations']} factorizations (max L+U fill {m['max_lu_fill']}), "
+            f"{m['cg_iterations']} CG iterations, worst residual {m['worst_residual']:.2e}")
 
 
 def cmd_offline(cfg: SimulationConfig, args) -> int:

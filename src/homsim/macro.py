@@ -32,9 +32,14 @@ keeps one sparse LU factorization per operator kind (potential, temperature,
 displacement).  A later solve of that kind runs conjugate gradients on the
 current Dirichlet-reduced matrix, preconditioned by the kept LU, and the
 operator is factored again only when CG has not converged within
-REUSE_MAX_ITER iterations.  The start-up half step is factored on its own and
-not kept, and every LU is released after its last use on the final step.
-Every solve meets a relative residual of 1e-10.
+REUSE_MAX_ITER iterations.  The start-up half step's LU is kept as the
+temperature LU: its operator S/(dt/2) + K is 2 (S/dt + K/2), twice the
+operator of step 0 at nearly the same coefficients, and a preconditioner's
+scale does not change CG's iterates, so step 0 reuses it instead of
+factoring again.  Every LU is released after its last use on the final step.
+Every solve meets a relative residual of 1e-10.  The stepper's statistics
+(traj.meta) count factorizations and CG iterations and record the worst
+residual and max_lu_fill, the largest fill of L + U it factored.
 """
 
 from __future__ import annotations
@@ -185,6 +190,7 @@ class Stepper:
             solver = None  # release the old LU before SuperLU runs
             solver = fem.SpdSolver(A)
             stats["factorizations"] += 1
+            stats["max_lu_fill"] = max(stats["max_lu_fill"], solver.fill)
             x = solver.solve(b)
         stats["worst_residual"] = max(stats["worst_residual"], solver.residual)
         if keep:
@@ -203,7 +209,8 @@ class Stepper:
         nn = mesh.num_nodes
         dt = grid.dt
         self._factors = {}  # operator kind -> the SpdSolver kept for reuse
-        self._stats = {"factorizations": 0, "cg_iterations": 0, "worst_residual": 0.0}
+        self._stats = {"factorizations": 0, "cg_iterations": 0, "worst_residual": 0.0,
+                       "max_lu_fill": 0}
 
         T0 = np.full(nn, float(data.T_init))
         U0 = np.asarray(data.U_init(mesh.nodes, 0.0), float).reshape(nn, 2).T
@@ -213,10 +220,10 @@ class Stepper:
         co = self.provider(T0, THERMAL)
         Phi = self._solve("potential", *self._potential_system(co, 0.0))
 
-        # backward-Euler half step for the m=0 temperature extrapolant; a
-        # one-off operator, so its LU is not kept
-        That = self._solve(None, *self._temperature_system(
-            co, T0, T0, Phi, V0, 0.5 * dt, 0.5 * dt, 0.5 * dt, 1.0), keep=False)
+        # backward-Euler half step for the m=0 temperature extrapolant; its
+        # LU is kept for step 0's temperature solve (see the module docstring)
+        That = self._solve("temperature", *self._temperature_system(
+            co, T0, T0, Phi, V0, 0.5 * dt, 0.5 * dt, 0.5 * dt, 1.0))
         # the coefficient arrays are the largest per-step data on a fine mesh:
         # hold one set at a time, so that they do not add to the memory peak
         # of the displacement factorization

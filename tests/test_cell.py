@@ -333,3 +333,34 @@ def test_periodic_table_factors_each_operator_once(monkeypatch, disk_cell_mesh, 
     # correctors only, and 9 + 65 cell solves in all
     assert calls == {"splu": 3 * 3, "solve_spd": 9 * 3}
     assert cell.SOLVES.count - before == 74 * 3
+
+
+def test_dirichlet_cells_keep_the_default_ordering(monkeypatch, disk_cell_mesh, example_law):
+    """The Dirichlet first order is the one SciPy's default LU gives, bit for bit."""
+    space = fem.FemSpace(disk_cell_mesh)
+    first = cell.solve_first_order(cell.CellOperators(space, example_law, 300.0))
+    splu = fem.spla.splu
+    # no ordering or pivoting option reaches SuperLU here
+    monkeypatch.setattr(fem.spla, "splu", lambda A: splu(A))
+    ref = cell.solve_first_order(cell.CellOperators(space, example_law, 300.0))
+    for name in ("M", "H", "N", "P"):
+        assert np.array_equal(getattr(first, name), getattr(ref, name))
+
+
+def test_periodic_cells_factor_in_symmetric_mode(monkeypatch, disk_cell_mesh, example_law):
+    seen = []
+    splu = fem.spla.splu
+
+    def recorded(A, **kwargs):
+        seen.append(kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", recorded)
+    space = fem.FemSpace(disk_cell_mesh)
+    ops = cell.CellOperators(space, example_law, 300.0, bc="periodic")
+    nn = disk_cell_mesh.num_nodes
+    for which, ndof in (("k", nn), ("lam", nn), ("c", 2 * nn)):
+        ops.solve(which, np.ones(ndof))
+    assert len(seen) == 3
+    assert all(kw == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                      "options": {"SymmetricMode": True}} for kw in seen)

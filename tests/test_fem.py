@@ -309,3 +309,27 @@ def test_spd_solver_solves_a_block_and_zero_columns_give_zeros(macro_mesh, macro
     assert solver.residual == pytest.approx(worst, rel=1e-6) and worst <= 1e-10
     assert np.all(solver.solve(np.zeros((macro_mesh.num_nodes, 2))) == 0.0)
     assert solver.residual == 0.0
+
+
+def test_spd_solver_never_returns_an_unpivoted_wrong_answer():
+    """Symmetric mode takes the diagonal as pivot; on an indefinite matrix it must fail loudly.
+
+    Here the zero leading diagonal makes SuperLU take the tiny (1, 1) entry
+    as a pivot, and the factor loses every digit; the residual check raises.
+    """
+    A = sp.csc_matrix(np.array([[0.0, 1.0, 1.0], [1.0, 1e-20, 0.0], [1.0, 0.0, 1.0]]))
+    with pytest.raises((fem.SolverError, RuntimeError)):
+        fem.SpdSolver(A).solve(np.ones(3))
+    # and on random indefinite matrices with a zero leading diagonal: either
+    # a loud failure or an x that meets the residual contract
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        B = sp.random(8, 8, density=0.3, random_state=rng).toarray()
+        B = B + B.T + np.diag(rng.choice([-1e-14, 1.0, -1.0], 8))
+        B[0, 0] = 0.0
+        b = rng.standard_normal(8)
+        try:
+            x = fem.SpdSolver(sp.csc_matrix(B)).solve(b)
+        except RuntimeError:
+            continue
+        assert np.linalg.norm(B @ x - b) <= 1e-10 * np.linalg.norm(b)

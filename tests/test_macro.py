@@ -184,14 +184,18 @@ def test_stepper_reuses_one_lu_per_operator_kind(monkeypatch, macro_mesh, small_
     splu = fem.spla.splu
 
     def counted(A, *args, **kwargs):
-        factored.append(A.shape)
+        factored.append(kwargs)
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(fem.spla, "splu", counted)
     traj = macro.Stepper(space, macro.TableProvider(space, small_table), data, grid).run()
-    # potential, temperature, displacement, and the start-up half step
-    assert len(factored) <= 4
+    # potential, temperature (factored for the start-up half step and kept
+    # for step 0 on) and displacement, each in SuperLU's symmetric mode
+    symmetric = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                 "options": {"SymmetricMode": True}}
+    assert factored == [symmetric] * 3
     assert traj.meta["factorizations"] == len(factored)
+    assert traj.meta["max_lu_fill"] > 0
     assert traj.meta["cg_iterations"] > 0
     assert 0.0 < traj.meta["worst_residual"] <= 1e-10
     assert [s.t for s in traj.snapshots] == [s.t for s in ref.snapshots]
@@ -212,12 +216,33 @@ def test_stepper_releases_every_lu(monkeypatch, macro_mesh, small_table):
     monkeypatch.setattr(fem, "SpdSolver", Tracked)
     space = fem.FemSpace(macro_mesh)
     data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
+    for n_steps in (4, 1):
+        made.clear()
+        stepper = macro.Stepper(space, macro.TableProvider(space, small_table), data,
+                                macro.TimeGrid(dt=1e-3, n_steps=n_steps))
+        traj = stepper.run()
+        # one LU per operator kind: even a 1-step run reuses the potential LU
+        # and the start-up temperature LU on step 0
+        assert len(made) == traj.meta["factorizations"] == 3
+        assert stepper._factors == {}
+        gc.collect()
+        assert all(ref() is None for ref in made)
+
+
+def test_symmetric_mode_fills_less_than_colamd(macro_mesh, small_table):
+    space = fem.FemSpace(macro_mesh)
+    nn = macro_mesh.num_nodes
+    data = constant_problem_data(value_T=300.0, f_U=500.0)
     stepper = macro.Stepper(space, macro.TableProvider(space, small_table), data,
-                            macro.TimeGrid(dt=1e-3, n_steps=4))
-    stepper.run()
-    assert made and stepper._factors == {}
-    gc.collect()
-    assert all(ref() is None for ref in made)
+                            macro.TimeGrid(dt=1e-3, n_steps=1))
+    U = np.zeros((2, nn))
+    A, b = stepper._displacement_system(np.full(nn, 350.0), U, U, 1e-3)
+    symmetric, colamd = fem.SpdSolver(A), fem.SpdSolver(A, default_ordering=True)
+    assert symmetric.fill < colamd.fill
+    x = symmetric.solve(b)
+    assert symmetric.residual <= 1e-10
+    y = colamd.solve(b)
+    assert np.abs(x - y).max() <= 1e-9 * np.abs(y).max()
 
 
 def _manufactured_heat_error(h, dt, n_steps, table):
