@@ -123,7 +123,11 @@ def phase_elasticity(mesh, law, T0, order: int = 0):
 
 
 class _Dirichlet:
-    """A cell operator with zero values on the cell boundary (unit-row elimination)."""
+    """A cell operator with zero values on the cell boundary (unit-row elimination).
+
+    A is fem.apply_dirichlet's mask of K: the entries of K off the boundary
+    rows and columns, and a unit diagonal on the boundary dofs.
+    """
 
     def __init__(self, K, dofs):
         self.dofs = dofs

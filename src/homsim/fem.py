@@ -6,6 +6,10 @@ symmetric and are assembled with a 3-point edge-midpoint rule (exact for an
 affine coefficient times P1 x P1 terms); a 6-point degree-4 rule is available
 for exactness checks.  The kernels take a FemSpace, which holds the data that
 depends on the mesh alone and is built once per mesh.
+
+Matrices are canonical CSR on one fixed pattern per operator kind
+(CsrPattern), bit for bit what SciPy's COO -> CSR conversion gives; Dirichlet
+elimination masks their stored entries.
 """
 
 from __future__ import annotations
@@ -112,6 +116,69 @@ def _boundary_patches(mesh):
     return patches
 
 
+def _entry_rows(indptr):
+    """The row of each stored entry of a CSR matrix with this indptr."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=indptr.dtype), np.diff(indptr))
+
+
+class CsrPattern:
+    """The CSR pattern of one operator kind and the plan that assembles on it.
+
+    dofs (nt, k) lists the dofs of each element; element block elem (nt, k, k)
+    puts elem[t, a, b] at (dofs[t, a], dofs[t, b]).  indptr and indices are
+    SciPy's canonical CSR pattern of those entries, built once and shared,
+    read-only, by every matrix assembled here.  assemble(elem) gives the
+    matrix SciPy's coo_matrix(...).tocsr() gives, bit for bit: that path
+    stores the entries row by row in input order, sorts each row with
+    csr_sort_indices (not a stable sort) and sums the duplicates left to
+    right.  perm replays that order, taken from sort_indices() itself on the
+    unsummed CSR whose data are the entry numbers, and slot is the stored
+    position of each entry in that order; np.bincount sums in input order
+    too.  np.add.reduceat would not do: it sums pairwise.
+    """
+
+    def __init__(self, dofs, n):
+        k = dofs.shape[1]
+        idx = np.int32 if max(n, dofs.size * k) <= np.iinfo(np.int32).max else np.int64
+        dofs = dofs.astype(idx)
+        # entry (t, a, b) is number (t k + a) k + b, in row dofs[t, a]: a
+        # stable argsort of the element dofs, each expanded to its k entries,
+        # lists the entries row by row in input order, as SciPy's COO -> CSR
+        # conversion stores them before it sorts each row
+        by_dof = np.argsort(dofs.ravel(), kind="stable").astype(idx)
+        counts = np.bincount(dofs.ravel(), minlength=n) * k
+        unsummed = sp.csr_matrix(((by_dof[:, None] * k + np.arange(k, dtype=idx)).ravel(),
+                                  dofs[by_dof // k].ravel(),
+                                  np.concatenate([[0], np.cumsum(counts)]).astype(idx)),
+                                 shape=(n, n))
+        unsummed.sort_indices()
+        self.perm = unsummed.data
+        # an entry opens a new slot at the start of its row or where its
+        # column differs from the entry before it
+        j = unsummed.indices
+        first = np.ones(len(j), dtype=bool)
+        first[1:] = j[1:] != j[:-1]
+        first[unsummed.indptr[:-1][counts > 0]] = True
+        before = np.concatenate([[0], np.cumsum(first)])  # slots before each entry
+        self.slot = before[1:] - 1
+        self.indices = j[first]
+        self.indptr = before[unsummed.indptr].astype(idx)
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        self.nnz = len(self.indices)
+        self.shape = (n, n)
+
+    def matrix(self, data):
+        """The CSR matrix with this pattern and the stored values data (nnz,)."""
+        A = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        A.has_canonical_format = True
+        return A
+
+    def assemble(self, elem):
+        """Sum the element blocks elem (nt, k, k) into a matrix."""
+        return self.matrix(np.bincount(self.slot, weights=elem.ravel()[self.perm],
+                                       minlength=self.nnz))
+
+
 class FemSpace:
     """The P1 space on one mesh: the data that depends on the mesh alone.
 
@@ -125,6 +192,12 @@ class FemSpace:
     sparse product per form (per component for the vector forms).  Like
     average and recovery they are built on first use: only the cell
     problems need them.
+
+    scalar_pattern and vector_pattern, the CSR patterns of the scalar and
+    the interleaved vector operators, are built on first assembly of their
+    kind.  vector_mass_slots (nnz_scalar, 2) holds the vector_pattern
+    positions of the entries (2i, 2j) and (2i+1, 2j+1) of each stored scalar
+    entry (i, j): a scalar M added there is the interleaved kron(M, I_2).
     """
 
     def __init__(self, mesh):
@@ -164,6 +237,24 @@ class FemSpace:
         vals = [avg.data[keep]] + [r for _, r in patches]
         return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=avg.shape)
+
+    @cached_property
+    def scalar_pattern(self):
+        return CsrPattern(self.mesh.triangles, self.mesh.num_nodes)
+
+    @cached_property
+    def vector_pattern(self):
+        return CsrPattern(vector_dofs(self.mesh.triangles), 2 * self.mesh.num_nodes)
+
+    @cached_property
+    def vector_mass_slots(self):
+        s, v = self.scalar_pattern, self.vector_pattern
+        n = v.shape[1]
+        # row-major keys of the stored entries, ascending in canonical CSR
+        keys = _entry_rows(v.indptr).astype(np.int64) * n + v.indices
+        rows = _entry_rows(s.indptr).astype(np.int64)
+        return np.stack([np.searchsorted(keys, (2 * rows + c) * n + 2 * s.indices + c)
+                         for c in (0, 1)], axis=1)
 
     # The two element-constant load operators below serve the vector forms
     # too: component i of integral f_i v_i or of integral G_ij dv_i/dx_j is
@@ -205,19 +296,6 @@ def _as_tq(space, coef, extra=()):
     raise ValueError(f"coefficient shape {arr.shape} not broadcastable to {target}")
 
 
-def _accumulate(elem, shape_rows, shape_cols):
-    """Assemble per-element dense blocks into a CSR matrix."""
-    n = shape_rows.max() + 1
-    m = shape_cols.max() + 1
-    # build the indices in the dtype scipy stores them in, so that the
-    # (nnz,) index arrays are not made as int64 and then copied again
-    idx = np.int32 if max(n, m) <= np.iinfo(np.int32).max else np.int64
-    rows = np.broadcast_to(shape_rows.astype(idx), elem.shape)
-    cols = np.broadcast_to(shape_cols.astype(idx), elem.shape)
-    A = sp.coo_matrix((elem.ravel(), (rows.ravel(), cols.ravel())), shape=(n, m))
-    return A.tocsr()
-
-
 def _element_integral(space, coef, extra):
     """Integral over each element of a coefficient given per quadrature point, (nt, *extra)."""
     return np.einsum("tq,tq...->t...", space.wq, _as_tq(space, coef, extra))
@@ -245,15 +323,15 @@ def assemble_grad_grad(space, coef):
         k = _as_tq(space, arr)
         kg = np.einsum("tq,tbi->tbi", wq * k, mesh.grads)
     elem = np.einsum("tai,tbi->tab", mesh.grads, kg)
-    return _accumulate(elem, mesh.triangles[:, :, None], mesh.triangles[:, None, :])
+    return space.scalar_pattern.assemble(elem)
 
 
 def assemble_mass(space, coef):
     """Mass matrix for the form  integral  coef u v."""
-    mesh, wq, phi = space.mesh, space.wq, space.phi
+    wq, phi = space.wq, space.phi
     c = _as_tq(space, coef)
     elem = np.einsum("tq,qa,qb->tab", wq * c, phi, phi)
-    return _accumulate(elem, mesh.triangles[:, :, None], mesh.triangles[:, None, :])
+    return space.scalar_pattern.assemble(elem)
 
 
 def vector_dofs(triangles):
@@ -274,9 +352,7 @@ def assemble_elasticity(space, c):
     else:
         cq = _as_tq(space, c, (2, 2, 2, 2))
         ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", space.wq, cq, g, g)
-    ke2 = ke.reshape(mesh.num_triangles, 6, 6)
-    d = vector_dofs(mesh.triangles)
-    return _accumulate(ke2, d[:, :, None], d[:, None, :])
+    return space.vector_pattern.assemble(ke.reshape(mesh.num_triangles, 6, 6))
 
 
 def _scatter(elem, dofs, n):
@@ -348,6 +424,13 @@ def apply_dirichlet(A, b, dofs, values):
     Returns (A', b') where constrained rows/cols are zeroed with unit
     diagonal and b' forces the prescribed values; the solution of the
     reduced system carries the exact boundary values.
+
+    A' is canonical CSR, a mask over the stored entries of A: those in kept
+    rows and kept columns, less exact zeros, and the diagonal entry of each
+    constrained row, set to 1; A must store that diagonal.  That is
+    D A D + I - D, with D the diagonal of kept dofs, as SciPy's sparse
+    products and sum compute it, bit for bit: they multiply by exact ones,
+    add exact zeros and drop every entry that sums to zero.
     """
     dofs = np.asarray(dofs, dtype=np.int64)
     values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape)
@@ -355,10 +438,24 @@ def apply_dirichlet(A, b, dofs, values):
     x = np.zeros(n)
     x[dofs] = values
     b = b - A @ x
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    D = sp.diags(keep)
-    A = (D @ A @ D + sp.diags(1.0 - keep)).tocsr()
+    A = A.tocsr()
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    fixed = np.zeros(n, dtype=bool)
+    fixed[dofs] = True
+    rows = _entry_rows(A.indptr)
+    cut = fixed[rows] | fixed[A.indices]
+    pivot = cut & (rows == A.indices)
+    if np.count_nonzero(pivot) != np.count_nonzero(fixed):
+        raise ValueError("apply_dirichlet: a constrained row stores no diagonal entry")
+    keep = ~cut & (A.data != 0.0) | pivot
+    before = np.concatenate([[0], np.cumsum(keep)])  # kept entries before each stored one
+    data = A.data[keep]
+    data[before[np.flatnonzero(pivot)]] = 1.0
+    A = sp.csr_matrix((data, A.indices[keep], before[A.indptr].astype(A.indptr.dtype)),
+                      shape=A.shape)
+    A.has_canonical_format = True
     b[dofs] = values
     return A, b
 

@@ -290,7 +290,7 @@ class Stepper:
         sink = That * np.einsum("ijn,inj->n", bstar, gV)
         b -= fem.assemble_source(space, space.at_quadrature(sink))
         b += Ms @ T_start - (1.0 - theta) * (K @ T_start)
-        A = (Ms + theta * K).tocsr()
+        A = space.scalar_pattern.matrix(Ms.data + theta * K.data)
         vals = np.asarray(self.data.bc_T(mesh.nodes[self._bn], t_end), float)
         return fem.apply_dirichlet(A, b, self._bn, vals)
 
@@ -298,14 +298,15 @@ class Stepper:
         space, mesh, dt = self.space, self.mesh, self.grid.dt
         co = self.provider(T_next, MECHANICAL)
         Mr = fem.assemble_mass(space, co["rho"] / dt**2)
-        Mv = _vectorize_mass(Mr)
-        Kc = fem.assemble_elasticity(space, co["c"])
+        A = fem.assemble_elasticity(space, co["c"])
         dT_qp = space.at_quadrature(T_next - self.data.T_init)
         G = np.einsum("tqij,tq->tqij", co["beta"], dT_qp)
         b = fem.assemble_tensor_flux(space, G)
         b += fem.assemble_vector_source(space, self._qp_eval(self.data.f_U, t_next))
-        b += Mv @ (2.0 * _flat(U_cur) - _flat(U_prev))
-        A = (Mv + Kc).tocsr()
+        # the interleaved mass kron(Mr, I_2) acts on each component alone,
+        # and is added to A on the vector pattern: A = kron(Mr, I_2) + Kc
+        b += _flat(np.stack([Mr @ w for w in 2.0 * U_cur - U_prev]))
+        A.data[space.vector_mass_slots] += Mr.data[:, None]
         arr = np.asarray(self.data.bc_U(mesh.nodes[self._bn], t_next), float).reshape(-1, 2)
         # self._bd lists all x-dofs then all y-dofs of the boundary nodes
         vals = np.concatenate([arr[:, 0], arr[:, 1]])
@@ -315,13 +316,6 @@ class Stepper:
 def _flat(U):
     """(2, nn) component-major -> interleaved (2nn,)."""
     return U.T.ravel()
-
-
-def _vectorize_mass(M):
-    """Scalar mass matrix -> block mass acting on interleaved vector dofs."""
-    import scipy.sparse as sp
-
-    return sp.kron(M, sp.eye(2), format="csr")
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

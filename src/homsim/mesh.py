@@ -132,6 +132,11 @@ class Mesh:
 
     # ---- point location -------------------------------------------------
     def _build_locator(self):
+        """Bin the triangles on an nb x nb grid by their bounding boxes.
+
+        Bin key = ix * nb + iy lists, in ascending order, the triangles whose
+        box overlaps it: bin_tris[start[key]:start[key + 1]].
+        """
         nb = max(1, int(math.sqrt(self.num_triangles / 2.0)))
         lo = self.nodes.min(axis=0)
         hi = self.nodes.max(axis=0)
@@ -139,31 +144,31 @@ class Mesh:
         p = self.nodes[self.triangles]
         tmin = ((p.min(axis=1) - lo) / span * nb).astype(int).clip(0, nb - 1)
         tmax = ((p.max(axis=1) - lo) / span * nb).astype(int).clip(0, nb - 1)
-        bins = [[] for _ in range(nb * nb)]
-        for t in range(self.num_triangles):
-            for ix in range(tmin[t, 0], tmax[t, 0] + 1):
-                for iy in range(tmin[t, 1], tmax[t, 1] + 1):
-                    bins[ix * nb + iy].append(t)
-        self._locator = (nb, lo, span, [np.array(b, dtype=np.int64) for b in bins])
+        nx, ny = (tmax - tmin + 1).T
+        cells = nx * ny
+        # one (triangle, bin) pair per bin of each box, row by row in the box
+        tri = np.repeat(np.arange(self.num_triangles), cells)
+        k = np.arange(len(tri)) - np.repeat(np.cumsum(cells) - cells, cells)
+        key = (tmin[tri, 0] + k // ny[tri]) * nb + tmin[tri, 1] + k % ny[tri]
+        order = np.argsort(key, kind="stable")
+        start = np.searchsorted(key[order], np.arange(nb * nb + 1))
+        self._locator = (nb, lo, span, tri[order], start)
 
     def locate_points(self, pts, tol: float = 1e-10):
         """Vectorized point location; raises MeshError if any point is outside."""
         pts = np.asarray(pts, dtype=float)
         if self._locator is None:
             self._build_locator()
-        nb, lo, span, bins = self._locator
+        nb, lo, span, bin_tris, start = self._locator
         idx = ((pts - lo) / span * nb).astype(int).clip(0, nb - 1)
         tri = np.full(len(pts), -1, dtype=np.int64)
         bary = np.zeros((len(pts), 3))
         order = np.lexsort((idx[:, 1], idx[:, 0]))
-        k = 0
-        while k < len(order):
-            j = k
-            key = (idx[order[k], 0], idx[order[k], 1])
-            while j < len(order) and (idx[order[j], 0], idx[order[j], 1]) == key:
-                j += 1
+        key = idx[order, 0] * nb + idx[order, 1]
+        first = np.flatnonzero(np.diff(key, prepend=-1))  # where each bin's points start
+        for k, j in zip(first, np.append(first[1:], len(key))):
             sel = order[k:j]
-            cand = bins[key[0] * nb + key[1]]
+            cand = bin_tris[start[key[k]]:start[key[k] + 1]]
             if len(cand):
                 b = self._barycentric(pts[sel], cand)  # (len(sel), ncand, 3)
                 ok = b.min(axis=2) >= -tol
@@ -171,7 +176,6 @@ class Mesh:
                 found = ok[np.arange(len(sel)), best]
                 tri[sel[found]] = cand[best[found]]
                 bary[sel[found]] = b[np.arange(len(sel)), best][found]
-            k = j
         if np.any(tri < 0):
             bad = pts[tri < 0][0]
             raise MeshError(f"point {bad} lies outside the meshed domain")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from homsim import homog, materials
+from homsim import fem, homog, materials
 from homsim.mesh import MATRIX, PhaseGeometry, build_macro_mesh, build_unit_cell_mesh
 
 
@@ -67,3 +67,16 @@ def constant_problem_data(value_T=300.0, f_T=0.0, f_Phi=0.0, f_U=0.0):
         U_init=zvec,
         V_init=zvec,
     )
+
+
+def count_patterns(monkeypatch):
+    """Record the element dof count of every fem.CsrPattern built from now on."""
+    built = []
+
+    class Counted(fem.CsrPattern):
+        def __init__(self, dofs, n):
+            built.append(dofs.shape[1])
+            super().__init__(dofs, n)
+
+    monkeypatch.setattr(fem, "CsrPattern", Counted)
+    return built

@@ -11,6 +11,8 @@ import scipy.sparse.linalg as spla
 from homsim import cell, fem, homog
 from homsim.mesh import PhaseGeometry, build_unit_cell_mesh, periodic_pairs
 
+from conftest import count_patterns
+
 
 def _h1(mesh, nodal):
     g = fem.element_gradient(mesh, nodal)
@@ -143,12 +145,15 @@ def test_build_table_assembles_each_operator_once_per_temperature(
             built.append(self.T0)
 
     monkeypatch.setattr(cell, "CellOperators", Counted)
+    patterns = count_patterns(monkeypatch)
     table = homog.build_table(disk_cell_mesh, example_law, 280.0, 400.0, 3,
                               Ttilde=300.0, bc=bc)
     assert built == [float(T) for T in table.temps]
     # heat and electric conduction, then elasticity, at each temperature
     assert calls.count("assemble_grad_grad") == 2 * 3
     assert calls.count("assemble_elasticity") == 3
+    # on one CSR pattern per operator kind for all temperatures
+    assert sorted(patterns) == [3, 6]
     assert len(table.second) == 3
 
 

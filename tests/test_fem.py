@@ -118,11 +118,11 @@ def test_tensor_flux_consistent_with_divergence(macro_mesh, macro_space):
 
 
 def _scatter_matrix(elem, dofs):
-    """Reference assembly of (nt, n, n) element blocks over (nt, n) dofs."""
+    """Reference assembly of (nt, n, n) element blocks over (nt, n) dofs: SciPy's COO -> CSR."""
     rows = np.broadcast_to(dofs[:, :, None], elem.shape).ravel()
     cols = np.broadcast_to(dofs[:, None, :], elem.shape).ravel()
     n = dofs.max() + 1
-    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr().toarray()
+    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _scatter_vector(elem, dofs):
@@ -140,7 +140,7 @@ def test_quadrature_varying_elasticity_matches_direct_contraction(macro_mesh, ma
     c = rng.standard_normal(macro_space.wq.shape + (2, 2, 2, 2))
     g = macro_mesh.grads
     ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", macro_space.wq, c, g, g)
-    ref = _scatter_matrix(ke.reshape(-1, 6, 6), fem.vector_dofs(macro_mesh.triangles))
+    ref = _scatter_matrix(ke.reshape(-1, 6, 6), fem.vector_dofs(macro_mesh.triangles)).toarray()
     K = fem.assemble_elasticity(macro_space, c).toarray()
     assert _rel(K, ref) <= 1e-13
 
@@ -158,7 +158,7 @@ def test_quadrature_varying_conductivity_matches_direct_contraction(macro_mesh, 
     k = rng.standard_normal(macro_space.wq.shape + (2, 2))
     g = macro_mesh.grads
     kg = np.einsum("tq,tqij,tbj->tbi", macro_space.wq, k, g)
-    ref = _scatter_matrix(np.einsum("tai,tbi->tab", g, kg), macro_mesh.triangles)
+    ref = _scatter_matrix(np.einsum("tai,tbi->tab", g, kg), macro_mesh.triangles).toarray()
     assert _rel(fem.assemble_grad_grad(macro_space, k).toarray(), ref) <= 1e-13
 
 
@@ -171,7 +171,123 @@ def test_element_constant_elasticity_keeps_its_rounding(disk_cell_mesh):
     g = disk_cell_mesh.grads
     ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", space.wq, cq, g, g)
     ref = _scatter_matrix(ke.reshape(-1, 6, 6), fem.vector_dofs(disk_cell_mesh.triangles))
-    assert np.array_equal(fem.assemble_elasticity(space, c).toarray(), ref)
+    _assert_same_csr(fem.assemble_elasticity(space, c), ref)
+
+
+def _assert_canonical(A):
+    """A is CSR with int32 indices, and SciPy itself finds its arrays canonical."""
+    assert A.format == "csr" and A.indices.dtype == A.indptr.dtype == np.int32
+    assert sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape).has_canonical_format
+
+
+def _assert_same_csr(A, ref):
+    """The same canonical CSR arrays, data compared bit for bit."""
+    _assert_canonical(A)
+    assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
+    assert A.data.dtype == ref.data.dtype and A.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.fixture(scope="module")
+def pattern_meshes(macro_mesh, disk_cell_mesh, stripe_cell_mesh):
+    from homsim.dns import build_tiled_mesh
+    from homsim.mesh import PhaseGeometry, build_unit_cell_mesh
+
+    none = build_unit_cell_mesh(PhaseGeometry("none"), 0.15)
+    return [macro_mesh, disk_cell_mesh, stripe_cell_mesh, none,
+            build_tiled_mesh(disk_cell_mesh, 1.0 / 3.0)]
+
+
+def test_pattern_assembly_is_bit_for_bit_scipys_coo_path(pattern_meshes):
+    """Scatter by the fixed plan gives exactly SciPy's COO -> CSR sum, both operator kinds."""
+    rng = np.random.default_rng(21)
+    for mesh in pattern_meshes:
+        space = fem.FemSpace(mesh)
+        for pattern, dofs in ((space.scalar_pattern, mesh.triangles),
+                              (space.vector_pattern, fem.vector_dofs(mesh.triangles))):
+            k = dofs.shape[1]
+            elem = rng.choice([-1.0, 1.0], (len(dofs), k, k)) * 10.0 ** rng.uniform(-4, 4, (len(dofs), k, k))
+            _assert_same_csr(pattern.assemble(elem), _scatter_matrix(elem, dofs))
+
+
+def test_kernels_return_canonical_csr_on_the_shared_pattern(macro_mesh, macro_space):
+    rng = np.random.default_rng(22)
+    wq = macro_space.wq
+    scalar = [fem.assemble_grad_grad(macro_space, rng.random(wq.shape + (2, 2))),
+              fem.assemble_grad_grad(macro_space, rng.random(macro_mesh.num_triangles)),
+              fem.assemble_mass(macro_space, rng.random(wq.shape))]
+    vector = [fem.assemble_elasticity(macro_space, rng.random(wq.shape + (2, 2, 2, 2))),
+              fem.assemble_elasticity(macro_space, rng.random((macro_mesh.num_triangles, 2, 2, 2, 2)))]
+    for mats, pattern in ((scalar, macro_space.scalar_pattern), (vector, macro_space.vector_pattern)):
+        for A in mats:
+            _assert_canonical(A)
+            assert np.shares_memory(A.indices, pattern.indices)
+            assert np.shares_memory(A.indptr, pattern.indptr)
+    # the shared pattern cannot be restructured in place
+    with pytest.raises(ValueError):
+        scalar[0].indices[0] = 1
+
+
+def test_vector_mass_slots_add_the_interleaved_mass(macro_space):
+    rng = np.random.default_rng(23)
+    M = fem.assemble_mass(macro_space, rng.random(macro_space.wq.shape))
+    K = fem.assemble_elasticity(macro_space, rng.random(macro_space.wq.shape + (2, 2, 2, 2)))
+    ref = sp.kron(M, sp.eye(2), format="csr") + K
+    K.data[macro_space.vector_mass_slots] += M.data[:, None]
+    _assert_same_csr(K, ref)
+
+
+def _dirichlet_reference(A, b, dofs, values):
+    """Symmetric elimination by sparse products: D A D + I - D, D the kept dofs."""
+    n = A.shape[0]
+    x = np.zeros(n)
+    x[dofs] = values
+    b = b - A @ x
+    keep = np.ones(n)
+    keep[dofs] = 0.0
+    D = sp.diags(keep)
+    A = (D @ A @ D + sp.diags(1.0 - keep)).tocsr()
+    b[dofs] = values
+    return A, b
+
+
+def test_apply_dirichlet_is_bit_for_bit_the_product_form(macro_mesh, macro_space, disk_cell_mesh):
+    from homsim.mesh import periodic_pairs
+
+    rng = np.random.default_rng(24)
+    cases = []
+    # cell operators with zero boundary values
+    cell = fem.FemSpace(disk_cell_mesh)
+    bn = disk_cell_mesh.boundary_nodes
+    K = fem.assemble_grad_grad(cell, rng.random(disk_cell_mesh.num_triangles))
+    C = fem.assemble_elasticity(cell, rng.random((disk_cell_mesh.num_triangles, 2, 2, 2, 2)))
+    cases += [(K, bn, 0.0), (C, np.concatenate([2 * bn, 2 * bn + 1]), 0.0)]
+    # anchored periodic operators R^T K R
+    ma, sl = periodic_pairs(disk_cell_mesh)
+    for op in (K, C):
+        pm = fem.PeriodicMap(disk_cell_mesh, ma, sl, op)
+        cases.append(((pm.R.T @ op @ pm.R).tocsr(), pm.anchors, 0.0))
+    # macro operators with nonzero boundary values
+    bn = macro_mesh.boundary_nodes
+    wq = macro_space.wq
+    A = fem.assemble_grad_grad(macro_space, rng.random(wq.shape + (2, 2)))
+    V = fem.assemble_elasticity(macro_space, rng.random(wq.shape + (2, 2, 2, 2)))
+    cases += [(A, bn, rng.standard_normal(len(bn))),
+              (V, np.concatenate([2 * bn, 2 * bn + 1]), rng.standard_normal(2 * len(bn)))]
+    # a matrix that stores exact zeros, of both signs
+    Z = A.copy()
+    Z.data[::5] = 0.0
+    Z.data[1::7] = -0.0
+    cases.append((Z, bn, rng.standard_normal(len(bn))))
+    for A, dofs, values in cases:
+        b = rng.standard_normal(A.shape[0])
+        got, got_b = fem.apply_dirichlet(A, b, dofs, values)
+        ref, ref_b = _dirichlet_reference(A, b, dofs, values)
+        _assert_same_csr(got, ref)
+        assert got_b.tobytes() == ref_b.tobytes()
+    # the unit diagonal goes where A stores its diagonal: none stored, no elimination
+    hollow = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(ValueError):
+        fem.apply_dirichlet(hollow, np.ones(2), [0], 0.0)
 
 
 def test_apply_dirichlet_preserves_solution(macro_mesh, macro_space):

@@ -9,7 +9,7 @@ import pytest
 from homsim import fem, macro
 from homsim.mesh import build_macro_mesh
 
-from conftest import constant_problem_data
+from conftest import constant_problem_data, count_patterns
 
 
 def _run(mesh, table, data, dt, n, stride=None):
@@ -163,9 +163,12 @@ def test_stepper_builds_mesh_data_once(monkeypatch, macro_mesh, small_table):
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(fem, name, counted)
+    patterns = count_patterns(monkeypatch)
     data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
     _run(macro_mesh, small_table, data, 1e-3, 4)
     assert calls == {"quad_points": 1, "_boundary_patches": 1}
+    # one CSR pattern per operator kind: scalar (3 dofs per element), vector (6)
+    assert sorted(patterns) == [3, 6]
 
 
 class _FactorEverySolve(macro.Stepper):

@@ -55,6 +55,24 @@ def test_locate_and_interpolate_linear_field(disk_cell_mesh):
     assert np.allclose(vals, 2.0 * pts[:, 0] - 0.5 * pts[:, 1], atol=1e-12)
 
 
+def test_locate_points_matches_a_per_point_search(disk_cell_mesh, macro_mesh):
+    """Each point goes to the lowest-numbered triangle that holds it, with the same
+    barycentric coordinates, also on vertices and edges, where several do."""
+    rng = np.random.default_rng(4)
+    for mesh in (disk_cell_mesh, macro_mesh):
+        p = mesh.nodes[mesh.triangles]
+        pts = np.concatenate([mesh.nodes, 0.5 * (p + np.roll(p, 1, axis=1)).reshape(-1, 2),
+                              rng.random((300, 2))])
+        tri, bary = mesh.locate_points(pts)
+        everything = np.arange(mesh.num_triangles)
+        for k, x in enumerate(pts):
+            b = mesh._barycentric(x[None], everything)[0]
+            t = int(np.argmax(b.min(axis=1) >= -1e-10))
+            assert tri[k] == t and np.array_equal(bary[k], b[t])
+    tri, bary = macro_mesh.locate_points(np.empty((0, 2)))
+    assert tri.shape == (0,) and bary.shape == (0, 3)
+
+
 def test_locate_outside_raises(disk_cell_mesh):
     with pytest.raises(MeshError):
         disk_cell_mesh.locate_points(np.array([[1.5, 0.5]]))
