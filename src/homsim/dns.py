@@ -4,7 +4,10 @@ The fine mesh is the unit-cell mesh scaled by epsilon and tiled over the unit
 square, so the matrix/inclusion interface is mesh-conforming in every cell.
 Time stepping reuses the engine of the homogenized solver; only the
 coefficient provider differs (phase-wise laws evaluated at quadrature-point
-temperatures instead of tabulated effective coefficients).
+temperatures instead of tabulated effective coefficients).  Each phase is
+isotropic, so the provider returns scalars, not tensors: the conductivities
+integrated over each element, the other fields at the quadrature points, and
+the elasticity as the element integrals of its two Lame parameters.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import fem
-from .macro import Stepper, TimeGrid, Trajectory
-from .materials import elasticity_tensor
+from .macro import INTEGRATED, Stepper, TimeGrid, Trajectory
+from .materials import lame_parameters
 from .mesh import Mesh, MeshError
 
 
@@ -44,7 +47,13 @@ def build_tiled_mesh(cell_mesh: Mesh, epsilon: float) -> Mesh:
 
 
 class OscillatoryProvider:
-    """Phase-wise coefficients at quadrature-point temperatures."""
+    """Phase-wise coefficients at quadrature-point temperatures.
+
+    The laws are isotropic in each phase, so every field but c is a scalar:
+    S, rho, lam_star and beta (nt, nq) at the quadrature points, k and lam
+    (nt,) integrated over each element.  c is the pair (lame, mu) of the
+    element integrals of its Lame parameters, each (nt,).
+    """
 
     def __init__(self, space: fem.FemSpace, law):
         self.space = space
@@ -65,26 +74,27 @@ class OscillatoryProvider:
         a, b = self._ab[q]
         return a[:, None] + b[:, None] * T_qp
 
+    def _integral(self, values):
+        return np.einsum("tq,tq->t", self.space.wq, values)
+
     def _field(self, name, T_qp):
+        # every law is isotropic in each phase: the tensors are scalars times
+        # the identity, and the elasticity is given by its Lame parameters
         if name == "S":
             return self._scal("rho", T_qp) * self._scal("c", T_qp)
-        if name == "rho":
-            return self._scal("rho", T_qp)
         if name == "c":
-            return elasticity_tensor(self._scal("E", T_qp), self._scal("nu", T_qp), self.law.plane)
-        # k, lam, lam* = lam and beta are isotropic in each phase
-        return self._scal("lam" if name == "lam_star" else name, T_qp)[..., None, None] * np.eye(2)
+            lame, mu = lame_parameters(self._scal("E", T_qp), self._scal("nu", T_qp),
+                                       self.law.plane)
+            return self._integral(lame), self._integral(mu)
+        values = self._scal("lam" if name == "lam_star" else name, T_qp)
+        return self._integral(values) if name in INTEGRATED else values
 
     def __call__(self, T_nodal, fields):
         T_qp = self.space.at_quadrature(T_nodal)
         # constant extension outside the validity range of the affine laws
         # (mirrors the clamping of the tabulated effective coefficients)
         T_qp = np.clip(T_qp, *self.law.T_range)
-        out = {}
-        for name in fields:
-            # lam* = lam: one array serves both
-            out[name] = out["lam"] if name == "lam_star" and "lam" in out else self._field(name, T_qp)
-        return out
+        return {name: self._field(name, T_qp) for name in fields}
 
     def nodal_beta_star(self, T_nodal):
         """Nodal thermal modulus beta*_ij = beta delta_ij.

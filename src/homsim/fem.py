@@ -193,6 +193,10 @@ class FemSpace:
     average and recovery they are built on first use: only the cell
     problems need them.
 
+    unit_stiffness, the (nt, 3, 3) products g_a . g_b of the element
+    gradients, is built on first use too: a scalar stiffness is its element
+    integral times this block.
+
     scalar_pattern and vector_pattern, the CSR patterns of the scalar and
     the interleaved vector operators, are built on first assembly of their
     kind.  vector_mass_slots (nnz_scalar, 2) holds the vector_pattern
@@ -209,6 +213,38 @@ class FemSpace:
     def at_quadrature(self, nodal):
         """P1 interpolation of nodal values, (..., nn) -> (..., nt, nq)."""
         return np.asarray(nodal, dtype=float)[..., self.mesh.triangles] @ self.phi.T
+
+    def element_integrals(self, nodal):
+        """Integral of a P1 field over each element, (..., nn) -> (nt, ...).
+
+        The area times the mean of the vertex values, which is also what the
+        3-point rule gives, with the element axis first, as the assembly
+        kernels read it.
+        """
+        nodal = np.asarray(nodal, dtype=float)
+        flat = self._p1_integral @ nodal.reshape(-1, nodal.shape[-1]).T
+        return flat.reshape((-1,) + nodal.shape[:-1])
+
+    @cached_property
+    def _p1_integral(self):
+        """(nt, nn) operator: nodal values -> element integrals of their P1 field."""
+        mesh = self.mesh
+        return sp.csr_matrix((np.repeat(mesh.areas / 3.0, 3), mesh.triangles.ravel(),
+                              np.arange(0, mesh.triangles.size + 1, 3)),
+                             shape=(mesh.num_triangles, mesh.num_nodes))
+
+    # Products of element gradients run with the element axis last, over nt
+    # contiguous values each: numpy is slow on the short axes of (nt, 3, 2).
+    @cached_property
+    def grads_last(self):
+        """(2, 3, nt): the element gradients with the element axis last, [i, a, t] = g_ai on t."""
+        return np.ascontiguousarray(self.mesh.grads.transpose(2, 1, 0))
+
+    @cached_property
+    def unit_stiffness(self):
+        """(nt, 3, 3): g_a . g_b in each element, the stiffness block of a unit integral."""
+        g0, g1 = self.grads_last
+        return np.ascontiguousarray(np.moveaxis(g0[:, None] * g0 + g1[:, None] * g1, -1, 0))
 
     # The two operators below are built on first use: the cell operators
     # never need them, and the boundary patches cost a Python loop.
@@ -310,28 +346,34 @@ def _varies_over_quadrature(space, coef, extra):
     return np.shape(coef) == space.wq.shape + extra
 
 
-def assemble_grad_grad(space, coef):
+def assemble_grad_grad(space, coef, *, integrated: bool = False):
     """Stiffness for the form  integral  (coef grad u) . grad v.
 
-    coef: scalar, (nt,), (nt,nq), 2x2 tensor, (nt,2,2) or (nt,nq,2,2).
+    coef: scalar, (nt,), (nt,nq), 2x2 tensor, (nt,2,2) or (nt,nq,2,2) values;
+    with integrated=True, the integral of coef over each element, (nt,) or
+    (nt,2,2).  A scalar integral k_t gives the block k_t (g_a . g_b).
     """
-    mesh, wq = space.mesh, space.wq
+    g = space.mesh.grads
     arr = np.asarray(coef, dtype=float)
     if arr.ndim >= 2 and arr.shape[-2:] == (2, 2):
-        kg = np.einsum("tij,tbj->tbi", _element_integral(space, arr, (2, 2)), mesh.grads)
+        k = arr if integrated else _element_integral(space, arr, (2, 2))
+        gl = space.grads_last
+        elem = np.einsum("ijt,iat,jbt->abt", np.ascontiguousarray(np.moveaxis(k, 0, -1)), gl, gl)
+        elem = np.moveaxis(elem, -1, 0)
+    elif integrated or _varies_over_quadrature(space, arr, ()):
+        k = arr if integrated else _element_integral(space, arr, ())
+        elem = k[:, None, None] * space.unit_stiffness
     else:
-        k = _as_tq(space, arr)
-        kg = np.einsum("tq,tbi->tbi", wq * k, mesh.grads)
-    elem = np.einsum("tai,tbi->tab", mesh.grads, kg)
+        kg = np.einsum("tq,tbi->tbi", space.wq * _as_tq(space, arr), g)
+        elem = np.einsum("tai,tbi->tab", g, kg)
     return space.scalar_pattern.assemble(elem)
 
 
 def assemble_mass(space, coef):
-    """Mass matrix for the form  integral  coef u v."""
+    """Mass matrix for the form  integral  coef u v: (w_q coef_q) @ (phi_qa phi_qb)."""
     wq, phi = space.wq, space.phi
-    c = _as_tq(space, coef)
-    elem = np.einsum("tq,qa,qb->tab", wq * c, phi, phi)
-    return space.scalar_pattern.assemble(elem)
+    elem = (wq * _as_tq(space, coef)) @ (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), 9)
+    return space.scalar_pattern.assemble(elem.reshape(-1, 3, 3))
 
 
 def vector_dofs(triangles):
@@ -342,17 +384,43 @@ def vector_dofs(triangles):
     return d
 
 
-def assemble_elasticity(space, c):
-    """Stiffness for  integral  c_ijkl du_k/dx_l dv_i/dx_j  (2-component)."""
+def assemble_elasticity(space, c, *, integrated: bool = False):
+    """Stiffness for  integral  c_ijkl du_k/dx_l dv_i/dx_j  (2-component).
+
+    c: 2x2x2x2 tensor values, one, (nt,...) or (nt,nq,...); with
+    integrated=True, the integral of c over each element (nt,2,2,2,2), or,
+    for an isotropic c = lame d_ij d_kl + mu (d_ik d_jl + d_il d_jk), the
+    pair (lame, mu) of the element integrals of its Lame parameters, each
+    (nt,).
+    """
     mesh, g = space.mesh, space.mesh.grads
     # trial dof (a,k): du_k/dx_l = grads[t,a,l]; test dof (b,i) likewise
-    if _varies_over_quadrature(space, c, (2, 2, 2, 2)):
-        ke = np.einsum("tijkl,tal,tbj->tbiak", _element_integral(space, c, (2, 2, 2, 2)), g, g,
-                       optimize=True)
+    if integrated and isinstance(c, tuple):
+        ke = _isotropic_elasticity(space, *c)
+    elif integrated or _varies_over_quadrature(space, c, (2, 2, 2, 2)):
+        cbar = c if integrated else _element_integral(space, c, (2, 2, 2, 2))
+        ke = np.einsum("tijkl,tal,tbj->tbiak", cbar, g, g, optimize=True)
     else:
         cq = _as_tq(space, c, (2, 2, 2, 2))
         ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", space.wq, cq, g, g)
     return space.vector_pattern.assemble(ke.reshape(mesh.num_triangles, 6, 6))
+
+
+def _isotropic_elasticity(space, lame, mu):
+    """(nt, 3, 2, 3, 2) blocks lame g_bi g_ak + mu (g_bk g_ai + d_ik g_a . g_b).
+
+    Entry (t, b, i, a, k): test dof (b, i), trial dof (a, k).  The (i, k) =
+    (1, 0) block is the transpose of the (0, 1) block.
+    """
+    g0, g1 = space.grads_last  # (3, nt) each
+    x00, x11, x01 = g0[:, None] * g0, g1[:, None] * g1, g0[:, None] * g1  # g_bi g_ak
+    mgg = mu * (x00 + x11)
+    ke = np.empty((3, 2, 3, 2, len(mu)))
+    ke[:, 0, :, 0] = (lame + mu) * x00 + mgg
+    ke[:, 1, :, 1] = (lame + mu) * x11 + mgg
+    ke[:, 0, :, 1] = lame * x01 + mu * x01.transpose(1, 0, 2)
+    ke[:, 1, :, 0] = ke[:, 0, :, 1].transpose(1, 0, 2)
+    return np.ascontiguousarray(np.moveaxis(ke, -1, 0))
 
 
 def _scatter(elem, dofs, n):
@@ -393,9 +461,15 @@ def assemble_vector_source(space, f):
 
 
 def assemble_tensor_flux(space, G):
-    """Load vector  integral  G_ij dv_i/dx_j  for a 2x2 tensor density G."""
+    """Load vector  integral  G_ij dv_i/dx_j  for a 2x2 tensor density G.
+
+    A density of shape (nt, nq) holds the scalars s of the isotropic
+    G = s d_ij at the quadrature points.
+    """
     mesh = space.mesh
-    if _varies_over_quadrature(space, G, (2, 2)):
+    if np.shape(G) == space.wq.shape:
+        elem = _element_integral(space, G, ())[:, None, None] * mesh.grads
+    elif _varies_over_quadrature(space, G, (2, 2)):
         elem = np.einsum("tij,taj->tai", _element_integral(space, G, (2, 2)), mesh.grads)
     else:
         Gq = _as_tq(space, G, (2, 2))

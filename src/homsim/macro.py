@@ -2,15 +2,26 @@
 
 One engine integrates the coupled temperature / potential / displacement
 system.  The homogenized solver and the fine-mesh reference solver differ
-only in how coefficients are produced at quadrature points, expressed through
-the CoefficientProvider protocol -- provider(T_nodal, fields) returns the
-named coefficient fields at the quadrature points, and
+only in how coefficients are produced, expressed through the
+CoefficientProvider protocol -- provider(T_nodal, fields) returns the named
+coefficient fields in the form the assembly reads, and
 provider.nodal_beta_star(T_nodal) the nodal thermal modulus:
 
+  * the stiffness coefficients (INTEGRATED) as integrals over each element:
+    k and lam (nt,) or (nt, 2, 2); c (nt, 2, 2, 2, 2), or for an isotropic
+    c the pair (lame, mu) of the integrals of its Lame parameters, each (nt,);
+  * S, rho, lam_star and beta at the quadrature points: (nt, nq) scalars,
+    lam_star and beta also (nt, nq, 2, 2) tensors.
+
+Two providers implement it:
+
   * TableProvider  -- effective coefficients interpolated from the off-line
-    temperature table at each node, then P1-interpolated into quadrature;
-  * OscillatoryProvider (in the fine-mesh module) -- phase-wise laws
-    evaluated at quadrature-point temperatures.
+    temperature table at each node; they are P1 in space, so the integrals
+    are exact (area times the mean of the vertex values) and the other
+    fields are P1-interpolated into quadrature;
+  * OscillatoryProvider (in the fine-mesh module) -- phase-wise isotropic
+    laws evaluated at quadrature-point temperatures: scalars, and the Lame
+    pair for c.
 
 Scheme per step m (time level t_m -> t_{m+1}):
   potential solve at coefficients frozen at the extrapolated temperature
@@ -58,6 +69,8 @@ REUSE_MAX_ITER = 20
 THERMAL = ("S", "k", "lam", "lam_star")
 #: coefficient fields read by the displacement solve
 MECHANICAL = ("rho", "c", "beta")
+#: coefficient fields a provider gives as element integrals
+INTEGRATED = ("k", "lam", "c")
 
 
 class StepError(RuntimeError):
@@ -112,7 +125,12 @@ class Trajectory:
 
 
 class TableProvider:
-    """Effective coefficients from the off-line table, nodal then P1-interpolated."""
+    """Effective coefficients from the off-line table, interpolated at the nodes.
+
+    The fields are P1 in space: the stiffness coefficients k, lam and c are
+    integrated over each element exactly, the others P1-interpolated to the
+    quadrature points.
+    """
 
     #: provider field -> table coefficient
     NAMES = {"S": "S_hat", "k": "k_hat", "lam": "lam_hat", "lam_star": "lam_hat_star",
@@ -125,8 +143,14 @@ class TableProvider:
     def __call__(self, T_nodal, fields):
         # tensor axes leading, node axis last
         f = self.table.coeff_fields(T_nodal, [self.NAMES[n] for n in fields])
-        return {n: np.moveaxis(self.space.at_quadrature(f[self.NAMES[n]]), (-2, -1), (0, 1))
-                for n in fields}
+        out = {}
+        for n in fields:
+            v = f[self.NAMES[n]]
+            if n in INTEGRATED:
+                out[n] = self.space.element_integrals(v)
+            else:
+                out[n] = np.moveaxis(self.space.at_quadrature(v), (-2, -1), (0, 1))
+        return out
 
     def nodal_beta_star(self, T_nodal):
         return self.table.coeff_fields(T_nodal, ["beta_hat_star"])["beta_hat_star"]
@@ -266,14 +290,17 @@ class Stepper:
     # The unreduced operators and the coefficient arrays die with its frame,
     # so they are freed before the factorization runs.
     def _potential_system(self, co, t):
-        A = fem.assemble_grad_grad(self.space, co["lam"])
+        A = fem.assemble_grad_grad(self.space, co["lam"], integrated=True)
         b = fem.assemble_source(self.space, self._qp_eval(self.data.f_Phi, t))
         vals = np.asarray(self.data.bc_Phi(self.mesh.nodes[self._bn], t), float)
         return fem.apply_dirichlet(A, b, self._bn, vals)
 
     def _joule_qp(self, co, Phi):
         gPhi = fem.element_gradient(self.mesh, Phi)
-        return np.einsum("tqij,ti,tj->tq", co["lam_star"], gPhi, gPhi)
+        lam_star = co["lam_star"]
+        if lam_star.ndim == 2:  # isotropic: lam* |grad Phi|^2
+            return lam_star * np.einsum("ti,ti->t", gPhi, gPhi)[:, None]
+        return np.einsum("tqij,ti,tj->tq", lam_star, gPhi, gPhi)
 
     def _temperature_system(self, co, That, T_start, Phi, V, t_src, t_end, tau, theta):
         """Theta-scheme temperature step of length tau from T_start, boundary values at t_end.
@@ -283,7 +310,7 @@ class Stepper:
         """
         space, mesh = self.space, self.mesh
         Ms = fem.assemble_mass(space, co["S"] / tau)
-        K = fem.assemble_grad_grad(space, co["k"])
+        K = fem.assemble_grad_grad(space, co["k"], integrated=True)
         b = fem.assemble_source(space, self._joule_qp(co, Phi) + self._qp_eval(self.data.f_T, t_src))
         gV = recover_nodal_gradient(space, V)  # (2, nn, 2)
         bstar = self.provider.nodal_beta_star(That)  # (2, 2, nn)
@@ -298,9 +325,11 @@ class Stepper:
         space, mesh, dt = self.space, self.mesh, self.grid.dt
         co = self.provider(T_next, MECHANICAL)
         Mr = fem.assemble_mass(space, co["rho"] / dt**2)
-        A = fem.assemble_elasticity(space, co["c"])
+        A = fem.assemble_elasticity(space, co["c"], integrated=True)
         dT_qp = space.at_quadrature(T_next - self.data.T_init)
-        G = np.einsum("tqij,tq->tqij", co["beta"], dT_qp)
+        beta = co["beta"]
+        # an isotropic beta (nt, nq) gives the isotropic stress density beta dT
+        G = beta * dT_qp if beta.ndim == 2 else np.einsum("tqij,tq->tqij", beta, dT_qp)
         b = fem.assemble_tensor_flux(space, G)
         b += fem.assemble_vector_source(space, self._qp_eval(self.data.f_U, t_next))
         # the interleaved mass kron(Mr, I_2) acts on each component alone,

@@ -131,14 +131,14 @@ class MaterialLaw:
         return worst
 
 
-def elasticity_tensor(E, nu, plane: str = "strain", _validate: bool = True):
-    """Isotropic 2D elasticity tensor c_ijkl from engineering constants.
+def lame_parameters(E, nu, plane: str = "strain", _validate: bool = True):
+    """The 2D Lame parameters (lame, mu) of an isotropic material.
 
-    E and nu may be arrays; the result carries their broadcast axes in front
-    of the four tensor axes.
+    E and nu may be arrays; both results carry their broadcast shape.
     Plane strain: lame = E nu /((1+nu)(1-2nu)), mu = E/(2(1+nu)).
-    Plane stress uses the standard substitution E' = E(1+2nu)/(1+nu)^2 style
-    reduction implemented via lame* = E nu/(1-nu^2).
+    Plane stress: lame = E nu/(1-nu^2), the same mu.  Raises MaterialError
+    unless E > 0 and 0 <= nu < 0.5 (_validate=False skips that, for
+    temperature derivatives of E).
     """
     E, nu = np.asarray(E, float), np.asarray(nu, float)
     if _validate:
@@ -146,7 +146,6 @@ def elasticity_tensor(E, nu, plane: str = "strain", _validate: bool = True):
             raise MaterialError(f"E must be positive, got {E}")
         if not np.all((0 <= nu) & (nu < 0.5)):
             raise MaterialError(f"nu must lie in [0, 0.5), got {nu}")
-    E, nu = E[..., None, None, None, None], nu[..., None, None, None, None]
     mu = E / (2.0 * (1.0 + nu))
     if plane == "strain":
         lame = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
@@ -154,6 +153,18 @@ def elasticity_tensor(E, nu, plane: str = "strain", _validate: bool = True):
         lame = E * nu / (1.0 - nu**2)
     else:
         raise MaterialError(f"unknown plane mode {plane!r}")
+    return lame, mu
+
+
+def elasticity_tensor(E, nu, plane: str = "strain", _validate: bool = True):
+    """Isotropic 2D elasticity tensor c_ijkl from engineering constants.
+
+    E and nu may be arrays; the result carries their broadcast axes in front
+    of the four tensor axes.  c_ijkl = lame d_ij d_kl + mu (d_ik d_jl + d_il d_jk)
+    with (lame, mu) from lame_parameters.
+    """
+    lame, mu = lame_parameters(E, nu, plane, _validate)
+    lame, mu = lame[..., None, None, None, None], mu[..., None, None, None, None]
     d = np.eye(2)
     c = (
         lame * np.einsum("ij,kl->ijkl", d, d)

@@ -153,42 +153,49 @@ class Mesh:
         order = np.argsort(key, kind="stable")
         start = np.searchsorted(key[order], np.arange(nb * nb + 1))
         self._locator = (nb, lo, span, tri[order], start)
+        # rows x0, y0, v0x, v0y, v1x, v1y, det: each triangle's first vertex,
+        # its two edges from there and their cross product
+        v0, v1 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        det = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
+        self._frames = np.vstack([p[:, 0].T, v0.T, v1.T, det])
 
     def locate_points(self, pts, tol: float = 1e-10):
-        """Vectorized point location; raises MeshError if any point is outside."""
+        """Vectorized point location; raises MeshError if any point is outside.
+
+        Each point goes to the first triangle of its bin, in bin order, whose
+        barycentric coordinates are all >= -tol.  Every (point, candidate)
+        pair is tested in one pass.
+        """
         pts = np.asarray(pts, dtype=float)
         if self._locator is None:
             self._build_locator()
         nb, lo, span, bin_tris, start = self._locator
         idx = ((pts - lo) / span * nb).astype(int).clip(0, nb - 1)
+        key = idx[:, 0] * nb + idx[:, 1]
+        counts = start[key + 1] - start[key]
+        point = np.repeat(np.arange(len(pts)), counts)  # the point of each pair
+        before = np.cumsum(counts) - counts  # pairs before each point's first
+        cand = bin_tris[np.arange(len(point)) + np.repeat(start[key] - before, counts)]
+        b = self._barycentric(*np.ascontiguousarray(pts.T)[:, point], cand)
+        ok = np.flatnonzero(np.minimum(np.minimum(b[:, 0], b[:, 1]), b[:, 2]) >= -tol)
+        hit = ok[np.diff(point[ok], prepend=-1) != 0]  # the first ok pair of each point
         tri = np.full(len(pts), -1, dtype=np.int64)
         bary = np.zeros((len(pts), 3))
-        order = np.lexsort((idx[:, 1], idx[:, 0]))
-        key = idx[order, 0] * nb + idx[order, 1]
-        first = np.flatnonzero(np.diff(key, prepend=-1))  # where each bin's points start
-        for k, j in zip(first, np.append(first[1:], len(key))):
-            sel = order[k:j]
-            cand = bin_tris[start[key[k]]:start[key[k] + 1]]
-            if len(cand):
-                b = self._barycentric(pts[sel], cand)  # (len(sel), ncand, 3)
-                ok = b.min(axis=2) >= -tol
-                best = np.argmax(ok, axis=1)
-                found = ok[np.arange(len(sel)), best]
-                tri[sel[found]] = cand[best[found]]
-                bary[sel[found]] = b[np.arange(len(sel)), best][found]
+        tri[point[hit]] = cand[hit]
+        bary[point[hit]] = b[hit]
         if np.any(tri < 0):
             bad = pts[tri < 0][0]
             raise MeshError(f"point {bad} lies outside the meshed domain")
         return tri, bary
 
-    def _barycentric(self, pts, tris):
-        p = self.nodes[self.triangles[tris]]  # (nc,3,2)
-        v0 = p[:, 1] - p[:, 0]
-        v1 = p[:, 2] - p[:, 0]
-        det = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
-        d = pts[:, None, :] - p[None, :, 0, :]
-        l1 = (d[..., 0] * v1[None, :, 1] - d[..., 1] * v1[None, :, 0]) / det[None, :]
-        l2 = (d[..., 1] * v0[None, :, 0] - d[..., 0] * v0[None, :, 1]) / det[None, :]
+    def _barycentric(self, x, y, tris):
+        """Barycentric coordinates (..., 3) of the points (x, y) in the triangles tris, broadcast."""
+        if self._locator is None:
+            self._build_locator()
+        x0, y0, v0x, v0y, v1x, v1y, det = self._frames[:, tris]
+        dx, dy = x - x0, y - y0
+        l1 = (dx * v1y - dy * v1x) / det
+        l2 = (dy * v0x - dx * v0y) / det
         return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
 
     def interpolate(self, values, tri, bary):

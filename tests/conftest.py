@@ -51,6 +51,14 @@ def uniform_table(disk_cell_mesh, uniform_law):
                              Ttilde=300.0)
 
 
+def isotropic_elasticity(lame, mu):
+    """c_ijkl = lame d_ij d_kl + mu (d_ik d_jl + d_il d_jk), tensor axes after those of lame, mu."""
+    d = np.eye(2)
+    lame, mu = np.asarray(lame)[..., None, None, None, None], np.asarray(mu)[..., None, None, None, None]
+    return (lame * np.einsum("ij,kl->ijkl", d, d)
+            + mu * (np.einsum("ik,jl->ijkl", d, d) + np.einsum("il,jk->ijkl", d, d)))
+
+
 def constant_problem_data(value_T=300.0, f_T=0.0, f_Phi=0.0, f_U=0.0):
     """ProblemData with constant sources and boundary values."""
     from homsim.macro import ProblemData

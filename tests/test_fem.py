@@ -8,6 +8,8 @@ import scipy.sparse.linalg as spla
 from homsim import fem, macro
 from homsim.mesh import Mesh, build_macro_mesh
 
+from conftest import isotropic_elasticity
+
 
 @pytest.fixture(scope="module")
 def unit_triangle():
@@ -172,6 +174,88 @@ def test_element_constant_elasticity_keeps_its_rounding(disk_cell_mesh):
     ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", space.wq, cq, g, g)
     ref = _scatter_matrix(ke.reshape(-1, 6, 6), fem.vector_dofs(disk_cell_mesh.triangles))
     _assert_same_csr(fem.assemble_elasticity(space, c), ref)
+
+
+def _assert_close(A, ref):
+    """Equal within 1e-14 of the reference's largest entry."""
+    scale = abs(ref).max()
+    assert abs(A - ref).max() <= 1e-14 * scale
+
+
+def _quadrature_elasticity(space, c):
+    """The quadrature-tensor elasticity kernel: c (nt, nq, 2, 2, 2, 2) contracted per point."""
+    g = space.mesh.grads
+    ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", space.wq, c, g, g)
+    return _scatter_matrix(ke.reshape(-1, 6, 6), fem.vector_dofs(space.mesh.triangles))
+
+
+def test_element_integral_stiffness_matches_the_quadrature_tensor_kernel(pattern_meshes):
+    rng = np.random.default_rng(31)
+    for mesh in pattern_meshes:
+        space = fem.FemSpace(mesh)
+        g, wq = mesh.grads, space.wq
+        # a scalar coefficient at the quadrature points, as the DNS provider gives it
+        s = 10.0 ** rng.uniform(-2, 2, wq.shape)
+        kg = np.einsum("tq,tqij,tbj->tbi", wq, s[..., None, None] * np.eye(2), g)
+        ref = _scatter_matrix(np.einsum("tai,tbi->tab", g, kg), mesh.triangles)
+        _assert_close(fem.assemble_grad_grad(space, np.einsum("tq,tq->t", wq, s),
+                                             integrated=True), ref)
+        _assert_close(fem.assemble_grad_grad(space, s), ref)
+        # a P1 tensor field, as the table provider gives it
+        nodal = rng.standard_normal((2, 2, mesh.num_nodes))
+        kq = np.moveaxis(space.at_quadrature(nodal), (-2, -1), (0, 1))
+        kg = np.einsum("tq,tqij,tbj->tbi", wq, kq, g)
+        ref = _scatter_matrix(np.einsum("tai,tbi->tab", g, kg), mesh.triangles)
+        kbar = space.element_integrals(nodal)
+        _assert_close(fem.assemble_grad_grad(space, kbar, integrated=True), ref)
+
+
+def test_mass_matches_the_quadrature_kernel(pattern_meshes):
+    rng = np.random.default_rng(32)
+    for mesh in pattern_meshes:
+        space = fem.FemSpace(mesh)
+        c = 10.0 ** rng.uniform(-2, 2, space.wq.shape)
+        elem = np.einsum("tq,qa,qb->tab", space.wq * c, space.phi, space.phi)
+        _assert_close(fem.assemble_mass(space, c), _scatter_matrix(elem, mesh.triangles))
+
+
+def test_element_integral_elasticity_matches_the_quadrature_tensor_kernel(pattern_meshes):
+    rng = np.random.default_rng(33)
+    for mesh in pattern_meshes:
+        space = fem.FemSpace(mesh)
+        wq = space.wq
+        # isotropic: Lame parameters at the quadrature points, as the DNS provider has them
+        lame, mu = 10.0 ** rng.uniform(5, 6, (2,) + wq.shape)
+        ref = _quadrature_elasticity(space, isotropic_elasticity(lame, mu))
+        pair = (np.einsum("tq,tq->t", wq, lame), np.einsum("tq,tq->t", wq, mu))
+        _assert_close(fem.assemble_elasticity(space, pair, integrated=True), ref)
+        # anisotropic P1 field, as the table provider gives it
+        nodal = rng.standard_normal((2, 2, 2, 2, mesh.num_nodes))
+        cq = np.moveaxis(space.at_quadrature(nodal), (-2, -1), (0, 1))
+        cbar = space.element_integrals(nodal)
+        _assert_close(fem.assemble_elasticity(space, cbar, integrated=True),
+                      _quadrature_elasticity(space, cq))
+
+
+def test_isotropic_tensor_flux_matches_the_tensor_density(pattern_meshes):
+    rng = np.random.default_rng(34)
+    for mesh in pattern_meshes:
+        space = fem.FemSpace(mesh)
+        s = rng.standard_normal(space.wq.shape)
+        ref = fem.assemble_tensor_flux(space, s[..., None, None] * np.eye(2))
+        got = fem.assemble_tensor_flux(space, s)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_element_integrals_of_a_p1_field(pattern_meshes):
+    rng = np.random.default_rng(35)
+    for mesh in pattern_meshes:
+        space = fem.FemSpace(mesh)
+        nodal = rng.standard_normal((3, mesh.num_nodes))
+        ref = np.einsum("tq,...tq->t...", space.wq, space.at_quadrature(nodal))
+        got = space.element_integrals(nodal)
+        assert got.shape == (mesh.num_triangles, 3)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _assert_canonical(A):

@@ -8,6 +8,7 @@ from homsim.materials import (
     MaterialError,
     MaterialLaw,
     elasticity_tensor,
+    lame_parameters,
     uniform_law,
 )
 from homsim.mesh import INCLUSION, MATRIX
@@ -80,6 +81,33 @@ def test_invalid_engineering_constants():
         elasticity_tensor(-1.0, 0.3)
     with pytest.raises(MaterialError):
         elasticity_tensor(1.0, 0.6)
+
+
+@pytest.mark.parametrize("plane", ["strain", "stress"])
+def test_elasticity_tensor_is_bit_for_bit_the_lame_form(plane):
+    """elasticity_tensor, built from lame_parameters, rounds as the formula it replaced."""
+    rng = np.random.default_rng(8)
+    E = 10.0 ** rng.uniform(0.0, 7.0, (5, 3))
+    nu = rng.uniform(0.0, 0.49, (5, 3))
+    e, n = E[..., None, None, None, None], nu[..., None, None, None, None]
+    mu = e / (2.0 * (1.0 + n))
+    lame = e * n / ((1.0 + n) * (1.0 - 2.0 * n)) if plane == "strain" else e * n / (1.0 - n**2)
+    d = np.eye(2)
+    ref = (lame * np.einsum("ij,kl->ijkl", d, d)
+           + mu * (np.einsum("ik,jl->ijkl", d, d) + np.einsum("il,jk->ijkl", d, d)))
+    assert elasticity_tensor(E, nu, plane).tobytes() == ref.tobytes()
+    got_lame, got_mu = lame_parameters(E, nu, plane)
+    assert got_lame.shape == got_mu.shape == E.shape
+    assert got_lame.tobytes() == lame[..., 0, 0, 0, 0].tobytes()
+    assert got_mu.tobytes() == mu[..., 0, 0, 0, 0].tobytes()
+
+
+def test_lame_parameters_validate_the_moduli():
+    for E, nu in ((-1.0, 0.3), (0.0, 0.3), (1.0, 0.5), (1.0, -0.1), ([1.0, -2.0], 0.3)):
+        with pytest.raises(MaterialError):
+            lame_parameters(E, nu)
+    with pytest.raises(MaterialError):
+        lame_parameters(1.0, 0.3, "shell")
 
 
 def test_audit_ellipticity_passes(example_law):

@@ -66,11 +66,59 @@ def test_locate_points_matches_a_per_point_search(disk_cell_mesh, macro_mesh):
         tri, bary = mesh.locate_points(pts)
         everything = np.arange(mesh.num_triangles)
         for k, x in enumerate(pts):
-            b = mesh._barycentric(x[None], everything)[0]
+            b = mesh._barycentric(*x, everything)
             t = int(np.argmax(b.min(axis=1) >= -1e-10))
             assert tri[k] == t and np.array_equal(bary[k], b[t])
     tri, bary = macro_mesh.locate_points(np.empty((0, 2)))
     assert tri.shape == (0,) and bary.shape == (0, 3)
+
+
+def _locate_bin_by_bin(mesh, pts, tol):
+    """The former point location: one block of barycentric coordinates per occupied bin."""
+    nb, lo, span, bin_tris, start = mesh._locator
+    nodes, tris = mesh.nodes, mesh.triangles
+
+    def barycentric(x, cand):  # (len(x), len(cand), 3)
+        p = nodes[tris[cand]]
+        v0, v1 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        det = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
+        d = x[:, None, :] - p[None, :, 0, :]
+        l1 = (d[..., 0] * v1[None, :, 1] - d[..., 1] * v1[None, :, 0]) / det[None, :]
+        l2 = (d[..., 1] * v0[None, :, 0] - d[..., 0] * v0[None, :, 1]) / det[None, :]
+        return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+
+    idx = ((pts - lo) / span * nb).astype(int).clip(0, nb - 1)
+    tri = np.full(len(pts), -1, dtype=np.int64)
+    bary = np.zeros((len(pts), 3))
+    order = np.lexsort((idx[:, 1], idx[:, 0]))
+    key = idx[order, 0] * nb + idx[order, 1]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    for k, j in zip(first, np.append(first[1:], len(key))):
+        sel = order[k:j]
+        cand = bin_tris[start[key[k]]:start[key[k] + 1]]
+        if len(cand):
+            b = barycentric(pts[sel], cand)
+            ok = b.min(axis=2) >= -tol
+            best = np.argmax(ok, axis=1)
+            found = ok[np.arange(len(sel)), best]
+            tri[sel[found]] = cand[best[found]]
+            bary[sel[found]] = b[np.arange(len(sel)), best][found]
+    return tri, bary
+
+
+def test_locate_points_is_bit_for_bit_the_bin_by_bin_search(disk_cell_mesh, macro_mesh):
+    from homsim.dns import build_tiled_mesh
+
+    rng = np.random.default_rng(5)
+    for mesh in (disk_cell_mesh, macro_mesh, build_tiled_mesh(disk_cell_mesh, 0.25)):
+        p = mesh.nodes[mesh.triangles]
+        pts = np.concatenate([mesh.nodes, 0.5 * (p + np.roll(p, 1, axis=1)).reshape(-1, 2),
+                              rng.random((2000, 2))])
+        for tol in (1e-10, 1e-8):
+            tri, bary = mesh.locate_points(pts, tol=tol)
+            ref_tri, ref_bary = _locate_bin_by_bin(mesh, pts, tol)
+            assert np.array_equal(tri, ref_tri)
+            assert bary.tobytes() == ref_bary.tobytes()
 
 
 def test_locate_outside_raises(disk_cell_mesh):
