@@ -45,6 +45,12 @@ SECOND_ORDER_FAMILIES = (
 )
 
 
+#: relative distance within which a temperature is taken as a table temperature
+TABLE_T_TOL = 1e-9
+#: largest cell mean of a pure source, relative to its norm (solvability check)
+COMPAT_TOL = 1e-8
+
+
 class CellError(RuntimeError):
     pass
 
@@ -173,9 +179,9 @@ class CellOperators:
         self.k_e = phase_scalar(mesh, law, "k", T0)
         self.lam_e = phase_scalar(mesh, law, "lam", T0)
         self.c_e = phase_elasticity(mesh, law, T0)
-        ops = {"k": fem.assemble_grad_grad(space, self.k_e),
-               "lam": fem.assemble_grad_grad(space, self.lam_e),
-               "c": fem.assemble_elasticity(space, self.c_e)}
+        ops = {"k": fem.assemble_cell_grad_grad(space, self.k_e),
+               "lam": fem.assemble_cell_grad_grad(space, self.lam_e),
+               "c": fem.assemble_cell_elasticity(space, self.c_e)}
         if bc == "dirichlet":
             bn = mesh.boundary_nodes
             dofs = {"k": bn, "lam": bn, "c": np.concatenate([2 * bn, 2 * bn + 1])}
@@ -221,9 +227,9 @@ class CellOperators:
 
 def solve_first_order(ops: CellOperators) -> FirstOrderCellSet:
     """Solve the 4 first-order corrector families at the temperature of ops."""
-    # One right-hand side at a time, assembled by the fem kernels: these solves
+    # One right-hand side at a time, by fem's cell-stage kernels: these solves
     # feed the coefficients.csv digest (see CellOperators.solve_first).  They
-    # move onto the FemSpace load operators and blocks with ROADMAP item 1.
+    # move onto the FemSpace load operators and blocks with ROADMAP item 2.
     mesh, law, T0 = ops.mesh, ops.law, ops.T0
     nn = mesh.num_nodes
     nt = mesh.num_triangles
@@ -242,12 +248,12 @@ def solve_first_order(ops: CellOperators) -> FirstOrderCellSet:
     for m in range(2):
         for sup in range(2):
             Gt = -ops.c_e[:, :, :, m, sup]  # G_ij = -c_ij m sup
-            x = ops.solve_first("c", fem.assemble_tensor_flux(ops.space, Gt))
+            x = ops.solve_first("c", fem.assemble_cell_tensor_flux(ops.space, Gt))
             N[m, sup] = x.reshape(nn, 2).T
 
     beta_e = phase_scalar(mesh, law, "beta", T0)
     Gt = beta_e[:, None, None] * np.eye(2)[None, :, :]
-    P = ops.solve_first("c", fem.assemble_tensor_flux(ops.space, Gt)).reshape(nn, 2).T
+    P = ops.solve_first("c", fem.assemble_cell_tensor_flux(ops.space, Gt)).reshape(nn, 2).T
 
     return FirstOrderCellSet(T0=float(T0), M=M, H=H, N=N, P=P)
 
@@ -257,7 +263,7 @@ def solve_first_order(ops: CellOperators) -> FirstOrderCellSet:
 # ---------------------------------------------------------------------------
 
 
-def dT_of_first_order(entries, T0, tol: float = 1e-9) -> FirstOrderCellSet:
+def dT_of_first_order(entries, T0) -> FirstOrderCellSet:
     """Finite-difference d/dT0 of the first-order functions at a table node.
 
     entries: FirstOrderCellSet list sorted by temperature; T0 must coincide
@@ -268,7 +274,7 @@ def dT_of_first_order(entries, T0, tol: float = 1e-9) -> FirstOrderCellSet:
     if len(entries) < 2:
         raise CellError("need at least 2 table entries for temperature derivatives")
     i = int(np.argmin(np.abs(temps - T0)))
-    if abs(temps[i] - T0) > tol * max(1.0, abs(T0)):
+    if abs(temps[i] - T0) > TABLE_T_TOL * max(1.0, abs(T0)):
         raise CellError(f"T0={T0} is not a table temperature")
     lo = max(i - 1, 0)
     hi = min(i + 1, len(entries) - 1)
@@ -285,16 +291,16 @@ def dT_of_first_order(entries, T0, tol: float = 1e-9) -> FirstOrderCellSet:
 # ---------------------------------------------------------------------------
 
 
-def _check_compat(mesh, name, S_e, tol):
+def _check_compat(mesh, name, S_e):
     """Pure-source solvability check: the source must have zero cell mean."""
     S_e = np.asarray(S_e)
     mean = np.einsum("...t,t->...", S_e, mesh.areas)
     norm = np.sqrt(np.einsum("...t,t->...", S_e**2, mesh.areas))
     # each source on its own: a source of norm below 1e-12 is not checked
-    if np.any((norm > 1e-12) & (np.abs(mean) > tol * norm)):
+    if np.any((norm > 1e-12) & (np.abs(mean) > COMPAT_TOL * norm)):
         raise CellError(
             f"family {name}: source mean {np.abs(mean).max():.3e} exceeds "
-            f"{tol:.1e} x norm {norm.max():.3e} (inconsistent homogenized inputs)"
+            f"{COMPAT_TOL:.1e} x norm {norm.max():.3e} (inconsistent homogenized inputs)"
         )
 
 
@@ -330,7 +336,6 @@ def solve_second_order(
     Ttilde: float,
     first_dT: FirstOrderCellSet,
     homog_dT,
-    compat_tol: float = 1e-8,
 ) -> SecondOrderCellSet:
     """Solve all 16 second-order corrector families at the temperature of ops.
 
@@ -383,7 +388,7 @@ def solve_second_order(
 
     # Q: transient corrector, heat operator, pure source
     S = rho_e * cap_e - homog.S_hat + T0 * beta_e * np.einsum("ktk->t", gP)
-    _check_compat(mesh, "Q", S, compat_tol)
+    _check_compat(mesh, "Q", S)
     F["Q"] = solve("k", S=S)
 
     # scalar families indexed [a1, a2]
@@ -401,13 +406,13 @@ def solve_second_order(
     S = (homog.lam_hat_star[:, :, None] - lam_e * dd
          - lam_e * np.einsum("ati->ait", gH) - lam_e * cross(gH)
          - lam_e * np.einsum("ati,bti->abt", gH, gH))
-    _check_compat(mesh, "G", S, compat_tol)
+    _check_compat(mesh, "G", S)
     F["G"] = solve("k", S=S)
 
     # thermo-mechanical transient corrector
     S = T0 * (beta_e * dd - homog.beta_hat_star[:, :, None]
               + beta_e * np.einsum("abiti->abt", gN))
-    _check_compat(mesh, "J", S, compat_tol)
+    _check_compat(mesh, "J", S)
     F["J"] = solve("k", S=S)
 
     # electric analogues on the electric operator
@@ -452,7 +457,7 @@ def solve_second_order(
 
     # inertia corrector, pure source
     S = (rho_e - homog.rho_hat)[None, :, None] * d2[:, None, :]
-    _check_compat(mesh, "F", np.swapaxes(S, -1, -2), compat_tol)
+    _check_compat(mesh, "F", np.swapaxes(S, -1, -2))
     F["F"] = solve("c", S=S)
     # thermal-stress gradient corrector
     F["X"] = solve("c", S=(beta_e[None, :, None] * d2[:, None, :]

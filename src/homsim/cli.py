@@ -151,6 +151,8 @@ def cmd_errors(cfg: SimulationConfig, args) -> int:
     for f in metrics.FIELDS:
         vals = [f"{o}:{series.final(f, o, 'H1'):.3e}" for o in metrics.ORDERS]
         print(f"  final H1 {f}: " + " ".join(vals))
+    for f in sorted(series.undefined):
+        print(f"  {f}: the reference has zero norm, its relative errors are undefined (NaN)")
     if cfg.write_vtk:
         snap = traj.snapshots[-1]
         _, _, h2 = rec.all_orders(snap, traj.grid.dt)

@@ -117,6 +117,4 @@ def run_dns(fine_mesh: Mesh, law, data, grid: TimeGrid,
     space = fem.FemSpace(fine_mesh)
     stepper = Stepper(space, OscillatoryProvider(space, law), data, grid,
                       snapshot_stride=snapshot_stride)
-    traj = stepper.run()
-    traj.meta["solver"] = "dns"
-    return traj
+    return stepper.run()

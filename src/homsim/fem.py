@@ -3,9 +3,11 @@
 Scalar unknowns use one dof per node; vector (displacement) unknowns use the
 interleaved ordering dof = 2*node + component.  All bilinear forms here are
 symmetric and are assembled with a 3-point edge-midpoint rule (exact for an
-affine coefficient times P1 x P1 terms); a 6-point degree-4 rule is available
-for exactness checks.  The kernels take a FemSpace, which holds the data that
-depends on the mesh alone and is built once per mesh.
+affine coefficient times P1 x P1 terms).  The kernels take a FemSpace, which
+holds the data that depends on the mesh alone and is built once per mesh, and
+each takes its coefficient in one form: element integrals for the stiffness
+kernels, quadrature-point values for the others, one value per element for
+the cell stage's block of kernels.
 
 Matrices are canonical CSR on one fixed pattern per operator kind
 (CsrPattern), bit for bit what SciPy's COO -> CSR conversion gives; Dirichlet
@@ -20,35 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-# barycentric points and weights (weights sum to 1, scale by element area)
-_QUAD = {
-    2: (
-        np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
-        np.array([1.0, 1.0, 1.0]) / 3.0,
-    ),
-    4: (
-        np.array(
-            [
-                [0.108103018168070, 0.445948490915965, 0.445948490915965],
-                [0.445948490915965, 0.108103018168070, 0.445948490915965],
-                [0.445948490915965, 0.445948490915965, 0.108103018168070],
-                [0.816847572980459, 0.091576213509771, 0.091576213509771],
-                [0.091576213509771, 0.816847572980459, 0.091576213509771],
-                [0.091576213509771, 0.091576213509771, 0.816847572980459],
-            ]
-        ),
-        np.array(
-            [
-                0.223381589678011,
-                0.223381589678011,
-                0.223381589678011,
-                0.109951743655322,
-                0.109951743655322,
-                0.109951743655322,
-            ]
-        ),
-    ),
-}
+#: relative residual every linear solve must meet
+SOLVE_RTOL = 1e-10
+#: iteration cap of the Jacobi-CG solve (solve_spd)
+CG_MAX_ITER = 20000
 
 
 class SolverError(RuntimeError):
@@ -57,9 +34,10 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-def quad_points(mesh, order: int = 2):
-    """(xq, wq, phi): points (nt,nq,2), weights (nt,nq), P1 values (nq,3)."""
-    bary, w = _QUAD[order]
+def quad_points(mesh):
+    """(xq, wq, phi) of the edge-midpoint rule: points (nt,nq,2), weights (nt,nq), P1 values (nq,3)."""
+    bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    w = np.array([1.0, 1.0, 1.0]) / 3.0  # sums to 1, scaled by the element area
     p = mesh.nodes[mesh.triangles]  # (nt,3,2)
     xq = np.einsum("qa,tak->tqk", bary, p)
     wq = mesh.areas[:, None] * w[None, :]
@@ -316,63 +294,27 @@ class FemSpace:
         return self._load((mesh.areas[:, None, None] * mesh.grads).transpose(0, 2, 1))
 
 
-def _as_tq(space, coef, extra=()):
-    """Broadcast a coefficient spec to shape (nt, nq, *extra)."""
-    target = space.wq.shape + extra
-    nt = target[0]
-    arr = np.asarray(coef, dtype=float)
-    if arr.shape == target:
-        return arr
-    if arr.ndim == 0:
-        return np.broadcast_to(arr, target)
-    if arr.shape == (nt,) + extra:  # constant per element
-        return np.broadcast_to(arr[:, None], target)
-    if arr.shape == extra:  # one constant tensor
-        return np.broadcast_to(arr, target)
-    raise ValueError(f"coefficient shape {arr.shape} not broadcastable to {target}")
-
-
-def _element_integral(space, coef, extra):
-    """Integral over each element of a coefficient given per quadrature point, (nt, *extra)."""
-    return np.einsum("tq,tq...->t...", space.wq, _as_tq(space, coef, extra))
-
-
-# An element-constant coefficient (the cell operators' input) is contracted
-# with the original expressions below, not with the element integral: the
-# benchmark's coefficients.csv digest pins columns that are pure rounding
-# noise, and integrating first rounds them differently.  Drop this branch
-# when that digest scales its tolerance by the whole tensor.
-def _varies_over_quadrature(space, coef, extra):
-    return np.shape(coef) == space.wq.shape + extra
-
-
-def assemble_grad_grad(space, coef, *, integrated: bool = False):
+def assemble_grad_grad(space, k):
     """Stiffness for the form  integral  (coef grad u) . grad v.
 
-    coef: scalar, (nt,), (nt,nq), 2x2 tensor, (nt,2,2) or (nt,nq,2,2) values;
-    with integrated=True, the integral of coef over each element, (nt,) or
-    (nt,2,2).  A scalar integral k_t gives the block k_t (g_a . g_b).
+    k: the integral of coef over each element, (nt,) for a scalar coef or
+    (nt,2,2) for a tensor one.  A scalar integral k_t gives the block
+    k_t (g_a . g_b).
     """
-    g = space.mesh.grads
-    arr = np.asarray(coef, dtype=float)
-    if arr.ndim >= 2 and arr.shape[-2:] == (2, 2):
-        k = arr if integrated else _element_integral(space, arr, (2, 2))
+    if np.ndim(k) == 3:
         gl = space.grads_last
         elem = np.einsum("ijt,iat,jbt->abt", np.ascontiguousarray(np.moveaxis(k, 0, -1)), gl, gl)
         elem = np.moveaxis(elem, -1, 0)
-    elif integrated or _varies_over_quadrature(space, arr, ()):
-        k = arr if integrated else _element_integral(space, arr, ())
-        elem = k[:, None, None] * space.unit_stiffness
     else:
-        kg = np.einsum("tq,tbi->tbi", space.wq * _as_tq(space, arr), g)
-        elem = np.einsum("tai,tbi->tab", g, kg)
+        elem = k[:, None, None] * space.unit_stiffness
     return space.scalar_pattern.assemble(elem)
 
 
 def assemble_mass(space, coef):
-    """Mass matrix for the form  integral  coef u v: (w_q coef_q) @ (phi_qa phi_qb)."""
+    """Mass matrix for the form  integral  coef u v, coef (nt,nq) at the quadrature
+    points: (w_q coef_q) @ (phi_qa phi_qb)."""
     wq, phi = space.wq, space.phi
-    elem = (wq * _as_tq(space, coef)) @ (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), 9)
+    elem = (wq * coef) @ (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), 9)
     return space.scalar_pattern.assemble(elem.reshape(-1, 3, 3))
 
 
@@ -384,26 +326,20 @@ def vector_dofs(triangles):
     return d
 
 
-def assemble_elasticity(space, c, *, integrated: bool = False):
+def assemble_elasticity(space, c):
     """Stiffness for  integral  c_ijkl du_k/dx_l dv_i/dx_j  (2-component).
 
-    c: 2x2x2x2 tensor values, one, (nt,...) or (nt,nq,...); with
-    integrated=True, the integral of c over each element (nt,2,2,2,2), or,
-    for an isotropic c = lame d_ij d_kl + mu (d_ik d_jl + d_il d_jk), the
-    pair (lame, mu) of the element integrals of its Lame parameters, each
-    (nt,).
+    c: the integral of the tensor over each element, (nt,2,2,2,2), or, for
+    an isotropic c = lame d_ij d_kl + mu (d_ik d_jl + d_il d_jk), the pair
+    (lame, mu) of the element integrals of its Lame parameters, each (nt,).
     """
-    mesh, g = space.mesh, space.mesh.grads
+    g = space.mesh.grads
     # trial dof (a,k): du_k/dx_l = grads[t,a,l]; test dof (b,i) likewise
-    if integrated and isinstance(c, tuple):
+    if isinstance(c, tuple):
         ke = _isotropic_elasticity(space, *c)
-    elif integrated or _varies_over_quadrature(space, c, (2, 2, 2, 2)):
-        cbar = c if integrated else _element_integral(space, c, (2, 2, 2, 2))
-        ke = np.einsum("tijkl,tal,tbj->tbiak", cbar, g, g, optimize=True)
     else:
-        cq = _as_tq(space, c, (2, 2, 2, 2))
-        ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", space.wq, cq, g, g)
-    return space.vector_pattern.assemble(ke.reshape(mesh.num_triangles, 6, 6))
+        ke = np.einsum("tijkl,tal,tbj->tbiak", c, g, g, optimize=True)
+    return space.vector_pattern.assemble(ke.reshape(space.mesh.num_triangles, 6, 6))
 
 
 def _isotropic_elasticity(space, lame, mu):
@@ -437,43 +373,76 @@ def _scatter(elem, dofs, n):
 
 
 def assemble_source(space, f):
-    """Load vector  integral  f v."""
-    mesh, wq, phi = space.mesh, space.wq, space.phi
-    fq = _as_tq(space, f)
-    elem = np.einsum("tq,qa->ta", wq * fq, phi)
-    return _scatter(elem, mesh.triangles, mesh.num_nodes)
-
-
-def assemble_flux(space, g):
-    """Load vector  integral  g_i dv/dx_i  for a 2-vector density g."""
+    """Load vector  integral  f v, f (nt,nq) at the quadrature points."""
     mesh = space.mesh
-    gq = _as_tq(space, g, (2,))
-    elem = np.einsum("tq,tqi,tai->ta", space.wq, gq, mesh.grads)
+    elem = np.einsum("tq,qa->ta", space.wq * f, space.phi)
     return _scatter(elem, mesh.triangles, mesh.num_nodes)
 
 
 def assemble_vector_source(space, f):
-    """Load vector  integral  f_i v_i  (interleaved dofs)."""
+    """Load vector  integral  f_i v_i  (interleaved dofs), f (nt,nq,2) at the quadrature points."""
     mesh = space.mesh
-    fq = _as_tq(space, f, (2,))
-    elem = np.einsum("tq,tqi,qa->tai", space.wq, fq, space.phi)
+    elem = np.einsum("tq,tqi,qa->tai", space.wq, f, space.phi)
     return _scatter(elem, vector_dofs(mesh.triangles), 2 * mesh.num_nodes)
 
 
 def assemble_tensor_flux(space, G):
     """Load vector  integral  G_ij dv_i/dx_j  for a 2x2 tensor density G.
 
-    A density of shape (nt, nq) holds the scalars s of the isotropic
-    G = s d_ij at the quadrature points.
+    G: (nt,nq,2,2) at the quadrature points, or (nt,nq) holding the scalars
+    s of the isotropic G = s d_ij there.
     """
     mesh = space.mesh
-    if np.shape(G) == space.wq.shape:
-        elem = _element_integral(space, G, ())[:, None, None] * mesh.grads
-    elif _varies_over_quadrature(space, G, (2, 2)):
-        elem = np.einsum("tij,taj->tai", _element_integral(space, G, (2, 2)), mesh.grads)
+    Gbar = np.einsum("tq,tq...->t...", space.wq, G)  # the integral over each element
+    if Gbar.ndim == 1:
+        elem = Gbar[:, None, None] * mesh.grads
     else:
-        Gq = _as_tq(space, G, (2, 2))
-        elem = np.einsum("tq,tqij,taj->tai", space.wq, Gq, mesh.grads)
+        elem = np.einsum("tij,taj->tai", Gbar, mesh.grads)
+    return _scatter(elem, vector_dofs(mesh.triangles), 2 * mesh.num_nodes)
+
+
+# ---------------------------------------------------------------------------
+# cell-stage kernels: one coefficient value per element, for cell.CellOperators
+# and cell.solve_first_order.  Each contracts a broadcast view of its values
+# over the quadrature points in one einsum without optimize.  The benchmark's
+# coefficients.csv digest pins columns that are pure rounding noise (k_hat_12),
+# and einsum sums in an order set by the operands' strides, so any equivalent
+# form (element integral first, a contiguous copy, optimize=True) changes those
+# bits.  ROADMAP item 2 deletes this block once that digest scales its
+# tolerance by the whole tensor; the cells then call the kernels above.
+# ---------------------------------------------------------------------------
+
+
+def _per_point(space, values):
+    """Element values (nt, ...) as a broadcast view (nt, nq, ...) over the quadrature points."""
+    return np.broadcast_to(values[:, None], space.wq.shape + values.shape[1:])
+
+
+def assemble_cell_grad_grad(space, k):
+    """Stiffness of assemble_grad_grad for a scalar coefficient given per element, k (nt,)."""
+    g = space.mesh.grads
+    kg = np.einsum("tq,tbi->tbi", space.wq * _per_point(space, k), g)
+    return space.scalar_pattern.assemble(np.einsum("tai,tbi->tab", g, kg))
+
+
+def assemble_cell_elasticity(space, c):
+    """Stiffness of assemble_elasticity for a tensor given per element, c (nt,2,2,2,2)."""
+    g = space.mesh.grads
+    ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", space.wq, _per_point(space, c), g, g)
+    return space.vector_pattern.assemble(ke.reshape(space.mesh.num_triangles, 6, 6))
+
+
+def assemble_flux(space, g):
+    """Load vector  integral  g_i dv/dx_i  for a 2-vector density given per element, g (nt,2)."""
+    mesh = space.mesh
+    elem = np.einsum("tq,tqi,tai->ta", space.wq, _per_point(space, g), mesh.grads)
+    return _scatter(elem, mesh.triangles, mesh.num_nodes)
+
+
+def assemble_cell_tensor_flux(space, G):
+    """Load vector of assemble_tensor_flux for a tensor density given per element, G (nt,2,2)."""
+    mesh = space.mesh
+    elem = np.einsum("tq,tqij,taj->tai", space.wq, _per_point(space, G), mesh.grads)
     return _scatter(elem, vector_dofs(mesh.triangles), 2 * mesh.num_nodes)
 
 
@@ -534,7 +503,7 @@ def apply_dirichlet(A, b, dofs, values):
     return A, b
 
 
-def solve_spd(A, b, tol: float = 1e-10, max_iter: int = 20000):
+def solve_spd(A, b):
     """Diagonally preconditioned conjugate gradients with residual guarantee.
 
     Only PeriodicMap.solve calls it, for the first-order periodic correctors
@@ -554,9 +523,9 @@ def solve_spd(A, b, tol: float = 1e-10, max_iter: int = 20000):
     dinv = 1.0 / A.diagonal()
     op = spla.LinearOperator(A.shape, matvec=A.__matmul__, dtype=float)
     M = spla.LinearOperator(A.shape, matvec=lambda r: dinv * r, dtype=float)
-    x, info = spla.cg(op, b, rtol=tol * 1e-2, atol=0.0, maxiter=max_iter, M=M)
+    x, info = spla.cg(op, b, rtol=SOLVE_RTOL * 1e-2, atol=0.0, maxiter=CG_MAX_ITER, M=M)
     res = np.linalg.norm(A @ x - b) / bn
-    if res > tol:
+    if res > SOLVE_RTOL:
         raise SolverError(f"conjugate gradients stalled at residual {res:.3e}", residual=res)
     return x
 
@@ -569,7 +538,7 @@ class SpdSolver:
     nearby matrix A by conjugate gradients preconditioned with this LU, so
     that a slowly varying operator can reuse one factorization over many
     solves.  Both check the relative residual of every right-hand side
-    against tol, the contract of solve_spd, and leave the worst in
+    against SOLVE_RTOL, the contract of solve_spd, and leave the worst in
     self.residual.
 
     Every matrix given here is SPD, so SuperLU runs in its symmetric mode:
@@ -581,7 +550,7 @@ class SpdSolver:
     entries SuperLU stores for L and U (its own count: the L and U
     properties would build CSC copies of both factors).  There is no
     pivoting to fall back on and no retry with the default ordering: a
-    factor whose solve misses tol raises SolverError.
+    factor whose solve misses SOLVE_RTOL raises SolverError.
 
     default_ordering=True keeps SciPy's default.  Only cell.CellOperators
     passes it, for the Dirichlet-cell operators: their first-order
@@ -591,9 +560,8 @@ class SpdSolver:
     tolerance by the whole tensor (ROADMAP item 1).
     """
 
-    def __init__(self, A, tol: float = 1e-10, *, default_ordering: bool = False):
+    def __init__(self, A, *, default_ordering: bool = False):
         self.A = A.tocsc()
-        self.tol = tol
         if default_ordering:
             self._lu = spla.splu(self.A)
         else:
@@ -616,15 +584,15 @@ class SpdSolver:
             return x.reshape(b.shape)
         x = self._lu.solve(cols)
         res = self.residual = float(np.max(np.linalg.norm(self.A @ x - cols, axis=0) / bn))
-        if res > self.tol:
-            raise SolverError(f"factorized solve residual {res:.3e} above {self.tol}", residual=res)
+        if res > SOLVE_RTOL:
+            raise SolverError(f"factorized solve residual {res:.3e} above {SOLVE_RTOL}", residual=res)
         return x.reshape(b.shape)
 
     def solve_near(self, A, b, max_iter: int):
         """(x, iterations) for A x = b by CG preconditioned with this LU.
 
-        CG stops at tol * 1e-2, as solve_spd does.  x is None when the
-        residual is still above tol after max_iter iterations: the owner
+        CG stops at SOLVE_RTOL * 1e-2, as solve_spd does.  x is None when the
+        residual is still above SOLVE_RTOL after max_iter iterations: the owner
         should then factor A itself.
         """
         b = np.asarray(b, dtype=float)
@@ -639,10 +607,10 @@ class SpdSolver:
             iterations += 1
 
         M = spla.LinearOperator(A.shape, matvec=self._lu.solve, dtype=float)
-        x, info = spla.cg(A, b, rtol=self.tol * 1e-2, atol=0.0, maxiter=max_iter, M=M,
+        x, info = spla.cg(A, b, rtol=SOLVE_RTOL * 1e-2, atol=0.0, maxiter=max_iter, M=M,
                           callback=count)
         self.residual = np.linalg.norm(A @ x - b) / bn
-        if info != 0 or self.residual > self.tol:
+        if info != 0 or self.residual > SOLVE_RTOL:
             return None, iterations
         return x, iterations
 
@@ -694,5 +662,5 @@ class PeriodicMap:
     def expand(self, x):
         return self.R @ x
 
-    def solve(self, b, tol: float = 1e-10):
-        return self.expand(solve_spd(self.A, self.reduce(b), tol=tol))
+    def solve(self, b):
+        return self.expand(solve_spd(self.A, self.reduce(b)))

@@ -8,7 +8,7 @@ block, and answers interpolation queries from the on-line stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -195,7 +195,6 @@ class TemperatureTable:
     coeffs: list
     Ttilde: float
     bc: str = "dirichlet"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.temps, float)

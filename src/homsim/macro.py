@@ -4,14 +4,18 @@ One engine integrates the coupled temperature / potential / displacement
 system.  The homogenized solver and the fine-mesh reference solver differ
 only in how coefficients are produced, expressed through the
 CoefficientProvider protocol -- provider(T_nodal, fields) returns the named
-coefficient fields in the form the assembly reads, and
-provider.nodal_beta_star(T_nodal) the nodal thermal modulus:
+coefficient fields, each in the one form the fem kernel that reads it takes,
+and provider.nodal_beta_star(T_nodal) the nodal thermal modulus (2, 2, nn):
 
-  * the stiffness coefficients (INTEGRATED) as integrals over each element:
-    k and lam (nt,) or (nt, 2, 2); c (nt, 2, 2, 2, 2), or for an isotropic
-    c the pair (lame, mu) of the integrals of its Lame parameters, each (nt,);
-  * S, rho, lam_star and beta at the quadrature points: (nt, nq) scalars,
-    lam_star and beta also (nt, nq, 2, 2) tensors.
+  * k and lam, the stiffness coefficients (INTEGRATED), as integrals over
+    each element, (nt,) or (nt, 2, 2), for fem.assemble_grad_grad;
+  * c (INTEGRATED) as its integral over each element, (nt, 2, 2, 2, 2), or,
+    for an isotropic c, the pair (lame, mu) of the element integrals of its
+    Lame parameters, each (nt,), for fem.assemble_elasticity;
+  * S and rho at the quadrature points, (nt, nq), for fem.assemble_mass;
+  * lam_star and beta at the quadrature points, (nt, nq) for an isotropic
+    tensor s d_ij (the scalars s) or (nt, nq, 2, 2), for the Joule source
+    and fem.assemble_tensor_flux.
 
 Two providers implement it:
 
@@ -290,7 +294,7 @@ class Stepper:
     # The unreduced operators and the coefficient arrays die with its frame,
     # so they are freed before the factorization runs.
     def _potential_system(self, co, t):
-        A = fem.assemble_grad_grad(self.space, co["lam"], integrated=True)
+        A = fem.assemble_grad_grad(self.space, co["lam"])
         b = fem.assemble_source(self.space, self._qp_eval(self.data.f_Phi, t))
         vals = np.asarray(self.data.bc_Phi(self.mesh.nodes[self._bn], t), float)
         return fem.apply_dirichlet(A, b, self._bn, vals)
@@ -310,7 +314,7 @@ class Stepper:
         """
         space, mesh = self.space, self.mesh
         Ms = fem.assemble_mass(space, co["S"] / tau)
-        K = fem.assemble_grad_grad(space, co["k"], integrated=True)
+        K = fem.assemble_grad_grad(space, co["k"])
         b = fem.assemble_source(space, self._joule_qp(co, Phi) + self._qp_eval(self.data.f_T, t_src))
         gV = recover_nodal_gradient(space, V)  # (2, nn, 2)
         bstar = self.provider.nodal_beta_star(That)  # (2, 2, nn)
@@ -325,7 +329,7 @@ class Stepper:
         space, mesh, dt = self.space, self.mesh, self.grid.dt
         co = self.provider(T_next, MECHANICAL)
         Mr = fem.assemble_mass(space, co["rho"] / dt**2)
-        A = fem.assemble_elasticity(space, co["c"], integrated=True)
+        A = fem.assemble_elasticity(space, co["c"])
         dT_qp = space.at_quadrature(T_next - self.data.T_init)
         beta = co["beta"]
         # an isotropic beta (nt, nq) gives the isotropic stress density beta dT

@@ -91,10 +91,6 @@ class MaterialLaw:
         T = np.asarray(T)
         return bool(np.all((T >= self.T_range[0]) & (T <= self.T_range[1])))
 
-    def conductivity_tensor(self, phase, quantity, T, order: int = 0):
-        """k_ij or lambda_ij as value * identity (2x2)."""
-        return self.eval(phase, quantity, T, order) * np.eye(2)
-
     def elasticity(self, phase, T, order: int = 0):
         """c_ijkl(T) for a phase; order 1 gives dc/dT (nu is T-independent)."""
         E = self.eval(phase, "E", T, order)

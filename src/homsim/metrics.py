@@ -44,20 +44,28 @@ def norm(space, nodal, kind: str) -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
+class ZeroReferenceError(ValueError):
+    """The reference field has zero norm, so no relative error is defined."""
+
+
 def relative_error(space, approx, ref, kind: str) -> float:
-    """norm(approx - ref) / norm(ref); raises if the reference norm vanishes."""
+    """norm(approx - ref) / norm(ref); raises ZeroReferenceError if the reference norm vanishes."""
     denom = norm(space, ref, kind)
     if denom <= 0.0:
-        raise ValueError(f"reference field has zero {kind} norm")
+        raise ZeroReferenceError(f"reference field has zero {kind} norm")
     return norm(space, np.asarray(approx) - np.asarray(ref), kind) / denom
 
 
 @dataclass
 class ErrorSeries:
-    """Relative errors per snapshot time, 18 columns (field x order x norm)."""
+    """Relative errors per snapshot time, 18 columns (field x order x norm).
+
+    undefined: the fields whose reference had zero norm; their entries are NaN.
+    """
 
     times: list = field(default_factory=list)
     rows: list = field(default_factory=list)
+    undefined: set = field(default_factory=set)
 
     def append(self, t, row: dict):
         self.times.append(float(t))
@@ -81,7 +89,8 @@ def evolutive_errors(ref_traj, macro_traj, recon: Reconstructor) -> ErrorSeries:
 
     The reference trajectory supplies both the comparison fields and the
     evaluation mesh (its own nodes/elements), so the reconstructor must have
-    been built with that mesh as the evaluation mesh.
+    been built with that mesh as the evaluation mesh.  A reference of zero
+    norm (Phi without an electric source) gets NaN errors.
     """
     space = fem.FemSpace(ref_traj.mesh)
     series = ErrorSeries()
@@ -97,6 +106,10 @@ def evolutive_errors(ref_traj, macro_traj, recon: Reconstructor) -> ErrorSeries:
         for f in FIELDS:
             for o, h in zip(ORDERS, (h0, h1, h2)):
                 for n in NORMS:
-                    row[f"{f}_{o}_{n}"] = relative_error(space, h[f], refs[f], n)
+                    try:
+                        row[f"{f}_{o}_{n}"] = relative_error(space, h[f], refs[f], n)
+                    except ZeroReferenceError:
+                        row[f"{f}_{o}_{n}"] = np.nan
+                        series.undefined.add(f)
         series.append(t, row)
     return series

@@ -16,6 +16,7 @@ derivatives from backward differences of the stored history.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fem import FemSpace
 from .homog import hat_weights
@@ -69,30 +70,27 @@ class CellSampler:
         self.tri, self.bary = cell_mesh.locate_points(y, tol=1e-8)
         self.nodes3 = cell_mesh.triangles[self.tri]  # (npts, 3)
         self.temps = np.asarray(temps, float)
+        self.num_cell_nodes = cell_mesh.num_nodes
 
-    def weights(self, T_eval):
-        """Hat-function weights over table temperatures, (ntemp, npts)."""
+    def operator(self, T_eval):
+        """(npts, ntemp * nn) sampling operator at the point temperatures T_eval.
+
+        Column t * nn + a is cell node a at table temperature t.  Row p holds
+        the hat weights in T times the P1 weights in y: 6 entries.
+        """
         i, s = hat_weights(self.temps, T_eval)
-        w = np.zeros((len(self.temps), len(s)))
-        rows = np.arange(len(s))
-        w[i, rows] = 1.0 - s
-        w[i + 1, rows] += s
-        return w
+        npts, nn = len(s), self.num_cell_nodes
+        slots = i[:, None, None] + np.arange(2)[None, :, None]
+        cols = slots * nn + self.nodes3[:, None, :]  # (npts, 2, 3)
+        vals = np.stack([1.0 - s, s], axis=1)[:, :, None] * self.bary[:, None, :]
+        return sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 6 * npts + 1, 6)),
+                             shape=(npts, len(self.temps) * nn))
 
-    def sample(self, per_temp_arrays, T_eval):
-        """per_temp_arrays: sequence over temps of (..., nn) -> (..., npts)."""
-        w = self.weights(T_eval)
-        out = None
-        for t, arr in enumerate(per_temp_arrays):
-            nz = np.nonzero(w[t])[0]
-            if nz.size == 0:
-                continue
-            vt = np.asarray(arr)[..., self.nodes3[nz]]  # (..., nnz, 3)
-            vals = np.einsum("...pa,pa->...p", vt, self.bary[nz])
-            if out is None:
-                out = np.zeros(vals.shape[:-1] + (len(T_eval),))
-            out[..., nz] += w[t, nz] * vals
-        return out
+    def sample(self, op, per_temp_arrays):
+        """per_temp_arrays: sequence over temps of (..., nn) -> (..., npts), one product with op."""
+        stack = np.stack(per_temp_arrays)  # (ntemp, ..., nn)
+        flat = np.moveaxis(stack, -1, 1).reshape(op.shape[1], -1)
+        return (op @ flat).T.reshape(stack.shape[1:-1] + (op.shape[0],))
 
 
 class Reconstructor:
@@ -129,17 +127,18 @@ class Reconstructor:
         The order-2 dict also holds the individual epsilon^2 terms under "terms".
         """
         st = self._macro_state(snap, dt)
+        op = self.cs.operator(st["T0"])
         h0 = {"T": st["T0"], "Phi": st["Phi"], "U": st["U"]}
-        h1 = self._first_order(st)
-        return h0, h1, self._second_order(st, h1)
+        h1 = self._first_order(st, op)
+        return h0, h1, self._second_order(st, h1, op)
 
-    def _first_order(self, st):
+    def _first_order(self, st, op):
         T0 = st["T0"]
         firsts = self.table.first
-        M = self.cs.sample([f.M for f in firsts], T0)        # (2, npts)
-        H = self.cs.sample([f.H for f in firsts], T0)
-        N = self.cs.sample([f.N for f in firsts], T0)        # (m, sup, k, npts)
-        P = self.cs.sample([f.P for f in firsts], T0)        # (k, npts)
+        M = self.cs.sample(op, [f.M for f in firsts])        # (2, npts)
+        H = self.cs.sample(op, [f.H for f in firsts])
+        N = self.cs.sample(op, [f.N for f in firsts])        # (m, sup, k, npts)
+        P = self.cs.sample(op, [f.P for f in firsts])        # (k, npts)
         e = self.eps
         T1 = T0 + e * np.einsum("ap,pa->p", M, st["gT"])
         Phi1 = st["Phi"] + e * np.einsum("ap,pa->p", H, st["gPhi"])
@@ -148,11 +147,10 @@ class Reconstructor:
         )
         return {"T": T1, "Phi": Phi1, "U": U1}
 
-    def _second_order(self, st, low):
-        T0 = st["T0"]
-        dT = T0 - self.Ttilde
+    def _second_order(self, st, low, op):
+        dT = st["T0"] - self.Ttilde
         sec = self.table.second
-        samp = lambda name: self.cs.sample([s.fields[name] for s in sec], T0)
+        samp = lambda name: self.cs.sample(op, [s.fields[name] for s in sec])
         e2 = self.eps**2
         terms = {}
 

@@ -113,10 +113,10 @@ def test_periodic_solve_constrained_once_matches_per_solve_path(disk_cell_mesh, 
     rng = np.random.default_rng(5)
     G = np.zeros((mesh.num_triangles, 2))
     G[:, 0] = -k_e
-    scalar = (fem.assemble_grad_grad(space, k_e),
+    scalar = (fem.assemble_cell_grad_grad(space, k_e),
               [fem.assemble_flux(space, G), rng.standard_normal(mesh.num_nodes)])
-    vector = (fem.assemble_elasticity(space, c_e),
-              [fem.assemble_tensor_flux(space, -c_e[..., 0, 1]),
+    vector = (fem.assemble_cell_elasticity(space, c_e),
+              [fem.assemble_cell_tensor_flux(space, -c_e[..., 0, 1]),
                rng.standard_normal(2 * mesh.num_nodes)])
     for K, rhs in (scalar, vector):
         pm = fem.PeriodicMap(mesh, masters, slaves, K)
@@ -135,7 +135,7 @@ def test_build_table_assembles_each_operator_once_per_temperature(
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("assemble_grad_grad", "assemble_elasticity"):
+    for name in ("assemble_cell_grad_grad", "assemble_cell_elasticity"):
         monkeypatch.setattr(fem, name, counted(name, getattr(fem, name)))
     built = []
 
@@ -150,8 +150,8 @@ def test_build_table_assembles_each_operator_once_per_temperature(
                               Ttilde=300.0, bc=bc)
     assert built == [float(T) for T in table.temps]
     # heat and electric conduction, then elasticity, at each temperature
-    assert calls.count("assemble_grad_grad") == 2 * 3
-    assert calls.count("assemble_elasticity") == 3
+    assert calls.count("assemble_cell_grad_grad") == 2 * 3
+    assert calls.count("assemble_cell_elasticity") == 3
     # on one CSR pattern per operator kind for all temperatures
     assert sorted(patterns) == [3, 6]
     assert len(table.second) == 3
@@ -214,10 +214,15 @@ def test_factored_second_order_matches_jacobi_cg(monkeypatch, disk_cell_mesh, ex
 
 def _per_column_family(ops, which, S=None, G=None):
     """cell._solve_family one right-hand side at a time: each load assembled
-    by the fem kernels and solved by its own ops.solve."""
+    by the fem kernels and solved by its own ops.solve.  The source kernels
+    take values at the quadrature points: each element's value repeated."""
     vector = which == "c"
-    source = fem.assemble_vector_source if vector else fem.assemble_source
-    flux = fem.assemble_tensor_flux if vector else fem.assemble_flux
+    source_at_points = fem.assemble_vector_source if vector else fem.assemble_source
+    flux = fem.assemble_cell_tensor_flux if vector else fem.assemble_flux
+
+    def source(space, s):
+        return source_at_points(space, np.broadcast_to(s[:, None], space.wq.shape + s.shape[1:]))
+
     fam = S.shape[:S.ndim - 1 - vector] if S is not None else G.shape[:G.ndim - 2 - vector]
     nn = ops.mesh.num_nodes
     out = []
@@ -305,18 +310,18 @@ def test_periodic_first_order_stays_on_jacobi_cg(disk_cell_mesh, example_law):
     assert "_solvers" not in vars(ops)  # the first order factors nothing
     masters, slaves = periodic_pairs(mesh)
     for coef, field in ((ops.k_e, first.M), (ops.lam_e, first.H)):
-        pm = fem.PeriodicMap(mesh, masters, slaves, fem.assemble_grad_grad(space, coef))
+        pm = fem.PeriodicMap(mesh, masters, slaves, fem.assemble_cell_grad_grad(space, coef))
         for a in range(2):
             G = np.zeros((nt, 2))
             G[:, a] = -coef
             assert np.array_equal(field[a], pm.solve(fem.assemble_flux(space, G)))
-    pm = fem.PeriodicMap(mesh, masters, slaves, fem.assemble_elasticity(space, ops.c_e))
+    pm = fem.PeriodicMap(mesh, masters, slaves, fem.assemble_cell_elasticity(space, ops.c_e))
     for m in range(2):
         for sup in range(2):
-            x = pm.solve(fem.assemble_tensor_flux(space, -ops.c_e[:, :, :, m, sup]))
+            x = pm.solve(fem.assemble_cell_tensor_flux(space, -ops.c_e[:, :, :, m, sup]))
             assert np.array_equal(first.N[m, sup], x.reshape(nn, 2).T)
     beta_e = cell.phase_scalar(mesh, example_law, "beta", 300.0)
-    x = pm.solve(fem.assemble_tensor_flux(space, beta_e[:, None, None] * np.eye(2)))
+    x = pm.solve(fem.assemble_cell_tensor_flux(space, beta_e[:, None, None] * np.eye(2)))
     assert np.array_equal(first.P, x.reshape(nn, 2).T)
 
 

@@ -274,3 +274,22 @@ def test_errors_with_missing_second_order_array_exits_2(pipeline, tmp_path, caps
     assert cli.main(["errors", str(p)]) == 2
     err = capsys.readouterr().err
     assert "T_000.npz" in err and "second_Q" in err
+
+
+def test_errors_without_electric_load_reports_phi_undefined(pipeline, tmp_path, capsys):
+    """With no electric source the reference Phi is 0: its relative errors are NaN, not a traceback."""
+    from homsim import metrics
+
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out" / "archive", out / "archive")
+    raw = _mini_config(out)
+    raw["sources"]["f_Phi"] = 0.0
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    for cmdname in ("online", "dns", "errors"):
+        assert cli.main([cmdname, str(p)]) == 0, cmdname
+    assert "Phi: the reference has zero norm" in capsys.readouterr().out
+    table = np.loadtxt(out / "errors.csv", delimiter=",", skiprows=1, ndmin=2)
+    for j, name in enumerate(metrics.COLUMNS, start=1):
+        column = table[:, j]
+        assert np.all(np.isnan(column) if name.startswith("Phi_") else np.isfinite(column)), name

@@ -23,13 +23,14 @@ def macro_space(macro_mesh):
 
 
 def test_reference_stiffness_matrix(unit_triangle):
-    A = fem.assemble_grad_grad(fem.FemSpace(unit_triangle), 1.0).toarray()
+    # the stiffness kernel takes the integral of the coefficient 1 over each element
+    A = fem.assemble_grad_grad(fem.FemSpace(unit_triangle), unit_triangle.areas).toarray()
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.allclose(A, expected)
 
 
 def test_mass_matrix_sums_to_area(macro_space):
-    M = fem.assemble_mass(macro_space, 1.0)
+    M = fem.assemble_mass(macro_space, np.ones(macro_space.wq.shape))
     assert M.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -46,13 +47,10 @@ def test_element_gradient_exact_for_linear(macro_mesh):
 
 
 def test_quadrature_exactness(macro_mesh):
-    # order-2 rule integrates x^2 over the unit square exactly
-    xq, wq, _ = fem.quad_points(macro_mesh, order=2)
-    val = np.sum(wq * xq[..., 0] ** 2)
-    assert val == pytest.approx(1.0 / 3.0, abs=1e-12)
-    xq4, wq4, _ = fem.quad_points(macro_mesh, order=4)
-    val4 = np.sum(wq4 * xq4[..., 0] ** 4)
-    assert val4 == pytest.approx(1.0 / 5.0, abs=1e-12)
+    # the edge-midpoint rule integrates quadratics over the unit square exactly
+    xq, wq, _ = fem.quad_points(macro_mesh)
+    assert np.sum(wq * xq[..., 0] ** 2) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert np.sum(wq * xq[..., 0] * xq[..., 1]) == pytest.approx(1.0 / 4.0, abs=1e-12)
 
 
 def _poisson_error(n):
@@ -63,12 +61,12 @@ def _poisson_error(n):
     space = fem.FemSpace(mesh)
     xq = space.xq
     f = 2 * np.pi**2 * np.sin(np.pi * xq[..., 0]) * np.sin(np.pi * xq[..., 1])
-    A = fem.assemble_grad_grad(space, 1.0)
+    A = fem.assemble_grad_grad(space, mesh.areas)
     b = fem.assemble_source(space, f)
     bn = mesh.boundary_nodes
     A, b = fem.apply_dirichlet(A, b, bn, np.zeros(len(bn)))
     u = fem.solve_spd(A, b)
-    M = fem.assemble_mass(space, 1.0)
+    M = fem.assemble_mass(space, np.ones(space.wq.shape))
     e = u - exact
     return float(np.sqrt(e @ (M @ e))), mesh.h
 
@@ -84,7 +82,7 @@ def test_elasticity_matrix_spd(macro_mesh, macro_space):
     d = np.eye(2)
     c = (np.einsum("ij,kl->ijkl", d, d)
          + np.einsum("ik,jl->ijkl", d, d) + np.einsum("il,jk->ijkl", d, d))
-    K = fem.assemble_elasticity(macro_space, c).tocsr()
+    K = fem.assemble_elasticity(macro_space, macro_mesh.areas[:, None, None, None, None] * c).tocsr()
     assert abs(K - K.T).max() < 1e-12
     # positive semi-definite with rigid modes; pin the boundary for PD
     bn = macro_mesh.boundary_nodes
@@ -101,7 +99,7 @@ def test_elasticity_energy_of_linear_displacement(macro_mesh, macro_space):
     lame, mu = 2.0, 1.5
     c = (lame * np.einsum("ij,kl->ijkl", d, d)
          + mu * (np.einsum("ik,jl->ijkl", d, d) + np.einsum("il,jk->ijkl", d, d)))
-    K = fem.assemble_elasticity(macro_space, c)
+    K = fem.assemble_elasticity(macro_space, macro_mesh.areas[:, None, None, None, None] * c)
     U = np.zeros((macro_mesh.num_nodes, 2))
     U[:, 0] = macro_mesh.nodes[:, 0]
     u = U.ravel()
@@ -143,7 +141,8 @@ def test_quadrature_varying_elasticity_matches_direct_contraction(macro_mesh, ma
     g = macro_mesh.grads
     ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", macro_space.wq, c, g, g)
     ref = _scatter_matrix(ke.reshape(-1, 6, 6), fem.vector_dofs(macro_mesh.triangles)).toarray()
-    K = fem.assemble_elasticity(macro_space, c).toarray()
+    # the kernel contracts the element integral of c
+    K = fem.assemble_elasticity(macro_space, np.einsum("tq,tq...->t...", macro_space.wq, c)).toarray()
     assert _rel(K, ref) <= 1e-13
 
 
@@ -161,11 +160,12 @@ def test_quadrature_varying_conductivity_matches_direct_contraction(macro_mesh, 
     g = macro_mesh.grads
     kg = np.einsum("tq,tqij,tbj->tbi", macro_space.wq, k, g)
     ref = _scatter_matrix(np.einsum("tai,tbi->tab", g, kg), macro_mesh.triangles).toarray()
-    assert _rel(fem.assemble_grad_grad(macro_space, k).toarray(), ref) <= 1e-13
+    kbar = np.einsum("tq,tq...->t...", macro_space.wq, k)  # the element integral of k
+    assert _rel(fem.assemble_grad_grad(macro_space, kbar).toarray(), ref) <= 1e-13
 
 
 def test_element_constant_elasticity_keeps_its_rounding(disk_cell_mesh):
-    """The cell operators' element-constant path is bit-for-bit the one-step contraction."""
+    """The cell-stage elasticity is bit for bit the one-step contraction over a broadcast view."""
     space = fem.FemSpace(disk_cell_mesh)
     rng = np.random.default_rng(6)
     c = rng.standard_normal((disk_cell_mesh.num_triangles, 2, 2, 2, 2))
@@ -173,7 +173,29 @@ def test_element_constant_elasticity_keeps_its_rounding(disk_cell_mesh):
     g = disk_cell_mesh.grads
     ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", space.wq, cq, g, g)
     ref = _scatter_matrix(ke.reshape(-1, 6, 6), fem.vector_dofs(disk_cell_mesh.triangles))
-    _assert_same_csr(fem.assemble_elasticity(space, c), ref)
+    _assert_same_csr(fem.assemble_cell_elasticity(space, c), ref)
+
+
+def test_cell_stage_kernels_keep_their_rounding(disk_cell_mesh):
+    """The cell-stage stiffness and loads are bit for bit their one-step contractions.
+
+    These fix the rounding of the coefficients.csv noise columns: each
+    reference is the expression the cell stage computes, on the same
+    broadcast view of the element values over the quadrature points.
+    """
+    space = fem.FemSpace(disk_cell_mesh)
+    nt, wq, g = disk_cell_mesh.num_triangles, space.wq, disk_cell_mesh.grads
+    rng = np.random.default_rng(7)
+    k, v, G = rng.standard_normal(nt), rng.standard_normal((nt, 2)), rng.standard_normal((nt, 2, 2))
+    kg = np.einsum("tq,tbi->tbi", wq * np.broadcast_to(k[:, None], wq.shape), g)
+    ref = _scatter_matrix(np.einsum("tai,tbi->tab", g, kg), disk_cell_mesh.triangles)
+    _assert_same_csr(fem.assemble_cell_grad_grad(space, k), ref)
+    elem = np.einsum("tq,tqi,tai->ta", wq, np.broadcast_to(v[:, None], wq.shape + (2,)), g)
+    ref = _scatter_vector(elem, disk_cell_mesh.triangles)
+    assert fem.assemble_flux(space, v).tobytes() == ref.tobytes()
+    elem = np.einsum("tq,tqij,taj->tai", wq, np.broadcast_to(G[:, None], wq.shape + (2, 2)), g)
+    ref = _scatter_vector(elem, fem.vector_dofs(disk_cell_mesh.triangles))
+    assert fem.assemble_cell_tensor_flux(space, G).tobytes() == ref.tobytes()
 
 
 def _assert_close(A, ref):
@@ -198,16 +220,14 @@ def test_element_integral_stiffness_matches_the_quadrature_tensor_kernel(pattern
         s = 10.0 ** rng.uniform(-2, 2, wq.shape)
         kg = np.einsum("tq,tqij,tbj->tbi", wq, s[..., None, None] * np.eye(2), g)
         ref = _scatter_matrix(np.einsum("tai,tbi->tab", g, kg), mesh.triangles)
-        _assert_close(fem.assemble_grad_grad(space, np.einsum("tq,tq->t", wq, s),
-                                             integrated=True), ref)
-        _assert_close(fem.assemble_grad_grad(space, s), ref)
+        _assert_close(fem.assemble_grad_grad(space, np.einsum("tq,tq->t", wq, s)), ref)
         # a P1 tensor field, as the table provider gives it
         nodal = rng.standard_normal((2, 2, mesh.num_nodes))
         kq = np.moveaxis(space.at_quadrature(nodal), (-2, -1), (0, 1))
         kg = np.einsum("tq,tqij,tbj->tbi", wq, kq, g)
         ref = _scatter_matrix(np.einsum("tai,tbi->tab", g, kg), mesh.triangles)
         kbar = space.element_integrals(nodal)
-        _assert_close(fem.assemble_grad_grad(space, kbar, integrated=True), ref)
+        _assert_close(fem.assemble_grad_grad(space, kbar), ref)
 
 
 def test_mass_matches_the_quadrature_kernel(pattern_meshes):
@@ -228,13 +248,12 @@ def test_element_integral_elasticity_matches_the_quadrature_tensor_kernel(patter
         lame, mu = 10.0 ** rng.uniform(5, 6, (2,) + wq.shape)
         ref = _quadrature_elasticity(space, isotropic_elasticity(lame, mu))
         pair = (np.einsum("tq,tq->t", wq, lame), np.einsum("tq,tq->t", wq, mu))
-        _assert_close(fem.assemble_elasticity(space, pair, integrated=True), ref)
+        _assert_close(fem.assemble_elasticity(space, pair), ref)
         # anisotropic P1 field, as the table provider gives it
         nodal = rng.standard_normal((2, 2, 2, 2, mesh.num_nodes))
         cq = np.moveaxis(space.at_quadrature(nodal), (-2, -1), (0, 1))
         cbar = space.element_integrals(nodal)
-        _assert_close(fem.assemble_elasticity(space, cbar, integrated=True),
-                      _quadrature_elasticity(space, cq))
+        _assert_close(fem.assemble_elasticity(space, cbar), _quadrature_elasticity(space, cq))
 
 
 def test_isotropic_tensor_flux_matches_the_tensor_density(pattern_meshes):
@@ -295,12 +314,14 @@ def test_pattern_assembly_is_bit_for_bit_scipys_coo_path(pattern_meshes):
 
 def test_kernels_return_canonical_csr_on_the_shared_pattern(macro_mesh, macro_space):
     rng = np.random.default_rng(22)
-    wq = macro_space.wq
-    scalar = [fem.assemble_grad_grad(macro_space, rng.random(wq.shape + (2, 2))),
-              fem.assemble_grad_grad(macro_space, rng.random(macro_mesh.num_triangles)),
-              fem.assemble_mass(macro_space, rng.random(wq.shape))]
-    vector = [fem.assemble_elasticity(macro_space, rng.random(wq.shape + (2, 2, 2, 2))),
-              fem.assemble_elasticity(macro_space, rng.random((macro_mesh.num_triangles, 2, 2, 2, 2)))]
+    nt = macro_mesh.num_triangles
+    scalar = [fem.assemble_grad_grad(macro_space, rng.random((nt, 2, 2))),
+              fem.assemble_grad_grad(macro_space, rng.random(nt)),
+              fem.assemble_cell_grad_grad(macro_space, rng.random(nt)),
+              fem.assemble_mass(macro_space, rng.random(macro_space.wq.shape))]
+    vector = [fem.assemble_elasticity(macro_space, rng.random((nt, 2, 2, 2, 2))),
+              fem.assemble_elasticity(macro_space, tuple(rng.random((2, nt)))),
+              fem.assemble_cell_elasticity(macro_space, rng.random((nt, 2, 2, 2, 2)))]
     for mats, pattern in ((scalar, macro_space.scalar_pattern), (vector, macro_space.vector_pattern)):
         for A in mats:
             _assert_canonical(A)
@@ -314,7 +335,7 @@ def test_kernels_return_canonical_csr_on_the_shared_pattern(macro_mesh, macro_sp
 def test_vector_mass_slots_add_the_interleaved_mass(macro_space):
     rng = np.random.default_rng(23)
     M = fem.assemble_mass(macro_space, rng.random(macro_space.wq.shape))
-    K = fem.assemble_elasticity(macro_space, rng.random(macro_space.wq.shape + (2, 2, 2, 2)))
+    K = fem.assemble_elasticity(macro_space, rng.random((macro_space.mesh.num_triangles, 2, 2, 2, 2)))
     ref = sp.kron(M, sp.eye(2), format="csr") + K
     K.data[macro_space.vector_mass_slots] += M.data[:, None]
     _assert_same_csr(K, ref)
@@ -342,8 +363,8 @@ def test_apply_dirichlet_is_bit_for_bit_the_product_form(macro_mesh, macro_space
     # cell operators with zero boundary values
     cell = fem.FemSpace(disk_cell_mesh)
     bn = disk_cell_mesh.boundary_nodes
-    K = fem.assemble_grad_grad(cell, rng.random(disk_cell_mesh.num_triangles))
-    C = fem.assemble_elasticity(cell, rng.random((disk_cell_mesh.num_triangles, 2, 2, 2, 2)))
+    K = fem.assemble_cell_grad_grad(cell, rng.random(disk_cell_mesh.num_triangles))
+    C = fem.assemble_cell_elasticity(cell, rng.random((disk_cell_mesh.num_triangles, 2, 2, 2, 2)))
     cases += [(K, bn, 0.0), (C, np.concatenate([2 * bn, 2 * bn + 1]), 0.0)]
     # anchored periodic operators R^T K R
     ma, sl = periodic_pairs(disk_cell_mesh)
@@ -352,9 +373,9 @@ def test_apply_dirichlet_is_bit_for_bit_the_product_form(macro_mesh, macro_space
         cases.append(((pm.R.T @ op @ pm.R).tocsr(), pm.anchors, 0.0))
     # macro operators with nonzero boundary values
     bn = macro_mesh.boundary_nodes
-    wq = macro_space.wq
-    A = fem.assemble_grad_grad(macro_space, rng.random(wq.shape + (2, 2)))
-    V = fem.assemble_elasticity(macro_space, rng.random(wq.shape + (2, 2, 2, 2)))
+    nt = macro_mesh.num_triangles
+    A = fem.assemble_grad_grad(macro_space, rng.random((nt, 2, 2)))
+    V = fem.assemble_elasticity(macro_space, rng.random((nt, 2, 2, 2, 2)))
     cases += [(A, bn, rng.standard_normal(len(bn))),
               (V, np.concatenate([2 * bn, 2 * bn + 1]), rng.standard_normal(2 * len(bn)))]
     # a matrix that stores exact zeros, of both signs
@@ -375,7 +396,7 @@ def test_apply_dirichlet_is_bit_for_bit_the_product_form(macro_mesh, macro_space
 
 
 def test_apply_dirichlet_preserves_solution(macro_mesh, macro_space):
-    A = fem.assemble_grad_grad(macro_space, 1.0)
+    A = fem.assemble_grad_grad(macro_space, macro_mesh.areas)
     bn = macro_mesh.boundary_nodes
     g = macro_mesh.nodes[:, 0] + 2.0  # harmonic, linear
     b = np.zeros(macro_mesh.num_nodes)
@@ -385,8 +406,8 @@ def test_apply_dirichlet_preserves_solution(macro_mesh, macro_space):
 
 
 def test_spd_solver_matches_direct(macro_mesh, macro_space):
-    A = fem.assemble_grad_grad(macro_space, 1.0)
-    M = fem.assemble_mass(macro_space, 1.0)
+    A = fem.assemble_grad_grad(macro_space, macro_mesh.areas)
+    M = fem.assemble_mass(macro_space, np.ones(macro_space.wq.shape))
     A = (A + M).tocsr()
     rng = np.random.default_rng(0)
     b = rng.standard_normal(macro_mesh.num_nodes)
@@ -400,8 +421,9 @@ def test_spd_solver_reuses_its_lu_on_a_nearby_matrix(macro_mesh, macro_space):
     rng = np.random.default_rng(3)
     bn = macro_mesh.boundary_nodes
 
-    def reduced_system(k):
-        A = (fem.assemble_grad_grad(macro_space, k) + fem.assemble_mass(macro_space, 50.0)).tocsr()
+    def reduced_system(k):  # k: one conductivity, or one per element
+        A = (fem.assemble_grad_grad(macro_space, k * macro_mesh.areas)
+             + fem.assemble_mass(macro_space, np.full(macro_space.wq.shape, 50.0))).tocsr()
         return fem.apply_dirichlet(A, rng.standard_normal(A.shape[0]), bn, 0.0)
 
     nt = macro_mesh.num_triangles
@@ -422,7 +444,7 @@ def test_periodic_map_constant_nullspace(disk_cell_mesh):
     from homsim.mesh import periodic_pairs
 
     space = fem.FemSpace(disk_cell_mesh)
-    A = fem.assemble_grad_grad(space, 1.0).tocsr()
+    A = fem.assemble_grad_grad(space, disk_cell_mesh.areas).tocsr()
     masters, slaves = periodic_pairs(disk_cell_mesh)
     pm = fem.PeriodicMap(disk_cell_mesh, masters, slaves, A)
     b = np.zeros(disk_cell_mesh.num_nodes)
@@ -441,10 +463,9 @@ def test_load_vectors_equal_the_add_at_scatter(macro_mesh, macro_space):
     mesh, space = macro_mesh, macro_space
     wq, phi, g = space.wq, space.phi, mesh.grads
     f = rng.standard_normal(wq.shape)
-    G = rng.standard_normal(wq.shape + (2,))
     F = rng.standard_normal(wq.shape + (2,))
     T = rng.standard_normal(wq.shape + (2, 2))
-    T_e = rng.standard_normal((mesh.num_triangles, 2, 2))
+    s = rng.standard_normal(wq.shape)
     scalar = mesh.triangles.ravel()
     vector = fem.vector_dofs(mesh.triangles).ravel()
 
@@ -457,16 +478,13 @@ def test_load_vectors_equal_the_add_at_scatter(macro_mesh, macro_space):
     cases = [
         (fem.assemble_source(space, f),
          add_at(nn, scalar, np.einsum("tq,qa->ta", wq * f, phi))),
-        (fem.assemble_flux(space, G),
-         add_at(nn, scalar, np.einsum("tq,tqi,tai->ta", wq, G, g))),
         (fem.assemble_vector_source(space, F),
          add_at(2 * nn, vector, np.einsum("tq,tqi,qa->tai", wq, F, phi))),
         (fem.assemble_tensor_flux(space, T),
          add_at(2 * nn, vector, np.einsum("tij,taj->tai",
                                           np.einsum("tq,tqij->tij", wq, T), g))),
-        (fem.assemble_tensor_flux(space, T_e),
-         add_at(2 * nn, vector, np.einsum("tq,tqij,taj->tai", wq,
-                                          np.broadcast_to(T_e[:, None], T.shape), g))),
+        (fem.assemble_tensor_flux(space, s),
+         add_at(2 * nn, vector, np.einsum("t,tai->tai", np.einsum("tq,tq->t", wq, s), g))),
     ]
     for got, ref in cases:
         assert np.array_equal(got, ref)
@@ -474,19 +492,23 @@ def test_load_vectors_equal_the_add_at_scatter(macro_mesh, macro_space):
 
 def test_element_constant_load_operators_match_the_kernels(macro_mesh, macro_space):
     """source_load and flux_load applied to element-constant data give the load
-    vector of each kernel, componentwise for the vector forms, one column per datum."""
+    vector of each kernel, componentwise for the vector forms, one column per datum.
+    The quadrature-point kernels get each datum repeated over the points."""
     rng = np.random.default_rng(12)
     nn, nt = macro_mesh.num_nodes, macro_mesh.num_triangles
     S, G = rng.standard_normal((3, nt)), rng.standard_normal((3, nt, 2))
     f, T = rng.standard_normal((3, nt, 2)), rng.standard_normal((3, nt, 2, 2))
-    cases = [(macro_space.source_load @ S.T, fem.assemble_source, S),
+    def per_point(kernel):
+        return lambda space, d: kernel(space, np.broadcast_to(d[:, None], space.wq.shape + d.shape[1:]))
+
+    cases = [(macro_space.source_load @ S.T, per_point(fem.assemble_source), S),
              (macro_space.flux_load @ G.reshape(3, -1).T, fem.assemble_flux, G)]
     vector = np.empty((nn, 2, 2, 3))
     for i in range(2):
         vector[:, i, 0] = macro_space.source_load @ f[:, :, i].T
         vector[:, i, 1] = macro_space.flux_load @ T[:, :, i].reshape(3, -1).T
-    cases += [(vector[:, :, 0].reshape(2 * nn, 3), fem.assemble_vector_source, f),
-              (vector[:, :, 1].reshape(2 * nn, 3), fem.assemble_tensor_flux, T)]
+    cases += [(vector[:, :, 0].reshape(2 * nn, 3), per_point(fem.assemble_vector_source), f),
+              (vector[:, :, 1].reshape(2 * nn, 3), fem.assemble_cell_tensor_flux, T)]
     for block, kernel, data in cases:
         for j in range(3):
             ref = kernel(macro_space, data[j])
@@ -494,7 +516,8 @@ def test_element_constant_load_operators_match_the_kernels(macro_mesh, macro_spa
 
 
 def test_spd_solver_solves_a_block_and_zero_columns_give_zeros(macro_mesh, macro_space):
-    A = (fem.assemble_grad_grad(macro_space, 1.0) + fem.assemble_mass(macro_space, 1.0)).tocsr()
+    A = (fem.assemble_grad_grad(macro_space, macro_mesh.areas)
+         + fem.assemble_mass(macro_space, np.ones(macro_space.wq.shape))).tocsr()
     rng = np.random.default_rng(4)
     B = rng.standard_normal((macro_mesh.num_nodes, 4))
     B[:, 1] = 0.0

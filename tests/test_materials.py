@@ -35,12 +35,6 @@ def test_unknown_quantity_raises(example_law):
         example_law.eval(7, "k", 300.0)
 
 
-def test_conductivity_tensor_isotropic(example_law):
-    K = example_law.conductivity_tensor(MATRIX, "k", 300.0)
-    assert K[0, 0] == pytest.approx(example_law.eval(MATRIX, "k", 300.0))
-    assert K[0, 1] == 0.0 and K[1, 0] == 0.0 and K[1, 1] == K[0, 0]
-
-
 def test_elasticity_tensor_symmetries():
     c = elasticity_tensor(2.0e6, 0.3, "strain")
     assert np.allclose(c, np.transpose(c, (1, 0, 2, 3)))

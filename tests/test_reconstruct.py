@@ -20,10 +20,13 @@ def driven_run(macro_mesh, small_table):
 
 
 def test_cell_sampler_weights_partition_unity(disk_cell_mesh, small_table):
+    """Each row of the sampling operator: 6 non-negative weights summing to 1."""
     pts = np.random.default_rng(0).random((50, 2))
     cs = reconstruct.CellSampler(disk_cell_mesh, small_table.temps, pts, 0.25)
-    w = cs.weights(np.linspace(250.0, 420.0, 50))
-    assert np.allclose(w.sum(axis=0), 1.0, atol=1e-12)
+    op = cs.operator(np.linspace(250.0, 420.0, 50))
+    assert op.shape == (50, len(small_table.temps) * disk_cell_mesh.num_nodes)
+    assert np.all(np.diff(op.indptr) == 6) and op.data.min() >= -1e-12
+    assert np.allclose(op.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_cell_sampler_exact_at_slot_temperature(disk_cell_mesh, small_table):
@@ -34,7 +37,7 @@ def test_cell_sampler_exact_at_slot_temperature(disk_cell_mesh, small_table):
     lin = [2.0 * disk_cell_mesh.nodes[:, 0] + 3.0 * disk_cell_mesh.nodes[:, 1] + i
            for i in range(len(small_table.temps))]
     T0 = np.full(100, float(small_table.temps[1]))
-    vals = cs.sample(lin, T0)
+    vals = cs.sample(cs.operator(T0), lin)
     y = pts / 0.25
     assert np.allclose(vals, 2.0 * y[:, 0] + 3.0 * y[:, 1] + 1.0, atol=1e-10)
 
@@ -44,7 +47,7 @@ def test_cell_sampler_linear_between_slots(disk_cell_mesh, small_table):
     cs = reconstruct.CellSampler(disk_cell_mesh, small_table.temps, pts, 0.25)
     const = [np.full(disk_cell_mesh.num_nodes, float(i)) for i in range(3)]
     Ta, Tb = small_table.temps[0], small_table.temps[1]
-    vals = cs.sample(const, np.full(20, 0.25 * Ta + 0.75 * Tb))
+    vals = cs.sample(cs.operator(np.full(20, 0.25 * Ta + 0.75 * Tb)), const)
     assert np.allclose(vals, 0.75, atol=1e-12)
 
 
