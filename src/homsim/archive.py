@@ -7,9 +7,11 @@ Layout:
     cell_mesh.txt   the unit-cell mesh
     T_<index>.npz   corrector sets + coefficient block at one temperature
 
-The on-line stage refuses an archive whose hashes do not match the current
-configuration, so tabulated correctors can never be silently combined with
-different microstructure or laws.
+`online`, `verify` and `errors` refuse an archive whose material-law hash,
+temperature grid, cell boundary condition or reference temperature differs
+from the current configuration.  The cell-mesh hash is checked only when the
+caller passes the cell mesh, which none of them builds, so an archive built
+with another geometry or cell_h is not detected.
 
 load() checks that every array is present but decompresses only the first
 order and the coefficients; load_second_order() adds the second-order
@@ -82,9 +84,11 @@ def save(path, cell_mesh, law, table: TemperatureTable) -> None:
         np.savez_compressed(path / f"T_{i:03d}.npz", **data)
 
 
-def load(path, cell_mesh=None, law=None) -> tuple:
+def load(path, cell_mesh=None, law=None, expect=None) -> tuple:
     """Load (cell_mesh, table); verify hashes when mesh/law are supplied.
 
+    expect maps manifest fields ("temperatures", "cell_bc", "T_ref") to the
+    values the configuration asks for; a field that differs is refused.
     table.second stays empty; see load_second_order.
     """
     path = pathlib.Path(path)
@@ -100,6 +104,10 @@ def load(path, cell_mesh=None, law=None) -> tuple:
         raise ArchiveError(f"{path}: cell-mesh hash mismatch; re-run the off-line stage")
     if law is not None and law_hash(law) != manifest["law_sha256"]:
         raise ArchiveError(f"{path}: material-law hash mismatch; re-run the off-line stage")
+    for field, want in (expect or {}).items():
+        if manifest[field] != want:
+            raise ArchiveError(f"{path}: archived {field} {manifest[field]} differs from the "
+                               f"configuration's {want}; re-run the off-line stage")
 
     temps = np.asarray(manifest["temperatures"], float)
     required = ["T0", "M", "H", "N", "P"] + ["coeff_" + n for n in COEFF_NAMES]

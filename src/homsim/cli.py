@@ -35,6 +35,14 @@ def _out_dir(cfg) -> pathlib.Path:
     return d
 
 
+def _load_archive(cfg, out, law):
+    """The off-line archive in out, refused unless built for cfg's law and table."""
+    Tmin, Tmax, count, bc = cfg.table_spec
+    expect = {"temperatures": np.linspace(Tmin, Tmax, count).tolist(),
+              "cell_bc": bc, "T_ref": cfg.T_ref}
+    return archive.load(out / "archive", law=law, expect=expect)
+
+
 def _solver_work(traj) -> str:
     m = traj.meta
     return (f"{m['factorizations']} factorizations (max L+U fill {m['max_lu_fill']}), "
@@ -64,7 +72,7 @@ def cmd_offline(cfg: SimulationConfig, args) -> int:
 def cmd_online(cfg: SimulationConfig, args) -> int:
     out = _out_dir(cfg)
     law = cfg.law()
-    cell_mesh, table = archive.load(out / "archive", law=law)
+    cell_mesh, table = _load_archive(cfg, out, law)
     macro_h, _ = cfg.mesh_targets
     mesh = build_macro_mesh(macro_h)
     cell.SOLVES.reset()
@@ -112,7 +120,7 @@ def cmd_dns(cfg: SimulationConfig, args) -> int:
 def cmd_verify(cfg: SimulationConfig, args) -> int:
     out = _out_dir(cfg)
     law = cfg.law()
-    cell_mesh, table = archive.load(out / "archive", law=law)
+    cell_mesh, table = _load_archive(cfg, out, law)
     ok = True
     for i, T in enumerate(table.temps):
         rep = homog.verify_identities(table.coeffs[i], law=law)
@@ -142,7 +150,7 @@ def cmd_errors(cfg: SimulationConfig, args) -> int:
     fine_mesh = load_mesh(out / "dns_mesh.txt")
     traj = macro.load_trajectory(out / "macro_trajectory.npz", macro_mesh)
     ref = macro.load_trajectory(out / "dns_trajectory.npz", fine_mesh)
-    cell_mesh, table = archive.load(out / "archive", law=cfg.law())
+    cell_mesh, table = _load_archive(cfg, out, cfg.law())
     archive.load_second_order(out / "archive", table)
     rec = reconstruct.Reconstructor(macro_mesh, cell_mesh, table, cfg.epsilon, fine_mesh)
     series = metrics.evolutive_errors(ref, traj, rec)
@@ -182,7 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
-    except (ConfigError, FileNotFoundError) as e:
+    except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     try:

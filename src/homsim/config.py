@@ -12,13 +12,9 @@ from __future__ import annotations
 import ast
 import json
 import math
+import sys
 
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - jsonschema is a declared dependency
-    jsonschema = None
 
 from .macro import ProblemData, TimeGrid
 from .materials import EXAMPLE_LAWS, MaterialLaw, QUANTITIES
@@ -191,31 +187,109 @@ SCHEMA = {
 }
 
 
-def _json_path(err):
-    return "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in err.absolute_path)
+# ---------------------------------------------------------------------------
+# schema checker: the Draft-7 keywords SCHEMA uses, with jsonschema's messages,
+# except that a number must be finite (JSON parsers accept NaN and Infinity)
+# ---------------------------------------------------------------------------
+
+def _numeric(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _finite(v):
+    return _numeric(v) and abs(v) <= sys.float_info.max  # False for NaN, +-inf, huge ints
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _finite,
+    "integer": lambda v: _finite(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+#: bound keyword -> (violated(value, bound), message)
+_BOUNDS = {
+    "minimum": (lambda v, b: v < b, "less than the minimum"),
+    "maximum": (lambda v, b: v > b, "greater than the maximum"),
+    "exclusiveMinimum": (lambda v, b: v <= b, "less than or equal to the minimum"),
+    "exclusiveMaximum": (lambda v, b: v >= b, "greater than or equal to the maximum"),
+}
+
+def _same(a, b):
+    """JSON equality of scalars: true is not 1, 1.0 is 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def schema_errors(value, schema, path=()):
+    """Yield (path, message) for each way value violates schema, in schema key order."""
+    for key, arg in schema.items():
+        if key == "type":
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_TYPES[t](value) for t in types):
+                if _numeric(value) and not _finite(value) and {"number", "integer"} & set(types):
+                    yield path, f"{value!r} is not a finite number"
+                else:
+                    yield path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "const":
+            if not _same(value, arg):
+                yield path, f"{arg!r} was expected"
+        elif key == "enum":
+            if not any(_same(value, a) for a in arg):
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif key in _BOUNDS:
+            violated, what = _BOUNDS[key]
+            if _finite(value) and violated(value, arg):
+                yield path, f"{value!r} is {what} of {arg!r}"
+        elif key in ("minItems", "maxItems"):
+            short = key == "minItems"
+            if isinstance(value, list) and (len(value) < arg if short else len(value) > arg):
+                yield path, f"{value!r} is too {'short' if short else 'long'}"
+        elif key == "items":
+            for i, item in enumerate(value if isinstance(value, list) else ()):
+                yield from schema_errors(item, arg, path + (i,))
+        elif key == "properties":
+            for name, sub in arg.items():
+                if isinstance(value, dict) and name in value:
+                    yield from schema_errors(value[name], sub, path + (name,))
+        elif key == "required":
+            for name in arg:
+                if isinstance(value, dict) and name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties" and arg is False:
+            known = schema.get("properties", {})
+            extra = sorted((k for k in value if k not in known), key=str) \
+                if isinstance(value, dict) else []
+            if extra:
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(map(repr, extra))} {'was' if len(extra) == 1 else 'were'} "
+                             f"unexpected)")
+        elif key != "$schema":  # an annotation; anything else is a keyword not implemented
+            raise NotImplementedError(f"schema keyword {key!r}: {arg!r} is not implemented")
+
+
+def _json_path(path):
+    return "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in path)
 
 
 class SimulationConfig:
     """Validated configuration with factories for the solver objects."""
 
     def __init__(self, raw: dict):
-        if jsonschema is not None:
-            errors = sorted(jsonschema.Draft7Validator(SCHEMA).iter_errors(raw),
-                            key=lambda e: list(e.absolute_path))
-            if errors:
-                msgs = "; ".join(f"{_json_path(e)}: {e.message}" for e in errors)
-                raise ConfigError(f"configuration invalid: {msgs}")
+        errors = sorted(schema_errors(raw, SCHEMA), key=lambda e: e[0])
+        if errors:
+            msgs = "; ".join(f"{_json_path(path)}: {msg}" for path, msg in errors)
+            raise ConfigError(f"configuration invalid: {msgs}")
         self.raw = raw
         eps = raw["epsilon"]
-        q = round(1.0 / eps)
-        if abs(q * eps - 1.0) > 1e-12:
+        if not math.isfinite(1.0 / eps) or abs(round(1.0 / eps) * eps - 1.0) > 1e-12:
             raise ConfigError(f"$['epsilon']: must be a reciprocal integer, got {eps}")
         self.epsilon = float(eps)
         dt, Tf = raw["time"]["dt"], raw["time"]["T_final"]
-        n = round(Tf / dt)
-        if abs(n * dt - Tf) > 1e-9 * Tf:
+        if not math.isfinite(Tf / dt) or abs(round(Tf / dt) * dt - Tf) > 1e-9 * Tf:
             raise ConfigError(f"$['time']: dt*N must equal T_final (dt={dt}, T_final={Tf})")
-        self.n_steps = int(n)
+        self.n_steps = round(Tf / dt)
         tb = raw["table"]
         if not tb["T_min"] < tb["T_max"]:
             raise ConfigError("$['table']: T_min must be below T_max")
@@ -224,11 +298,15 @@ class SimulationConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}: not valid JSON: {e}") from None
+        except OSError as e:
+            raise ConfigError(f"{path}: cannot read: {e.strerror or e}") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
+        except ValueError as e:  # malformed JSON, or an integer too long to convert
+            raise ConfigError(f"{path}: not valid JSON: {e}") from None
         return cls(raw)
 
     # -- factories -------------------------------------------------------

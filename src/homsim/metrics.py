@@ -48,9 +48,12 @@ class ZeroReferenceError(ValueError):
     """The reference field has zero norm, so no relative error is defined."""
 
 
-def relative_error(space, approx, ref, kind: str) -> float:
-    """norm(approx - ref) / norm(ref); raises ZeroReferenceError if the reference norm vanishes."""
-    denom = norm(space, ref, kind)
+def relative_error(space, approx, ref, kind: str, ref_norm=None) -> float:
+    """norm(approx - ref) / norm(ref); raises ZeroReferenceError if the reference norm vanishes.
+
+    ref_norm, if given, is norm(space, ref, kind), already computed.
+    """
+    denom = norm(space, ref, kind) if ref_norm is None else ref_norm
     if denom <= 0.0:
         raise ZeroReferenceError(f"reference field has zero {kind} norm")
     return norm(space, np.asarray(approx) - np.asarray(ref), kind) / denom
@@ -102,12 +105,14 @@ def evolutive_errors(ref_traj, macro_traj, recon: Reconstructor) -> ErrorSeries:
         snap = macro_traj.at_time(t)
         h0, h1, h2 = recon.all_orders(snap, dt)
         refs = {"T": ref.T, "Phi": ref.Phi, "U": ref.U}
+        ref_norms = {(f, n): norm(space, refs[f], n) for f in FIELDS for n in NORMS}
         row = {}
         for f in FIELDS:
             for o, h in zip(ORDERS, (h0, h1, h2)):
                 for n in NORMS:
                     try:
-                        row[f"{f}_{o}_{n}"] = relative_error(space, h[f], refs[f], n)
+                        row[f"{f}_{o}_{n}"] = relative_error(space, h[f], refs[f], n,
+                                                             ref_norm=ref_norms[f, n])
                     except ZeroReferenceError:
                         row[f"{f}_{o}_{n}"] = np.nan
                         series.undefined.add(f)

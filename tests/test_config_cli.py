@@ -1,18 +1,27 @@
 """Configuration validation, expression grammar and the CLI pipeline."""
 
+import copy
 import json
+import os
+import pathlib
+import random
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from homsim import archive, cli
+from homsim import archive, cli, config
 from homsim.config import (
+    SCHEMA,
     ConfigError,
     SimulationConfig,
     compile_expression,
     example_config,
 )
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +99,153 @@ def test_time_grid_mismatch_rejected():
         SimulationConfig(raw)
 
 
+@pytest.mark.parametrize("section, key", [(None, "epsilon"), ("time", "dt")])
+def test_denormal_step_is_a_config_error(section, key):
+    """1/epsilon and T_final/dt overflow to inf: a ConfigError, not an OverflowError."""
+    raw = example_config()
+    (raw if section is None else raw[section])[key] = 5e-324
+    with pytest.raises(ConfigError, match=key if section is None else section):
+        SimulationConfig(raw)
+
+
 def test_missing_section_rejected():
     raw = example_config()
     del raw["table"]
     with pytest.raises(ConfigError, match="table"):
         SimulationConfig(raw)
+
+
+def test_bool_is_not_the_integer_one():
+    raw = example_config()
+    raw["version"] = True
+    with pytest.raises(ConfigError, match=r"\$\['version'\]: 1 was expected"):
+        SimulationConfig(raw)
+
+
+def test_integral_float_is_an_integer():
+    raw = example_config()
+    raw["table"]["count"] = 2.0
+    assert SimulationConfig(raw).table_spec[2] == 2
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_checker_implements_every_keyword_of_the_schema():
+    """Every keyword SCHEMA uses is checked; an unknown one fails loudly."""
+    nodes = list(_subschemas(SCHEMA))
+    assert {k for node in nodes for k in node} >= {
+        "type", "const", "enum", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+        "items", "minItems", "maxItems", "properties", "required", "additionalProperties"}
+    for node in nodes:
+        list(config.schema_errors(None, node))  # raises on a keyword it does not know
+    for unknown in ({"pattern": "^a"}, {"additionalProperties": {"type": "number"}},
+                    {"type": "object", "patternProperties": {}}):
+        with pytest.raises(NotImplementedError):
+            list(config.schema_errors({}, unknown))
+
+
+#: replacement values for the mutations: every JSON type, all finite
+_VALUES = [None, True, False, 0, 1, 2, -1, 2.0, 0.5, -0.25, 1e6, "", "disk", "periodic",
+           "strain", [], [1.0], [1, 2], [1.0, "x", 3], {}, {"kind": "none"}]
+
+
+def _mutate(raw, rng):
+    """Replace, delete or add one entry anywhere in raw (in place)."""
+    node = raw
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            break
+        key = rng.choice(keys)
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or rng.random() < 0.4:
+            break
+        node = child
+    if not keys:
+        return
+    action = rng.random()
+    if action < 0.55:
+        node[key] = copy.deepcopy(rng.choice(_VALUES))
+    elif action < 0.8:
+        del node[key]
+    elif isinstance(node, dict):
+        node[rng.choice(["extra", "zz", "Kind"])] = rng.choice(_VALUES)
+    else:
+        node.append(rng.choice(_VALUES))
+
+
+def test_checker_agrees_with_jsonschema():
+    """Same errors, messages and order as jsonschema's Draft-7 validator on finite configurations."""
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft7Validator(SCHEMA)
+    rng = random.Random(20261019)
+    cases = [example_config() for _ in range(400)]
+    for raw in cases:
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            _mutate(raw, rng)
+    for section, key, value in [(None, "version", True), ("table", "count", 2.0),
+                                ("table", "count", 1), ("time", "snapshot_stride", 0)]:
+        raw = example_config()
+        (raw if section is None else raw[section])[key] = value
+        cases.append(raw)
+    cases += [{}, [], 1, {"version": 1}]
+    n_invalid, keywords = 0, set()
+    for raw in cases:
+        errors = list(validator.iter_errors(raw))
+        theirs = sorted(((tuple(e.absolute_path), e.message) for e in errors), key=lambda e: e[0])
+        ours = sorted(config.schema_errors(raw, SCHEMA), key=lambda e: e[0])
+        assert ours == theirs, json.dumps(raw)
+        n_invalid += bool(ours)
+        keywords |= {e.validator for e in errors}
+    assert 200 < n_invalid < len(cases)
+    assert keywords == {"type", "const", "enum", "minimum", "maximum", "exclusiveMinimum",
+                        "exclusiveMaximum", "minItems", "maxItems", "required",
+                        "additionalProperties"}
+
+
+@pytest.mark.parametrize("section, key, literal", [
+    (None, "epsilon", "NaN"),
+    ("time", "dt", "NaN"),
+    ("time", "dt", "Infinity"),
+    ("time", "T_final", "NaN"),
+    ("time", "T_final", "Infinity"),
+    ("mesh", "macro_h", "NaN"),
+    ("initial", "T", "NaN"),
+    ("initial", "T", "-Infinity"),
+])
+def test_non_finite_number_exits_2(tmp_path, capsys, section, key, literal):
+    raw = _mini_config(tmp_path / "out")
+    (raw if section is None else raw[section])[key] = float(literal)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    assert literal in p.read_text()
+    assert cli.main(["offline", str(p)]) == 2
+    where = f"$['{key}']" if section is None else f"$['{section}']['{key}']"
+    assert f"{where}: {float(literal)!r} is not a finite number" in capsys.readouterr().err
+
+
+def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert cli.main(["verify", str(tmp_path)]) == 2
+    assert f"{tmp_path}: cannot read" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_bytes(b'{"version": 1, "geometry": "\xff\xfe"}')
+    assert cli.main(["verify", str(p)]) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
+def test_import_does_not_load_jsonschema():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, homsim.cli; assert 'jsonschema' not in sys.modules, 'jsonschema imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +343,22 @@ def test_archive_hash_mismatch_refused(pipeline, tmp_path):
     p = tmp_path / "tampered.json"
     p.write_text(json.dumps(raw))
     assert cli.main(["online", str(p)]) == 2
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("temperatures", lambda raw: raw["table"].update(T_max=370.0)),
+    ("temperatures", lambda raw: raw["table"].update(count=3)),
+    ("cell_bc", lambda raw: raw["table"].update(cell_bc="periodic")),
+    ("T_ref", lambda raw: raw["initial"].update(T_ref=310.0)),
+])
+@pytest.mark.parametrize("stage", ["online", "verify", "errors"])
+def test_archive_of_another_table_refused(pipeline, tmp_path, capsys, stage, field, edit):
+    raw = json.loads((pipeline / "config.json").read_text())
+    edit(raw)
+    p = tmp_path / "other_table.json"
+    p.write_text(json.dumps(raw))
+    assert cli.main([stage, str(p)]) == 2
+    assert f"archived {field} " in capsys.readouterr().err
 
 
 def test_missing_archive_exits_2(tmp_path):
@@ -293,3 +460,21 @@ def test_errors_without_electric_load_reports_phi_undefined(pipeline, tmp_path, 
     for j, name in enumerate(metrics.COLUMNS, start=1):
         column = table[:, j]
         assert np.all(np.isnan(column) if name.startswith("Phi_") else np.isfinite(column)), name
+
+
+def test_errors_computes_each_reference_norm_once_per_snapshot(pipeline, monkeypatch):
+    from homsim import metrics
+
+    calls = []
+    norm = metrics.norm
+
+    def counted(space, nodal, kind):
+        calls.append(kind)
+        return norm(space, nodal, kind)
+
+    monkeypatch.setattr(metrics, "norm", counted)
+    cfg = str(pipeline / "config.json")
+    assert cli.main(["errors", cfg]) == 0
+    rows = len(np.loadtxt(pipeline / "out" / "errors.csv", delimiter=",", skiprows=1, ndmin=2))
+    # 6 reference norms (3 fields x 2 kinds) and 18 error norms per snapshot
+    assert rows > 0 and len(calls) == rows * (6 + len(metrics.COLUMNS))

@@ -51,6 +51,16 @@ def test_relative_error_zero_reference_raises(space, mesh):
                                np.zeros(mesh.num_nodes), "L2")
 
 
+def test_relative_error_takes_a_precomputed_reference_norm(space, mesh):
+    ref = np.ones((2, mesh.num_nodes))
+    approx = np.stack([np.full(mesh.num_nodes, 1.1), np.full(mesh.num_nodes, 0.9)])
+    denom = metrics.norm(space, ref, "H1")
+    assert metrics.relative_error(space, approx, ref, "L2", ref_norm=metrics.norm(space, ref, "L2")) \
+        == metrics.relative_error(space, approx, ref, "L2")
+    with pytest.raises(metrics.ZeroReferenceError):
+        metrics.relative_error(space, approx, ref, "H1", ref_norm=denom)
+
+
 def test_unknown_norm_rejected(space, mesh):
     with pytest.raises(ValueError):
         metrics.norm(space, np.ones(mesh.num_nodes), "Linf")
