@@ -13,9 +13,10 @@ from the current configuration.  The cell-mesh hash is checked only when the
 caller passes the cell mesh, which none of them builds, so an archive built
 with another geometry or cell_h is not detected.
 
-load() checks that every array is present but decompresses only the first
-order and the coefficients; load_second_order() adds the second-order
-correctors, which only the error harness reconstructs with.
+load() checks that every array is present but decompresses only the
+coefficients, all that the macro stepper and the identity checks read;
+load_correctors() adds the first- and second-order correctors, which only the
+error harness reconstructs with.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def load(path, cell_mesh=None, law=None, expect=None) -> tuple:
 
     expect maps manifest fields ("temperatures", "cell_bc", "T_ref") to the
     values the configuration asks for; a field that differs is refused.
-    table.second stays empty; see load_second_order.
+    table.first and table.second stay empty; see load_correctors.
     """
     path = pathlib.Path(path)
     try:
@@ -113,7 +114,7 @@ def load(path, cell_mesh=None, law=None, expect=None) -> tuple:
     required = ["T0", "M", "H", "N", "P"] + ["coeff_" + n for n in COEFF_NAMES]
     if manifest["has_second_order"]:
         required += ["second_" + f for f in cell.SECOND_ORDER_FAMILIES]
-    first, coeffs = [], []
+    coeffs = []
     for i, T in enumerate(temps):
         npz = path / f"T_{i:03d}.npz"
         if not npz.is_file():
@@ -123,27 +124,27 @@ def load(path, cell_mesh=None, law=None, expect=None) -> tuple:
             if missing:
                 raise ArchiveError(f"{npz}: missing array(s) {', '.join(missing)}; "
                                    f"re-run the off-line stage")
-            first.append(cell.FirstOrderCellSet(
-                T0=float(z["T0"]), M=z["M"], H=z["H"], N=z["N"], P=z["P"]))
             kw = {name: z["coeff_" + name] for name in COEFF_NAMES}
             kw = {k: (float(v) if v.ndim == 0 else v) for k, v in kw.items()}
             coeffs.append(HomogenizedCoefficients(T0=float(z["T0"]), **kw))
-    table = TemperatureTable(temps=temps, first=first, second=[],
+    table = TemperatureTable(temps=temps, first=[], second=[],
                              coeffs=coeffs, Ttilde=manifest["T_ref"],
                              bc=manifest["cell_bc"])
     return stored_mesh, table
 
 
-def load_second_order(path, table) -> None:
-    """Fill table.second from the archive at path that load() read table from."""
+def load_correctors(path, table) -> None:
+    """Fill table.first and table.second from the archive at path that load() read table from."""
     path = pathlib.Path(path)
-    table.second = []
+    table.first, table.second = [], []
     for i, T in enumerate(table.temps):
         npz = path / f"T_{i:03d}.npz"
         with np.load(npz) as z:
             try:
+                first = {k: z[k] for k in ("M", "H", "N", "P")}
                 fields = {f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES}
             except KeyError as e:
                 raise ArchiveError(f"{npz}: missing array {e}; re-run the off-line stage") from None
+        table.first.append(cell.FirstOrderCellSet(T0=float(T), **first))
         table.second.append(cell.SecondOrderCellSet(T0=float(T), Ttilde=table.Ttilde,
                                                     fields=fields))

@@ -10,8 +10,15 @@ kernels, quadrature-point values for the others, one value per element for
 the cell stage's block of kernels.
 
 Matrices are canonical CSR on one fixed pattern per operator kind
-(CsrPattern), bit for bit what SciPy's COO -> CSR conversion gives; Dirichlet
-elimination masks their stored entries.
+(CsrPattern), bit for bit what SciPy's COO -> CSR conversion gives.  The
+kernels build their element blocks with the element axis last, (k, k, nt),
+and CsrPattern.perm indexes that layout, so no block is copied back to
+element-first order.  apply_dirichlet eliminates boundary dofs by masking the
+stored entries of any matrix; DirichletPlan plans the same elimination once
+per pattern and dof set, for a stepper that eliminates on every solve.
+pcg is the one conjugate-gradient loop, for the Jacobi-preconditioned cell
+solves (solve_spd) and the LU-preconditioned stepper solves
+(SpdSolver.solve_near).
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ import scipy.sparse.linalg as spla
 
 #: relative residual every linear solve must meet
 SOLVE_RTOL = 1e-10
+#: conjugate gradients stop at this residual relative to the right-hand side
+CG_RTOL = SOLVE_RTOL * 1e-2
 #: iteration cap of the Jacobi-CG solve (solve_spd)
 CG_MAX_ITER = 20000
 
@@ -99,34 +108,47 @@ def _entry_rows(indptr):
     return np.repeat(np.arange(len(indptr) - 1, dtype=indptr.dtype), np.diff(indptr))
 
 
+def _canonical_csr(data, indices, indptr, shape):
+    """The CSR matrix of these arrays, which the caller knows to be canonical."""
+    A = sp.csr_matrix((data, indices, indptr), shape=shape)
+    A.has_canonical_format = True
+    return A
+
+
 class CsrPattern:
     """The CSR pattern of one operator kind and the plan that assembles on it.
 
-    dofs (nt, k) lists the dofs of each element; element block elem (nt, k, k)
-    puts elem[t, a, b] at (dofs[t, a], dofs[t, b]).  indptr and indices are
-    SciPy's canonical CSR pattern of those entries, built once and shared,
-    read-only, by every matrix assembled here.  assemble(elem) gives the
+    dofs (nt, k) lists the dofs of each element; the element blocks elem
+    (k, k, nt), element axis last, put elem[a, b, t] at (dofs[t, a],
+    dofs[t, b]).  indptr and indices are SciPy's canonical CSR pattern of
+    those entries, built once and shared, read-only, by every matrix
+    assembled here.  assemble(elem) gives the
     matrix SciPy's coo_matrix(...).tocsr() gives, bit for bit: that path
-    stores the entries row by row in input order, sorts each row with
-    csr_sort_indices (not a stable sort) and sums the duplicates left to
-    right.  perm replays that order, taken from sort_indices() itself on the
-    unsummed CSR whose data are the entry numbers, and slot is the stored
-    position of each entry in that order; np.bincount sums in input order
-    too.  np.add.reduceat would not do: it sums pairwise.
+    stores the entries row by row in input order, with the elements' blocks
+    (t, a, b) in element-first order, sorts each row with csr_sort_indices
+    (not a stable sort) and sums the duplicates left to right.  perm replays
+    that order, taken from sort_indices() itself on the unsummed CSR whose
+    data are the entry numbers, and slot is the stored position of each entry
+    in that order; np.bincount sums in input order too.  np.add.reduceat would
+    not do: it sums pairwise.  An entry's number is its flat position in the
+    element-last blocks, (a k + b) nt + t; the sort compares columns only, so
+    this labelling gives the order the element-first numbers give.
     """
 
     def __init__(self, dofs, n):
         k = dofs.shape[1]
         idx = np.int32 if max(n, dofs.size * k) <= np.iinfo(np.int32).max else np.int64
         dofs = dofs.astype(idx)
-        # entry (t, a, b) is number (t k + a) k + b, in row dofs[t, a]: a
-        # stable argsort of the element dofs, each expanded to its k entries,
-        # lists the entries row by row in input order, as SciPy's COO -> CSR
-        # conversion stores them before it sorts each row
+        # entry (t, a, b) lies in row dofs[t, a]: a stable argsort of the
+        # element dofs, each expanded to its k entries, lists the entries row
+        # by row in input order, as SciPy's COO -> CSR conversion stores them
+        # before it sorts each row
+        nt = len(dofs)
         by_dof = np.argsort(dofs.ravel(), kind="stable").astype(idx)
         counts = np.bincount(dofs.ravel(), minlength=n) * k
-        unsummed = sp.csr_matrix(((by_dof[:, None] * k + np.arange(k, dtype=idx)).ravel(),
-                                  dofs[by_dof // k].ravel(),
+        t, a = np.divmod(by_dof, idx(k))
+        number = (a[:, None] * k + np.arange(k, dtype=idx)) * idx(nt) + t[:, None]
+        unsummed = sp.csr_matrix((number.ravel(), dofs[t].ravel(),
                                   np.concatenate([[0], np.cumsum(counts)]).astype(idx)),
                                  shape=(n, n))
         unsummed.sort_indices()
@@ -147,12 +169,10 @@ class CsrPattern:
 
     def matrix(self, data):
         """The CSR matrix with this pattern and the stored values data (nnz,)."""
-        A = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-        A.has_canonical_format = True
-        return A
+        return _canonical_csr(data, self.indices, self.indptr, self.shape)
 
     def assemble(self, elem):
-        """Sum the element blocks elem (nt, k, k) into a matrix."""
+        """Sum the element blocks elem (k, k, nt) into a matrix."""
         return self.matrix(np.bincount(self.slot, weights=elem.ravel()[self.perm],
                                        minlength=self.nnz))
 
@@ -171,7 +191,7 @@ class FemSpace:
     average and recovery they are built on first use: only the cell
     problems need them.
 
-    unit_stiffness, the (nt, 3, 3) products g_a . g_b of the element
+    unit_stiffness, the (3, 3, nt) products g_a . g_b of the element
     gradients, is built on first use too: a scalar stiffness is its element
     integral times this block.
 
@@ -220,9 +240,9 @@ class FemSpace:
 
     @cached_property
     def unit_stiffness(self):
-        """(nt, 3, 3): g_a . g_b in each element, the stiffness block of a unit integral."""
+        """(3, 3, nt): g_a . g_b in each element, the stiffness block of a unit integral."""
         g0, g1 = self.grads_last
-        return np.ascontiguousarray(np.moveaxis(g0[:, None] * g0 + g1[:, None] * g1, -1, 0))
+        return g0[:, None] * g0 + g1[:, None] * g1
 
     # The two operators below are built on first use: the cell operators
     # never need them, and the boundary patches cost a Python loop.
@@ -304,18 +324,17 @@ def assemble_grad_grad(space, k):
     if np.ndim(k) == 3:
         gl = space.grads_last
         elem = np.einsum("ijt,iat,jbt->abt", np.ascontiguousarray(np.moveaxis(k, 0, -1)), gl, gl)
-        elem = np.moveaxis(elem, -1, 0)
     else:
-        elem = k[:, None, None] * space.unit_stiffness
+        elem = k * space.unit_stiffness
     return space.scalar_pattern.assemble(elem)
 
 
 def assemble_mass(space, coef):
     """Mass matrix for the form  integral  coef u v, coef (nt,nq) at the quadrature
-    points: (w_q coef_q) @ (phi_qa phi_qb)."""
+    points: (phi_qa phi_qb) @ (w_q coef_q)."""
     wq, phi = space.wq, space.phi
-    elem = (wq * coef) @ (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), 9)
-    return space.scalar_pattern.assemble(elem.reshape(-1, 3, 3))
+    elem = (phi[:, :, None] * phi[:, None, :]).reshape(len(phi), 9).T @ (wq * coef).T
+    return space.scalar_pattern.assemble(elem.reshape(3, 3, -1))
 
 
 def vector_dofs(triangles):
@@ -333,19 +352,19 @@ def assemble_elasticity(space, c):
     an isotropic c = lame d_ij d_kl + mu (d_ik d_jl + d_il d_jk), the pair
     (lame, mu) of the element integrals of its Lame parameters, each (nt,).
     """
-    g = space.mesh.grads
-    # trial dof (a,k): du_k/dx_l = grads[t,a,l]; test dof (b,i) likewise
+    # trial dof (a,k): du_k/dx_l = g_al; test dof (b,i) likewise
     if isinstance(c, tuple):
         ke = _isotropic_elasticity(space, *c)
     else:
-        ke = np.einsum("tijkl,tal,tbj->tbiak", c, g, g, optimize=True)
-    return space.vector_pattern.assemble(ke.reshape(space.mesh.num_triangles, 6, 6))
+        gl = space.grads_last
+        ke = np.einsum("ijklt,lat,jbt->biakt", np.moveaxis(c, 0, -1), gl, gl, optimize=True)
+    return space.vector_pattern.assemble(ke.reshape(6, 6, -1))
 
 
 def _isotropic_elasticity(space, lame, mu):
-    """(nt, 3, 2, 3, 2) blocks lame g_bi g_ak + mu (g_bk g_ai + d_ik g_a . g_b).
+    """(3, 2, 3, 2, nt) blocks lame g_bi g_ak + mu (g_bk g_ai + d_ik g_a . g_b).
 
-    Entry (t, b, i, a, k): test dof (b, i), trial dof (a, k).  The (i, k) =
+    Entry (b, i, a, k, t): test dof (b, i), trial dof (a, k).  The (i, k) =
     (1, 0) block is the transpose of the (0, 1) block.
     """
     g0, g1 = space.grads_last  # (3, nt) each
@@ -356,7 +375,7 @@ def _isotropic_elasticity(space, lame, mu):
     ke[:, 1, :, 1] = (lame + mu) * x11 + mgg
     ke[:, 0, :, 1] = lame * x01 + mu * x01.transpose(1, 0, 2)
     ke[:, 1, :, 0] = ke[:, 0, :, 1].transpose(1, 0, 2)
-    return np.ascontiguousarray(np.moveaxis(ke, -1, 0))
+    return ke
 
 
 def _scatter(elem, dofs, n):
@@ -372,18 +391,26 @@ def _scatter(elem, dofs, n):
     return out
 
 
+# Quadrature point q is the midpoint of the edge from vertex q to vertex q + 1
+# (quad_points), where phi is 1/2 at both ends and 0 at the third vertex, so
+# the load at vertex a is half the sum of w f at its two edge midpoints, a and
+# a - 1: exactly what the sum over q of w f phi_qa gives.
+_EDGES_BEFORE = [2, 0, 1]  # the midpoint of the edge ending at each vertex
+
+
 def assemble_source(space, f):
     """Load vector  integral  f v, f (nt,nq) at the quadrature points."""
     mesh = space.mesh
-    elem = np.einsum("tq,qa->ta", space.wq * f, space.phi)
-    return _scatter(elem, mesh.triangles, mesh.num_nodes)
+    wf = space.wq * f
+    return _scatter(0.5 * (wf + wf[:, _EDGES_BEFORE]), mesh.triangles, mesh.num_nodes)
 
 
 def assemble_vector_source(space, f):
     """Load vector  integral  f_i v_i  (interleaved dofs), f (nt,nq,2) at the quadrature points."""
     mesh = space.mesh
-    elem = np.einsum("tq,tqi,qa->tai", space.wq, f, space.phi)
-    return _scatter(elem, vector_dofs(mesh.triangles), 2 * mesh.num_nodes)
+    wf = space.wq[..., None] * f
+    return _scatter(0.5 * (wf + wf[:, _EDGES_BEFORE]), vector_dofs(mesh.triangles),
+                    2 * mesh.num_nodes)
 
 
 def assemble_tensor_flux(space, G):
@@ -397,7 +424,9 @@ def assemble_tensor_flux(space, G):
     if Gbar.ndim == 1:
         elem = Gbar[:, None, None] * mesh.grads
     else:
-        elem = np.einsum("tij,taj->tai", Gbar, mesh.grads)
+        # Gbar_ij g_aj, element axis last, (i, a, t) scattered as (t, a, i)
+        gl, Gl = space.grads_last, np.moveaxis(Gbar, 0, -1)
+        elem = (Gl[:, 0, None] * gl[0] + Gl[:, 1, None] * gl[1]).transpose(2, 1, 0)
     return _scatter(elem, vector_dofs(mesh.triangles), 2 * mesh.num_nodes)
 
 
@@ -422,14 +451,14 @@ def assemble_cell_grad_grad(space, k):
     """Stiffness of assemble_grad_grad for a scalar coefficient given per element, k (nt,)."""
     g = space.mesh.grads
     kg = np.einsum("tq,tbi->tbi", space.wq * _per_point(space, k), g)
-    return space.scalar_pattern.assemble(np.einsum("tai,tbi->tab", g, kg))
+    return space.scalar_pattern.assemble(np.einsum("tai,tbi->tab", g, kg).transpose(1, 2, 0))
 
 
 def assemble_cell_elasticity(space, c):
     """Stiffness of assemble_elasticity for a tensor given per element, c (nt,2,2,2,2)."""
     g = space.mesh.grads
     ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", space.wq, _per_point(space, c), g, g)
-    return space.vector_pattern.assemble(ke.reshape(space.mesh.num_triangles, 6, 6))
+    return space.vector_pattern.assemble(ke.reshape(-1, 36).T.reshape(6, 6, -1))
 
 
 def assemble_flux(space, g):
@@ -475,32 +504,87 @@ def apply_dirichlet(A, b, dofs, values):
     products and sum compute it, bit for bit: they multiply by exact ones,
     add exact zeros and drop every entry that sums to zero.
     """
-    dofs = np.asarray(dofs, dtype=np.int64)
-    values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape)
-    n = A.shape[0]
-    x = np.zeros(n)
-    x[dofs] = values
-    b = b - A @ x
     A = A.tocsr()
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
-    fixed = np.zeros(n, dtype=bool)
-    fixed[dofs] = True
-    rows = _entry_rows(A.indptr)
-    cut = fixed[rows] | fixed[A.indices]
-    pivot = cut & (rows == A.indices)
-    if np.count_nonzero(pivot) != np.count_nonzero(fixed):
-        raise ValueError("apply_dirichlet: a constrained row stores no diagonal entry")
-    keep = ~cut & (A.data != 0.0) | pivot
-    before = np.concatenate([[0], np.cumsum(keep)])  # kept entries before each stored one
-    data = A.data[keep]
-    data[before[np.flatnonzero(pivot)]] = 1.0
-    A = sp.csr_matrix((data, A.indices[keep], before[A.indptr].astype(A.indptr.dtype)),
-                      shape=A.shape)
-    A.has_canonical_format = True
-    b[dofs] = values
-    return A, b
+    return DirichletPlan(A, dofs, drop=A.data == 0.0).apply(A, b, values)
+
+
+class DirichletPlan:
+    """Dirichlet elimination of dofs, planned once for the matrices on one pattern.
+
+    pattern is a CsrPattern or a canonical CSR matrix.  The plan keeps the
+    mask of the stored entries that survive (those in kept rows and columns,
+    less drop, and the diagonal of each constrained row), the positions of
+    those diagonals among them, and the reduced indices and indptr, shared
+    read-only by every matrix apply returns.  apply(A, b, values) is then
+    apply_dirichlet as a gather of A.data, except that without drop the
+    exact zeros of A stay stored.
+    """
+
+    def __init__(self, pattern, dofs, drop=False):
+        self.dofs = np.asarray(dofs, dtype=np.int64)
+        n = pattern.shape[0]
+        fixed = np.zeros(n, dtype=bool)
+        fixed[self.dofs] = True
+        rows = _entry_rows(pattern.indptr)
+        cut = fixed[rows] | fixed[pattern.indices]
+        pivot = cut & (rows == pattern.indices)
+        if np.count_nonzero(pivot) != np.count_nonzero(fixed):
+            raise ValueError("Dirichlet elimination: a constrained row stores no diagonal entry")
+        self.keep = ~(cut | drop) | pivot
+        before = np.concatenate([[0], np.cumsum(self.keep)])  # kept entries before each stored one
+        self.pivots = before[np.flatnonzero(pivot)]
+        self.indices = pattern.indices[self.keep]
+        self.indptr = before[pattern.indptr].astype(pattern.indptr.dtype)
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        self.shape = pattern.shape
+
+    def apply(self, A, b, values):
+        """(A', b') of apply_dirichlet(A, b, dofs, values), A on the planned pattern."""
+        x = np.zeros(A.shape[0])
+        x[self.dofs] = values
+        b = b - A @ x
+        b[self.dofs] = values
+        data = A.data[self.keep]
+        data[self.pivots] = 1.0
+        return _canonical_csr(data, self.indices, self.indptr, self.shape), b
+
+
+def pcg(A, b, precondition, max_iter: int, x0=None):
+    """(x, iterations): preconditioned conjugate gradients for A x = b, A SPD.
+
+    precondition(r) applies the preconditioner to a residual.  The loop is
+    SciPy's cg step for step (scipy.sparse.linalg.cg with rtol=CG_RTOL,
+    atol=0), so it gives its x and its iteration count bit for bit: from x0,
+    or from zero, it stops at the top of the first iteration whose residual
+    norm is below CG_RTOL * |b|.  iterations == max_iter means it never got
+    there; x is then the last iterate.
+    """
+    atol = CG_RTOL * np.linalg.norm(b)
+    if x0 is None or not np.any(x0):
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - A @ x
+    p = rho_prev = None
+    for iteration in range(max_iter):
+        if np.linalg.norm(r) < atol:
+            return x, iteration
+        z = precondition(r)
+        rho = np.dot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, max_iter
 
 
 def solve_spd(A, b):
@@ -512,18 +596,12 @@ def solve_spd(A, b):
     of noise columns such as k_hat_12, which a factored solve would change.
     Delete this function with PeriodicMap.solve once that digest scales its
     tolerance by the whole tensor (ROADMAP item 1).
-
-    The operator and the Jacobi step go to CG as plain callables; given the
-    matrices, scipy wraps each one and sends every product through its
-    matrix-matrix wrappers.
     """
     bn = np.linalg.norm(b)
     if bn == 0.0:
         return np.zeros_like(b)
     dinv = 1.0 / A.diagonal()
-    op = spla.LinearOperator(A.shape, matvec=A.__matmul__, dtype=float)
-    M = spla.LinearOperator(A.shape, matvec=lambda r: dinv * r, dtype=float)
-    x, info = spla.cg(op, b, rtol=SOLVE_RTOL * 1e-2, atol=0.0, maxiter=CG_MAX_ITER, M=M)
+    x, _ = pcg(A, b, lambda r: dinv * r, CG_MAX_ITER)
     res = np.linalg.norm(A @ x - b) / bn
     if res > SOLVE_RTOL:
         raise SolverError(f"conjugate gradients stalled at residual {res:.3e}", residual=res)
@@ -534,10 +612,10 @@ class SpdSolver:
     """Sparse LU factorization of one SPD matrix, with a residual guarantee.
 
     solve(b) runs the triangular solves for a right-hand side (n,) or a
-    block of them (n, k), in one call.  solve_near(A, b, max_iter) solves a
-    nearby matrix A by conjugate gradients preconditioned with this LU, so
-    that a slowly varying operator can reuse one factorization over many
-    solves.  Both check the relative residual of every right-hand side
+    block of them (n, k), in one call.  solve_near(A, b, max_iter, x0) solves
+    a nearby matrix A by conjugate gradients (pcg) preconditioned with this
+    LU, from x0 if given, so that a slowly varying operator can reuse one
+    factorization over many solves.  Both check the relative residual of every right-hand side
     against SOLVE_RTOL, the contract of solve_spd, and leave the worst in
     self.residual.
 
@@ -588,29 +666,22 @@ class SpdSolver:
             raise SolverError(f"factorized solve residual {res:.3e} above {SOLVE_RTOL}", residual=res)
         return x.reshape(b.shape)
 
-    def solve_near(self, A, b, max_iter: int):
+    def solve_near(self, A, b, max_iter: int, x0=None):
         """(x, iterations) for A x = b by CG preconditioned with this LU.
 
-        CG stops at SOLVE_RTOL * 1e-2, as solve_spd does.  x is None when the
-        residual is still above SOLVE_RTOL after max_iter iterations: the owner
-        should then factor A itself.
+        CG starts from x0 (zero if None) and stops at CG_RTOL, as solve_spd
+        does.  x is None when CG has not stopped within max_iter iterations
+        or the residual is above SOLVE_RTOL: the owner should then factor A
+        itself.
         """
         b = np.asarray(b, dtype=float)
         bn = np.linalg.norm(b)
         if bn == 0.0:
             self.residual = 0.0
             return np.zeros_like(b), 0
-        iterations = 0
-
-        def count(_):
-            nonlocal iterations
-            iterations += 1
-
-        M = spla.LinearOperator(A.shape, matvec=self._lu.solve, dtype=float)
-        x, info = spla.cg(A, b, rtol=SOLVE_RTOL * 1e-2, atol=0.0, maxiter=max_iter, M=M,
-                          callback=count)
+        x, iterations = pcg(A, b, self._lu.solve, max_iter, x0)
         self.residual = np.linalg.norm(A @ x - b) / bn
-        if info != 0 or self.residual > SOLVE_RTOL:
+        if iterations == max_iter or self.residual > SOLVE_RTOL:
             return None, iterations
         return x, iterations
 

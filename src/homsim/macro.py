@@ -44,17 +44,21 @@ displacement solve.
 
 Linear solves: the coefficients drift only slowly with T, so the stepper
 keeps one sparse LU factorization per operator kind (potential, temperature,
-displacement).  A later solve of that kind runs conjugate gradients on the
-current Dirichlet-reduced matrix, preconditioned by the kept LU, and the
-operator is factored again only when CG has not converged within
-REUSE_MAX_ITER iterations.  The start-up half step's LU is kept as the
-temperature LU: its operator S/(dt/2) + K is 2 (S/dt + K/2), twice the
-operator of step 0 at nearly the same coefficients, and a preconditioner's
-scale does not change CG's iterates, so step 0 reuses it instead of
-factoring again.  Every LU is released after its last use on the final step.
-Every solve meets a relative residual of 1e-10.  The stepper's statistics
-(traj.meta) count factorizations and CG iterations and record the worst
-residual and max_lu_fill, the largest fill of L + U it factored.
+displacement).  A later solve of that kind runs conjugate gradients (fem.pcg)
+on the current Dirichlet-reduced matrix, preconditioned by the kept LU and
+started from the last solution of that kind, which the slow drift also keeps
+close; the operator is factored again only when CG has not converged within
+REUSE_MAX_ITER iterations.  The start-up half step's LU and solution are
+kept as the temperature ones: its operator S/(dt/2) + K is 2 (S/dt + K/2),
+twice the operator of step 0 at nearly the same coefficients, and a
+preconditioner's scale does not change CG's iterates, so step 0 reuses it
+instead of factoring again.  Every LU is released after its last use on the
+final step.  Every solve meets a relative residual of 1e-10.  The Dirichlet
+elimination of each solve is a gather planned once per stepper
+(fem.DirichletPlan), one plan for the boundary nodes of the scalar operators
+and one for the boundary dofs of the displacement operator.  The stepper's
+statistics (traj.meta) count factorizations and CG iterations and record the
+worst residual and max_lu_fill, the largest fill of L + U it factored.
 """
 
 from __future__ import annotations
@@ -198,21 +202,25 @@ class Stepper:
         self.grid = grid
         self.stride = max(1, snapshot_stride)
         self._bn = self.mesh.boundary_nodes
-        self._bd = np.concatenate([2 * self._bn, 2 * self._bn + 1])
+        self._scalar_bc = fem.DirichletPlan(space.scalar_pattern, self._bn)
+        # all x-dofs, then all y-dofs of the boundary nodes
+        self._vector_bc = fem.DirichletPlan(space.vector_pattern,
+                                            np.concatenate([2 * self._bn, 2 * self._bn + 1]))
 
     # -- helpers ---------------------------------------------------------
     def _solve(self, kind, A, b, keep=True):
         """Solve the Dirichlet-reduced system A x = b of one operator kind.
 
-        Reuses the LU kept for kind as a CG preconditioner and factors A only
-        when there is none or CG does not converge; the LU in use is kept for
-        the next solve of that kind if keep.
+        Reuses the LU kept for kind as a CG preconditioner, started from the
+        last solution of kind, and factors A only when there is none or CG
+        does not converge; the LU in use is kept for the next solve of that
+        kind if keep.
         """
         stats = self._stats
         solver = self._factors.pop(kind, None)
         x = None
         if solver is not None:
-            x, iterations = solver.solve_near(A, b, REUSE_MAX_ITER)
+            x, iterations = solver.solve_near(A, b, REUSE_MAX_ITER, self._last.get(kind))
             stats["cg_iterations"] += iterations
         if x is None:
             solver = None  # release the old LU before SuperLU runs
@@ -223,6 +231,7 @@ class Stepper:
         stats["worst_residual"] = max(stats["worst_residual"], solver.residual)
         if keep:
             self._factors[kind] = solver
+        self._last[kind] = x
         return x
 
     def _qp_eval(self, fn, t):
@@ -237,6 +246,7 @@ class Stepper:
         nn = mesh.num_nodes
         dt = grid.dt
         self._factors = {}  # operator kind -> the SpdSolver kept for reuse
+        self._last = {}  # operator kind -> its last solution, CG's next start
         self._stats = {"factorizations": 0, "cg_iterations": 0, "worst_residual": 0.0,
                        "max_lu_fill": 0}
 
@@ -249,7 +259,8 @@ class Stepper:
         Phi = self._solve("potential", *self._potential_system(co, 0.0))
 
         # backward-Euler half step for the m=0 temperature extrapolant; its
-        # LU is kept for step 0's temperature solve (see the module docstring)
+        # LU and solution are kept for step 0's temperature solve (see the
+        # module docstring)
         That = self._solve("temperature", *self._temperature_system(
             co, T0, T0, Phi, V0, 0.5 * dt, 0.5 * dt, 0.5 * dt, 1.0))
         # the coefficient arrays are the largest per-step data on a fine mesh:
@@ -297,14 +308,16 @@ class Stepper:
         A = fem.assemble_grad_grad(self.space, co["lam"])
         b = fem.assemble_source(self.space, self._qp_eval(self.data.f_Phi, t))
         vals = np.asarray(self.data.bc_Phi(self.mesh.nodes[self._bn], t), float)
-        return fem.apply_dirichlet(A, b, self._bn, vals)
+        return self._scalar_bc.apply(A, b, vals)
 
     def _joule_qp(self, co, Phi):
-        gPhi = fem.element_gradient(self.mesh, Phi)
+        """lam*_ij dPhi/dx_i dPhi/dx_j at the quadrature points."""
+        g0, g1 = fem.element_gradient(self.mesh, Phi).T[:, :, None]  # (nt, 1) each
         lam_star = co["lam_star"]
         if lam_star.ndim == 2:  # isotropic: lam* |grad Phi|^2
-            return lam_star * np.einsum("ti,ti->t", gPhi, gPhi)[:, None]
-        return np.einsum("tqij,ti,tj->tq", lam_star, gPhi, gPhi)
+            return lam_star * (g0 * g0 + g1 * g1)
+        return (lam_star[..., 0, 0] * g0 * g0 + lam_star[..., 0, 1] * g0 * g1
+                + lam_star[..., 1, 0] * g1 * g0 + lam_star[..., 1, 1] * g1 * g1)
 
     def _temperature_system(self, co, That, T_start, Phi, V, t_src, t_end, tau, theta):
         """Theta-scheme temperature step of length tau from T_start, boundary values at t_end.
@@ -323,7 +336,7 @@ class Stepper:
         b += Ms @ T_start - (1.0 - theta) * (K @ T_start)
         A = space.scalar_pattern.matrix(Ms.data + theta * K.data)
         vals = np.asarray(self.data.bc_T(mesh.nodes[self._bn], t_end), float)
-        return fem.apply_dirichlet(A, b, self._bn, vals)
+        return self._scalar_bc.apply(A, b, vals)
 
     def _displacement_system(self, T_next, U_cur, U_prev, t_next):
         space, mesh, dt = self.space, self.mesh, self.grid.dt
@@ -341,9 +354,8 @@ class Stepper:
         b += _flat(np.stack([Mr @ w for w in 2.0 * U_cur - U_prev]))
         A.data[space.vector_mass_slots] += Mr.data[:, None]
         arr = np.asarray(self.data.bc_U(mesh.nodes[self._bn], t_next), float).reshape(-1, 2)
-        # self._bd lists all x-dofs then all y-dofs of the boundary nodes
-        vals = np.concatenate([arr[:, 0], arr[:, 1]])
-        return fem.apply_dirichlet(A, b, self._bd, vals)
+        vals = np.concatenate([arr[:, 0], arr[:, 1]])  # in the order of the plan's dofs
+        return self._vector_bc.apply(A, b, vals)
 
 
 def _flat(U):

@@ -447,9 +447,10 @@ def save_mesh(mesh: Mesh, path) -> None:
     with open(path, "w") as f:
         f.write("homsim-mesh 1\n")
         f.write(f"{mesh.num_nodes} {mesh.num_triangles}\n")
-        f.write("".join(f"{x!r} {y!r}\n" for x, y in mesh.nodes.tolist()))
-        f.write("".join(f"{a} {b} {c} {t}\n" for (a, b, c), t
-                        in zip(mesh.triangles.tolist(), mesh.phase_tag.tolist())))
+        # one % per section: a node line is the repr of its two floats
+        f.write(("%r %r\n" * mesh.num_nodes) % tuple(mesh.nodes.ravel().tolist()))
+        rows = np.column_stack([mesh.triangles, mesh.phase_tag])
+        f.write(("%d %d %d %d\n" * mesh.num_triangles) % tuple(rows.ravel().tolist()))
 
 
 def load_mesh(path) -> Mesh:

@@ -417,6 +417,7 @@ def test_online_with_missing_temperature_file_exits_2(pipeline, tmp_path, capsys
 
 
 def test_only_errors_decompresses_the_second_order(pipeline, monkeypatch):
+    """online and verify read the coefficients only; errors adds both corrector orders."""
     read = []
     getitem = np.lib.npyio.NpzFile.__getitem__
 
@@ -428,9 +429,10 @@ def test_only_errors_decompresses_the_second_order(pipeline, monkeypatch):
     cfg = str(pipeline / "config.json")
     for cmdname in ("online", "verify"):
         assert cli.main([cmdname, cfg]) == 0, cmdname
-    assert "M" in read and not any(k.startswith("second_") for k in read)
+    assert "coeff_c_hat" in read
+    assert not any(k in ("M", "H", "N", "P") or k.startswith("second_") for k in read)
     assert cli.main(["errors", cfg]) == 0
-    assert "second_Q" in read
+    assert "M" in read and "second_Q" in read
 
 
 def test_errors_with_missing_second_order_array_exits_2(pipeline, tmp_path, capsys):

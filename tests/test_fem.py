@@ -301,15 +301,19 @@ def pattern_meshes(macro_mesh, disk_cell_mesh, stripe_cell_mesh):
 
 
 def test_pattern_assembly_is_bit_for_bit_scipys_coo_path(pattern_meshes):
-    """Scatter by the fixed plan gives exactly SciPy's COO -> CSR sum, both operator kinds."""
+    """Scatter by the fixed plan gives exactly SciPy's COO -> CSR sum, both operator kinds.
+
+    The plan takes the blocks element-last, (k, k, nt); SciPy's path takes
+    the same blocks element-first.
+    """
     rng = np.random.default_rng(21)
     for mesh in pattern_meshes:
         space = fem.FemSpace(mesh)
         for pattern, dofs in ((space.scalar_pattern, mesh.triangles),
                               (space.vector_pattern, fem.vector_dofs(mesh.triangles))):
-            k = dofs.shape[1]
-            elem = rng.choice([-1.0, 1.0], (len(dofs), k, k)) * 10.0 ** rng.uniform(-4, 4, (len(dofs), k, k))
-            _assert_same_csr(pattern.assemble(elem), _scatter_matrix(elem, dofs))
+            shape = (dofs.shape[1],) * 2 + (len(dofs),)
+            elem = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-4, 4, shape)
+            _assert_same_csr(pattern.assemble(elem), _scatter_matrix(np.moveaxis(elem, -1, 0), dofs))
 
 
 def test_kernels_return_canonical_csr_on_the_shared_pattern(macro_mesh, macro_space):
@@ -416,15 +420,19 @@ def test_spd_solver_matches_direct(macro_mesh, macro_space):
     assert np.allclose(x1, x2, atol=1e-8 * np.abs(x2).max())
 
 
+def _cg_system(macro_mesh, macro_space, k, rng):
+    """A Dirichlet-reduced SPD system with conductivity k and a random right-hand side."""
+    A = (fem.assemble_grad_grad(macro_space, k * macro_mesh.areas)
+         + fem.assemble_mass(macro_space, np.full(macro_space.wq.shape, 50.0))).tocsr()
+    return fem.apply_dirichlet(A, rng.standard_normal(A.shape[0]), macro_mesh.boundary_nodes, 0.0)
+
+
 def test_spd_solver_reuses_its_lu_on_a_nearby_matrix(macro_mesh, macro_space):
     """CG preconditioned by one LU solves a nearby matrix and gives up on a far one."""
     rng = np.random.default_rng(3)
-    bn = macro_mesh.boundary_nodes
 
     def reduced_system(k):  # k: one conductivity, or one per element
-        A = (fem.assemble_grad_grad(macro_space, k * macro_mesh.areas)
-             + fem.assemble_mass(macro_space, np.full(macro_space.wq.shape, 50.0))).tocsr()
-        return fem.apply_dirichlet(A, rng.standard_normal(A.shape[0]), bn, 0.0)
+        return _cg_system(macro_mesh, macro_space, k, rng)
 
     nt = macro_mesh.num_triangles
     solver = fem.SpdSolver(reduced_system(1.0)[0])
@@ -438,6 +446,79 @@ def test_spd_solver_reuses_its_lu_on_a_nearby_matrix(macro_mesh, macro_space):
     x, iterations = solver.solve_near(far, b, macro.REUSE_MAX_ITER)
     assert x is None and iterations == macro.REUSE_MAX_ITER
     assert solver.residual > 1e-10
+
+
+def _scipy_cg(A, b, precondition, max_iter, x0=None):
+    """(x, iterations, info) of scipy's cg, as solve_spd and solve_near called it."""
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    op = spla.LinearOperator(A.shape, matvec=A.__matmul__, dtype=float)
+    M = spla.LinearOperator(A.shape, matvec=precondition, dtype=float)
+    x, info = spla.cg(op, b, x0=x0, rtol=fem.CG_RTOL, atol=0.0, maxiter=max_iter, M=M,
+                      callback=count)
+    return x, iterations, info
+
+
+def test_pcg_is_scipys_cg_bit_for_bit(macro_mesh, macro_space):
+    """Same x, same iteration count: Jacobi and LU preconditioners, from zero and from x0."""
+    rng = np.random.default_rng(41)
+    nt = macro_mesh.num_triangles
+    A, b = _cg_system(macro_mesh, macro_space, 1.0 + 0.01 * rng.random(nt), rng)
+    dinv = 1.0 / A.diagonal()
+    lu = fem.SpdSolver(_cg_system(macro_mesh, macro_space, 1.0, rng)[0])._lu
+    x_near = fem.SpdSolver(A).solve(b) * (1.0 + 1e-3 * rng.standard_normal(len(b)))
+    for precondition, max_iter in ((lambda r: dinv * r, fem.CG_MAX_ITER), (lu.solve, 50)):
+        for x0 in (None, np.zeros_like(b), x_near):
+            x, iterations = fem.pcg(A, b, precondition, max_iter, x0)
+            ref, ref_iterations, info = _scipy_cg(A, b, precondition, max_iter, x0)
+            assert info == 0 and 0 < iterations == ref_iterations < max_iter
+            assert x.tobytes() == ref.tobytes()
+            assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    # the start is not modified, and a start near x takes fewer iterations
+    start = x_near.copy()
+    _, warm = fem.pcg(A, b, lu.solve, 50, start)
+    assert np.array_equal(start, x_near) and warm < fem.pcg(A, b, lu.solve, 50)[1]
+
+
+def test_pcg_reports_non_convergence_at_max_iter(macro_mesh, macro_space):
+    rng = np.random.default_rng(42)
+    A, b = _cg_system(macro_mesh, macro_space, 10.0 ** rng.uniform(-2.0, 2.0, macro_mesh.num_triangles), rng)
+    dinv = 1.0 / A.diagonal()
+    x, iterations = fem.pcg(A, b, lambda r: dinv * r, 5)
+    ref, ref_iterations, info = _scipy_cg(A, b, lambda r: dinv * r, 5)
+    assert iterations == ref_iterations == info == 5
+    assert x.tobytes() == ref.tobytes()
+    assert np.linalg.norm(A @ x - b) > 1e-10 * np.linalg.norm(b)
+
+
+def test_dirichlet_plan_equals_apply_dirichlet(pattern_meshes):
+    """The planned gather gives apply_dirichlet's b, and its matrix once the exact zeros
+    apply_dirichlet drops are dropped, on the scalar and the vector pattern."""
+    rng = np.random.default_rng(43)
+    for mesh in pattern_meshes:
+        space = fem.FemSpace(mesh)
+        nt, bn = mesh.num_triangles, mesh.boundary_nodes
+        cases = [(space.scalar_pattern, fem.assemble_grad_grad(space, rng.random((nt, 2, 2))), bn),
+                 (space.vector_pattern, fem.assemble_elasticity(space, rng.random((nt, 2, 2, 2, 2))),
+                  np.concatenate([2 * bn, 2 * bn + 1]))]
+        for pattern, A, dofs in cases:
+            A.data[::5] = 0.0  # exact zeros of both signs
+            A.data[1::7] = -0.0
+            plan = fem.DirichletPlan(pattern, dofs)
+            b, values = rng.standard_normal(A.shape[0]), rng.standard_normal(len(dofs))
+            got, got_b = plan.apply(A, b, values)
+            ref, ref_b = fem.apply_dirichlet(A, b, dofs, values)
+            assert got_b.tobytes() == ref_b.tobytes()
+            _assert_canonical(got)
+            assert np.shares_memory(got.indices, plan.indices)
+            assert got.nnz > ref.nnz
+            got = got.copy()
+            got.eliminate_zeros()
+            _assert_same_csr(got, ref)
 
 
 def test_periodic_map_constant_nullspace(disk_cell_mesh):

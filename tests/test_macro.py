@@ -208,6 +208,39 @@ def test_stepper_reuses_one_lu_per_operator_kind(monkeypatch, macro_mesh, small_
             assert np.abs(x - y).max() <= 1e-9 * np.abs(y).max()
 
 
+def test_warm_start_takes_no_more_cg_iterations_than_a_cold_one(monkeypatch, macro_mesh, small_table):
+    """CG started from the last solution of its kind, against CG started from zero."""
+    space = fem.FemSpace(macro_mesh)
+    data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
+    grid = macro.TimeGrid(dt=1e-3, n_steps=12)
+    warm = macro.Stepper(space, macro.TableProvider(space, small_table), data, grid).run()
+    solve_near = fem.SpdSolver.solve_near
+    monkeypatch.setattr(fem.SpdSolver, "solve_near",
+                        lambda self, A, b, max_iter, x0=None: solve_near(self, A, b, max_iter))
+    cold = macro.Stepper(space, macro.TableProvider(space, small_table), data, grid).run()
+    assert 0 < warm.meta["cg_iterations"] <= cold.meta["cg_iterations"]
+    assert warm.meta["factorizations"] == cold.meta["factorizations"]
+    assert warm.meta["worst_residual"] <= 1e-10
+    for a, b in zip(warm.snapshots, cold.snapshots):
+        for name in ("T", "Phi", "U"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.abs(x - y).max() <= 1e-9 * np.abs(y).max()
+
+
+def test_run_twice_on_one_stepper_gives_identical_trajectories(macro_mesh, small_table):
+    """run() starts from no kept LU and no warm start, every time."""
+    space = fem.FemSpace(macro_mesh)
+    data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
+    stepper = macro.Stepper(space, macro.TableProvider(space, small_table), data,
+                            macro.TimeGrid(dt=1e-3, n_steps=6), snapshot_stride=2)
+    first, second = stepper.run(), stepper.run()
+    assert first.meta == second.meta
+    assert len(first.snapshots) == len(second.snapshots) == 4
+    for a, b in zip(first.snapshots, second.snapshots):
+        for name in ("T", "T_prev", "Phi", "U", "U_prev", "U_prevprev"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 def test_stepper_releases_every_lu(monkeypatch, macro_mesh, small_table):
     made = []
 
