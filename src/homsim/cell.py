@@ -6,10 +6,14 @@ solve with piecewise-constant coefficients.  Four first-order families (M, H,
 N, P) feed the homogenized coefficients; sixteen second-order families feed
 the high-order reconstruction.
 
-All problems share one of three operators (scalar heat-conduction form,
-scalar electric-conduction form, vector elasticity form), so each operator is
-assembled, constrained and factored once per temperature (CellOperators) and
-reused for every right-hand side.  The one exception is the first order on
+CellOperators owns everything that depends on T0: the per-element
+coefficients at T0 (from MaterialLaw.per_element; their T-slopes on demand)
+and the three operators (scalar heat-conduction form, scalar
+electric-conduction form, vector elasticity form).  Each operator is
+assembled, constrained and factored once per temperature and reused for
+every right-hand side; the first-order solver, the effective coefficients
+(homog.compute_coefficients) and the second-order solver all read their
+coefficients from it.  The one exception is the first order on
 periodic cells: those correctors feed the homogenized coefficients, whose
 benchmark digest pins the rounding of pure-noise columns, so they keep the
 Jacobi-CG solve (fem.PeriodicMap.solve) that produced the digest.
@@ -23,7 +27,7 @@ are solved in factored form: the x-derivative acts only through T0(x), so
 d/dx_beta = (dT0/dx_beta) d/dT0 and the tabulated functions carry an extra
 leading index beta that is contracted with grad T0 at reconstruction time.
 The required d/dT0 of cell functions and of homogenized coefficients come
-from finite differences over the temperature table.
+from one finite-difference rule over the temperature table (centred_slope).
 
 Weak convention: a strong equation  div_y(a grad F) = S + div_y G  becomes
 int a grad F . grad v = -int S v + int G . grad v  for all admissible v.
@@ -37,6 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fem
+from .materials import MaterialError, elasticity_tensor
 from .mesh import periodic_pairs
 
 SECOND_ORDER_FAMILIES = (
@@ -87,6 +92,16 @@ class FirstOrderCellSet:
     N: np.ndarray
     P: np.ndarray
 
+    def gradients(self, mesh):
+        """Element gradients of M, H, N, P: (a, nt, 2), (a, nt, 2),
+        (m, sup, k, nt, 2), (k, nt, 2)."""
+        return tuple(fem.element_gradient(mesh, f) for f in (self.M, self.H, self.N, self.P))
+
+    def element_means(self, mesh):
+        """Element means of M, H, N, P: (a, nt), (a, nt), (m, sup, k, nt), (k, nt)."""
+        return tuple(f[..., mesh.triangles].mean(axis=-1)
+                     for f in (self.M, self.H, self.N, self.P))
+
 
 @dataclass
 class SecondOrderCellSet:
@@ -105,27 +120,6 @@ class SecondOrderCellSet:
 
     def __getitem__(self, key):
         return self.fields[key]
-
-
-# ---------------------------------------------------------------------------
-# per-element coefficient tables
-# ---------------------------------------------------------------------------
-
-
-def phase_scalar(mesh, law, quantity, T0, order: int = 0):
-    """Per-element scalar coefficient (nt,) from the element phase tags."""
-    out = np.empty(mesh.num_triangles)
-    for ph in law.phases:
-        out[mesh.phase_tag == ph] = float(law.eval(ph, quantity, T0, order))
-    return out
-
-
-def phase_elasticity(mesh, law, T0, order: int = 0):
-    """Per-element elasticity tensor (nt, 2, 2, 2, 2)."""
-    out = np.empty((mesh.num_triangles, 2, 2, 2, 2))
-    for ph in law.phases:
-        out[mesh.phase_tag == ph] = law.elasticity(ph, T0, order)
-    return out
 
 
 class _Dirichlet:
@@ -150,7 +144,13 @@ class _Dirichlet:
 
 
 class CellOperators:
-    """The three constrained cell operators at one (mesh, law, T0).
+    """The per-element coefficients and the three constrained cell operators
+    at one (mesh, law, T0).
+
+    k_e, lam_e, beta_e, rho_e, cap_e (nt,) and c_e (nt, 2, 2, 2, 2) are the
+    phase coefficients of each element at T0, evaluated once from
+    MaterialLaw.per_element; slope() and elasticity_slope() give their
+    T-derivatives on demand.
 
     Heat conduction ("k"), electric conduction ("lam") and elasticity ("c")
     are assembled and constrained once, here: Dirichlet cells eliminate the
@@ -176,9 +176,10 @@ class CellOperators:
         self.law = law
         self.T0 = float(T0)
         self.bc = bc
-        self.k_e = phase_scalar(mesh, law, "k", T0)
-        self.lam_e = phase_scalar(mesh, law, "lam", T0)
-        self.c_e = phase_elasticity(mesh, law, T0)
+        self._laws = law.per_element(mesh.phase_tag)
+        self.k_e, self.lam_e, self.beta_e, self.rho_e, self.cap_e = (
+            self._at_T0(q) for q in ("k", "lam", "beta", "rho", "c"))
+        self.c_e = elasticity_tensor(self._at_T0("E"), self._at_T0("nu"), law.plane)
         ops = {"k": fem.assemble_cell_grad_grad(space, self.k_e),
                "lam": fem.assemble_cell_grad_grad(space, self.lam_e),
                "c": fem.assemble_cell_elasticity(space, self.c_e)}
@@ -189,6 +190,21 @@ class CellOperators:
         else:
             ma, sl = periodic_pairs(mesh)
             self._maps = {name: fem.PeriodicMap(mesh, ma, sl, K) for name, K in ops.items()}
+
+    def _at_T0(self, quantity):
+        a, b = self._laws[quantity]
+        return a + b * self.T0
+
+    def slope(self, quantity):
+        """d/dT of a scalar property per element (nt,): the slope of its affine law."""
+        return self._laws[quantity][1]
+
+    def elasticity_slope(self):
+        """dc/dT per element (nt, 2, 2, 2, 2), for a Poisson ratio constant in T."""
+        if np.any(self.slope("nu") != 0.0):
+            raise MaterialError("temperature-dependent Poisson ratio is not supported")
+        return elasticity_tensor(self.slope("E"), self._at_T0("nu"), self.law.plane,
+                                 _validate=False)
 
     @cached_property
     def _solvers(self):
@@ -230,9 +246,8 @@ def solve_first_order(ops: CellOperators) -> FirstOrderCellSet:
     # One right-hand side at a time, by fem's cell-stage kernels: these solves
     # feed the coefficients.csv digest (see CellOperators.solve_first).  They
     # move onto the FemSpace load operators and blocks with ROADMAP item 2.
-    mesh, law, T0 = ops.mesh, ops.law, ops.T0
-    nn = mesh.num_nodes
-    nt = mesh.num_triangles
+    nn = ops.mesh.num_nodes
+    nt = ops.mesh.num_triangles
 
     M = np.empty((2, nn))
     H = np.empty((2, nn))
@@ -251,24 +266,34 @@ def solve_first_order(ops: CellOperators) -> FirstOrderCellSet:
             x = ops.solve_first("c", fem.assemble_cell_tensor_flux(ops.space, Gt))
             N[m, sup] = x.reshape(nn, 2).T
 
-    beta_e = phase_scalar(mesh, law, "beta", T0)
-    Gt = beta_e[:, None, None] * np.eye(2)[None, :, :]
+    Gt = ops.beta_e[:, None, None] * np.eye(2)[None, :, :]
     P = ops.solve_first("c", fem.assemble_cell_tensor_flux(ops.space, Gt)).reshape(nn, 2).T
 
-    return FirstOrderCellSet(T0=float(T0), M=M, H=H, N=N, P=P)
+    return FirstOrderCellSet(T0=ops.T0, M=M, H=H, N=N, P=P)
 
 
 # ---------------------------------------------------------------------------
-# temperature derivatives of first-order functions
+# temperature derivatives over the table
 # ---------------------------------------------------------------------------
+
+
+def centred_slope(entries, temps, i, names) -> dict:
+    """Finite-difference d/dT of the named attributes of entries at temps[i].
+
+    entries[j] holds the values at temps[j] (increasing).  Centred
+    differences inside the table, one-sided at its ends.
+    """
+    lo, hi = max(i - 1, 0), min(i + 1, len(entries) - 1)
+    dT = temps[hi] - temps[lo]
+    return {name: (getattr(entries[hi], name) - getattr(entries[lo], name)) / dT
+            for name in names}
 
 
 def dT_of_first_order(entries, T0) -> FirstOrderCellSet:
-    """Finite-difference d/dT0 of the first-order functions at a table node.
+    """centred_slope of the first-order functions at a table node.
 
     entries: FirstOrderCellSet list sorted by temperature; T0 must coincide
-    with one of them.  Centered differences inside the table, one-sided at
-    the ends.
+    with one of them.
     """
     temps = np.array([e.T0 for e in entries])
     if len(entries) < 2:
@@ -276,14 +301,8 @@ def dT_of_first_order(entries, T0) -> FirstOrderCellSet:
     i = int(np.argmin(np.abs(temps - T0)))
     if abs(temps[i] - T0) > TABLE_T_TOL * max(1.0, abs(T0)):
         raise CellError(f"T0={T0} is not a table temperature")
-    lo = max(i - 1, 0)
-    hi = min(i + 1, len(entries) - 1)
-    dT = temps[hi] - temps[lo]
-    out = {
-        name: (getattr(entries[hi], name) - getattr(entries[lo], name)) / dT
-        for name in ("M", "H", "N", "P")
-    }
-    return FirstOrderCellSet(T0=float(T0), **out)
+    return FirstOrderCellSet(T0=float(T0),
+                             **centred_slope(entries, temps, i, ("M", "H", "N", "P")))
 
 
 # ---------------------------------------------------------------------------
@@ -343,34 +362,18 @@ def solve_second_order(
     computed from `first`; `first_dT` / `homog_dT` carry their
     finite-difference d/dT0.
     """
-    mesh, law, T0 = ops.mesh, ops.law, ops.T0
+    mesh, T0 = ops.mesh, ops.T0
     d2 = np.eye(2)
 
     k_e, lam_e, c_e = ops.k_e, ops.lam_e, ops.c_e
-    beta_e = phase_scalar(mesh, law, "beta", T0)
-    rho_e = phase_scalar(mesh, law, "rho", T0)
-    cap_e = phase_scalar(mesh, law, "c", T0)
-    dk_e = phase_scalar(mesh, law, "k", T0, 1)
-    dlam_e = phase_scalar(mesh, law, "lam", T0, 1)
-    dbeta_e = phase_scalar(mesh, law, "beta", T0, 1)
-    dc_e = phase_elasticity(mesh, law, T0, 1)
+    beta_e, rho_e, cap_e = ops.beta_e, ops.rho_e, ops.cap_e
+    dk_e, dlam_e, dbeta_e = ops.slope("k"), ops.slope("lam"), ops.slope("beta")
+    dc_e = ops.elasticity_slope()
 
-    def emean(arr):
-        return arr[..., mesh.triangles].mean(axis=-1)
-
-    gM = fem.element_gradient(mesh, first.M)   # (a, nt, 2)
-    gH = fem.element_gradient(mesh, first.H)
-    gN = fem.element_gradient(mesh, first.N)   # (m, sup, k, nt, 2)
-    gP = fem.element_gradient(mesh, first.P)   # (k, nt, 2)
-    M_e, H_e = emean(first.M), emean(first.H)  # (a, nt)
-    N_e, P_e = emean(first.N), emean(first.P)  # (m,sup,k,nt), (k,nt)
-
-    gMp = fem.element_gradient(mesh, first_dT.M)
-    gHp = fem.element_gradient(mesh, first_dT.H)
-    gNp = fem.element_gradient(mesh, first_dT.N)
-    gPp = fem.element_gradient(mesh, first_dT.P)
-    Mp_e, Hp_e = emean(first_dT.M), emean(first_dT.H)
-    Np_e, Pp_e = emean(first_dT.N), emean(first_dT.P)
+    gM, gH, gN, gP = first.gradients(mesh)
+    M_e, H_e, N_e, P_e = first.element_means(mesh)
+    gMp, gHp, gNp, gPp = first_dT.gradients(mesh)
+    Mp_e, Hp_e, Np_e, Pp_e = first_dT.element_means(mesh)
 
     def solve(which, **data):
         return _solve_family(ops, which, **data)

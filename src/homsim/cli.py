@@ -22,11 +22,7 @@ import numpy as np
 from . import archive, cell, dns, fem, homog, macro, metrics, reconstruct, vtkio
 from .config import ConfigError, SimulationConfig
 from .materials import MaterialError
-from .mesh import MeshError, build_macro_mesh, build_unit_cell_mesh
-
-
-def _load_config(path) -> SimulationConfig:
-    return SimulationConfig.from_file(path)
+from .mesh import MeshError, build_macro_mesh, build_unit_cell_mesh, load_mesh, save_mesh
 
 
 def _out_dir(cfg) -> pathlib.Path:
@@ -47,6 +43,20 @@ def _solver_work(traj) -> str:
     m = traj.meta
     return (f"{m['factorizations']} factorizations (max L+U fill {m['max_lu_fill']}), "
             f"{m['cg_iterations']} CG iterations, worst residual {m['worst_residual']:.2e}")
+
+
+def _write_run(cfg, out, name, mesh, traj) -> int:
+    """Save a run as {name}_trajectory.npz and {name}_mesh.txt, print its
+    summary and, if asked for, write the final snapshot to {name}_final.vtk."""
+    macro.save_trajectory(traj, out / f"{name}_trajectory.npz")
+    save_mesh(mesh, out / f"{name}_mesh.txt")
+    print(f"{name} solve: {len(traj.snapshots)} snapshots, "
+          f"final |T| max {np.abs(traj.snapshots[-1].T).max():.4g}, {_solver_work(traj)}")
+    if cfg.write_vtk:
+        s = traj.snapshots[-1]
+        vtkio.write_vtk(out / f"{name}_final.vtk", mesh,
+                        {"T": s.T, "Phi": s.Phi, "U": s.U})
+    return 0
 
 
 def cmd_offline(cfg: SimulationConfig, args) -> int:
@@ -82,17 +92,7 @@ def cmd_online(cfg: SimulationConfig, args) -> int:
     traj = stepper.run()
     if cell.SOLVES.count != 0:
         raise RuntimeError("on-line stage solved a cell problem; stage separation broken")
-    macro.save_trajectory(traj, out / "macro_trajectory.npz")
-    from .mesh import save_mesh
-
-    save_mesh(mesh, out / "macro_mesh.txt")
-    print(f"macro solve: {len(traj.snapshots)} snapshots, "
-          f"final |T| max {np.abs(traj.snapshots[-1].T).max():.4g}, {_solver_work(traj)}")
-    if cfg.write_vtk:
-        s = traj.snapshots[-1]
-        vtkio.write_vtk(out / "macro_final.vtk", mesh,
-                        {"T": s.T, "Phi": s.Phi, "U": s.U})
-    return 0
+    return _write_run(cfg, out, "macro", mesh, traj)
 
 
 def cmd_dns(cfg: SimulationConfig, args) -> int:
@@ -104,17 +104,7 @@ def cmd_dns(cfg: SimulationConfig, args) -> int:
     print(f"fine mesh: {fine.num_triangles} elements")
     traj = dns.run_dns(fine, law, cfg.problem_data(), cfg.time_grid(),
                        snapshot_stride=cfg.snapshot_stride())
-    macro.save_trajectory(traj, out / "dns_trajectory.npz")
-    from .mesh import save_mesh
-
-    save_mesh(fine, out / "dns_mesh.txt")
-    print(f"dns solve: {len(traj.snapshots)} snapshots, "
-          f"final |T| max {np.abs(traj.snapshots[-1].T).max():.4g}, {_solver_work(traj)}")
-    if cfg.write_vtk:
-        s = traj.snapshots[-1]
-        vtkio.write_vtk(out / "dns_final.vtk", fine,
-                        {"T": s.T, "Phi": s.Phi, "U": s.U})
-    return 0
+    return _write_run(cfg, out, "dns", fine, traj)
 
 
 def cmd_verify(cfg: SimulationConfig, args) -> int:
@@ -141,8 +131,6 @@ _ERRORS_INPUTS = {"macro_mesh.txt": "online", "macro_trajectory.npz": "online",
 
 def cmd_errors(cfg: SimulationConfig, args) -> int:
     out = _out_dir(cfg)
-    from .mesh import load_mesh
-
     for name, stage in _ERRORS_INPUTS.items():
         if not (out / name).is_file():
             raise ConfigError(f"{out / name} not found; `homsim {stage}` writes it")
@@ -189,7 +177,7 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to the JSON configuration file")
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = SimulationConfig.from_file(args.config)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

@@ -58,15 +58,7 @@ class OscillatoryProvider:
     def __init__(self, space: fem.FemSpace, law):
         self.space = space
         self.law = law
-        mesh = space.mesh
-        self._ab = {}
-        for q in ("rho", "c", "k", "lam", "beta", "E", "nu"):
-            a = np.empty(mesh.num_triangles)
-            b = np.empty(mesh.num_triangles)
-            for ph in law.phases:
-                sel = mesh.phase_tag == ph
-                a[sel], b[sel] = law.coeffs[ph][q]
-            self._ab[q] = (a, b)
+        self._ab = law.per_element(space.mesh.phase_tag)
         # the affine coefficients of beta, area-averaged to the nodes
         self._beta_nodal_ab = tuple(space.average @ v for v in self._ab["beta"])
 

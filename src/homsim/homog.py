@@ -36,52 +36,38 @@ class HomogenizedCoefficients:
     beta_hat_star: np.ndarray  # (2,2)
 
     def as_row(self):
-        return np.concatenate(
-            [
-                [self.T0, self.S_hat, self.rho_hat],
-                self.k_hat.ravel(),
-                self.lam_hat.ravel(),
-                self.lam_hat_star.ravel(),
-                self.beta_hat.ravel(),
-                self.beta_hat_star.ravel(),
-                self.c_hat.ravel(),
-            ]
-        )
+        """T0 and then the CSV_COLUMNS, each flattened in C order."""
+        return np.concatenate([[self.T0]] + [np.ravel(getattr(self, name))
+                                             for name, _ in CSV_COLUMNS])
 
 
 #: the coefficient block, in the order of the fields of HomogenizedCoefficients
 COEFF_NAMES = ("S_hat", "k_hat", "lam_hat", "lam_hat_star", "rho_hat",
                "c_hat", "beta_hat", "beta_hat_star")
 
-CSV_HEADER = (
-    ["T0", "S_hat", "rho_hat"]
-    + [f"k_hat_{i}{j}" for i in (1, 2) for j in (1, 2)]
-    + [f"lam_hat_{i}{j}" for i in (1, 2) for j in (1, 2)]
-    + [f"lam_hat_star_{i}{j}" for i in (1, 2) for j in (1, 2)]
-    + [f"beta_hat_{i}{j}" for i in (1, 2) for j in (1, 2)]
-    + [f"beta_hat_star_{i}{j}" for i in (1, 2) for j in (1, 2)]
-    + [f"c_hat_{i}{j}{k}{l}" for i in (1, 2) for j in (1, 2) for k in (1, 2) for l in (1, 2)]
-)
+#: the columns of coefficients.csv after T0: (coefficient, tensor rank)
+CSV_COLUMNS = (("S_hat", 0), ("rho_hat", 0), ("k_hat", 2), ("lam_hat", 2),
+               ("lam_hat_star", 2), ("beta_hat", 2), ("beta_hat_star", 2), ("c_hat", 4))
+
+CSV_HEADER = ["T0"] + [
+    (f"{name}_" + "".join(str(i + 1) for i in idx)).rstrip("_")
+    for name, rank in CSV_COLUMNS for idx in np.ndindex(*(2,) * rank)
+]
 
 
-def compute_coefficients(mesh, law, T0, first: cell.FirstOrderCellSet) -> HomogenizedCoefficients:
+def compute_coefficients(ops: cell.CellOperators,
+                         first: cell.FirstOrderCellSet) -> HomogenizedCoefficients:
     """Cell-average the corrected coefficients (unit-cell measure is 1)."""
+    mesh, T0 = ops.mesh, ops.T0
     if abs(first.T0 - T0) > 1e-9 * max(1.0, abs(T0)):
         raise HomogError(f"corrector set solved at {first.T0}, not {T0}")
     w = mesh.areas
     d2 = np.eye(2)
 
-    k_e = cell.phase_scalar(mesh, law, "k", T0)
-    lam_e = cell.phase_scalar(mesh, law, "lam", T0)
-    beta_e = cell.phase_scalar(mesh, law, "beta", T0)
-    rho_e = cell.phase_scalar(mesh, law, "rho", T0)
-    cap_e = cell.phase_scalar(mesh, law, "c", T0)
-    c_e = cell.phase_elasticity(mesh, law, T0)
-
-    gM = fem.element_gradient(mesh, first.M)  # (j, nt, i)
-    gH = fem.element_gradient(mesh, first.H)
-    gN = fem.element_gradient(mesh, first.N)  # (m, sup, comp, nt, deriv)
-    gP = fem.element_gradient(mesh, first.P)  # (k, nt, l)
+    k_e, lam_e, beta_e, c_e = ops.k_e, ops.lam_e, ops.beta_e, ops.c_e
+    rho_e, cap_e = ops.rho_e, ops.cap_e
+    # (j, nt, i), (j, nt, i), (m, sup, comp, nt, deriv), (k, nt, l)
+    gM, gH, gN, gP = first.gradients(mesh)
 
     S_hat = float(np.sum(w * (rho_e * cap_e + T0 * beta_e * np.einsum("ktk->t", gP))))
     rho_hat = float(np.sum(w * rho_e))
@@ -123,7 +109,11 @@ def compute_coefficients(mesh, law, T0, first: cell.FirstOrderCellSet) -> Homoge
     )
 
 
-def verify_identities(h: HomogenizedCoefficients, law=None, tol: float = 1e-8) -> dict:
+#: largest relative deviation verify_identities accepts
+IDENTITY_TOL = 1e-8
+
+
+def verify_identities(h: HomogenizedCoefficients, law=None) -> dict:
     """Structural checks: dual-form identities, symmetry, eigenvalue bounds."""
     rep = {"T0": h.T0, "checks": {}}
 
@@ -133,16 +123,17 @@ def verify_identities(h: HomogenizedCoefficients, law=None, tol: float = 1e-8) -
 
     rep["checks"]["lam_eq_lam_star"] = {
         "deviation": rel(h.lam_hat, h.lam_hat_star),
-        "pass": rel(h.lam_hat, h.lam_hat_star) <= tol,
+        "pass": rel(h.lam_hat, h.lam_hat_star) <= IDENTITY_TOL,
     }
     rep["checks"]["beta_eq_beta_star"] = {
         "deviation": rel(h.beta_hat, h.beta_hat_star),
-        "pass": rel(h.beta_hat, h.beta_hat_star) <= tol,
+        "pass": rel(h.beta_hat, h.beta_hat_star) <= IDENTITY_TOL,
     }
     for name, t in (("k_hat", h.k_hat), ("lam_hat", h.lam_hat), ("beta_hat", h.beta_hat)):
         sym = rel(t, t.T)
         ev = np.linalg.eigvalsh(0.5 * (t + t.T))
-        entry = {"symmetry_deviation": sym, "eigenvalues": ev.tolist(), "pass": sym <= tol and ev.min() > 0}
+        entry = {"symmetry_deviation": sym, "eigenvalues": ev.tolist(),
+                 "pass": sym <= IDENTITY_TOL and ev.min() > 0}
         if law is not None:
             q = {"k_hat": "k", "lam_hat": "lam", "beta_hat": "beta"}[name]
             vals = [float(law.eval(ph, q, h.T0)) for ph in law.phases]
@@ -161,7 +152,7 @@ def verify_identities(h: HomogenizedCoefficients, law=None, tol: float = 1e-8) -
     rep["checks"]["c_hat"] = {
         "symmetry_deviation": full_sym,
         "eigenvalues": ev.tolist(),
-        "pass": full_sym <= tol and ev.min() > 0,
+        "pass": full_sym <= IDENTITY_TOL and ev.min() > 0,
     }
     rep["checks"]["S_hat"] = {"value": h.S_hat, "pass": h.S_hat > 0}
     rep["pass"] = all(c["pass"] for c in rep["checks"].values())
@@ -222,15 +213,10 @@ class TemperatureTable:
                 for name in COEFF_NAMES}
 
     def coeff_dT(self, index: int) -> HomogenizedCoefficients:
-        """Finite-difference d/dT0 of the coefficient block at a table node."""
-        lo = max(index - 1, 0)
-        hi = min(index + 1, len(self.temps) - 1)
-        dT = self.temps[hi] - self.temps[lo]
-        a, b = self.coeffs[lo], self.coeffs[hi]
-        return HomogenizedCoefficients(T0=float(self.temps[index]), **{
-            n: (getattr(b, n) - getattr(a, n)) / dT
-            for n in COEFF_NAMES
-        })
+        """cell.centred_slope of the coefficient block at a table node."""
+        return HomogenizedCoefficients(
+            T0=float(self.temps[index]),
+            **cell.centred_slope(self.coeffs, self.temps, index, COEFF_NAMES))
 
 
 def build_table(
@@ -270,7 +256,7 @@ def build_table(
         ops = cell.CellOperators(space, law, temps[i], bc)
         table.first.append(cell.solve_first_order(ops))
         elapsed[i] += _time.perf_counter() - t0
-        table.coeffs.append(compute_coefficients(mesh, law, temps[i], table.first[i]))
+        table.coeffs.append(compute_coefficients(ops, table.first[i]))
         return ops
 
     ops = first_order(0)

@@ -79,6 +79,8 @@ THERMAL = ("S", "k", "lam", "lam_star")
 MECHANICAL = ("rho", "c", "beta")
 #: coefficient fields a provider gives as element integrals
 INTEGRATED = ("k", "lam", "c")
+#: relative distance within which Trajectory.at_time takes a snapshot as at t
+SNAPSHOT_T_TOL = 1e-9
 
 
 class StepError(RuntimeError):
@@ -121,9 +123,9 @@ class Trajectory:
     snapshots: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def at_time(self, t, tol=1e-9):
+    def at_time(self, t):
         for s in self.snapshots:
-            if abs(s.t - t) <= tol * max(1.0, abs(t)):
+            if abs(s.t - t) <= SNAPSHOT_T_TOL * max(1.0, abs(t)):
                 return s
         raise KeyError(f"no snapshot at t={t}")
 

@@ -43,6 +43,12 @@ class MaterialError(ValueError):
     pass
 
 
+#: smallest admissible coefficient or elasticity eigenvalue (audit_ellipticity)
+KAPPA0 = 1e-8
+#: temperatures audit_ellipticity samples over the declared range
+AUDIT_SWEEP = 100
+
+
 @dataclass(frozen=True)
 class MaterialLaw:
     """Affine-in-temperature property laws for the two phases.
@@ -54,7 +60,6 @@ class MaterialLaw:
     coeffs: dict = field(default_factory=lambda: EXAMPLE_LAWS)
     T_range: tuple[float, float] = (250.0, 900.0)
     plane: str = "strain"
-    kappa0: float = 1e-8
 
     def __post_init__(self):
         if self.plane not in ("strain", "stress"):
@@ -68,50 +73,51 @@ class MaterialLaw:
     def phases(self):
         return sorted(self.coeffs)
 
-    def eval(self, phase, quantity, T, order: int = 0):
-        """Value (order 0) or T-derivative (order 1, 2) of a property.
-
-        T may be a scalar or an array; affine laws give order-1 values that
-        are independent of T and order-2 values that are exactly zero.
-        """
+    def eval(self, phase, quantity, T):
+        """Value a + b*T of a property; T may be a scalar or an array."""
         try:
             a, b = self.coeffs[phase][quantity]
         except KeyError:
             raise MaterialError(f"unknown phase/quantity ({phase!r}, {quantity!r})") from None
-        T = np.asarray(T, dtype=float)
-        if order == 0:
-            return a + b * T
-        if order == 1:
-            return np.broadcast_to(np.float64(b), T.shape).copy() if T.ndim else float(b)
-        if order == 2:
-            return np.zeros_like(T) if T.ndim else 0.0
-        raise MaterialError(f"derivative order must be 0, 1 or 2, got {order}")
+        return a + b * np.asarray(T, dtype=float)
+
+    def per_element(self, phase_tag):
+        """The affine law of each element's phase: {quantity: (a, b)}, each (nt,).
+
+        The value at T is a + b*T and the T-derivative is b.  Raises
+        MaterialError if a tag of phase_tag has no law.
+        """
+        tags = np.asarray(phase_tag)
+        phases = self.phases
+        missing = sorted(set(np.unique(tags).tolist()) - set(phases))
+        if missing:
+            raise MaterialError(f"mesh phases {missing} have no material law")
+        idx = np.searchsorted(phases, tags)
+        return {q: tuple(np.array([self.coeffs[ph][q][j] for ph in phases], float)[idx]
+                         for j in (0, 1))
+                for q in QUANTITIES}
 
     def in_range(self, T) -> bool:
         T = np.asarray(T)
         return bool(np.all((T >= self.T_range[0]) & (T <= self.T_range[1])))
 
-    def elasticity(self, phase, T, order: int = 0):
-        """c_ijkl(T) for a phase; order 1 gives dc/dT (nu is T-independent)."""
-        E = self.eval(phase, "E", T, order)
-        nu = self.eval(phase, "nu", T, 0)
-        if order > 0 and self.coeffs[phase]["nu"][1] != 0.0:
-            raise MaterialError("temperature-dependent Poisson ratio is not supported")
-        return elasticity_tensor(E, nu, self.plane, _validate=(order == 0))
+    def elasticity(self, phase, T):
+        """c_ijkl(T) for a phase."""
+        return elasticity_tensor(self.eval(phase, "E", T), self.eval(phase, "nu", T), self.plane)
 
-    def audit_ellipticity(self, n_sweep: int = 100):
+    def audit_ellipticity(self):
         """Check positivity/ellipticity of every property over the T range.
 
         Returns the minimum margin found; raises if any coefficient or the
-        smallest elasticity eigenvalue drops below kappa0.
+        smallest elasticity eigenvalue drops below KAPPA0.
         """
-        Ts = np.linspace(*self.T_range, n_sweep)
+        Ts = np.linspace(*self.T_range, AUDIT_SWEEP)
         worst = np.inf
         for phase in self.phases:
             for q in ("rho", "c", "k", "lam", "beta", "E"):
                 vals = self.eval(phase, q, Ts)
                 worst = min(worst, float(vals.min()))
-                if vals.min() < self.kappa0:
+                if vals.min() < KAPPA0:
                     raise MaterialError(
                         f"{q} for phase {phase} drops to {vals.min():.3g} on the operating range"
                     )
@@ -122,7 +128,7 @@ class MaterialLaw:
                 c = self.elasticity(phase, T)
                 ev = np.linalg.eigvalsh(voigt(c)).min()
                 worst = min(worst, float(ev))
-                if ev < self.kappa0:
+                if ev < KAPPA0:
                     raise MaterialError(f"elasticity tensor for phase {phase} loses definiteness")
         return worst
 

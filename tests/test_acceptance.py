@@ -90,7 +90,7 @@ def test_laminate_oracle(law):
     stripe = build_unit_cell_mesh(PhaseGeometry("stripe", band=(0.25, 0.75)), 0.1)
     ops = cell.CellOperators(fem.FemSpace(stripe), law, 300.0, bc="periodic")
     first = cell.solve_first_order(ops)
-    co = homog.compute_coefficients(stripe, law, 300.0, first)
+    co = homog.compute_coefficients(ops, first)
     km, ki = law.eval(0, "k", 300.0), law.eval(1, "k", 300.0)
     harmonic = 2.0 / (1.0 / km + 1.0 / ki)
     arithmetic = 0.5 * (km + ki)
@@ -102,8 +102,8 @@ def test_laminate_oracle(law):
     vals = []
     for h in (0.1, 0.05, 0.025):
         m = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), h)
-        f = cell.solve_first_order(cell.CellOperators(fem.FemSpace(m), law, 300.0, bc="periodic"))
-        vals.append(homog.compute_coefficients(m, law, 300.0, f).k_hat[0, 0])
+        ops = cell.CellOperators(fem.FemSpace(m), law, 300.0, bc="periodic")
+        vals.append(homog.compute_coefficients(ops, cell.solve_first_order(ops)).k_hat[0, 0])
     ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
 
     ok = d11 <= 1e-3 and d22 <= 1e-3 and 2.5 <= ratio <= 6.0

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from homsim import cell, fem, homog
-from homsim.mesh import PhaseGeometry, build_unit_cell_mesh, periodic_pairs
+from homsim.materials import EXAMPLE_LAWS, MaterialError, MaterialLaw, elasticity_tensor
+from homsim.mesh import INCLUSION, MATRIX, PhaseGeometry, build_unit_cell_mesh, periodic_pairs
 
 from conftest import count_patterns
 
@@ -79,6 +80,98 @@ def test_dT_of_first_order_centered(disk_cell_mesh, example_law):
     assert np.allclose(d.M, expect, atol=1e-14)
 
 
+@pytest.mark.parametrize("i, lo, hi", [(0, 0, 1), (1, 0, 2), (2, 1, 3), (3, 2, 3)])
+def test_centred_slope_is_centred_inside_and_one_sided_at_the_ends(small_table, i, lo, hi):
+    """One rule for corrector sets and coefficient blocks: the difference of
+    the neighbours of node i, one-sided at the two ends of the table."""
+    rng = np.random.default_rng(i)
+    temps = np.array([280.0, 320.0, 360.0, 400.0])
+    nn = small_table.first[0].M.shape[-1]
+    first = [cell.FirstOrderCellSet(T0=T, M=rng.standard_normal((2, nn)),
+                                    H=rng.standard_normal((2, nn)),
+                                    N=rng.standard_normal((2, 2, 2, nn)),
+                                    P=rng.standard_normal((2, nn))) for T in temps]
+    blocks = [homog.HomogenizedCoefficients(
+        T0=T, **{n: rng.standard_normal(np.shape(getattr(small_table.coeffs[0], n)))
+                 for n in homog.COEFF_NAMES}) for T in temps]
+    dT = temps[hi] - temps[lo]
+    for entries, names in ((first, ("M", "H", "N", "P")), (blocks, homog.COEFF_NAMES)):
+        got = cell.centred_slope(entries, temps, i, names)
+        assert sorted(got) == sorted(names)
+        for n in names:
+            expect = (getattr(entries[hi], n) - getattr(entries[lo], n)) / dT
+            assert np.asarray(got[n]).tobytes() == np.asarray(expect).tobytes(), n
+    d = cell.dT_of_first_order(first, temps[i])
+    assert d.T0 == temps[i] and d.N.tobytes() == ((first[hi].N - first[lo].N) / dT).tobytes()
+    table = homog.TemperatureTable(temps=temps, first=first, second=[], coeffs=blocks,
+                                   Ttilde=300.0)
+    c = table.coeff_dT(i)
+    assert c.T0 == temps[i]
+    assert c.c_hat.tobytes() == ((blocks[hi].c_hat - blocks[lo].c_hat) / dT).tobytes()
+
+
+# The per-phase evaluation of the cell coefficients that CellOperators
+# replaced, kept as the reference of the bit guard below: phase_scalar and
+# phase_elasticity verbatim, on the MaterialLaw.eval and .elasticity of that
+# time (_law_eval, _law_elasticity), which also gave T-derivatives.
+def _law_eval(law, phase, quantity, T, order: int = 0):
+    a, b = law.coeffs[phase][quantity]
+    T = np.asarray(T, dtype=float)
+    if order == 0:
+        return a + b * T
+    if order == 1:
+        return np.broadcast_to(np.float64(b), T.shape).copy() if T.ndim else float(b)
+    raise ValueError(order)
+
+
+def _law_elasticity(law, phase, T, order: int = 0):
+    E = _law_eval(law, phase, "E", T, order)
+    nu = _law_eval(law, phase, "nu", T, 0)
+    return elasticity_tensor(E, nu, law.plane, _validate=(order == 0))
+
+
+def phase_scalar(mesh, law, quantity, T0, order: int = 0):
+    """Per-element scalar coefficient (nt,) from the element phase tags."""
+    out = np.empty(mesh.num_triangles)
+    for ph in law.phases:
+        out[mesh.phase_tag == ph] = float(_law_eval(law, ph, quantity, T0, order))
+    return out
+
+
+def phase_elasticity(mesh, law, T0, order: int = 0):
+    """Per-element elasticity tensor (nt, 2, 2, 2, 2)."""
+    out = np.empty((mesh.num_triangles, 2, 2, 2, 2))
+    for ph in law.phases:
+        out[mesh.phase_tag == ph] = _law_elasticity(law, ph, T0, order)
+    return out
+
+
+@pytest.mark.parametrize("geometry", ["disk", "stripe"])
+def test_cell_coefficients_are_bit_for_bit_the_per_phase_loop(
+        disk_cell_mesh, stripe_cell_mesh, example_law, geometry):
+    mesh = disk_cell_mesh if geometry == "disk" else stripe_cell_mesh
+    assert set(np.unique(mesh.phase_tag).tolist()) == {MATRIX, INCLUSION}
+    space = fem.FemSpace(mesh)
+    for T0 in np.linspace(250.0, 900.0, 7):
+        ops = cell.CellOperators(space, example_law, T0)
+        for attr, q in (("k_e", "k"), ("lam_e", "lam"), ("beta_e", "beta"),
+                        ("rho_e", "rho"), ("cap_e", "c")):
+            assert getattr(ops, attr).tobytes() == phase_scalar(
+                mesh, example_law, q, T0).tobytes(), (T0, attr)
+        for q in ("k", "lam", "beta", "rho", "c"):
+            assert ops.slope(q).tobytes() == phase_scalar(
+                mesh, example_law, q, T0, 1).tobytes(), (T0, q)
+        assert ops.c_e.tobytes() == phase_elasticity(mesh, example_law, T0).tobytes()
+        assert ops.elasticity_slope().tobytes() == phase_elasticity(
+            mesh, example_law, T0, 1).tobytes()
+
+
+def test_a_mesh_phase_without_a_law_is_refused(disk_cell_mesh):
+    law = MaterialLaw(coeffs={MATRIX: EXAMPLE_LAWS[MATRIX]})
+    with pytest.raises(MaterialError, match=rf"\[{INCLUSION}\] have no material law"):
+        cell.CellOperators(fem.FemSpace(disk_cell_mesh), law, 300.0)
+
+
 def test_mean_value_zero_with_periodic_bc(disk_cell_mesh, example_law):
     ops = cell.CellOperators(fem.FemSpace(disk_cell_mesh), example_law, 300.0, bc="periodic")
     first = cell.solve_first_order(ops)
@@ -108,8 +201,8 @@ def test_periodic_solve_constrained_once_matches_per_solve_path(disk_cell_mesh, 
     mesh = disk_cell_mesh
     space = fem.FemSpace(mesh)
     masters, slaves = periodic_pairs(mesh)
-    k_e = cell.phase_scalar(mesh, example_law, "k", 300.0)
-    c_e = cell.phase_elasticity(mesh, example_law, 300.0)
+    ops = cell.CellOperators(space, example_law, 300.0)
+    k_e, c_e = ops.k_e, ops.c_e
     rng = np.random.default_rng(5)
     G = np.zeros((mesh.num_triangles, 2))
     G[:, 0] = -k_e
@@ -181,7 +274,7 @@ def _periodic_second_order_inputs(mesh, law):
     temps = [300.0, 320.0]
     ops = [cell.CellOperators(space, law, T, bc="periodic") for T in temps]
     first = [cell.solve_first_order(o) for o in ops]
-    coeffs = [homog.compute_coefficients(mesh, law, T, f) for T, f in zip(temps, first)]
+    coeffs = [homog.compute_coefficients(o, f) for o, f in zip(ops, first)]
     table = homog.TemperatureTable(temps=np.array(temps), first=first, second=[],
                                    coeffs=coeffs, Ttilde=300.0, bc="periodic")
     return ops[0], (first[0], coeffs[0], 300.0), {
@@ -242,7 +335,7 @@ def _second_order_at(mesh, law, temps, i, bc):
     space = fem.FemSpace(mesh)
     ops = [cell.CellOperators(space, law, T, bc) for T in temps]
     first = [cell.solve_first_order(o) for o in ops]
-    coeffs = [homog.compute_coefficients(mesh, law, T, f) for T, f in zip(temps, first)]
+    coeffs = [homog.compute_coefficients(o, f) for o, f in zip(ops, first)]
     table = homog.TemperatureTable(temps=np.array(temps), first=first, second=[],
                                    coeffs=coeffs, Ttilde=300.0, bc=bc)
     return lambda: cell.solve_second_order(
@@ -320,8 +413,7 @@ def test_periodic_first_order_stays_on_jacobi_cg(disk_cell_mesh, example_law):
         for sup in range(2):
             x = pm.solve(fem.assemble_cell_tensor_flux(space, -ops.c_e[:, :, :, m, sup]))
             assert np.array_equal(first.N[m, sup], x.reshape(nn, 2).T)
-    beta_e = cell.phase_scalar(mesh, example_law, "beta", 300.0)
-    x = pm.solve(fem.assemble_cell_tensor_flux(space, beta_e[:, None, None] * np.eye(2)))
+    x = pm.solve(fem.assemble_cell_tensor_flux(space, ops.beta_e[:, None, None] * np.eye(2)))
     assert np.array_equal(first.P, x.reshape(nn, 2).T)
 
 

@@ -45,7 +45,7 @@ def test_laminate_limits_periodic(example_law):
     mesh = build_unit_cell_mesh(PhaseGeometry("stripe", band=(0.25, 0.75)), 0.1)
     ops = cell.CellOperators(fem.FemSpace(mesh), example_law, 300.0, bc="periodic")
     first = cell.solve_first_order(ops)
-    co = homog.compute_coefficients(mesh, example_law, 300.0, first)
+    co = homog.compute_coefficients(ops, first)
     k1 = example_law.eval(0, "k", 300.0)
     k2 = example_law.eval(1, "k", 300.0)
     harm = 1.0 / (0.5 / k1 + 0.5 / k2)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from homsim import cell, fem
 from homsim.materials import (
     EXAMPLE_LAWS,
+    QUANTITIES,
     MaterialError,
     MaterialLaw,
     elasticity_tensor,
@@ -17,8 +19,17 @@ from homsim.mesh import INCLUSION, MATRIX
 def test_affine_evaluation(example_law):
     a, b = EXAMPLE_LAWS[MATRIX]["k"]
     assert example_law.eval(MATRIX, "k", 300.0) == pytest.approx(a + 300.0 * b)
-    assert example_law.eval(MATRIX, "k", 300.0, order=1) == pytest.approx(b)
-    assert example_law.eval(MATRIX, "k", 300.0, order=2) == 0.0
+
+
+def test_per_element_gives_the_law_of_each_elements_phase(example_law):
+    tags = np.array([INCLUSION, MATRIX, MATRIX, INCLUSION, MATRIX])
+    laws = example_law.per_element(tags)
+    assert sorted(laws) == sorted(QUANTITIES)
+    for q, (a, b) in laws.items():
+        assert a.shape == b.shape == tags.shape
+        assert a.tolist() == [EXAMPLE_LAWS[ph][q][0] for ph in tags.tolist()]
+        # the T-derivative of each element's property is the slope of its law
+        assert b.tolist() == [EXAMPLE_LAWS[ph][q][1] for ph in tags.tolist()]
 
 
 def test_eval_vectorized(example_law):
@@ -126,9 +137,10 @@ def test_uniform_law_phases_identical(uniform_law):
         assert uniform_law.eval(MATRIX, q, 311.0) == uniform_law.eval(INCLUSION, q, 311.0)
 
 
-def test_temperature_dependent_nu_rejected_for_derivative():
+def test_temperature_dependent_nu_rejected_for_derivative(disk_cell_mesh):
+    """The cell stage's dc/dT (CellOperators.elasticity_slope) needs a constant nu."""
     coeffs = {ph: dict(EXAMPLE_LAWS[ph]) for ph in (MATRIX, INCLUSION)}
     coeffs[MATRIX]["nu"] = (0.25, 1e-5)
-    law = MaterialLaw(coeffs=coeffs)
-    with pytest.raises(MaterialError):
-        law.elasticity(MATRIX, 300.0, order=1)
+    ops = cell.CellOperators(fem.FemSpace(disk_cell_mesh), MaterialLaw(coeffs=coeffs), 300.0)
+    with pytest.raises(MaterialError, match="Poisson ratio"):
+        ops.elasticity_slope()
