@@ -14,9 +14,12 @@ caller passes the cell mesh, which none of them builds, so an archive built
 with another geometry or cell_h is not detected.
 
 load() checks that every array is present but decompresses only the
-coefficients, all that the macro stepper and the identity checks read;
-load_correctors() adds the first- and second-order correctors, which only the
-error harness reconstructs with.
+coefficients, all that the macro stepper and the identity checks read.
+load_correctors() attaches the first- and second-order correctors, which only
+the error harness reconstructs with, as sequences over the temperatures: slot
+i is read from T_<i>.npz on first access and kept, so a reconstruction whose
+macro temperatures stay inside a few table intervals decompresses only those
+slots.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -134,17 +138,43 @@ def load(path, cell_mesh=None, law=None, expect=None) -> tuple:
 
 
 def load_correctors(path, table) -> None:
-    """Fill table.first and table.second from the archive at path that load() read table from."""
+    """Attach table.first and table.second, read from the archive at path that
+    load() read table from, each slot on first access (PerTemperature)."""
     path = pathlib.Path(path)
-    table.first, table.second = [], []
-    for i, T in enumerate(table.temps):
-        npz = path / f"T_{i:03d}.npz"
-        with np.load(npz) as z:
-            try:
-                first = {k: z[k] for k in ("M", "H", "N", "P")}
-                fields = {f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES}
-            except KeyError as e:
-                raise ArchiveError(f"{npz}: missing array {e}; re-run the off-line stage") from None
-        table.first.append(cell.FirstOrderCellSet(T0=float(T), **first))
-        table.second.append(cell.SecondOrderCellSet(T0=float(T), Ttilde=table.Ttilde,
-                                                    fields=fields))
+    table.first = PerTemperature(path, table.temps, lambda z, T: cell.FirstOrderCellSet(
+        T0=T, **{k: z[k] for k in ("M", "H", "N", "P")}))
+    table.second = PerTemperature(path, table.temps, lambda z, T: cell.SecondOrderCellSet(
+        T0=T, Ttilde=table.Ttilde,
+        fields={f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES}))
+
+
+class PerTemperature(Sequence):
+    """Corrector sets of an archive, one per table temperature.
+
+    Item i is build(npz, T) on the opened T_<i>.npz at temperature temps[i],
+    read on first access and kept; a slice reads only its own slots.  A
+    missing array raises ArchiveError when its slot is read.
+    """
+
+    def __init__(self, path, temps, build):
+        self._path = path
+        self._temps = [float(T) for T in temps]
+        self._build = build
+        self._kept = {}
+
+    def __len__(self):
+        return len(self._temps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        if i not in self._kept:
+            npz = self._path / f"T_{i:03d}.npz"
+            with np.load(npz) as z:
+                try:
+                    self._kept[i] = self._build(z, self._temps[i])
+                except KeyError as e:
+                    raise ArchiveError(f"{npz}: missing array {e}; "
+                                       f"re-run the off-line stage") from None
+        return self._kept[i]

@@ -139,6 +139,12 @@ def cmd_errors(cfg: SimulationConfig, args) -> int:
     traj = macro.load_trajectory(out / "macro_trajectory.npz", macro_mesh)
     ref = macro.load_trajectory(out / "dns_trajectory.npz", fine_mesh)
     cell_mesh, table = _load_archive(cfg, out, cfg.law())
+    q = dns.tiles(cfg.epsilon)
+    if fine_mesh.num_triangles != q * q * cell_mesh.num_triangles:
+        raise ConfigError(
+            f"{out / 'dns_mesh.txt'} has {fine_mesh.num_triangles} triangles, not {q}^2 x "
+            f"the archived cell mesh's {cell_mesh.num_triangles}: the DNS ran with another "
+            f"epsilon or mesh.cell_h than this configuration (epsilon {cfg.epsilon})")
     archive.load_correctors(out / "archive", table)
     rec = reconstruct.Reconstructor(macro_mesh, cell_mesh, table, cfg.epsilon, fine_mesh)
     series = metrics.evolutive_errors(ref, traj, rec)

@@ -20,11 +20,17 @@ from .materials import lame_parameters
 from .mesh import Mesh, MeshError
 
 
-def build_tiled_mesh(cell_mesh: Mesh, epsilon: float) -> Mesh:
-    """Tile the scaled unit-cell mesh over [0,1]^2 (epsilon = 1/q)."""
+def tiles(epsilon: float) -> int:
+    """q = 1/epsilon, the cells along each side of the DNS domain (q^2 in all)."""
     q = round(1.0 / epsilon)
     if abs(q * epsilon - 1.0) > 1e-12:
         raise MeshError(f"epsilon must be a reciprocal integer, got {epsilon}")
+    return q
+
+
+def build_tiled_mesh(cell_mesh: Mesh, epsilon: float) -> Mesh:
+    """Tile the scaled unit-cell mesh over [0,1]^2 (epsilon = 1/q)."""
+    q = tiles(epsilon)
     nodes = []
     tris = []
     tags = []

@@ -19,6 +19,10 @@ per pattern and dof set, for a stepper that eliminates on every solve.
 pcg is the one conjugate-gradient loop, for the Jacobi-preconditioned cell
 solves (solve_spd) and the LU-preconditioned stepper solves
 (SpdSolver.solve_near).
+
+SuperLU (scipy.sparse.linalg) is imported by SpdSolver at the first
+factorization, not with this module: the stages that never factor (verify,
+errors) do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 #: relative residual every linear solve must meet
 SOLVE_RTOL = 1e-10
@@ -639,12 +642,14 @@ class SpdSolver:
     """
 
     def __init__(self, A, *, default_ordering: bool = False):
+        from scipy.sparse.linalg import splu
+
         self.A = A.tocsc()
         if default_ordering:
-            self._lu = spla.splu(self.A)
+            self._lu = splu(self.A)
         else:
-            self._lu = spla.splu(self.A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True})
+            self._lu = splu(self.A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
         self.fill = self._lu.nnz
         self.residual = 0.0
 

@@ -57,7 +57,7 @@ class MaterialLaw:
     isotropic: the conductivity/coupling tensors are value * identity.
     """
 
-    coeffs: dict = field(default_factory=lambda: EXAMPLE_LAWS)
+    coeffs: dict = field(default_factory=lambda: {p: dict(q) for p, q in EXAMPLE_LAWS.items()})
     T_range: tuple[float, float] = (250.0, 900.0)
     plane: str = "strain"
 

@@ -8,9 +8,10 @@ Given a macroscopic snapshot and the off-line table, build
 
 Cell functions are evaluated at y = frac(x/epsilon) on the cell mesh and
 interpolated linearly in the local macroscopic temperature between table
-slots.  Macroscopic first derivatives come from area-weighted gradient
-recovery, second derivatives from recovery applied twice, and time
-derivatives from backward differences of the stored history.
+slots; a snapshot reads only the slots its temperatures reach.  Macroscopic
+first derivatives come from area-weighted gradient recovery, second
+derivatives from recovery applied twice, and time derivatives from backward
+differences of the stored history.
 """
 
 from __future__ import annotations
@@ -73,21 +74,26 @@ class CellSampler:
         self.num_cell_nodes = cell_mesh.num_nodes
 
     def operator(self, T_eval):
-        """(npts, ntemp * nn) sampling operator at the point temperatures T_eval.
+        """(op, slots): the sampling operator at the point temperatures T_eval
+        and the slice of table slots its columns cover.
 
-        Column t * nn + a is cell node a at table temperature t.  Row p holds
-        the hat weights in T times the P1 weights in y: 6 entries.
+        slots runs from the lowest slot any point reaches to the highest, and
+        column (t - slots.start) * nn + a is cell node a at table temperature
+        t.  Row p holds the hat weights in T times the P1 weights in y: 6
+        entries.
         """
         i, s = hat_weights(self.temps, T_eval)
         npts, nn = len(s), self.num_cell_nodes
-        slots = i[:, None, None] + np.arange(2)[None, :, None]
-        cols = slots * nn + self.nodes3[:, None, :]  # (npts, 2, 3)
+        lo, hi = int(i.min()), int(i.max()) + 1
+        t = (i - lo)[:, None, None] + np.arange(2)[None, :, None]
+        cols = t * nn + self.nodes3[:, None, :]  # (npts, 2, 3)
         vals = np.stack([1.0 - s, s], axis=1)[:, :, None] * self.bary[:, None, :]
-        return sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 6 * npts + 1, 6)),
-                             shape=(npts, len(self.temps) * nn))
+        op = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 6 * npts + 1, 6)),
+                           shape=(npts, (hi + 1 - lo) * nn))
+        return op, slice(lo, hi + 1)
 
     def sample(self, op, per_temp_arrays):
-        """per_temp_arrays: sequence over temps of (..., nn) -> (..., npts), one product with op."""
+        """per_temp_arrays: sequence over op's slots of (..., nn) -> (..., npts), one product with op."""
         stack = np.stack(per_temp_arrays)  # (ntemp, ..., nn)
         flat = np.moveaxis(stack, -1, 1).reshape(op.shape[1], -1)
         return (op @ flat).T.reshape(stack.shape[1:-1] + (op.shape[0],))
@@ -127,14 +133,13 @@ class Reconstructor:
         The order-2 dict also holds the individual epsilon^2 terms under "terms".
         """
         st = self._macro_state(snap, dt)
-        op = self.cs.operator(st["T0"])
+        op, slots = self.cs.operator(st["T0"])
         h0 = {"T": st["T0"], "Phi": st["Phi"], "U": st["U"]}
-        h1 = self._first_order(st, op)
-        return h0, h1, self._second_order(st, h1, op)
+        h1 = self._first_order(st, op, self.table.first[slots])
+        return h0, h1, self._second_order(st, h1, op, self.table.second[slots])
 
-    def _first_order(self, st, op):
+    def _first_order(self, st, op, firsts):
         T0 = st["T0"]
-        firsts = self.table.first
         M = self.cs.sample(op, [f.M for f in firsts])        # (2, npts)
         H = self.cs.sample(op, [f.H for f in firsts])
         N = self.cs.sample(op, [f.N for f in firsts])        # (m, sup, k, npts)
@@ -147,9 +152,8 @@ class Reconstructor:
         )
         return {"T": T1, "Phi": Phi1, "U": U1}
 
-    def _second_order(self, st, low, op):
+    def _second_order(self, st, low, op, sec):
         dT = st["T0"] - self.Ttilde
-        sec = self.table.second
         samp = lambda name: self.cs.sample(op, [s.fields[name] for s in sec])
         e2 = self.eps**2
         terms = {}

@@ -426,7 +426,7 @@ def test_periodic_table_factors_each_operator_once(monkeypatch, disk_cell_mesh, 
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fem.spla, "splu", counted("splu", fem.spla.splu))
+    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
     monkeypatch.setattr(fem, "solve_spd", counted("solve_spd", fem.solve_spd))
     before = cell.SOLVES.count
     homog.build_table(disk_cell_mesh, example_law, 280.0, 400.0, 3, Ttilde=300.0,
@@ -441,9 +441,9 @@ def test_dirichlet_cells_keep_the_default_ordering(monkeypatch, disk_cell_mesh, 
     """The Dirichlet first order is the one SciPy's default LU gives, bit for bit."""
     space = fem.FemSpace(disk_cell_mesh)
     first = cell.solve_first_order(cell.CellOperators(space, example_law, 300.0))
-    splu = fem.spla.splu
+    splu = spla.splu
     # no ordering or pivoting option reaches SuperLU here
-    monkeypatch.setattr(fem.spla, "splu", lambda A: splu(A))
+    monkeypatch.setattr(spla, "splu", lambda A: splu(A))
     ref = cell.solve_first_order(cell.CellOperators(space, example_law, 300.0))
     for name in ("M", "H", "N", "P"):
         assert np.array_equal(getattr(first, name), getattr(ref, name))
@@ -451,13 +451,13 @@ def test_dirichlet_cells_keep_the_default_ordering(monkeypatch, disk_cell_mesh, 
 
 def test_periodic_cells_factor_in_symmetric_mode(monkeypatch, disk_cell_mesh, example_law):
     seen = []
-    splu = fem.spla.splu
+    splu = spla.splu
 
     def recorded(A, **kwargs):
         seen.append(kwargs)
         return splu(A, **kwargs)
 
-    monkeypatch.setattr(fem.spla, "splu", recorded)
+    monkeypatch.setattr(spla, "splu", recorded)
     space = fem.FemSpace(disk_cell_mesh)
     ops = cell.CellOperators(space, example_law, 300.0, bc="periodic")
     nn = disk_cell_mesh.num_nodes

@@ -416,23 +416,115 @@ def test_online_with_missing_temperature_file_exits_2(pipeline, tmp_path, capsys
     assert "T_001.npz: missing" in capsys.readouterr().err
 
 
-def test_only_errors_decompresses_the_second_order(pipeline, monkeypatch):
-    """online and verify read the coefficients only; errors adds both corrector orders."""
+def _record_npz_reads(monkeypatch):
+    """A list that receives (file name, array name) for every array read from an .npz."""
     read = []
     getitem = np.lib.npyio.NpzFile.__getitem__
 
     def recorded(self, key):
-        read.append(key)
+        read.append((pathlib.Path(self.zip.filename).name, key))
         return getitem(self, key)
 
     monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recorded)
+    return read
+
+
+def test_only_errors_decompresses_the_second_order(pipeline, monkeypatch):
+    """online and verify read the coefficients only; errors adds both corrector orders."""
+    read = _record_npz_reads(monkeypatch)
     cfg = str(pipeline / "config.json")
     for cmdname in ("online", "verify"):
         assert cli.main([cmdname, cfg]) == 0, cmdname
-    assert "coeff_c_hat" in read
-    assert not any(k in ("M", "H", "N", "P") or k.startswith("second_") for k in read)
+    keys = [k for _, k in read]
+    assert "coeff_c_hat" in keys
+    assert not any(k in ("M", "H", "N", "P") or k.startswith("second_") for k in keys)
     assert cli.main(["errors", cfg]) == 0
-    assert "M" in read and "second_Q" in read
+    keys = [k for _, k in read]
+    assert "M" in keys and "second_Q" in keys
+
+
+def _eager_errors_csv(out, cfg, path):
+    """errors.csv as `homsim errors` writes it, from a table with every slot loaded up front."""
+    from homsim import cell, macro, metrics, reconstruct
+    from homsim.mesh import load_mesh
+
+    cell_mesh, table = archive.load(out / "archive")
+    table.first, table.second = [], []
+    for i, T in enumerate(table.temps):
+        with np.load(out / "archive" / f"T_{i:03d}.npz") as z:
+            table.first.append(cell.FirstOrderCellSet(
+                T0=float(T), **{k: z[k] for k in ("M", "H", "N", "P")}))
+            table.second.append(cell.SecondOrderCellSet(
+                T0=float(T), Ttilde=table.Ttilde,
+                fields={f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES}))
+    macro_mesh, fine = load_mesh(out / "macro_mesh.txt"), load_mesh(out / "dns_mesh.txt")
+    traj = macro.load_trajectory(out / "macro_trajectory.npz", macro_mesh)
+    ref = macro.load_trajectory(out / "dns_trajectory.npz", fine)
+    rec = reconstruct.Reconstructor(macro_mesh, cell_mesh, table, cfg.epsilon, fine)
+    metrics.evolutive_errors(ref, traj, rec).to_csv(path)
+
+
+def test_errors_reads_only_the_temperature_slots_it_reaches(pipeline, tmp_path, monkeypatch):
+    """On a 4-temperature table whose first interval holds every macro T,
+    errors reads correctors from T_000 and T_001 only, and writes the same
+    errors.csv as a table with every slot loaded."""
+    from homsim import macro
+
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    shutil.rmtree(out / "archive")
+    raw = _mini_config(out)
+    raw["table"]["count"] = 4  # slots 280, 306.7, 333.3 and 360 K
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    for cmdname in ("offline", "online"):
+        assert cli.main([cmdname, str(p)]) == 0, cmdname
+    with np.load(out / "macro_trajectory.npz") as z:
+        assert 280.0 <= z["T"].min() and z["T"].max() <= 280.0 + 80.0 / 3
+    read = _record_npz_reads(monkeypatch)
+    assert cli.main(["errors", str(p)]) == 0
+    correctors = [(name, k) for name, k in read
+                  if k in ("M", "H", "N", "P") or k.startswith("second_")]
+    assert {name for name, _ in correctors} == {"T_000.npz", "T_001.npz"}
+    assert len(correctors) == len(set(correctors))  # each read once, for every snapshot
+    monkeypatch.undo()
+    _eager_errors_csv(out, SimulationConfig.from_file(p), tmp_path / "eager.csv")
+    assert (out / "errors.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
+
+
+def test_errors_refuses_a_dns_of_another_epsilon(pipeline, tmp_path, capsys):
+    """The mini pipeline's DNS tiles 2 x 2 cells; a configuration with epsilon 1/4 is refused."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    raw = _mini_config(out)
+    raw["epsilon"] = 0.25
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    before = (out / "errors.csv").read_bytes()
+    assert cli.main(["errors", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "epsilon" in err and "mesh.cell_h" in err and "dns_mesh.txt" in err
+    assert (out / "errors.csv").read_bytes() == before
+
+
+def test_verify_and_errors_do_not_load_the_factorization_modules(pipeline, tmp_path):
+    """Neither stage factors, so neither imports SuperLU (scipy.sparse.linalg) or scipy.linalg."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_mini_config(out)))
+    code = f"""
+import sys, homsim.cli
+def loaded():
+    return [m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules]
+assert not loaded(), f"import homsim.cli loaded {{loaded()}}"
+for cmd in ("verify", "errors"):
+    assert homsim.cli.main([cmd, {str(p)!r}]) == 0, cmd
+    assert not loaded(), f"homsim {{cmd}} loaded {{loaded()}}"
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
 
 
 def test_errors_with_missing_second_order_array_exits_2(pipeline, tmp_path, capsys):

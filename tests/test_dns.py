@@ -15,6 +15,7 @@ def test_tiled_mesh_geometry(disk_cell_mesh):
     fine = dns.build_tiled_mesh(disk_cell_mesh, 0.25)
     assert fine.areas.sum() == pytest.approx(1.0, abs=1e-12)
     assert fine.num_triangles == 16 * disk_cell_mesh.num_triangles
+    assert dns.tiles(0.25) == 4  # the count `homsim errors` checks the DNS mesh against
     # seam nodes merged: strictly fewer than 16 * nn
     assert fine.num_nodes < 16 * disk_cell_mesh.num_nodes
 
@@ -29,6 +30,8 @@ def test_tiled_mesh_preserves_phase_fraction(disk_cell_mesh):
 def test_non_reciprocal_epsilon_rejected(disk_cell_mesh):
     with pytest.raises(MeshError):
         dns.build_tiled_mesh(disk_cell_mesh, 0.3)
+    with pytest.raises(MeshError):
+        dns.tiles(0.3)
 
 
 def test_oscillatory_provider_phase_values(disk_cell_mesh, example_law):

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from homsim import fem, macro
 from homsim.mesh import build_macro_mesh
@@ -184,13 +185,13 @@ def test_stepper_reuses_one_lu_per_operator_kind(monkeypatch, macro_mesh, small_
     grid = macro.TimeGrid(dt=1e-3, n_steps=12)
     ref = _FactorEverySolve(space, macro.TableProvider(space, small_table), data, grid).run()
     factored = []
-    splu = fem.spla.splu
+    splu = spla.splu
 
     def counted(A, *args, **kwargs):
         factored.append(kwargs)
         return splu(A, *args, **kwargs)
 
-    monkeypatch.setattr(fem.spla, "splu", counted)
+    monkeypatch.setattr(spla, "splu", counted)
     traj = macro.Stepper(space, macro.TableProvider(space, small_table), data, grid).run()
     # potential, temperature (factored for the start-up half step and kept
     # for step 0 on) and displacement, each in SuperLU's symmetric mode

@@ -32,6 +32,16 @@ def test_per_element_gives_the_law_of_each_elements_phase(example_law):
         assert b.tolist() == [EXAMPLE_LAWS[ph][q][1] for ph in tags.tolist()]
 
 
+def test_default_laws_do_not_share_their_coefficients():
+    """Each default law holds its own copy of EXAMPLE_LAWS, down to the per-phase dicts."""
+    before = {p: dict(q) for p, q in EXAMPLE_LAWS.items()}
+    law = MaterialLaw()
+    law.coeffs[MATRIX]["k"] = (1.0, 0.0)
+    law.coeffs[INCLUSION] = {}
+    assert EXAMPLE_LAWS == before
+    assert MaterialLaw().coeffs == before
+
+
 def test_eval_vectorized(example_law):
     T = np.array([280.0, 300.0, 350.0])
     vals = example_law.eval(INCLUSION, "lam", T)

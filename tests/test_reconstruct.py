@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from homsim import dns, fem, macro, reconstruct
+from homsim import dns, fem, homog, macro, reconstruct
 from homsim.mesh import build_macro_mesh
 
 from conftest import constant_problem_data
@@ -23,7 +24,8 @@ def test_cell_sampler_weights_partition_unity(disk_cell_mesh, small_table):
     """Each row of the sampling operator: 6 non-negative weights summing to 1."""
     pts = np.random.default_rng(0).random((50, 2))
     cs = reconstruct.CellSampler(disk_cell_mesh, small_table.temps, pts, 0.25)
-    op = cs.operator(np.linspace(250.0, 420.0, 50))
+    op, slots = cs.operator(np.linspace(250.0, 420.0, 50))
+    assert slots == slice(0, len(small_table.temps))
     assert op.shape == (50, len(small_table.temps) * disk_cell_mesh.num_nodes)
     assert np.all(np.diff(op.indptr) == 6) and op.data.min() >= -1e-12
     assert np.allclose(op.sum(axis=1), 1.0, atol=1e-12)
@@ -37,7 +39,8 @@ def test_cell_sampler_exact_at_slot_temperature(disk_cell_mesh, small_table):
     lin = [2.0 * disk_cell_mesh.nodes[:, 0] + 3.0 * disk_cell_mesh.nodes[:, 1] + i
            for i in range(len(small_table.temps))]
     T0 = np.full(100, float(small_table.temps[1]))
-    vals = cs.sample(cs.operator(T0), lin)
+    op, slots = cs.operator(T0)
+    vals = cs.sample(op, lin[slots])
     y = pts / 0.25
     assert np.allclose(vals, 2.0 * y[:, 0] + 3.0 * y[:, 1] + 1.0, atol=1e-10)
 
@@ -47,8 +50,39 @@ def test_cell_sampler_linear_between_slots(disk_cell_mesh, small_table):
     cs = reconstruct.CellSampler(disk_cell_mesh, small_table.temps, pts, 0.25)
     const = [np.full(disk_cell_mesh.num_nodes, float(i)) for i in range(3)]
     Ta, Tb = small_table.temps[0], small_table.temps[1]
-    vals = cs.sample(cs.operator(np.full(20, 0.25 * Ta + 0.75 * Tb)), const)
+    op, slots = cs.operator(np.full(20, 0.25 * Ta + 0.75 * Tb))
+    vals = cs.sample(op, const[slots])
     assert np.allclose(vals, 0.75, atol=1e-12)
+
+
+def _full_grid_operator(cs, T_eval):
+    """The sampling operator with one column block per table slot, reached or not."""
+    i, s = homog.hat_weights(cs.temps, T_eval)
+    nn = cs.num_cell_nodes
+    cols = (i[:, None, None] + np.arange(2)[None, :, None]) * nn + cs.nodes3[:, None, :]
+    vals = np.stack([1.0 - s, s], axis=1)[:, :, None] * cs.bary[:, None, :]
+    return sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 6 * len(s) + 1, 6)),
+                         shape=(len(s), len(cs.temps) * nn))
+
+
+@pytest.mark.parametrize("T_lo, T_hi, reached", [
+    (345.0, 395.0, slice(1, 3)),   # the upper interval only
+    (250.0, 330.0, slice(0, 2)),   # below the grid, clamped, and the lower interval
+    (300.0, 390.0, slice(0, 3)),   # both intervals
+])
+def test_cell_sampler_reads_only_the_reached_slots(disk_cell_mesh, small_table,
+                                                   T_lo, T_hi, reached):
+    """Sampling on the reached slots is bit for bit the product with every slot."""
+    pts = np.random.default_rng(3).random((40, 2))
+    cs = reconstruct.CellSampler(disk_cell_mesh, small_table.temps, pts, 0.25)
+    T_eval = np.linspace(T_lo, T_hi, 40)
+    op, slots = cs.operator(T_eval)
+    assert slots == reached
+    full = _full_grid_operator(cs, T_eval)
+    for arrays in ([f.N for f in small_table.first],
+                   [s.fields["N2"] for s in small_table.second]):
+        want = cs.sample(full, arrays)
+        assert cs.sample(op, arrays[slots]).tobytes() == want.tobytes()
 
 
 def test_homs_equals_loms_plus_terms(macro_mesh, disk_cell_mesh, small_table,
