@@ -13,13 +13,13 @@ from the current configuration.  The cell-mesh hash is checked only when the
 caller passes the cell mesh, which none of them builds, so an archive built
 with another geometry or cell_h is not detected.
 
-load() checks that every array is present but decompresses only the
-coefficients, all that the macro stepper and the identity checks read.
-load_correctors() attaches the first- and second-order correctors, which only
-the error harness reconstructs with, as sequences over the temperatures: slot
-i is read from T_<i>.npz on first access and kept, so a reconstruction whose
-macro temperatures stay inside a few table intervals decompresses only those
-slots.
+load() checks that every array is present but decompresses none: the
+coefficients, which the macro stepper and the identity checks read, and the
+first- and second-order correctors, which load_correctors() attaches for the
+error harness alone, are sequences over the temperatures (PerTemperature).
+Slot i is read from T_<i>.npz on first access and kept, so a reconstruction
+whose macro temperatures stay inside a few table intervals decompresses only
+those slots, and no coefficient.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ def load(path, cell_mesh=None, law=None, expect=None) -> tuple:
 
     expect maps manifest fields ("temperatures", "cell_bc", "T_ref") to the
     values the configuration asks for; a field that differs is refused.
-    table.first and table.second stay empty; see load_correctors.
+    table.coeffs reads each slot on first access; table.first and
+    table.second stay empty, see load_correctors.
     """
     path = pathlib.Path(path)
     try:
@@ -118,8 +119,7 @@ def load(path, cell_mesh=None, law=None, expect=None) -> tuple:
     required = ["T0", "M", "H", "N", "P"] + ["coeff_" + n for n in COEFF_NAMES]
     if manifest["has_second_order"]:
         required += ["second_" + f for f in cell.SECOND_ORDER_FAMILIES]
-    coeffs = []
-    for i, T in enumerate(temps):
+    for i in range(len(temps)):
         npz = path / f"T_{i:03d}.npz"
         if not npz.is_file():
             raise ArchiveError(f"{npz}: missing; re-run the off-line stage")
@@ -128,9 +128,8 @@ def load(path, cell_mesh=None, law=None, expect=None) -> tuple:
             if missing:
                 raise ArchiveError(f"{npz}: missing array(s) {', '.join(missing)}; "
                                    f"re-run the off-line stage")
-            kw = {name: z["coeff_" + name] for name in COEFF_NAMES}
-            kw = {k: (float(v) if v.ndim == 0 else v) for k, v in kw.items()}
-            coeffs.append(HomogenizedCoefficients(T0=float(z["T0"]), **kw))
+    coeffs = PerTemperature(path, temps, lambda z, T: HomogenizedCoefficients(
+        T0=T, **{name: z["coeff_" + name][()] for name in COEFF_NAMES}))
     table = TemperatureTable(temps=temps, first=[], second=[],
                              coeffs=coeffs, Ttilde=manifest["T_ref"],
                              bc=manifest["cell_bc"])
@@ -149,7 +148,7 @@ def load_correctors(path, table) -> None:
 
 
 class PerTemperature(Sequence):
-    """Corrector sets of an archive, one per table temperature.
+    """Per-temperature data of an archive, one item per table temperature.
 
     Item i is build(npz, T) on the opened T_<i>.npz at temperature temps[i],
     read on first access and kept; a slice reads only its own slots.  A

@@ -10,12 +10,14 @@ kernels, quadrature-point values for the others, one value per element for
 the cell stage's block of kernels.
 
 Matrices are canonical CSR on one fixed pattern per operator kind
-(CsrPattern), bit for bit what SciPy's COO -> CSR conversion gives.  The
-kernels build their element blocks with the element axis last, (k, k, nt),
-and CsrPattern.perm indexes that layout, so no block is copied back to
-element-first order.  apply_dirichlet eliminates boundary dofs by masking the
-stored entries of any matrix; DirichletPlan plans the same elimination once
-per pattern and dof set, for a stepper that eliminates on every solve.
+(CsrPattern), bit for bit what SciPy's COO -> CSR conversion gives, and load
+vectors are bit for bit an np.add.at scatter.  Both are one sparse product
+with a 0/1 operator the pattern holds: CsrPattern.assemble takes the element
+blocks element-last, (k, k, nt), so no block is copied back to element-first
+order, and CsrPattern.scatter takes the element loads element-first, (nt, k).
+apply_dirichlet eliminates boundary dofs by masking the stored entries of any
+matrix; DirichletPlan plans the same elimination once per pattern and dof
+set, for a stepper that eliminates on every solve.
 pcg is the one conjugate-gradient loop, for the Jacobi-preconditioned cell
 solves (solve_spd) and the LU-preconditioned stepper solves
 (SpdSolver.solve_near).
@@ -119,23 +121,27 @@ def _canonical_csr(data, indices, indptr, shape):
 
 
 class CsrPattern:
-    """The CSR pattern of one operator kind and the plan that assembles on it.
+    """The CSR pattern of one operator kind and the two operators that assemble on it.
 
     dofs (nt, k) lists the dofs of each element; the element blocks elem
     (k, k, nt), element axis last, put elem[a, b, t] at (dofs[t, a],
     dofs[t, b]).  indptr and indices are SciPy's canonical CSR pattern of
     those entries, built once and shared, read-only, by every matrix
-    assembled here.  assemble(elem) gives the
-    matrix SciPy's coo_matrix(...).tocsr() gives, bit for bit: that path
-    stores the entries row by row in input order, with the elements' blocks
-    (t, a, b) in element-first order, sorts each row with csr_sort_indices
-    (not a stable sort) and sums the duplicates left to right.  perm replays
-    that order, taken from sort_indices() itself on the unsummed CSR whose
-    data are the entry numbers, and slot is the stored position of each entry
-    in that order; np.bincount sums in input order too.  np.add.reduceat would
-    not do: it sums pairwise.  An entry's number is its flat position in the
-    element-last blocks, (a k + b) nt + t; the sort compares columns only, so
-    this labelling gives the order the element-first numbers give.
+    assembled here.
+
+    sum (nnz, k^2 nt) and load (n, k nt) are read-only 0/1 CSR operators.
+    Row s of sum lists the entries that sum into stored slot s, by their flat
+    position (a k + b) nt + t in elem, in the order SciPy's
+    coo_matrix(...).tocsr() adds them: that path stores the entries row by
+    row in input order, blocks (t, a, b) element-first, sorts each row with
+    csr_sort_indices (not a stable sort) and sums the duplicates left to
+    right.  The order is taken from sort_indices() itself, on the unsummed
+    CSR whose data are the entry numbers; the sort compares columns only, so
+    element-last numbers give the order element-first ones give.  Row i of
+    load lists the positions t k + a of dof i in dofs, in input order.
+    SciPy's csr_matvec sums each row left to right from 0.0 and multiplies by
+    exact ones, so assemble(elem) is bit for bit SciPy's COO path and
+    scatter(entries) is bit for bit np.add.at of the entries into zeros.
     """
 
     def __init__(self, dofs, n):
@@ -148,27 +154,28 @@ class CsrPattern:
         # before it sorts each row
         nt = len(dofs)
         by_dof = np.argsort(dofs.ravel(), kind="stable").astype(idx)
-        counts = np.bincount(dofs.ravel(), minlength=n) * k
+        at_dof = np.append(0, np.cumsum(np.bincount(dofs.ravel(), minlength=n))).astype(idx)
         t, a = np.divmod(by_dof, idx(k))
         number = (a[:, None] * k + np.arange(k, dtype=idx)) * idx(nt) + t[:, None]
-        unsummed = sp.csr_matrix((number.ravel(), dofs[t].ravel(),
-                                  np.concatenate([[0], np.cumsum(counts)]).astype(idx)),
-                                 shape=(n, n))
+        unsummed = sp.csr_matrix((number.ravel(), dofs[t].ravel(), at_dof * idx(k)), shape=(n, n))
         unsummed.sort_indices()
-        self.perm = unsummed.data
         # an entry opens a new slot at the start of its row or where its
         # column differs from the entry before it
         j = unsummed.indices
         first = np.ones(len(j), dtype=bool)
         first[1:] = j[1:] != j[:-1]
-        first[unsummed.indptr[:-1][counts > 0]] = True
-        before = np.concatenate([[0], np.cumsum(first)])  # slots before each entry
-        self.slot = before[1:] - 1
+        first[unsummed.indptr[:-1][np.diff(at_dof) > 0]] = True
+        opens = np.append(np.flatnonzero(first), len(j)).astype(idx)
         self.indices = j[first]
-        self.indptr = before[unsummed.indptr].astype(idx)
-        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        self.indptr = np.searchsorted(opens, unsummed.indptr).astype(idx)
         self.nnz = len(self.indices)
         self.shape = (n, n)
+        self.sum = sp.csr_matrix((np.ones(len(j)), unsummed.data, opens), shape=(self.nnz, len(j)))
+        self.load = sp.csr_matrix((np.ones(dofs.size), by_dof, at_dof), shape=(n, dofs.size))
+        for A in (self.sum, self.load):
+            A.data.flags.writeable = False
+        for A in (self, self.sum, self.load):
+            A.indices.flags.writeable = A.indptr.flags.writeable = False
 
     def matrix(self, data):
         """The CSR matrix with this pattern and the stored values data (nnz,)."""
@@ -176,8 +183,11 @@ class CsrPattern:
 
     def assemble(self, elem):
         """Sum the element blocks elem (k, k, nt) into a matrix."""
-        return self.matrix(np.bincount(self.slot, weights=elem.ravel()[self.perm],
-                                       minlength=self.nnz))
+        return self.matrix(self.sum @ elem.ravel())
+
+    def scatter(self, entries):
+        """Sum the element loads entries, (nt, k) flattened, into a vector (n,)."""
+        return self.load @ entries.ravel()
 
 
 class FemSpace:
@@ -199,8 +209,8 @@ class FemSpace:
     integral times this block.
 
     scalar_pattern and vector_pattern, the CSR patterns of the scalar and
-    the interleaved vector operators, are built on first assembly of their
-    kind.  vector_mass_slots (nnz_scalar, 2) holds the vector_pattern
+    the interleaved vector operators and loads, are built on first assembly
+    of their kind.  vector_mass_slots (nnz_scalar, 2) holds the vector_pattern
     positions of the entries (2i, 2j) and (2i+1, 2j+1) of each stored scalar
     entry (i, j): a scalar M added there is the interleaved kron(M, I_2).
     """
@@ -381,19 +391,6 @@ def _isotropic_elasticity(space, lame, mu):
     return ke
 
 
-def _scatter(elem, dofs, n):
-    """Sum per-element load entries into a length-n vector.
-
-    elem holds one entry per element dof, in the order of dofs (nt, k); the
-    entries are added one after another in that order, into zeros.
-    np.add.at, not np.bincount: on numpy 2.4 bincount sums in the same order
-    but is slower per call and raised the peak RSS of `homsim online`.
-    """
-    out = np.zeros(n)
-    np.add.at(out, dofs.ravel(), elem.ravel())
-    return out
-
-
 # Quadrature point q is the midpoint of the edge from vertex q to vertex q + 1
 # (quad_points), where phi is 1/2 at both ends and 0 at the third vertex, so
 # the load at vertex a is half the sum of w f at its two edge midpoints, a and
@@ -403,17 +400,14 @@ _EDGES_BEFORE = [2, 0, 1]  # the midpoint of the edge ending at each vertex
 
 def assemble_source(space, f):
     """Load vector  integral  f v, f (nt,nq) at the quadrature points."""
-    mesh = space.mesh
     wf = space.wq * f
-    return _scatter(0.5 * (wf + wf[:, _EDGES_BEFORE]), mesh.triangles, mesh.num_nodes)
+    return space.scalar_pattern.scatter(0.5 * (wf + wf[:, _EDGES_BEFORE]))
 
 
 def assemble_vector_source(space, f):
     """Load vector  integral  f_i v_i  (interleaved dofs), f (nt,nq,2) at the quadrature points."""
-    mesh = space.mesh
     wf = space.wq[..., None] * f
-    return _scatter(0.5 * (wf + wf[:, _EDGES_BEFORE]), vector_dofs(mesh.triangles),
-                    2 * mesh.num_nodes)
+    return space.vector_pattern.scatter(0.5 * (wf + wf[:, _EDGES_BEFORE]))
 
 
 def assemble_tensor_flux(space, G):
@@ -422,15 +416,14 @@ def assemble_tensor_flux(space, G):
     G: (nt,nq,2,2) at the quadrature points, or (nt,nq) holding the scalars
     s of the isotropic G = s d_ij there.
     """
-    mesh = space.mesh
     Gbar = np.einsum("tq,tq...->t...", space.wq, G)  # the integral over each element
     if Gbar.ndim == 1:
-        elem = Gbar[:, None, None] * mesh.grads
+        elem = Gbar[:, None, None] * space.mesh.grads
     else:
         # Gbar_ij g_aj, element axis last, (i, a, t) scattered as (t, a, i)
         gl, Gl = space.grads_last, np.moveaxis(Gbar, 0, -1)
         elem = (Gl[:, 0, None] * gl[0] + Gl[:, 1, None] * gl[1]).transpose(2, 1, 0)
-    return _scatter(elem, vector_dofs(mesh.triangles), 2 * mesh.num_nodes)
+    return space.vector_pattern.scatter(elem)
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +459,14 @@ def assemble_cell_elasticity(space, c):
 
 def assemble_flux(space, g):
     """Load vector  integral  g_i dv/dx_i  for a 2-vector density given per element, g (nt,2)."""
-    mesh = space.mesh
-    elem = np.einsum("tq,tqi,tai->ta", space.wq, _per_point(space, g), mesh.grads)
-    return _scatter(elem, mesh.triangles, mesh.num_nodes)
+    elem = np.einsum("tq,tqi,tai->ta", space.wq, _per_point(space, g), space.mesh.grads)
+    return space.scalar_pattern.scatter(elem)
 
 
 def assemble_cell_tensor_flux(space, G):
     """Load vector of assemble_tensor_flux for a tensor density given per element, G (nt,2,2)."""
-    mesh = space.mesh
-    elem = np.einsum("tq,tqij,taj->tai", space.wq, _per_point(space, G), mesh.grads)
-    return _scatter(elem, vector_dofs(mesh.triangles), 2 * mesh.num_nodes)
+    elem = np.einsum("tq,tqij,taj->tai", space.wq, _per_point(space, G), space.mesh.grads)
+    return space.vector_pattern.scatter(elem)
 
 
 def element_gradient(mesh, nodal):

@@ -195,7 +195,7 @@ class TemperatureTable:
         if np.max(np.abs(sp - sp[0])) > 1e-9 * sp[0]:
             raise HomogError("table temperatures must be equidistant")
 
-    def coeff_fields(self, T_nodes, names=COEFF_NAMES) -> dict:
+    def coeff_fields(self, T_nodes, names) -> dict:
         """Vectorized interpolation of the named coefficients at per-node temperatures.
 
         Returns arrays with the tensor axes leading and the node axis last,

@@ -183,7 +183,7 @@ def _uniform_table_for_mms():
 
 def _heat_mms_error(table, h, dt, n):
     mesh = build_macro_mesh(h)
-    co = table.coeff_fields(np.array([300.0]))
+    co = table.coeff_fields(np.array([300.0]), ["k_hat", "S_hat"])
     k, S = float(co["k_hat"][0, 0, 0]), float(co["S_hat"][0])
     sol = lambda pts, t: 300.0 + t * np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
 
@@ -206,7 +206,7 @@ def _heat_mms_error(table, h, dt, n):
 
 def _disp_mms_error(table, dt, n, h=0.1):
     mesh = build_macro_mesh(h)
-    rho = float(table.coeff_fields(np.array([300.0]))["rho_hat"][0])
+    rho = float(table.coeff_fields(np.array([300.0]), ["rho_hat"])["rho_hat"][0])
     # modest amplitude: the displacement feeds back into the heat equation
     # through the thermo-elastic coupling, so large deflections destabilize
     # the manufactured problem

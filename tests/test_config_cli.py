@@ -430,7 +430,8 @@ def _record_npz_reads(monkeypatch):
 
 
 def test_only_errors_decompresses_the_second_order(pipeline, monkeypatch):
-    """online and verify read the coefficients only; errors adds both corrector orders."""
+    """online and verify read the coefficients only; errors reads both corrector
+    orders and no coefficient."""
     read = _record_npz_reads(monkeypatch)
     cfg = str(pipeline / "config.json")
     for cmdname in ("online", "verify"):
@@ -438,9 +439,11 @@ def test_only_errors_decompresses_the_second_order(pipeline, monkeypatch):
     keys = [k for _, k in read]
     assert "coeff_c_hat" in keys
     assert not any(k in ("M", "H", "N", "P") or k.startswith("second_") for k in keys)
+    del read[:]
     assert cli.main(["errors", cfg]) == 0
     keys = [k for _, k in read]
     assert "M" in keys and "second_Q" in keys
+    assert not any(k.startswith("coeff_") for k in keys)
 
 
 def _eager_errors_csv(out, cfg, path):

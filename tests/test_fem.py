@@ -538,37 +538,46 @@ def test_periodic_map_constant_nullspace(disk_cell_mesh):
     assert np.allclose(u[slaves], um, atol=1e-10)
 
 
-def test_load_vectors_equal_the_add_at_scatter(macro_mesh, macro_space):
+def test_load_vectors_equal_the_add_at_scatter(pattern_meshes):
     """Each load kernel sums exactly as an np.add.at scatter of its element entries."""
     rng = np.random.default_rng(11)
-    mesh, space = macro_mesh, macro_space
-    wq, phi, g = space.wq, space.phi, mesh.grads
-    f = rng.standard_normal(wq.shape)
-    F = rng.standard_normal(wq.shape + (2,))
-    T = rng.standard_normal(wq.shape + (2, 2))
-    s = rng.standard_normal(wq.shape)
-    scalar = mesh.triangles.ravel()
-    vector = fem.vector_dofs(mesh.triangles).ravel()
 
     def add_at(n, idx, elem):
         out = np.zeros(n)
         np.add.at(out, idx, elem.ravel())
         return out
 
-    nn = mesh.num_nodes
-    cases = [
-        (fem.assemble_source(space, f),
-         add_at(nn, scalar, np.einsum("tq,qa->ta", wq * f, phi))),
-        (fem.assemble_vector_source(space, F),
-         add_at(2 * nn, vector, np.einsum("tq,tqi,qa->tai", wq, F, phi))),
-        (fem.assemble_tensor_flux(space, T),
-         add_at(2 * nn, vector, np.einsum("tij,taj->tai",
-                                          np.einsum("tq,tqij->tij", wq, T), g))),
-        (fem.assemble_tensor_flux(space, s),
-         add_at(2 * nn, vector, np.einsum("t,tai->tai", np.einsum("tq,tq->t", wq, s), g))),
-    ]
-    for got, ref in cases:
-        assert np.array_equal(got, ref)
+    for mesh in pattern_meshes:
+        space = fem.FemSpace(mesh)
+        wq, phi, g = space.wq, space.phi, mesh.grads
+        nt = mesh.num_triangles
+        f = rng.standard_normal(wq.shape)
+        F = rng.standard_normal(wq.shape + (2,))
+        T = rng.standard_normal(wq.shape + (2, 2))
+        s = rng.standard_normal(wq.shape)
+        v, G = rng.standard_normal((nt, 2)), rng.standard_normal((nt, 2, 2))
+        scalar = mesh.triangles.ravel()
+        vector = fem.vector_dofs(mesh.triangles).ravel()
+        nn = mesh.num_nodes
+        cases = [
+            (fem.assemble_source(space, f),
+             add_at(nn, scalar, np.einsum("tq,qa->ta", wq * f, phi))),
+            (fem.assemble_vector_source(space, F),
+             add_at(2 * nn, vector, np.einsum("tq,tqi,qa->tai", wq, F, phi))),
+            (fem.assemble_tensor_flux(space, T),
+             add_at(2 * nn, vector, np.einsum("tij,taj->tai",
+                                              np.einsum("tq,tqij->tij", wq, T), g))),
+            (fem.assemble_tensor_flux(space, s),
+             add_at(2 * nn, vector, np.einsum("t,tai->tai", np.einsum("tq,tq->t", wq, s), g))),
+            (fem.assemble_flux(space, v),
+             add_at(nn, scalar, np.einsum("tq,tqi,tai->ta", wq,
+                                          np.broadcast_to(v[:, None], wq.shape + (2,)), g))),
+            (fem.assemble_cell_tensor_flux(space, G),
+             add_at(2 * nn, vector, np.einsum("tq,tqij,taj->tai", wq,
+                                              np.broadcast_to(G[:, None], wq.shape + (2, 2)), g))),
+        ]
+        for got, ref in cases:
+            assert np.array_equal(got, ref)
 
 
 def test_element_constant_load_operators_match_the_kernels(macro_mesh, macro_space):

@@ -62,7 +62,7 @@ def test_table_requires_equidistant_temps():
 
 
 def test_table_interpolation_exact_at_slots(small_table):
-    fields = small_table.coeff_fields(small_table.temps)
+    fields = small_table.coeff_fields(small_table.temps, homog.COEFF_NAMES)
     for i in range(len(small_table.temps)):
         assert np.allclose(fields["k_hat"][:, :, i], small_table.coeffs[i].k_hat, rtol=1e-12)
 
@@ -70,7 +70,7 @@ def test_table_interpolation_exact_at_slots(small_table):
 def test_table_interpolation_linear_between_slots(small_table):
     Ta, Tb = small_table.temps[0], small_table.temps[1]
     mid = 0.5 * (Ta + Tb)
-    k = small_table.coeff_fields(np.array([mid]))["k_hat"][:, :, 0]
+    k = small_table.coeff_fields(np.array([mid]), ["k_hat"])["k_hat"][:, :, 0]
     expect = 0.5 * (small_table.coeffs[0].k_hat + small_table.coeffs[1].k_hat)
     assert np.allclose(k, expect, rtol=1e-12)
 
@@ -93,7 +93,7 @@ def test_coeff_fields_matches_pointwise(small_table):
     # on both sides
     T_nodes = np.array([290.0, 333.0, 395.0, small_table.temps[1],
                         small_table.temps[-1] + 40.0, small_table.temps[0] - 50.0])
-    fields = small_table.coeff_fields(T_nodes)
+    fields = small_table.coeff_fields(T_nodes, homog.COEFF_NAMES)
     for j, T in enumerate(T_nodes):
         assert np.allclose(fields["k_hat"][:, :, j], _pointwise(small_table, "k_hat", T),
                            rtol=1e-12)
@@ -106,7 +106,7 @@ def test_coeff_fields_builds_only_the_named_coefficients(small_table):
     T_nodes = np.array([290.0, 333.0])
     some = small_table.coeff_fields(T_nodes, ["beta_hat_star", "S_hat"])
     assert set(some) == {"beta_hat_star", "S_hat"}
-    every = small_table.coeff_fields(T_nodes)
+    every = small_table.coeff_fields(T_nodes, homog.COEFF_NAMES)
     assert set(every) == set(homog.COEFF_NAMES)
     for name, arr in some.items():
         assert np.array_equal(arr, every[name])

@@ -290,7 +290,7 @@ def _manufactured_heat_error(h, dt, n_steps, table):
     exercised in isolation.
     """
     mesh = build_macro_mesh(h)
-    co = table.coeff_fields(np.array([300.0]))
+    co = table.coeff_fields(np.array([300.0]), ["k_hat", "S_hat"])
     k = float(co["k_hat"][0, 0, 0])
     S = float(co["S_hat"][0])
 

@@ -32,7 +32,6 @@ OPTIONS = {
     "fem.SpdSolver.__init__(default_ordering)",
     "fem.SpdSolver.solve_near(x0)",
     "homog.verify_identities(law)",
-    "homog.TemperatureTable.coeff_fields(names)",
     "homog.build_table(bc)",
     "homog.build_table(with_second_order)",
     "homog.build_table(progress)",
