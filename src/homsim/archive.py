@@ -9,9 +9,9 @@ Layout:
 
 `online`, `verify` and `errors` refuse an archive whose material-law hash,
 temperature grid, cell boundary condition or reference temperature differs
-from the current configuration.  The cell-mesh hash is checked only when the
-caller passes the cell mesh, which none of them builds, so an archive built
-with another geometry or cell_h is not detected.
+from the current configuration.  load() refuses a cell_mesh.txt whose hash
+is not the manifest's, so an edited or damaged cell mesh is detected; an
+archive built with another geometry or cell_h, stored intact, is not.
 
 load() checks that every array is present but decompresses none: the
 coefficients, which the macro stepper and the identity checks read, and the
@@ -89,8 +89,9 @@ def save(path, cell_mesh, law, table: TemperatureTable) -> None:
         np.savez_compressed(path / f"T_{i:03d}.npz", **data)
 
 
-def load(path, cell_mesh=None, law=None, expect=None) -> tuple:
-    """Load (cell_mesh, table); verify hashes when mesh/law are supplied.
+def load(path, law=None, expect=None) -> tuple:
+    """Load (cell_mesh, table); the stored cell mesh must hash to the
+    manifest's value, and law, when given, too.
 
     expect maps manifest fields ("temperatures", "cell_bc", "T_ref") to the
     values the configuration asks for; a field that differs is refused.
@@ -106,8 +107,9 @@ def load(path, cell_mesh=None, law=None, expect=None) -> tuple:
         raise ArchiveError(f"{path}: archive version {manifest.get('version')} "
                            f"!= supported {ARCHIVE_VERSION}")
     stored_mesh = meshmod.load_mesh(path / "cell_mesh.txt")
-    if cell_mesh is not None and mesh_hash(cell_mesh) != manifest["mesh_sha256"]:
-        raise ArchiveError(f"{path}: cell-mesh hash mismatch; re-run the off-line stage")
+    if mesh_hash(stored_mesh) != manifest["mesh_sha256"]:
+        raise ArchiveError(f"{path}: cell_mesh.txt does not match the manifest's cell-mesh hash; "
+                           f"re-run the off-line stage")
     if law is not None and law_hash(law) != manifest["law_sha256"]:
         raise ArchiveError(f"{path}: material-law hash mismatch; re-run the off-line stage")
     for field, want in (expect or {}).items():

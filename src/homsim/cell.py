@@ -228,7 +228,7 @@ class CellOperators:
         them by an LU with SciPy's default ordering (fem.SpdSolver's
         default_ordering), not in SuperLU's symmetric mode.  Delete this
         method, that argument and fem.solve_spd once that digest scales its
-        tolerance by the whole tensor (ROADMAP item 1).
+        tolerance by the whole tensor (ROADMAP item 6).
         """
         if self.bc == "dirichlet":
             return self.solve(which, b)
@@ -245,7 +245,7 @@ def solve_first_order(ops: CellOperators) -> FirstOrderCellSet:
     """Solve the 4 first-order corrector families at the temperature of ops."""
     # One right-hand side at a time, by fem's cell-stage kernels: these solves
     # feed the coefficients.csv digest (see CellOperators.solve_first).  They
-    # move onto the FemSpace load operators and blocks with ROADMAP item 2.
+    # move onto the FemSpace load operators and blocks with ROADMAP item 6.
     nn = ops.mesh.num_nodes
     nt = ops.mesh.num_triangles
 
@@ -348,6 +348,52 @@ def _solve_family(ops, which, S=None, G=None):
     return np.ascontiguousarray(X if nc == 2 else X[..., 0, :])
 
 
+# Contractions of an elasticity tensor c (nt, 2, 2, 2, 2) with first-order
+# data, for the elastic families.  Each is bit for bit the np.einsum its
+# docstring names, which produced the archived correctors: the operands are
+# broadcast with the summed axes last and summed in that einsum's order.
+def _summed(x, y):
+    """sum_k x[..., k] y[..., k], from zero over k."""
+    return fem.sum_from_zero(x[..., k] * y[..., k] for k in range(x.shape[-1]))
+
+
+def _summed2(x, y):
+    """sum_kl x[..., k, l] y[..., k, l]: for l, the k-sum from zero, added."""
+    return fem.sum_from_zero(_summed(x[..., l], y[..., l]) for l in range(x.shape[-1]))
+
+
+def _c_gN(c, g):
+    """np.einsum("tiakl,mbktl->abmti", c, g) for gradients g (m, a2, k, nt, 2)."""
+    return _summed2(c.transpose(2, 0, 1, 3, 4)[:, None, None],
+                    g.transpose(1, 0, 3, 2, 4)[None, :, :, :, None])
+
+
+def _c_gN_ij(c, g):
+    """np.einsum("tijkl,mbktl->bmtij", c, g) for gradients g (m, a2, k, nt, 2)."""
+    return _summed2(c[None, None], g.transpose(1, 0, 3, 2, 4)[:, :, :, None, None])
+
+
+def _c_N(c, N):
+    """np.einsum("tijka,mbkt->abmtij", c, N) for element means N (m, a2, k, nt)."""
+    return _summed(c.transpose(4, 0, 1, 2, 3)[:, None, None],
+                   N.transpose(1, 0, 3, 2)[None, :, :, :, None, None])
+
+
+def _c_gP(c, g):
+    """np.einsum("tiakl,ktl->ati", c, g) for gradients g (k, nt, 2)."""
+    return _summed2(c.transpose(2, 0, 1, 3, 4), g.transpose(1, 0, 2)[:, None])
+
+
+def _c_gP_ij(c, g):
+    """np.einsum("tijkl,ktl->tij", c, g) for gradients g (k, nt, 2)."""
+    return _summed2(c, g.transpose(1, 0, 2)[:, None, None])
+
+
+def _c_P(c, P):
+    """np.einsum("tijka,kt->atij", c, P) for element means P (k, nt)."""
+    return _summed(c.transpose(4, 0, 1, 2, 3), P.T[:, None, None])
+
+
 def solve_second_order(
     ops: CellOperators,
     first: FirstOrderCellSet,
@@ -432,48 +478,32 @@ def solve_second_order(
         return (np.transpose(c_hat, (1, 3, 2, 0))[:, :, :, None, :]
                 - np.transpose(c, (2, 4, 3, 0, 1)))
 
-    def c_gN(c, g):
-        """sum_kl c[t, i, a1, k, l] g[m, a2, k, t, l]."""
-        return np.einsum("tiakl,mbktl->abmti", c, g)
-
-    def c_N(Ne):
-        """-sum_k c_e[t, i, j, k, a1] Ne[m, a2, k, t]."""
-        return np.einsum("tijka,mbkt->abmtij", c_e, -Ne)
-
     # second elastic corrector
-    F["N2"] = solve("c", S=c_at(homog.c_hat, c_e) - c_gN(c_e, gN), G=c_N(N_e))
+    F["N2"] = solve("c", S=c_at(homog.c_hat, c_e) - _c_gN(c_e, gN), G=_c_N(c_e, -N_e))
     # factored x-derivative elastic corrector (beta=a1, sup=a2)
-    F["A"] = solve("c", S=c_at(homog_dT.c_hat, dc_e) - c_gN(dc_e, gN) - c_gN(c_e, gNp),
-                   G=c_N(Np_e))
+    F["A"] = solve("c", S=c_at(homog_dT.c_hat, dc_e) - _c_gN(dc_e, gN) - _c_gN(c_e, gNp),
+                   G=_c_N(c_e, -Np_e))
     # gradient-coupled elastic corrector
     F["D"] = solve("c", G=-M_e[:, None, None, :, None, None] * (
-        np.transpose(dc_e, (4, 3, 0, 1, 2)) + np.einsum("tijkl,mbktl->bmtij", dc_e, gN))[None])
+        np.transpose(dc_e, (4, 3, 0, 1, 2)) + _c_gN_ij(dc_e, gN))[None])
 
     # elastic families indexed [a1], data as (a1, t, i[, j])
-    def c_gP(c, g):
-        """sum_kl c[t, i, a1, k, l] g[k, t, l]."""
-        return np.einsum("tiakl,ktl->ati", c, g)
-
-    def c_P(Pe):
-        """-sum_k c_e[t, i, j, k, a1] Pe[k, t]."""
-        return np.einsum("tijka,kt->atij", c_e, -Pe)
-
     # inertia corrector, pure source
     S = (rho_e - homog.rho_hat)[None, :, None] * d2[:, None, :]
     _check_compat(mesh, "F", np.swapaxes(S, -1, -2))
     F["F"] = solve("c", S=S)
     # thermal-stress gradient corrector
     F["X"] = solve("c", S=(beta_e[None, :, None] * d2[:, None, :]
-                           - homog.beta_hat.T[:, None, :] - c_gP(c_e, gP)),
-                   G=c_P(P_e) + (beta_e * M_e)[:, :, None, None] * d2)
+                           - homog.beta_hat.T[:, None, :] - _c_gP(c_e, gP)),
+                   G=_c_P(c_e, -P_e) + (beta_e * M_e)[:, :, None, None] * d2)
     # factored x-derivative thermal-stress corrector (beta=a1)
     F["B"] = solve("c", S=(dbeta_e[None, :, None] * d2[:, None, :]
                            - homog_dT.beta_hat.T[:, None, :]
-                           - c_gP(dc_e, gP) - c_gP(c_e, gPp)),
-                   G=c_P(Pp_e))
+                           - _c_gP(dc_e, gP) - _c_gP(c_e, gPp)),
+                   G=_c_P(c_e, -Pp_e))
     # temperature-offset gradient corrector
     F["C"] = solve("c", G=M_e[:, :, None, None] * (
-        dbeta_e[:, None, None] * d2 - np.einsum("tijkl,ktl->tij", dc_e, gP))[None])
+        dbeta_e[:, None, None] * d2 - _c_gP_ij(dc_e, gP))[None])
 
     return SecondOrderCellSet(T0=float(T0), Ttilde=float(Ttilde),
                               fields={name: F[name] for name in SECOND_ORDER_FAMILIES})

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .macro import ProblemData, TimeGrid
-from .materials import EXAMPLE_LAWS, MaterialLaw, QUANTITIES
+from .materials import MaterialLaw, QUANTITIES
 from .mesh import INCLUSION, MATRIX, PhaseGeometry
 
 
@@ -388,22 +388,3 @@ class SimulationConfig:
     @property
     def write_vtk(self) -> bool:
         return bool(self.raw.get("output", {}).get("vtk", False))
-
-
-def example_config() -> dict:
-    """Baseline driven-composite configuration (constant sources)."""
-    mat = {q: list(v) for q, v in EXAMPLE_LAWS[MATRIX].items()}
-    inc = {q: list(v) for q, v in EXAMPLE_LAWS[INCLUSION].items()}
-    return {
-        "version": 1,
-        "geometry": {"kind": "disk", "radius": 0.25},
-        "materials": {"matrix": mat, "inclusion": inc},
-        "epsilon": 0.1,
-        "mesh": {"macro_h": 0.05, "cell_h": 0.12},
-        "time": {"dt": 0.001, "T_final": 1.0, "snapshot_stride": 100},
-        "sources": {"f_T": 20000.0, "f_Phi": 200.0, "f_U": [5000.0, 5000.0]},
-        "boundary": {"T": 300.0, "Phi": 0.0, "U": [0.0, 0.0]},
-        "initial": {"T": 300.0, "T_ref": 300.0},
-        "table": {"T_min": 250.0, "T_max": 900.0, "count": 10},
-        "output": {"directory": "out", "vtk": False},
-    }

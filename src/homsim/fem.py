@@ -428,14 +428,38 @@ def assemble_tensor_flux(space, G):
 
 # ---------------------------------------------------------------------------
 # cell-stage kernels: one coefficient value per element, for cell.CellOperators
-# and cell.solve_first_order.  Each contracts a broadcast view of its values
-# over the quadrature points in one einsum without optimize.  The benchmark's
-# coefficients.csv digest pins columns that are pure rounding noise (k_hat_12),
-# and einsum sums in an order set by the operands' strides, so any equivalent
-# form (element integral first, a contiguous copy, optimize=True) changes those
-# bits.  ROADMAP item 2 deletes this block once that digest scales its
-# tolerance by the whole tensor; the cells then call the kernels above.
+# and cell.solve_first_order.  The benchmark's coefficients.csv digest pins
+# columns that are pure rounding noise (k_hat_12), so each kernel keeps the
+# rounding of the one-step np.einsum, over a broadcast view of the values at the
+# quadrature points, that produced the digest.  The elasticity and the tensor
+# flux write that einsum's summation order out, with the element axis last:
+# products in operand order, the q-sum formed from zero (_q_sum) and added to
+# the output for each index of the outer summed axis in turn.  The pinned bits
+# thus come from an order written here, not from einsum's stride-driven choice,
+# which another numpy could change.  The scalar stiffness and the flux stay
+# einsums: no written order reproduces theirs.  ROADMAP item 6 deletes this
+# block once that digest scales its tolerance by the whole tensor; the cells
+# then call the kernels above.
 # ---------------------------------------------------------------------------
+
+
+def sum_from_zero(terms):
+    """0 + t_0 + t_1 + ... for arrays of one shape, added left to right.
+
+    Each of einsum's sums is formed this way, in the order of its loop over
+    the summed index, so a sum written with it in that order is einsum's bit
+    for bit.
+    """
+    terms = iter(terms)
+    total = 0.0 + next(terms)
+    for t in terms:
+        total += t
+    return total
+
+
+def _q_sum(space, term):
+    """The sum over the quadrature points of term(w), w (nt,) the weights of one point."""
+    return sum_from_zero(term(w) for w in space.wq.T)
 
 
 def _per_point(space, values):
@@ -451,10 +475,17 @@ def assemble_cell_grad_grad(space, k):
 
 
 def assemble_cell_elasticity(space, c):
-    """Stiffness of assemble_elasticity for a tensor given per element, c (nt,2,2,2,2)."""
-    g = space.mesh.grads
-    ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", space.wq, _per_point(space, c), g, g)
-    return space.vector_pattern.assemble(ke.reshape(-1, 36).T.reshape(6, 6, -1))
+    """Stiffness of assemble_elasticity for a tensor given per element, c (nt,2,2,2,2).
+
+    The order of np.einsum("tq,tqijkl,tal,tbj->tbiak") over the broadcast
+    view of c: for j, then l, the q-sum of ((w_q c_ijkl) g_al) g_bj, added.
+    """
+    gl, cl = space.grads_last, np.ascontiguousarray(np.moveaxis(c, 0, -1))
+    # (b, i, a, k, t): test dof (b, i), trial dof (a, k)
+    ke = sum_from_zero(_q_sum(space, lambda w: ((w * cl[:, j, :, l])[:, None] * gl[l][:, None])
+                              * gl[j][:, None, None, None])
+                       for j in range(2) for l in range(2))
+    return space.vector_pattern.assemble(ke.reshape(6, 6, -1))
 
 
 def assemble_flux(space, g):
@@ -464,19 +495,34 @@ def assemble_flux(space, g):
 
 
 def assemble_cell_tensor_flux(space, G):
-    """Load vector of assemble_tensor_flux for a tensor density given per element, G (nt,2,2)."""
-    elem = np.einsum("tq,tqij,taj->tai", space.wq, _per_point(space, G), space.mesh.grads)
-    return space.vector_pattern.scatter(elem)
+    """Load vector of assemble_tensor_flux for a tensor density given per element, G (nt,2,2).
+
+    The order of np.einsum("tq,tqij,taj->tai") over the broadcast view of G:
+    for j, the q-sum of (w_q G_ij) g_aj, added.
+    """
+    gl, Gl = space.grads_last, np.moveaxis(G, 0, -1)
+    elem = sum_from_zero(_q_sum(space, lambda w: (w * Gl[:, j])[None] * gl[j][:, None])
+                         for j in range(2))  # (a, i, t)
+    return space.vector_pattern.scatter(elem.transpose(2, 0, 1))
 
 
 def element_gradient(mesh, nodal):
     """Per-element constant gradient of a P1 field.
 
-    nodal shape (..., nn) -> gradient shape (..., nt, 2).
+    nodal shape (..., nn) -> gradient shape (..., nt, 2), component i the
+    vertex sum of v_a g_ai from zero over a = 0, 1, 2: the order of
+    np.einsum("...ta,tai->...ti"), with the element axis last.  The result
+    has that einsum's memory layout too, element axis outermost, because
+    the einsums that read the cell correctors' gradients sum in an order
+    their operands' strides set.
     """
     nodal = np.asarray(nodal, dtype=float)
-    vt = nodal[..., mesh.triangles]  # (..., nt, 3)
-    return np.einsum("...ta,tai->...ti", vt, mesh.grads)
+    g = mesh.grads
+    v = [nodal[..., mesh.triangles[:, a]] for a in range(3)]  # (..., nt) each
+    out = np.moveaxis(np.empty(g.shape[:1] + nodal.shape[:-1] + (2,)), 0, -2)
+    for i in range(2):
+        out[..., i] = sum_from_zero(v[a] * g[:, a, i] for a in range(3))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +635,7 @@ def solve_spd(A, b):
     (SpdSolver).  The benchmark's coefficients.csv digest pins the rounding
     of noise columns such as k_hat_12, which a factored solve would change.
     Delete this function with PeriodicMap.solve once that digest scales its
-    tolerance by the whole tensor (ROADMAP item 1).
+    tolerance by the whole tensor (ROADMAP item 6).
     """
     bn = np.linalg.norm(b)
     if bn == 0.0:
@@ -629,7 +675,7 @@ class SpdSolver:
     correctors feed the benchmark's coefficients.csv digest, which pins the
     rounding of noise columns such as k_hat_12.  Delete the argument with
     CellOperators.solve_first and solve_spd once that digest scales its
-    tolerance by the whole tensor (ROADMAP item 1).
+    tolerance by the whole tensor (ROADMAP item 6).
     """
 
     def __init__(self, A, *, default_ordering: bool = False):

@@ -184,9 +184,3 @@ def voigt(c):
             [c[0, 1, 0, 0] * np.sqrt(2), c[0, 1, 1, 1] * np.sqrt(2), 2 * c[0, 1, 0, 1]],
         ]
     )
-
-
-def uniform_law(values: dict, T_range=(250.0, 900.0), plane="strain") -> MaterialLaw:
-    """Single-material law applied to both phases (degeneracy testing)."""
-    coeffs = {MATRIX: dict(values), INCLUSION: dict(values)}
-    return MaterialLaw(coeffs=coeffs, T_range=T_range, plane=plane)

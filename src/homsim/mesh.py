@@ -16,8 +16,6 @@ import numpy as np
 MATRIX = 0
 INCLUSION = 1
 
-_SYM_TOL = 1e-12
-
 
 class MeshError(ValueError):
     pass
@@ -375,29 +373,6 @@ def build_unit_cell_mesh(geometry: PhaseGeometry, target_h: float) -> Mesh:
         n_r = math.ceil(n_r * grow)
         n_out = math.ceil(n_out * grow)
     raise MeshError("unit-cell mesh refinement failed to reach the target size")
-
-
-def check_reflection_symmetry(mesh: Mesh, tol: float = _SYM_TOL) -> float:
-    """Max distance from each node's mirror image to the nearest node.
-
-    Checked for reflections about both mid-planes; raises if above tol.
-    """
-    worst = 0.0
-    for ref in (np.array([-1.0, 1.0]), np.array([1.0, -1.0])):
-        mirrored = mesh.nodes * ref + (ref < 0) * 1.0
-        d = _nearest_node_dist(mesh.nodes, mirrored)
-        worst = max(worst, d)
-    if worst > tol:
-        raise MeshError(f"mesh is not mirror-symmetric (deviation {worst:.3e})")
-    return worst
-
-
-def _nearest_node_dist(nodes, queries):
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(nodes)
-    d, _ = tree.query(queries)
-    return float(d.max())
 
 
 def periodic_pairs(mesh: Mesh, tol: float = 1e-9):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homsim import fem, homog, materials
-from homsim.mesh import MATRIX, PhaseGeometry, build_macro_mesh, build_unit_cell_mesh
+from homsim.mesh import INCLUSION, MATRIX, PhaseGeometry, build_macro_mesh, build_unit_cell_mesh
 
 
 @pytest.fixture(scope="session")
@@ -32,9 +32,15 @@ def example_law():
     return materials.MaterialLaw()
 
 
+def single_material_law(values):
+    """The law of one material, values {quantity: (a, b)}, applied to both phases."""
+    return materials.MaterialLaw(coeffs={MATRIX: dict(values), INCLUSION: dict(values)})
+
+
 @pytest.fixture(scope="session")
 def uniform_law():
-    return materials.uniform_law(materials.EXAMPLE_LAWS[MATRIX])
+    """The matrix material in both phases (degeneracy testing)."""
+    return single_material_law(materials.EXAMPLE_LAWS[MATRIX])
 
 
 @pytest.fixture(scope="session")

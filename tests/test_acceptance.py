@@ -11,6 +11,8 @@ import pytest
 from homsim import cell, dns, fem, homog, macro, materials, metrics, reconstruct
 from homsim.mesh import PhaseGeometry, build_macro_mesh, build_unit_cell_mesh
 
+from conftest import single_material_law
+
 
 def _line(name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -119,7 +121,7 @@ def test_laminate_oracle(law):
 # ---------------------------------------------------------------------------
 
 def test_degenerate_material_collapse(disk_cell):
-    ulaw = materials.uniform_law(materials.EXAMPLE_LAWS[0])
+    ulaw = single_material_law(materials.EXAMPLE_LAWS[0])
     table = homog.build_table(disk_cell, ulaw, 280.0, 400.0, 3, Ttilde=300.0)
 
     # all 20 corrector families vanish in H1
@@ -175,7 +177,7 @@ def test_degenerate_material_collapse(disk_cell):
 # ---------------------------------------------------------------------------
 
 def _uniform_table_for_mms():
-    ulaw = materials.uniform_law(materials.EXAMPLE_LAWS[0])
+    ulaw = single_material_law(materials.EXAMPLE_LAWS[0])
     cm = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), 0.2)
     return homog.build_table(cm, ulaw, 280.0, 400.0, 3, Ttilde=300.0,
                              with_second_order=False)

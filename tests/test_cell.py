@@ -166,6 +166,39 @@ def test_cell_coefficients_are_bit_for_bit_the_per_phase_loop(
             mesh, example_law, T0, 1).tobytes()
 
 
+@pytest.fixture(scope="module")
+def cell_meshes(disk_cell_mesh, stripe_cell_mesh):
+    return [disk_cell_mesh, stripe_cell_mesh,
+            build_unit_cell_mesh(PhaseGeometry("none"), 0.15),
+            build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), 0.08)]
+
+
+@pytest.mark.parametrize("name, spec, data, lead", [
+    ("_c_gN", "tiakl,mbktl->abmti", "gradients", (2, 2, 2)),
+    ("_c_gN_ij", "tijkl,mbktl->bmtij", "gradients", (2, 2, 2)),
+    ("_c_N", "tijka,mbkt->abmtij", "means", (2, 2, 2)),
+    ("_c_gP", "tiakl,ktl->ati", "gradients", (2,)),
+    ("_c_gP_ij", "tijkl,ktl->tij", "gradients", (2,)),
+    ("_c_P", "tijka,kt->atij", "means", (2,)),
+])
+def test_elastic_contractions_keep_the_einsum_rounding(cell_meshes, name, spec, data, lead):
+    """Each second-order contraction is bit for bit the einsum it replaced.
+
+    The operands are laid out as the cell stage passes them: c contiguous,
+    the element gradients and means of P1 fields as FirstOrderCellSet
+    returns them.
+    """
+    rng = np.random.default_rng(9)
+    for mesh in cell_meshes:
+        c = rng.standard_normal((mesh.num_triangles, 2, 2, 2, 2))
+        f = rng.standard_normal(lead + (mesh.num_nodes,))
+        x = (fem.element_gradient(mesh, f) if data == "gradients"
+             else f[..., mesh.triangles].mean(axis=-1))
+        ref = np.einsum(spec, c, x)
+        got = getattr(cell, name)(c, x)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def test_a_mesh_phase_without_a_law_is_refused(disk_cell_mesh):
     law = MaterialLaw(coeffs={MATRIX: EXAMPLE_LAWS[MATRIX]})
     with pytest.raises(MaterialError, match=rf"\[{INCLUSION}\] have no material law"):

@@ -18,10 +18,30 @@ from homsim.config import (
     ConfigError,
     SimulationConfig,
     compile_expression,
-    example_config,
 )
+from homsim.materials import EXAMPLE_LAWS
+from homsim.mesh import INCLUSION, MATRIX
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def example_config() -> dict:
+    """Baseline driven-composite configuration (constant sources)."""
+    mat = {q: list(v) for q, v in EXAMPLE_LAWS[MATRIX].items()}
+    inc = {q: list(v) for q, v in EXAMPLE_LAWS[INCLUSION].items()}
+    return {
+        "version": 1,
+        "geometry": {"kind": "disk", "radius": 0.25},
+        "materials": {"matrix": mat, "inclusion": inc},
+        "epsilon": 0.1,
+        "mesh": {"macro_h": 0.05, "cell_h": 0.12},
+        "time": {"dt": 0.001, "T_final": 1.0, "snapshot_stride": 100},
+        "sources": {"f_T": 20000.0, "f_Phi": 200.0, "f_U": [5000.0, 5000.0]},
+        "boundary": {"T": 300.0, "Phi": 0.0, "U": [0.0, 0.0]},
+        "initial": {"T": 300.0, "T_ref": 300.0},
+        "table": {"T_min": 250.0, "T_max": 900.0, "count": 10},
+        "output": {"directory": "out", "vtk": False},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +434,17 @@ def test_online_with_missing_temperature_file_exits_2(pipeline, tmp_path, capsys
     (arch / "T_001.npz").unlink()
     assert cli.main(["online", str(p)]) == 2
     assert "T_001.npz: missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["verify", "errors"])
+def test_edited_cell_mesh_in_the_archive_exits_2(pipeline, tmp_path, capsys, stage):
+    arch, p = _damaged_copy(pipeline, tmp_path)
+    lines = (arch / "cell_mesh.txt").read_text().splitlines(keepends=True)
+    x, y = map(float, lines[2].split())  # the first node
+    lines[2] = f"{x!r} {y + 1e-3!r}\n"
+    (arch / "cell_mesh.txt").write_text("".join(lines))
+    assert cli.main([stage, str(p)]) == 2
+    assert "cell-mesh hash" in capsys.readouterr().err
 
 
 def _record_npz_reads(monkeypatch):

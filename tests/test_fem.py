@@ -164,38 +164,56 @@ def test_quadrature_varying_conductivity_matches_direct_contraction(macro_mesh, 
     assert _rel(fem.assemble_grad_grad(macro_space, kbar).toarray(), ref) <= 1e-13
 
 
-def test_element_constant_elasticity_keeps_its_rounding(disk_cell_mesh):
+def test_element_constant_elasticity_keeps_its_rounding(pattern_meshes):
     """The cell-stage elasticity is bit for bit the one-step contraction over a broadcast view."""
-    space = fem.FemSpace(disk_cell_mesh)
     rng = np.random.default_rng(6)
-    c = rng.standard_normal((disk_cell_mesh.num_triangles, 2, 2, 2, 2))
-    cq = np.broadcast_to(c[:, None], space.wq.shape + (2, 2, 2, 2))
-    g = disk_cell_mesh.grads
-    ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", space.wq, cq, g, g)
-    ref = _scatter_matrix(ke.reshape(-1, 6, 6), fem.vector_dofs(disk_cell_mesh.triangles))
-    _assert_same_csr(fem.assemble_cell_elasticity(space, c), ref)
+    for mesh in pattern_meshes:
+        space = fem.FemSpace(mesh)
+        c = rng.standard_normal((mesh.num_triangles, 2, 2, 2, 2))
+        cq = np.broadcast_to(c[:, None], space.wq.shape + (2, 2, 2, 2))
+        g = mesh.grads
+        ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", space.wq, cq, g, g)
+        ref = _scatter_matrix(ke.reshape(-1, 6, 6), fem.vector_dofs(mesh.triangles))
+        _assert_same_csr(fem.assemble_cell_elasticity(space, c), ref)
 
 
-def test_cell_stage_kernels_keep_their_rounding(disk_cell_mesh):
+def test_cell_stage_kernels_keep_their_rounding(pattern_meshes):
     """The cell-stage stiffness and loads are bit for bit their one-step contractions.
 
     These fix the rounding of the coefficients.csv noise columns: each
-    reference is the expression the cell stage computes, on the same
+    reference is the expression the cell stage computed, on the same
     broadcast view of the element values over the quadrature points.
     """
-    space = fem.FemSpace(disk_cell_mesh)
-    nt, wq, g = disk_cell_mesh.num_triangles, space.wq, disk_cell_mesh.grads
     rng = np.random.default_rng(7)
-    k, v, G = rng.standard_normal(nt), rng.standard_normal((nt, 2)), rng.standard_normal((nt, 2, 2))
-    kg = np.einsum("tq,tbi->tbi", wq * np.broadcast_to(k[:, None], wq.shape), g)
-    ref = _scatter_matrix(np.einsum("tai,tbi->tab", g, kg), disk_cell_mesh.triangles)
-    _assert_same_csr(fem.assemble_cell_grad_grad(space, k), ref)
-    elem = np.einsum("tq,tqi,tai->ta", wq, np.broadcast_to(v[:, None], wq.shape + (2,)), g)
-    ref = _scatter_vector(elem, disk_cell_mesh.triangles)
-    assert fem.assemble_flux(space, v).tobytes() == ref.tobytes()
-    elem = np.einsum("tq,tqij,taj->tai", wq, np.broadcast_to(G[:, None], wq.shape + (2, 2)), g)
-    ref = _scatter_vector(elem, fem.vector_dofs(disk_cell_mesh.triangles))
-    assert fem.assemble_cell_tensor_flux(space, G).tobytes() == ref.tobytes()
+    for mesh in pattern_meshes:
+        space = fem.FemSpace(mesh)
+        nt, wq, g = mesh.num_triangles, space.wq, mesh.grads
+        k, v, G = rng.standard_normal(nt), rng.standard_normal((nt, 2)), rng.standard_normal((nt, 2, 2))
+        kg = np.einsum("tq,tbi->tbi", wq * np.broadcast_to(k[:, None], wq.shape), g)
+        ref = _scatter_matrix(np.einsum("tai,tbi->tab", g, kg), mesh.triangles)
+        _assert_same_csr(fem.assemble_cell_grad_grad(space, k), ref)
+        elem = np.einsum("tq,tqi,tai->ta", wq, np.broadcast_to(v[:, None], wq.shape + (2,)), g)
+        ref = _scatter_vector(elem, mesh.triangles)
+        assert fem.assemble_flux(space, v).tobytes() == ref.tobytes()
+        elem = np.einsum("tq,tqij,taj->tai", wq, np.broadcast_to(G[:, None], wq.shape + (2, 2)), g)
+        ref = _scatter_vector(elem, fem.vector_dofs(mesh.triangles))
+        assert fem.assemble_cell_tensor_flux(space, G).tobytes() == ref.tobytes()
+
+
+def test_element_gradient_keeps_its_rounding_and_layout(pattern_meshes):
+    """element_gradient is bit for bit the vertex contraction, in its memory layout.
+
+    The einsums that read the cell correctors' gradients sum in an order set
+    by their operands' strides, so the layout is part of the result.
+    """
+    rng = np.random.default_rng(8)
+    for mesh in pattern_meshes:
+        for lead in ((), (2,), (2, 2, 2)):
+            nodal = rng.standard_normal(lead + (mesh.num_nodes,))
+            ref = np.einsum("...ta,tai->...ti", nodal[..., mesh.triangles], mesh.grads)
+            got = fem.element_gradient(mesh, nodal)
+            assert got.shape == ref.shape and got.strides == ref.strides
+            assert got.tobytes() == ref.tobytes()
 
 
 def _assert_close(A, ref):

@@ -11,7 +11,6 @@ from homsim.materials import (
     MaterialLaw,
     elasticity_tensor,
     lame_parameters,
-    uniform_law,
 )
 from homsim.mesh import INCLUSION, MATRIX
 

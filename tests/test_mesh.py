@@ -11,11 +11,27 @@ from homsim.mesh import (
     PhaseGeometry,
     build_macro_mesh,
     build_unit_cell_mesh,
-    check_reflection_symmetry,
     load_mesh,
     periodic_pairs,
     save_mesh,
 )
+
+
+def check_reflection_symmetry(mesh: Mesh, tol: float = 1e-12) -> float:
+    """Max distance from each node's mirror image to the nearest node.
+
+    Checked for reflections about both mid-planes; raises if above tol.
+    """
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(mesh.nodes)
+    worst = 0.0
+    for ref in (np.array([-1.0, 1.0]), np.array([1.0, -1.0])):
+        mirrored = mesh.nodes * ref + (ref < 0) * 1.0
+        worst = max(worst, float(tree.query(mirrored)[0].max()))
+    if worst > tol:
+        raise MeshError(f"mesh is not mirror-symmetric (deviation {worst:.3e})")
+    return worst
 
 
 def test_triangles_positively_oriented(disk_cell_mesh):

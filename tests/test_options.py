@@ -15,7 +15,6 @@ SRC = pathlib.Path(homsim.__file__).resolve().parent
 
 OPTIONS = {
     # function and method parameters with a default
-    "archive.load(cell_mesh)",
     "archive.load(law)",
     "archive.load(expect)",
     "cell.SolveCounter.tick(n)",
@@ -42,10 +41,7 @@ OPTIONS = {
     "materials.lame_parameters(_validate)",
     "materials.elasticity_tensor(plane)",
     "materials.elasticity_tensor(_validate)",
-    "materials.uniform_law(T_range)",
-    "materials.uniform_law(plane)",
     "mesh._crossed_grid(in_band)",
-    "mesh.check_reflection_symmetry(tol)",
     "mesh.periodic_pairs(tol)",
     "mesh.Mesh.__init__(phase_tag)",
     "mesh.Mesh.locate_points(tol)",
