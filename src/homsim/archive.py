@@ -7,19 +7,20 @@ Layout:
     cell_mesh.txt   the unit-cell mesh
     T_<index>.npz   corrector sets + coefficient block at one temperature
 
-`online`, `verify` and `errors` refuse an archive whose material-law hash,
-temperature grid, cell boundary condition or reference temperature differs
-from the current configuration.  load() refuses a cell_mesh.txt whose hash
-is not the manifest's, so an edited or damaged cell mesh is detected; an
-archive built with another geometry or cell_h, stored intact, is not.
+load() refuses an archive whose material-law hash, temperature grid, cell
+boundary condition or reference temperature differs from the configuration
+its caller passes, and a cell_mesh.txt whose hash is not the manifest's, so
+an edited or damaged cell mesh is detected; an archive built with another
+geometry or cell_h, stored intact, is not.
 
-load() checks that every array is present but decompresses none: the
-coefficients, which the macro stepper and the identity checks read, and the
-first- and second-order correctors, which load_correctors() attaches for the
-error harness alone, are sequences over the temperatures (PerTemperature).
-Slot i is read from T_<i>.npz on first access and kept, so a reconstruction
-whose macro temperatures stay inside a few table intervals decompresses only
-those slots, and no coefficient.
+load() returns a complete table and checks that every array is present, but
+decompresses none: the coefficients, which the macro stepper and the
+identity checks read, and the first- and second-order correctors, which only
+the error harness reads, are sequences over the temperatures
+(PerTemperature).  Slot i is read from T_<i>.npz on first access and kept,
+so `online` and `verify` decompress only the coefficients, and a
+reconstruction whose macro temperatures stay inside a few table intervals
+decompresses only those slots' correctors, and no coefficient.
 """
 
 from __future__ import annotations
@@ -89,14 +90,14 @@ def save(path, cell_mesh, law, table: TemperatureTable) -> None:
         np.savez_compressed(path / f"T_{i:03d}.npz", **data)
 
 
-def load(path, law=None, expect=None) -> tuple:
-    """Load (cell_mesh, table); the stored cell mesh must hash to the
-    manifest's value, and law, when given, too.
+def load(path, law, expect) -> tuple:
+    """Load (cell_mesh, table); the stored cell mesh and law must hash to the
+    manifest's values.
 
     expect maps manifest fields ("temperatures", "cell_bc", "T_ref") to the
     values the configuration asks for; a field that differs is refused.
-    table.coeffs reads each slot on first access; table.first and
-    table.second stay empty, see load_correctors.
+    table.coeffs, table.first and table.second read each slot on first
+    access; table.second is empty if the archive holds no second order.
     """
     path = pathlib.Path(path)
     try:
@@ -110,9 +111,9 @@ def load(path, law=None, expect=None) -> tuple:
     if mesh_hash(stored_mesh) != manifest["mesh_sha256"]:
         raise ArchiveError(f"{path}: cell_mesh.txt does not match the manifest's cell-mesh hash; "
                            f"re-run the off-line stage")
-    if law is not None and law_hash(law) != manifest["law_sha256"]:
+    if law_hash(law) != manifest["law_sha256"]:
         raise ArchiveError(f"{path}: material-law hash mismatch; re-run the off-line stage")
-    for field, want in (expect or {}).items():
+    for field, want in expect.items():
         if manifest[field] != want:
             raise ArchiveError(f"{path}: archived {field} {manifest[field]} differs from the "
                                f"configuration's {want}; re-run the off-line stage")
@@ -132,21 +133,15 @@ def load(path, law=None, expect=None) -> tuple:
                                    f"re-run the off-line stage")
     coeffs = PerTemperature(path, temps, lambda z, T: HomogenizedCoefficients(
         T0=T, **{name: z["coeff_" + name][()] for name in COEFF_NAMES}))
-    table = TemperatureTable(temps=temps, first=[], second=[],
-                             coeffs=coeffs, Ttilde=manifest["T_ref"],
-                             bc=manifest["cell_bc"])
-    return stored_mesh, table
-
-
-def load_correctors(path, table) -> None:
-    """Attach table.first and table.second, read from the archive at path that
-    load() read table from, each slot on first access (PerTemperature)."""
-    path = pathlib.Path(path)
-    table.first = PerTemperature(path, table.temps, lambda z, T: cell.FirstOrderCellSet(
+    first = PerTemperature(path, temps, lambda z, T: cell.FirstOrderCellSet(
         T0=T, **{k: z[k] for k in ("M", "H", "N", "P")}))
-    table.second = PerTemperature(path, table.temps, lambda z, T: cell.SecondOrderCellSet(
-        T0=T, Ttilde=table.Ttilde,
-        fields={f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES}))
+    second = PerTemperature(path, temps, lambda z, T: cell.SecondOrderCellSet(
+        T0=T, Ttilde=manifest["T_ref"],
+        fields={f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES})
+    ) if manifest["has_second_order"] else []
+    table = TemperatureTable(temps=temps, first=first, second=second, coeffs=coeffs,
+                             Ttilde=manifest["T_ref"], bc=manifest["cell_bc"])
+    return stored_mesh, table
 
 
 class PerTemperature(Sequence):

@@ -35,7 +35,7 @@ int a grad F . grad v = -int S v + int G . grad v  for all admissible v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,7 +66,7 @@ class SolveCounter:
     def __init__(self):
         self.count = 0
 
-    def tick(self, n: int = 1):
+    def tick(self, n: int):
         self.count += n
 
     def reset(self):
@@ -116,7 +116,7 @@ class SecondOrderCellSet:
 
     T0: float
     Ttilde: float
-    fields: dict = field(default_factory=dict)
+    fields: dict
 
     def __getitem__(self, key):
         return self.fields[key]
@@ -166,7 +166,7 @@ class CellOperators:
     LU.
     """
 
-    def __init__(self, space, law, T0, bc: str = "dirichlet"):
+    def __init__(self, space, law, T0, bc: str):
         if not law.in_range(T0):
             raise CellError(f"T0={T0} outside the declared material range {law.T_range}")
         if bc not in ("dirichlet", "periodic"):
@@ -232,7 +232,7 @@ class CellOperators:
         """
         if self.bc == "dirichlet":
             return self.solve(which, b)
-        SOLVES.tick()
+        SOLVES.tick(1)
         return self._maps[which].solve(b)
 
 

@@ -36,7 +36,7 @@ def _load_archive(cfg, out, law):
     Tmin, Tmax, count, bc = cfg.table_spec
     expect = {"temperatures": np.linspace(Tmin, Tmax, count).tolist(),
               "cell_bc": bc, "T_ref": cfg.T_ref}
-    return archive.load(out / "archive", law=law, expect=expect)
+    return archive.load(out / "archive", law, expect)
 
 
 def _solver_work(traj) -> str:
@@ -145,7 +145,6 @@ def cmd_errors(cfg: SimulationConfig, args) -> int:
             f"{out / 'dns_mesh.txt'} has {fine_mesh.num_triangles} triangles, not {q}^2 x "
             f"the archived cell mesh's {cell_mesh.num_triangles}: the DNS ran with another "
             f"epsilon or mesh.cell_h than this configuration (epsilon {cfg.epsilon})")
-    archive.load_correctors(out / "archive", table)
     rec = reconstruct.Reconstructor(macro_mesh, cell_mesh, table, cfg.epsilon, fine_mesh)
     series = metrics.evolutive_errors(ref, traj, rec)
     series.to_csv(out / "errors.csv")

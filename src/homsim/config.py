@@ -16,9 +16,10 @@ import sys
 
 import numpy as np
 
+from .dns import tiles
 from .macro import ProblemData, TimeGrid
 from .materials import MaterialLaw, QUANTITIES
-from .mesh import INCLUSION, MATRIX, PhaseGeometry
+from .mesh import INCLUSION, MATRIX, MeshError, PhaseGeometry
 
 
 class ConfigError(ValueError):
@@ -283,8 +284,10 @@ class SimulationConfig:
             raise ConfigError(f"configuration invalid: {msgs}")
         self.raw = raw
         eps = raw["epsilon"]
-        if not math.isfinite(1.0 / eps) or abs(round(1.0 / eps) * eps - 1.0) > 1e-12:
-            raise ConfigError(f"$['epsilon']: must be a reciprocal integer, got {eps}")
+        try:
+            tiles(eps)
+        except MeshError:
+            raise ConfigError(f"$['epsilon']: must be a reciprocal integer, got {eps}") from None
         self.epsilon = float(eps)
         dt, Tf = raw["time"]["dt"], raw["time"]["T_final"]
         if not math.isfinite(Tf / dt) or abs(round(Tf / dt) * dt - Tf) > 1e-9 * Tf:

@@ -12,6 +12,8 @@ the elasticity as the element integrals of its two Lame parameters.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import fem
@@ -21,11 +23,14 @@ from .mesh import Mesh, MeshError
 
 
 def tiles(epsilon: float) -> int:
-    """q = 1/epsilon, the cells along each side of the DNS domain (q^2 in all)."""
-    q = round(1.0 / epsilon)
-    if abs(q * epsilon - 1.0) > 1e-12:
+    """q = 1/epsilon, the cells along each side of the DNS domain (q^2 in all).
+
+    The one check that epsilon is a reciprocal integer: raises MeshError
+    otherwise, also when 1/epsilon overflows.
+    """
+    if not math.isfinite(1.0 / epsilon) or abs(round(1.0 / epsilon) * epsilon - 1.0) > 1e-12:
         raise MeshError(f"epsilon must be a reciprocal integer, got {epsilon}")
-    return q
+    return round(1.0 / epsilon)
 
 
 def build_tiled_mesh(cell_mesh: Mesh, epsilon: float) -> Mesh:
@@ -109,8 +114,7 @@ class OscillatoryProvider:
         return out
 
 
-def run_dns(fine_mesh: Mesh, law, data, grid: TimeGrid,
-            snapshot_stride: int = 1) -> Trajectory:
+def run_dns(fine_mesh: Mesh, law, data, grid: TimeGrid, snapshot_stride: int) -> Trajectory:
     """Integrate the oscillatory-coefficient system on the fine mesh."""
     space = fem.FemSpace(fine_mesh)
     stepper = Stepper(space, OscillatoryProvider(space, law), data, grid,

@@ -654,9 +654,9 @@ class SpdSolver:
     solve(b) runs the triangular solves for a right-hand side (n,) or a
     block of them (n, k), in one call.  solve_near(A, b, max_iter, x0) solves
     a nearby matrix A by conjugate gradients (pcg) preconditioned with this
-    LU, from x0 if given, so that a slowly varying operator can reuse one
-    factorization over many solves.  Both check the relative residual of every right-hand side
-    against SOLVE_RTOL, the contract of solve_spd, and leave the worst in
+    LU, from x0 (zero if None), so that a slowly varying operator can reuse
+    one factorization over many solves.  Both check the relative residual of
+    every right-hand side against SOLVE_RTOL, the contract of solve_spd, and leave the worst in
     self.residual.
 
     Every matrix given here is SPD, so SuperLU runs in its symmetric mode:
@@ -708,7 +708,7 @@ class SpdSolver:
             raise SolverError(f"factorized solve residual {res:.3e} above {SOLVE_RTOL}", residual=res)
         return x.reshape(b.shape)
 
-    def solve_near(self, A, b, max_iter: int, x0=None):
+    def solve_near(self, A, b, max_iter: int, x0):
         """(x, iterations) for A x = b by CG preconditioned with this LU.
 
         CG starts from x0 (zero if None) and stops at CG_RTOL, as solve_spd

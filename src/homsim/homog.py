@@ -113,8 +113,12 @@ def compute_coefficients(ops: cell.CellOperators,
 IDENTITY_TOL = 1e-8
 
 
-def verify_identities(h: HomogenizedCoefficients, law=None) -> dict:
-    """Structural checks: dual-form identities, symmetry, eigenvalue bounds."""
+def verify_identities(h: HomogenizedCoefficients, law) -> dict:
+    """Structural checks: dual-form identities, symmetry, eigenvalue bounds.
+
+    The eigenvalues of k_hat, lam_hat and beta_hat must lie between the
+    phase values of law at h.T0.
+    """
     rep = {"T0": h.T0, "checks": {}}
 
     def rel(a, b):
@@ -132,16 +136,14 @@ def verify_identities(h: HomogenizedCoefficients, law=None) -> dict:
     for name, t in (("k_hat", h.k_hat), ("lam_hat", h.lam_hat), ("beta_hat", h.beta_hat)):
         sym = rel(t, t.T)
         ev = np.linalg.eigvalsh(0.5 * (t + t.T))
-        entry = {"symmetry_deviation": sym, "eigenvalues": ev.tolist(),
-                 "pass": sym <= IDENTITY_TOL and ev.min() > 0}
-        if law is not None:
-            q = {"k_hat": "k", "lam_hat": "lam", "beta_hat": "beta"}[name]
-            vals = [float(law.eval(ph, q, h.T0)) for ph in law.phases]
-            lo, hi = min(vals), max(vals)
-            slack = 1e-6 * max(abs(lo), abs(hi))
-            entry["phase_bounds"] = [lo, hi]
-            entry["pass"] = entry["pass"] and (ev.min() >= lo - slack) and (ev.max() <= hi + slack)
-        rep["checks"][name] = entry
+        q = {"k_hat": "k", "lam_hat": "lam", "beta_hat": "beta"}[name]
+        vals = [float(law.eval(ph, q, h.T0)) for ph in law.phases]
+        lo, hi = min(vals), max(vals)
+        slack = 1e-6 * max(abs(lo), abs(hi))
+        rep["checks"][name] = {
+            "symmetry_deviation": sym, "eigenvalues": ev.tolist(), "phase_bounds": [lo, hi],
+            "pass": (sym <= IDENTITY_TOL and ev.min() > 0
+                     and ev.min() >= lo - slack and ev.max() <= hi + slack)}
 
     cm = voigt(h.c_hat)
     ev = np.linalg.eigvalsh(0.5 * (cm + cm.T))
@@ -185,7 +187,7 @@ class TemperatureTable:
     second: list
     coeffs: list
     Ttilde: float
-    bc: str = "dirichlet"
+    bc: str
 
     def __post_init__(self):
         t = np.asarray(self.temps, float)
@@ -226,7 +228,7 @@ def build_table(
     Tmax: float,
     count: int,
     Ttilde: float,
-    bc: str = "dirichlet",
+    bc: str,
     with_second_order: bool = True,
     progress=None,
 ) -> TemperatureTable:

@@ -63,6 +63,7 @@ worst residual and max_lu_fill, the largest fill of L + U it factored.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,16 +194,22 @@ def recover_nodal_gradient(space, nodal):
 
 
 class Stepper:
-    """Time integrator for the coupled system on one mesh."""
+    """Time integrator for the coupled system on one mesh.
+
+    run() keeps the initial state, every snapshot_stride-th step and the
+    last step.
+    """
 
     def __init__(self, space: fem.FemSpace, provider, data: ProblemData, grid: TimeGrid,
-                 snapshot_stride: int = 1):
+                 snapshot_stride: int):
+        if snapshot_stride < 1:
+            raise ValueError(f"snapshot_stride must be at least 1, got {snapshot_stride}")
         self.space = space
         self.mesh = space.mesh
         self.provider = provider
         self.data = data
         self.grid = grid
-        self.stride = max(1, snapshot_stride)
+        self.stride = snapshot_stride
         self._bn = self.mesh.boundary_nodes
         self._scalar_bc = fem.DirichletPlan(space.scalar_pattern, self._bn)
         # all x-dofs, then all y-dofs of the boundary nodes
@@ -365,30 +372,24 @@ def _flat(U):
     return U.T.ravel()
 
 
+#: the Snapshot fields, one array each in a trajectory file
+_SNAPSHOT_FIELDS = [f.name for f in dataclasses.fields(Snapshot)]
+
+
 def save_trajectory(traj: Trajectory, path) -> None:
-    """Persist a trajectory (snapshots + grid) to a single npz file."""
-    data = {
-        "dt": np.float64(traj.grid.dt),
-        "n_steps": np.int64(traj.grid.n_steps),
-        "m": np.array([s.m for s in traj.snapshots]),
-        "t": np.array([s.t for s in traj.snapshots]),
-        "T": np.stack([s.T for s in traj.snapshots]),
-        "T_prev": np.stack([s.T_prev for s in traj.snapshots]),
-        "Phi": np.stack([s.Phi for s in traj.snapshots]),
-        "U": np.stack([s.U for s in traj.snapshots]),
-        "U_prev": np.stack([s.U_prev for s in traj.snapshots]),
-        "U_prevprev": np.stack([s.U_prevprev for s in traj.snapshots]),
-    }
-    np.savez_compressed(path, **data)
+    """Persist a trajectory (grid, then each Snapshot field over the snapshots) to one npz file."""
+    np.savez_compressed(path, dt=np.float64(traj.grid.dt), n_steps=np.int64(traj.grid.n_steps),
+                        **{name: np.array([getattr(s, name) for s in traj.snapshots])
+                           for name in _SNAPSHOT_FIELDS})
 
 
 def load_trajectory(path, mesh) -> Trajectory:
+    """The trajectory save_trajectory wrote to path, on mesh; each array is read once."""
     with np.load(path) as z:
         grid = TimeGrid(dt=float(z["dt"]), n_steps=int(z["n_steps"]))
-        traj = Trajectory(mesh=mesh, grid=grid)
-        for i in range(len(z["m"])):
-            traj.snapshots.append(Snapshot(
-                m=int(z["m"][i]), t=float(z["t"][i]),
-                T=z["T"][i], T_prev=z["T_prev"][i], Phi=z["Phi"][i],
-                U=z["U"][i], U_prev=z["U_prev"][i], U_prevprev=z["U_prevprev"][i]))
-    return traj
+        columns = {name: z[name] for name in _SNAPSHOT_FIELDS}
+    # m and t as Python numbers, the others as rows of their arrays
+    columns["m"], columns["t"] = columns["m"].tolist(), columns["t"].tolist()
+    return Trajectory(mesh=mesh, grid=grid, snapshots=[
+        Snapshot(**{name: col[i] for name, col in columns.items()})
+        for i in range(len(columns["m"]))])

@@ -3,40 +3,17 @@
 Each scalar property follows an affine law a + b*T per phase, which makes the
 first temperature derivative constant and the second identically zero.  The
 engineering pair (E, nu) is converted to the 2D elasticity tensor c_ijkl in
-plane strain (default) or plane stress.
+plane strain or plane stress, as the law says.  The package ships no law:
+the CLI builds each one from a configuration (config.SimulationConfig.law).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MATRIX, INCLUSION
-
 QUANTITIES = ("rho", "c", "k", "lam", "beta", "E", "nu")
-
-#: baseline two-phase property set used by the shipped example configuration
-EXAMPLE_LAWS = {
-    MATRIX: {
-        "rho": (0.008, 0.0),
-        "c": (562.5, 0.0),
-        "k": (4.0, 0.0004),
-        "lam": (300.0, -0.015),
-        "beta": (3.0, -0.0003),
-        "E": (3.5e6, -3.5e3),
-        "nu": (0.25, 0.0),
-    },
-    INCLUSION: {
-        "rho": (0.002, 0.0),
-        "c": (750.0, 0.0),
-        "k": (0.04, 0.000004),
-        "lam": (0.075, -0.00000325),
-        "beta": (7.5, -0.00075),
-        "E": (2.2e6, -2.2e3),
-        "nu": (0.20, 0.0),
-    },
-}
 
 
 class MaterialError(ValueError):
@@ -57,7 +34,7 @@ class MaterialLaw:
     isotropic: the conductivity/coupling tensors are value * identity.
     """
 
-    coeffs: dict = field(default_factory=lambda: {p: dict(q) for p, q in EXAMPLE_LAWS.items()})
+    coeffs: dict
     T_range: tuple[float, float] = (250.0, 900.0)
     plane: str = "strain"
 
@@ -133,7 +110,7 @@ class MaterialLaw:
         return worst
 
 
-def lame_parameters(E, nu, plane: str = "strain", _validate: bool = True):
+def lame_parameters(E, nu, plane: str, _validate: bool = True):
     """The 2D Lame parameters (lame, mu) of an isotropic material.
 
     E and nu may be arrays; both results carry their broadcast shape.
@@ -158,7 +135,7 @@ def lame_parameters(E, nu, plane: str = "strain", _validate: bool = True):
     return lame, mu
 
 
-def elasticity_tensor(E, nu, plane: str = "strain", _validate: bool = True):
+def elasticity_tensor(E, nu, plane: str, _validate: bool = True):
     """Isotropic 2D elasticity tensor c_ijkl from engineering constants.
 
     E and nu may be arrays; the result carries their broadcast axes in front

@@ -3,7 +3,11 @@
 Meshes are generated from structured templates so that the unit-cell mesh is
 exactly symmetric under reflection about both mid-planes and conforms to the
 matrix/inclusion interface (a polygon whose vertices lie on the circle for a
-disk inclusion, grid-snapped lines for a stripe band).
+disk inclusion centred in the cell, grid-snapped lines for a stripe band).
+Mesh.locate_points gives the triangle and barycentric coordinates of points;
+the interpolation operators built from them belong to their users
+(reconstruct).  periodic_pairs matches the nodes of opposite cell edges to
+PERIODIC_TOL.
 """
 
 from __future__ import annotations
@@ -25,23 +29,16 @@ class MeshError(ValueError):
 class PhaseGeometry:
     """Inclusion descriptor on the unit cell [0,1]^2.
 
-    shape: "disk" (center + radius), "stripe" (band in y1) or "none".
-    The geometry must be symmetric about both cell mid-planes.
+    shape: "disk" (radius, centred at (0.5, 0.5)), "stripe" (band in y1) or
+    "none".  The geometry must be symmetric about both cell mid-planes.
     """
 
-    shape: str = "disk"
-    center: tuple[float, float] = (0.5, 0.5)
+    shape: str
     radius: float = 0.25
     band: tuple[float, float] = (0.25, 0.75)
 
     def validate(self) -> None:
         if self.shape == "disk":
-            cx, cy = self.center
-            if abs(cx - 0.5) > 1e-12 or abs(cy - 0.5) > 1e-12:
-                raise MeshError(
-                    "disk inclusion must be centered at (0.5, 0.5) to keep the "
-                    f"cell mirror-symmetric, got {self.center}"
-                )
             if not 0.0 < self.radius < 0.5:
                 raise MeshError(f"disk radius must lie in (0, 0.5), got {self.radius}")
         elif self.shape == "stripe":
@@ -196,12 +193,6 @@ class Mesh:
         l2 = (dy * v0x - dx * v0y) / det
         return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
 
-    def interpolate(self, values, tri, bary):
-        """Interpolate nodal values (shape (..., nn)) at located points."""
-        values = np.asarray(values)
-        vt = values[..., self.triangles[tri]]  # (..., npts, 3)
-        return np.einsum("...pa,pa->...p", vt, bary)
-
 
 def _signed_areas(p):
     return 0.5 * (
@@ -297,8 +288,8 @@ def _stripe_mesh(band, target_h):
     return _crossed_grid(xs, ys, in_band)
 
 
-def _disk_mesh(center, radius, n_theta, n_r, n_out):
-    cx, cy = center
+def _disk_mesh(radius, n_theta, n_r, n_out):
+    cx, cy = 0.5, 0.5
     nodes = [(cx, cy)]
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     ct, st = np.cos(theta), np.sin(theta)
@@ -365,7 +356,7 @@ def build_unit_cell_mesh(geometry: PhaseGeometry, target_h: float) -> Mesh:
     n_r = max(2, math.ceil(r / (1.4 * target_h)))
     n_out = max(2, math.ceil((0.5 * math.sqrt(2.0) - r) / (1.4 * target_h)))
     for _ in range(8):
-        mesh = _disk_mesh(geometry.center, r, n_theta, n_r, n_out)
+        mesh = _disk_mesh(r, n_theta, n_r, n_out)
         if mesh.h <= 1.5 * target_h:
             return mesh
         grow = mesh.h / (1.4 * target_h)
@@ -375,8 +366,12 @@ def build_unit_cell_mesh(geometry: PhaseGeometry, target_h: float) -> Mesh:
     raise MeshError("unit-cell mesh refinement failed to reach the target size")
 
 
-def periodic_pairs(mesh: Mesh, tol: float = 1e-9):
-    """Match boundary nodes across opposite edges of [0,1]^2.
+#: largest coordinate mismatch periodic_pairs accepts between paired nodes
+PERIODIC_TOL = 1e-9
+
+
+def periodic_pairs(mesh: Mesh):
+    """Match boundary nodes across opposite edges of [0,1]^2, to PERIODIC_TOL.
 
     Returns (master, slave) index arrays identifying each right/top node with
     its left/bottom partner (corners collapse onto the origin corner).
@@ -386,7 +381,7 @@ def periodic_pairs(mesh: Mesh, tol: float = 1e-9):
     master = {}
 
     def on(val, coord):
-        return bnd[np.abs(nodes[bnd, coord] - val) < tol]
+        return bnd[np.abs(nodes[bnd, coord] - val) < PERIODIC_TOL]
 
     for coord in (0, 1):
         lo = on(0.0, coord)
@@ -396,7 +391,7 @@ def periodic_pairs(mesh: Mesh, tol: float = 1e-9):
         hi_sorted = hi[np.argsort(nodes[hi, other])]
         if len(lo_sorted) != len(hi_sorted):
             raise MeshError("periodic pairing failed: unequal boundary node counts")
-        if np.max(np.abs(nodes[lo_sorted, other] - nodes[hi_sorted, other])) > tol:
+        if np.max(np.abs(nodes[lo_sorted, other] - nodes[hi_sorted, other])) > PERIODIC_TOL:
             raise MeshError("periodic pairing failed: opposite edges do not match")
         for m, s in zip(lo_sorted, hi_sorted):
             master[int(s)] = int(m)

@@ -48,15 +48,12 @@ class ZeroReferenceError(ValueError):
     """The reference field has zero norm, so no relative error is defined."""
 
 
-def relative_error(space, approx, ref, kind: str, ref_norm=None) -> float:
-    """norm(approx - ref) / norm(ref); raises ZeroReferenceError if the reference norm vanishes.
-
-    ref_norm, if given, is norm(space, ref, kind), already computed.
-    """
-    denom = norm(space, ref, kind) if ref_norm is None else ref_norm
-    if denom <= 0.0:
+def relative_error(space, approx, ref, kind: str, ref_norm: float) -> float:
+    """norm(approx - ref) / ref_norm, with ref_norm = norm(space, ref, kind)
+    computed by the caller; raises ZeroReferenceError if ref_norm vanishes."""
+    if ref_norm <= 0.0:
         raise ZeroReferenceError(f"reference field has zero {kind} norm")
-    return norm(space, np.asarray(approx) - np.asarray(ref), kind) / denom
+    return norm(space, np.asarray(approx) - np.asarray(ref), kind) / ref_norm
 
 
 @dataclass
@@ -112,7 +109,7 @@ def evolutive_errors(ref_traj, macro_traj, recon: Reconstructor) -> ErrorSeries:
                 for n in NORMS:
                     try:
                         row[f"{f}_{o}_{n}"] = relative_error(space, h[f], refs[f], n,
-                                                             ref_norm=ref_norms[f, n])
+                                                             ref_norms[f, n])
                     except ZeroReferenceError:
                         row[f"{f}_{o}_{n}"] = np.nan
                         series.undefined.add(f)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .dns import tiles
 from .fem import FemSpace
 from .homog import hat_weights
 from .macro import recover_nodal_gradient
@@ -28,12 +29,28 @@ class MacroEvaluator:
     """Macro nodal fields and recovered derivatives at fixed evaluation points."""
 
     def __init__(self, macro_mesh, points):
-        self.mesh = macro_mesh
         self.space = FemSpace(macro_mesh)
-        self.tri, self.bary = macro_mesh.locate_points(points)
+        tri, bary = macro_mesh.locate_points(points)
+        verts = macro_mesh.triangles[tri]
+
+        def p1(order):  # row p: the P1 weights of point p at its triangle's vertices, in order
+            return sp.csr_matrix((bary[:, order].ravel(), verts[:, order].ravel(),
+                                  np.arange(0, 3 * len(tri) + 1, 3)),
+                                 shape=(len(tri), macro_mesh.num_nodes))
+
+        # a row sums its entries from zero, in stored order; these orders give
+        # bit for bit the np.einsum("...pa,pa->...p") over the vertices that
+        # they replaced: (0 + 2) + 1 for one field, which numpy sums two
+        # lanes at a time, and (0 + 1) + 2 for a stack of fields
+        self.p1, self._p1_stacked = p1([0, 2, 1]), p1([0, 1, 2])
 
     def scalar(self, nodal):
-        return self.mesh.interpolate(np.asarray(nodal), self.tri, self.bary)
+        """(..., nn) -> (..., npts): the P1 interpolant at the points, one sparse product."""
+        nodal = np.asarray(nodal)
+        if nodal.ndim == 1:
+            return self.p1 @ nodal
+        values = self._p1_stacked @ nodal.reshape(-1, nodal.shape[-1]).T  # (npts, k)
+        return values.T.reshape(nodal.shape[:-1] + (values.shape[0],))
 
     def gradient(self, nodal):
         """(..., nn) -> (..., npts, 2) recovered gradient at the points."""
@@ -54,7 +71,7 @@ class MacroEvaluator:
     def _hessian_at(self, g):
         rows = [recover_nodal_gradient(self.space, g[..., i]) for i in range(2)]
         h = np.stack(rows, axis=-2)  # (..., nn, i, j)
-        out = np.empty(h.shape[:-3] + (len(self.tri), 2, 2))
+        out = np.empty(h.shape[:-3] + (self.p1.shape[0], 2, 2))
         for i in range(2):
             for j in range(2):
                 out[..., i, j] = self.scalar(h[..., i, j])
@@ -103,9 +120,7 @@ class Reconstructor:
     """Builds order-0/1/2 multi-scale fields at the evaluation-mesh nodes."""
 
     def __init__(self, macro_mesh, cell_mesh, table, epsilon, eval_mesh):
-        q = round(1.0 / epsilon)
-        if abs(q * epsilon - 1.0) > 1e-12:
-            raise ValueError(f"epsilon must be a reciprocal integer, got {epsilon}")
+        tiles(epsilon)  # raises MeshError unless epsilon is a reciprocal integer
         self.eps = float(epsilon)
         self.table = table
         self.ev = MacroEvaluator(macro_mesh, eval_mesh.nodes)

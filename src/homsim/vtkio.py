@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def write_vtk(path, mesh, point_data: dict | None = None) -> None:
+def write_vtk(path, mesh, point_data: dict) -> None:
     """Write the mesh and nodal fields as an unstructured grid.
 
-    point_data values are (nn,) scalars or (2, nn) / (nn, 2) vectors;
+    point_data maps names to (nn,) scalars or (2, nn) / (nn, 2) vectors;
     vectors are padded with a zero third component.
     """
     nn, nt = mesh.num_nodes, mesh.num_triangles
@@ -27,8 +27,6 @@ def write_vtk(path, mesh, point_data: dict | None = None) -> None:
         f.write(f"CELL_DATA {nt}\nSCALARS phase int 1\nLOOKUP_TABLE default\n")
         for t in mesh.phase_tag:
             f.write(f"{t}\n")
-        if not point_data:
-            return
         f.write(f"POINT_DATA {nn}\n")
         for name, arr in point_data.items():
             arr = np.asarray(arr, float)

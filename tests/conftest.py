@@ -1,10 +1,25 @@
 """Shared fixtures: small meshes, laws and corrector tables reused across tests."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
 from homsim import fem, homog, materials
+from homsim.config import SimulationConfig
 from homsim.mesh import INCLUSION, MATRIX, PhaseGeometry, build_macro_mesh, build_unit_cell_mesh
+
+#: the shipped example configuration; its material law is the tests' two-phase law
+EXAMPLE_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "example1.json"
+
+
+def shipped_law():
+    """The material law of EXAMPLE_CONFIG, read through SimulationConfig."""
+    return SimulationConfig.from_file(EXAMPLE_CONFIG).law()
+
+
+#: the per-phase affine laws of EXAMPLE_CONFIG, {phase: {quantity: (a, b)}}
+EXAMPLE_LAWS = shipped_law().coeffs
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +44,7 @@ def macro_mesh():
 
 @pytest.fixture(scope="session")
 def example_law():
-    return materials.MaterialLaw()
+    return shipped_law()
 
 
 def single_material_law(values):
@@ -40,21 +55,21 @@ def single_material_law(values):
 @pytest.fixture(scope="session")
 def uniform_law():
     """The matrix material in both phases (degeneracy testing)."""
-    return single_material_law(materials.EXAMPLE_LAWS[MATRIX])
+    return single_material_law(EXAMPLE_LAWS[MATRIX])
 
 
 @pytest.fixture(scope="session")
 def small_table(disk_cell_mesh, example_law):
     """Composite corrector table on the coarse disk cell (3 temperatures)."""
     return homog.build_table(disk_cell_mesh, example_law, 280.0, 400.0, 3,
-                             Ttilde=300.0)
+                             Ttilde=300.0, bc="dirichlet")
 
 
 @pytest.fixture(scope="session")
 def uniform_table(disk_cell_mesh, uniform_law):
     """Degenerate (single-material) table on the coarse disk cell."""
     return homog.build_table(disk_cell_mesh, uniform_law, 280.0, 400.0, 3,
-                             Ttilde=300.0)
+                             Ttilde=300.0, bc="dirichlet")
 
 
 def isotropic_elasticity(lame, mu):

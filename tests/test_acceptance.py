@@ -8,10 +8,10 @@ module-scoped fixtures.
 import numpy as np
 import pytest
 
-from homsim import cell, dns, fem, homog, macro, materials, metrics, reconstruct
+from homsim import cell, dns, fem, homog, macro, metrics, reconstruct
 from homsim.mesh import PhaseGeometry, build_macro_mesh, build_unit_cell_mesh
 
-from conftest import single_material_law
+from conftest import EXAMPLE_LAWS, shipped_law, single_material_law
 
 
 def _line(name, ok, detail):
@@ -35,7 +35,7 @@ def _h1_norm_families(mesh, arr):
 
 @pytest.fixture(scope="module")
 def law():
-    return materials.MaterialLaw()
+    return shipped_law()
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +47,7 @@ def disk_cell():
 def coeff_table(disk_cell, law):
     """First-order coefficient table spanning the full validity range."""
     lo, hi = law.T_range
-    return homog.build_table(disk_cell, law, lo, hi, 5, Ttilde=300.0,
+    return homog.build_table(disk_cell, law, lo, hi, 5, Ttilde=300.0, bc="dirichlet",
                              with_second_order=False)
 
 
@@ -121,8 +121,8 @@ def test_laminate_oracle(law):
 # ---------------------------------------------------------------------------
 
 def test_degenerate_material_collapse(disk_cell):
-    ulaw = single_material_law(materials.EXAMPLE_LAWS[0])
-    table = homog.build_table(disk_cell, ulaw, 280.0, 400.0, 3, Ttilde=300.0)
+    ulaw = single_material_law(EXAMPLE_LAWS[0])
+    table = homog.build_table(disk_cell, ulaw, 280.0, 400.0, 3, Ttilde=300.0, bc="dirichlet")
 
     # all 20 corrector families vanish in H1
     norms = {}
@@ -177,9 +177,9 @@ def test_degenerate_material_collapse(disk_cell):
 # ---------------------------------------------------------------------------
 
 def _uniform_table_for_mms():
-    ulaw = single_material_law(materials.EXAMPLE_LAWS[0])
+    ulaw = single_material_law(EXAMPLE_LAWS[0])
     cm = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), 0.2)
-    return homog.build_table(cm, ulaw, 280.0, 400.0, 3, Ttilde=300.0,
+    return homog.build_table(cm, ulaw, 280.0, 400.0, 3, Ttilde=300.0, bc="dirichlet",
                              with_second_order=False)
 
 
@@ -361,7 +361,8 @@ def test_long_horizon_stability(law):
 # ---------------------------------------------------------------------------
 
 def test_corrector_continuity_in_temperature(disk_cell, law):
-    base = cell.solve_first_order(cell.CellOperators(fem.FemSpace(disk_cell), law, 300.0))
+    space = fem.FemSpace(disk_cell)
+    base = cell.solve_first_order(cell.CellOperators(space, law, 300.0, "dirichlet"))
 
     def diff_norm(other):
         tot = 0.0
@@ -370,9 +371,8 @@ def test_corrector_continuity_in_temperature(disk_cell, law):
                                      getattr(other, n) - getattr(base, n)) ** 2
         return np.sqrt(tot)
 
-    space = fem.FemSpace(disk_cell)
-    norms = [diff_norm(cell.solve_first_order(cell.CellOperators(space, law, 300.0 + d)))
-             for d in (10.0, 5.0, 2.5)]
+    norms = [diff_norm(cell.solve_first_order(
+                 cell.CellOperators(space, law, 300.0 + d, "dirichlet"))) for d in (10.0, 5.0, 2.5)]
     ok = norms[0] > norms[1] > norms[2]
     _line("corrector continuity in temperature",
           ok, "first-order corrector-set H1 differences at delta=10/5/2.5 K: "

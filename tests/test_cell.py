@@ -9,10 +9,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from homsim import cell, fem, homog
-from homsim.materials import EXAMPLE_LAWS, MaterialError, MaterialLaw, elasticity_tensor
+from homsim.materials import MaterialError, MaterialLaw, elasticity_tensor
 from homsim.mesh import INCLUSION, MATRIX, PhaseGeometry, build_unit_cell_mesh, periodic_pairs
 
-from conftest import count_patterns
+from conftest import EXAMPLE_LAWS, count_patterns
 
 
 def _h1(mesh, nodal):
@@ -67,14 +67,16 @@ def test_stripe_corrector_invariant_along_stripe(example_law):
 
 def test_solve_counter_ticks(disk_cell_mesh, example_law):
     before = cell.SOLVES.count
-    cell.solve_first_order(cell.CellOperators(fem.FemSpace(disk_cell_mesh), example_law, 300.0))
+    cell.solve_first_order(
+        cell.CellOperators(fem.FemSpace(disk_cell_mesh), example_law, 300.0, "dirichlet"))
     assert cell.SOLVES.count > before
 
 
 def test_dT_of_first_order_centered(disk_cell_mesh, example_law):
     temps = [280.0, 340.0, 400.0]
     space = fem.FemSpace(disk_cell_mesh)
-    entries = [cell.solve_first_order(cell.CellOperators(space, example_law, T)) for T in temps]
+    entries = [cell.solve_first_order(cell.CellOperators(space, example_law, T, "dirichlet"))
+               for T in temps]
     d = cell.dT_of_first_order(entries, 340.0)
     expect = (entries[2].M - entries[0].M) / 120.0
     assert np.allclose(d.M, expect, atol=1e-14)
@@ -104,7 +106,7 @@ def test_centred_slope_is_centred_inside_and_one_sided_at_the_ends(small_table, 
     d = cell.dT_of_first_order(first, temps[i])
     assert d.T0 == temps[i] and d.N.tobytes() == ((first[hi].N - first[lo].N) / dT).tobytes()
     table = homog.TemperatureTable(temps=temps, first=first, second=[], coeffs=blocks,
-                                   Ttilde=300.0)
+                                   Ttilde=300.0, bc="dirichlet")
     c = table.coeff_dT(i)
     assert c.T0 == temps[i]
     assert c.c_hat.tobytes() == ((blocks[hi].c_hat - blocks[lo].c_hat) / dT).tobytes()
@@ -153,7 +155,7 @@ def test_cell_coefficients_are_bit_for_bit_the_per_phase_loop(
     assert set(np.unique(mesh.phase_tag).tolist()) == {MATRIX, INCLUSION}
     space = fem.FemSpace(mesh)
     for T0 in np.linspace(250.0, 900.0, 7):
-        ops = cell.CellOperators(space, example_law, T0)
+        ops = cell.CellOperators(space, example_law, T0, "dirichlet")
         for attr, q in (("k_e", "k"), ("lam_e", "lam"), ("beta_e", "beta"),
                         ("rho_e", "rho"), ("cap_e", "c")):
             assert getattr(ops, attr).tobytes() == phase_scalar(
@@ -202,7 +204,7 @@ def test_elastic_contractions_keep_the_einsum_rounding(cell_meshes, name, spec, 
 def test_a_mesh_phase_without_a_law_is_refused(disk_cell_mesh):
     law = MaterialLaw(coeffs={MATRIX: EXAMPLE_LAWS[MATRIX]})
     with pytest.raises(MaterialError, match=rf"\[{INCLUSION}\] have no material law"):
-        cell.CellOperators(fem.FemSpace(disk_cell_mesh), law, 300.0)
+        cell.CellOperators(fem.FemSpace(disk_cell_mesh), law, 300.0, "dirichlet")
 
 
 def test_mean_value_zero_with_periodic_bc(disk_cell_mesh, example_law):
@@ -234,7 +236,7 @@ def test_periodic_solve_constrained_once_matches_per_solve_path(disk_cell_mesh, 
     mesh = disk_cell_mesh
     space = fem.FemSpace(mesh)
     masters, slaves = periodic_pairs(mesh)
-    ops = cell.CellOperators(space, example_law, 300.0)
+    ops = cell.CellOperators(space, example_law, 300.0, "dirichlet")
     k_e, c_e = ops.k_e, ops.c_e
     rng = np.random.default_rng(5)
     G = np.zeros((mesh.num_triangles, 2))
@@ -473,11 +475,11 @@ def test_periodic_table_factors_each_operator_once(monkeypatch, disk_cell_mesh, 
 def test_dirichlet_cells_keep_the_default_ordering(monkeypatch, disk_cell_mesh, example_law):
     """The Dirichlet first order is the one SciPy's default LU gives, bit for bit."""
     space = fem.FemSpace(disk_cell_mesh)
-    first = cell.solve_first_order(cell.CellOperators(space, example_law, 300.0))
+    first = cell.solve_first_order(cell.CellOperators(space, example_law, 300.0, "dirichlet"))
     splu = spla.splu
     # no ordering or pivoting option reaches SuperLU here
     monkeypatch.setattr(spla, "splu", lambda A: splu(A))
-    ref = cell.solve_first_order(cell.CellOperators(space, example_law, 300.0))
+    ref = cell.solve_first_order(cell.CellOperators(space, example_law, 300.0, "dirichlet"))
     for name in ("M", "H", "N", "P"):
         assert np.array_equal(getattr(first, name), getattr(ref, name))
 

@@ -19,29 +19,15 @@ from homsim.config import (
     SimulationConfig,
     compile_expression,
 )
-from homsim.materials import EXAMPLE_LAWS
-from homsim.mesh import INCLUSION, MATRIX
+
+from conftest import EXAMPLE_CONFIG
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def example_config() -> dict:
-    """Baseline driven-composite configuration (constant sources)."""
-    mat = {q: list(v) for q, v in EXAMPLE_LAWS[MATRIX].items()}
-    inc = {q: list(v) for q, v in EXAMPLE_LAWS[INCLUSION].items()}
-    return {
-        "version": 1,
-        "geometry": {"kind": "disk", "radius": 0.25},
-        "materials": {"matrix": mat, "inclusion": inc},
-        "epsilon": 0.1,
-        "mesh": {"macro_h": 0.05, "cell_h": 0.12},
-        "time": {"dt": 0.001, "T_final": 1.0, "snapshot_stride": 100},
-        "sources": {"f_T": 20000.0, "f_Phi": 200.0, "f_U": [5000.0, 5000.0]},
-        "boundary": {"T": 300.0, "Phi": 0.0, "U": [0.0, 0.0]},
-        "initial": {"T": 300.0, "T_ref": 300.0},
-        "table": {"T_min": 250.0, "T_max": 900.0, "count": 10},
-        "output": {"directory": "out", "vtk": False},
-    }
+    """A fresh copy of the shipped driven-composite configuration (constant sources)."""
+    return json.loads(EXAMPLE_CONFIG.read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +93,11 @@ def test_schema_violation_reports_json_path():
 
 def test_non_reciprocal_epsilon_rejected():
     raw = example_config()
-    raw["epsilon"] = 0.3
-    with pytest.raises(ConfigError, match="reciprocal"):
-        SimulationConfig(raw)
+    for eps in (0.3, 5e-324):  # 1/5e-324 overflows
+        raw["epsilon"] = eps
+        with pytest.raises(ConfigError) as e:
+            SimulationConfig(raw)
+        assert str(e.value) == f"$['epsilon']: must be a reciprocal integer, got {eps}"
 
 
 def test_time_grid_mismatch_rejected():
@@ -357,6 +345,22 @@ def test_unparseable_json_exits_2(tmp_path):
     assert cli.main(["offline", str(p)]) == 2
 
 
+def test_archive_load_returns_a_complete_table(tmp_path, disk_cell_mesh, example_law):
+    """load() attaches the correctors as well as the coefficients; a first-order
+    archive loads with no second order, as build_table leaves it."""
+    from homsim import homog
+
+    table = homog.build_table(disk_cell_mesh, example_law, 280.0, 400.0, 2, Ttilde=300.0,
+                              bc="dirichlet", with_second_order=False)
+    archive.save(tmp_path, disk_cell_mesh, example_law, table)
+    expect = {"temperatures": table.temps.tolist(), "cell_bc": "dirichlet", "T_ref": 300.0}
+    _, back = archive.load(tmp_path, example_law, expect)
+    assert back.second == [] and len(back.first) == len(back.coeffs) == 2
+    for got, ref in zip(back.first, table.first):
+        for name in ("M", "H", "N", "P"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
 def test_archive_hash_mismatch_refused(pipeline, tmp_path):
     raw = json.loads((pipeline / "config.json").read_text())
     raw["materials"]["matrix"]["k"] = [9.9, 0.0]  # different law than archived
@@ -461,16 +465,18 @@ def _record_npz_reads(monkeypatch):
 
 
 def test_only_errors_decompresses_the_second_order(pipeline, monkeypatch):
-    """online and verify read the coefficients only; errors reads both corrector
-    orders and no coefficient."""
+    """online and verify each read every coefficient array once and no
+    corrector; errors reads both corrector orders and no coefficient."""
+    from homsim.homog import COEFF_NAMES
+
     read = _record_npz_reads(monkeypatch)
     cfg = str(pipeline / "config.json")
+    coefficients = sorted((f"T_{i:03d}.npz", "coeff_" + name)
+                          for i in range(2) for name in COEFF_NAMES)
     for cmdname in ("online", "verify"):
         assert cli.main([cmdname, cfg]) == 0, cmdname
-    keys = [k for _, k in read]
-    assert "coeff_c_hat" in keys
-    assert not any(k in ("M", "H", "N", "P") or k.startswith("second_") for k in keys)
-    del read[:]
+        assert sorted(read) == coefficients, cmdname
+        del read[:]
     assert cli.main(["errors", cfg]) == 0
     keys = [k for _, k in read]
     assert "M" in keys and "second_Q" in keys
@@ -482,7 +488,7 @@ def _eager_errors_csv(out, cfg, path):
     from homsim import cell, macro, metrics, reconstruct
     from homsim.mesh import load_mesh
 
-    cell_mesh, table = archive.load(out / "archive")
+    cell_mesh, table = cli._load_archive(cfg, out, cfg.law())
     table.first, table.second = [], []
     for i, T in enumerate(table.temps):
         with np.load(out / "archive" / f"T_{i:03d}.npz") as z:

@@ -30,8 +30,9 @@ def test_tiled_mesh_preserves_phase_fraction(disk_cell_mesh):
 def test_non_reciprocal_epsilon_rejected(disk_cell_mesh):
     with pytest.raises(MeshError):
         dns.build_tiled_mesh(disk_cell_mesh, 0.3)
-    with pytest.raises(MeshError):
-        dns.tiles(0.3)
+    for eps in (0.3, 5e-324):  # 1/5e-324 overflows
+        with pytest.raises(MeshError, match="reciprocal integer"):
+            dns.tiles(eps)
 
 
 def test_oscillatory_provider_phase_values(disk_cell_mesh, example_law):

@@ -455,13 +455,13 @@ def test_spd_solver_reuses_its_lu_on_a_nearby_matrix(macro_mesh, macro_space):
     nt = macro_mesh.num_triangles
     solver = fem.SpdSolver(reduced_system(1.0)[0])
     near, b = reduced_system(1.0 + 0.01 * rng.random(nt))
-    x, iterations = solver.solve_near(near, b, macro.REUSE_MAX_ITER)
+    x, iterations = solver.solve_near(near, b, macro.REUSE_MAX_ITER, None)
     assert x is not None and 0 < iterations <= macro.REUSE_MAX_ITER
     assert np.linalg.norm(near @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert solver.residual <= 1e-10
     assert np.allclose(x, fem.SpdSolver(near).solve(b), rtol=0.0, atol=1e-9 * np.abs(x).max())
     far, b = reduced_system(10.0 ** rng.uniform(-2.0, 2.0, nt))
-    x, iterations = solver.solve_near(far, b, macro.REUSE_MAX_ITER)
+    x, iterations = solver.solve_near(far, b, macro.REUSE_MAX_ITER, None)
     assert x is None and iterations == macro.REUSE_MAX_ITER
     assert solver.residual > 1e-10
 

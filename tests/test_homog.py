@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from homsim import cell, fem, homog
+from homsim.materials import MaterialLaw
 from homsim.mesh import PhaseGeometry, build_unit_cell_mesh
 
 
-def test_dual_form_identities(small_table):
+def test_dual_form_identities(small_table, example_law):
     for co in small_table.coeffs:
-        rep = homog.verify_identities(co)
+        rep = homog.verify_identities(co, example_law)
         assert rep["checks"]["lam_eq_lam_star"]["deviation"] < 1e-12
         assert rep["checks"]["beta_eq_beta_star"]["deviation"] < 1e-12
 
@@ -18,6 +19,11 @@ def test_eigenvalue_bounds_with_law(small_table, example_law):
     for co in small_table.coeffs:
         rep = homog.verify_identities(co, law=example_law)
         assert rep["pass"], rep
+    # k_hat lies between the phase conductivities of its own law, not above them
+    stiffer = MaterialLaw(coeffs={ph: dict(q, k=(40.0, 0.0))
+                                  for ph, q in example_law.coeffs.items()})
+    checks = homog.verify_identities(small_table.coeffs[0], stiffer)["checks"]
+    assert not checks["k_hat"]["pass"] and checks["lam_hat"]["pass"]
 
 
 def test_coefficient_symmetry(small_table):
@@ -58,7 +64,7 @@ def test_laminate_limits_periodic(example_law):
 def test_table_requires_equidistant_temps():
     with pytest.raises(homog.HomogError):
         homog.TemperatureTable(temps=np.array([1.0, 2.0, 4.0]), first=[],
-                               second=[], coeffs=[], Ttilde=300.0)
+                               second=[], coeffs=[], Ttilde=300.0, bc="dirichlet")
 
 
 def test_table_interpolation_exact_at_slots(small_table):

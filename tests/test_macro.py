@@ -1,5 +1,6 @@
 """Macroscopic time stepping: equilibria, convergence, determinism."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -77,6 +78,34 @@ def test_trajectory_roundtrip(tmp_path, macro_mesh, small_table):
     assert np.array_equal(back.snapshots[-1].T, traj.snapshots[-1].T)
     assert np.array_equal(back.snapshots[-1].U_prevprev,
                           traj.snapshots[-1].U_prevprev)
+
+
+def test_load_trajectory_reads_each_array_once(tmp_path, monkeypatch, macro_mesh, small_table):
+    """dt, n_steps and one array per Snapshot field, each read once for all snapshots."""
+    traj = _run(macro_mesh, small_table, constant_problem_data(value_T=300.0, f_T=2000.0),
+                1e-3, 4, stride=2)
+    p = tmp_path / "traj.npz"
+    macro.save_trajectory(traj, p)
+    read = []
+    getitem = np.lib.npyio.NpzFile.__getitem__
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                        lambda self, key: read.append(key) or getitem(self, key))
+    back = macro.load_trajectory(p, macro_mesh)
+    names = [f.name for f in dataclasses.fields(macro.Snapshot)]
+    assert sorted(read) == sorted(["dt", "n_steps"] + names)
+    assert len(back.snapshots) == len(traj.snapshots) == 3
+    for a, b in zip(back.snapshots, traj.snapshots):
+        assert type(a.m) is int and type(a.t) is float
+        for name in names:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_snapshot_stride_below_one_is_refused(macro_mesh, small_table):
+    space = fem.FemSpace(macro_mesh)
+    for stride in (0, -2):
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            macro.Stepper(space, macro.TableProvider(space, small_table),
+                          constant_problem_data(), macro.TimeGrid(dt=1e-3, n_steps=2), stride)
 
 
 def test_gradient_recovery_exact_for_linear(macro_mesh):
@@ -183,7 +212,8 @@ def test_stepper_reuses_one_lu_per_operator_kind(monkeypatch, macro_mesh, small_
     space = fem.FemSpace(macro_mesh)
     data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
     grid = macro.TimeGrid(dt=1e-3, n_steps=12)
-    ref = _FactorEverySolve(space, macro.TableProvider(space, small_table), data, grid).run()
+    ref = _FactorEverySolve(space, macro.TableProvider(space, small_table), data, grid,
+                            snapshot_stride=1).run()
     factored = []
     splu = spla.splu
 
@@ -192,7 +222,8 @@ def test_stepper_reuses_one_lu_per_operator_kind(monkeypatch, macro_mesh, small_
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counted)
-    traj = macro.Stepper(space, macro.TableProvider(space, small_table), data, grid).run()
+    traj = macro.Stepper(space, macro.TableProvider(space, small_table), data, grid,
+                         snapshot_stride=1).run()
     # potential, temperature (factored for the start-up half step and kept
     # for step 0 on) and displacement, each in SuperLU's symmetric mode
     symmetric = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
@@ -214,11 +245,12 @@ def test_warm_start_takes_no_more_cg_iterations_than_a_cold_one(monkeypatch, mac
     space = fem.FemSpace(macro_mesh)
     data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
     grid = macro.TimeGrid(dt=1e-3, n_steps=12)
-    warm = macro.Stepper(space, macro.TableProvider(space, small_table), data, grid).run()
+    provider = macro.TableProvider(space, small_table)
+    warm = macro.Stepper(space, provider, data, grid, snapshot_stride=1).run()
     solve_near = fem.SpdSolver.solve_near
     monkeypatch.setattr(fem.SpdSolver, "solve_near",
-                        lambda self, A, b, max_iter, x0=None: solve_near(self, A, b, max_iter))
-    cold = macro.Stepper(space, macro.TableProvider(space, small_table), data, grid).run()
+                        lambda self, A, b, max_iter, x0: solve_near(self, A, b, max_iter, None))
+    cold = macro.Stepper(space, provider, data, grid, snapshot_stride=1).run()
     assert 0 < warm.meta["cg_iterations"] <= cold.meta["cg_iterations"]
     assert warm.meta["factorizations"] == cold.meta["factorizations"]
     assert warm.meta["worst_residual"] <= 1e-10
@@ -256,7 +288,7 @@ def test_stepper_releases_every_lu(monkeypatch, macro_mesh, small_table):
     for n_steps in (4, 1):
         made.clear()
         stepper = macro.Stepper(space, macro.TableProvider(space, small_table), data,
-                                macro.TimeGrid(dt=1e-3, n_steps=n_steps))
+                                macro.TimeGrid(dt=1e-3, n_steps=n_steps), snapshot_stride=1)
         traj = stepper.run()
         # one LU per operator kind: even a 1-step run reuses the potential LU
         # and the start-up temperature LU on step 0
@@ -271,7 +303,7 @@ def test_symmetric_mode_fills_less_than_colamd(macro_mesh, small_table):
     nn = macro_mesh.num_nodes
     data = constant_problem_data(value_T=300.0, f_U=500.0)
     stepper = macro.Stepper(space, macro.TableProvider(space, small_table), data,
-                            macro.TimeGrid(dt=1e-3, n_steps=1))
+                            macro.TimeGrid(dt=1e-3, n_steps=1), snapshot_stride=1)
     U = np.zeros((2, nn))
     A, b = stepper._displacement_system(np.full(nn, 350.0), U, U, 1e-3)
     symmetric, colamd = fem.SpdSolver(A), fem.SpdSolver(A, default_ordering=True)

@@ -15,6 +15,7 @@ from homsim.mesh import (
     periodic_pairs,
     save_mesh,
 )
+from homsim.reconstruct import MacroEvaluator
 
 
 def check_reflection_symmetry(mesh: Mesh, tol: float = 1e-12) -> float:
@@ -66,9 +67,10 @@ def test_locate_and_interpolate_linear_field(disk_cell_mesh):
     rng = np.random.default_rng(3)
     pts = rng.random((200, 2))
     nodal = 2.0 * disk_cell_mesh.nodes[:, 0] - 0.5 * disk_cell_mesh.nodes[:, 1]
-    tri, bary = disk_cell_mesh.locate_points(pts)
-    vals = disk_cell_mesh.interpolate(nodal, tri, bary)
-    assert np.allclose(vals, 2.0 * pts[:, 0] - 0.5 * pts[:, 1], atol=1e-12)
+    p1 = MacroEvaluator(disk_cell_mesh, pts).p1  # the P1 operator from locate_points
+    assert p1.shape == (200, disk_cell_mesh.num_nodes) and np.all(np.diff(p1.indptr) == 3)
+    assert np.allclose(p1.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+    assert np.allclose(p1 @ nodal, 2.0 * pts[:, 0] - 0.5 * pts[:, 1], atol=1e-12)
 
 
 def test_locate_points_matches_a_per_point_search(disk_cell_mesh, macro_mesh):

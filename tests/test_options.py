@@ -1,9 +1,12 @@
-"""Every option of the package is listed here.
+"""Every option of the package is listed here, with the reason it exists.
 
 An option is a function parameter with a default value or a class-level
 annotated field with a default (a dataclass default).  Each one is a choice a
 caller can make and every reader has to consider, so a new one must be added
-to OPTIONS in the change that introduces it, and a deleted one removed.
+to OPTIONS in the change that introduces it, with its reason, and a deleted
+one removed.  A reason is "<kind>: <why>", and its kind is one of KINDS; a
+default that no caller varies has none of them and belongs to its caller as
+a required argument, or in a module constant.
 """
 
 import ast
@@ -13,55 +16,53 @@ import homsim
 
 SRC = pathlib.Path(homsim.__file__).resolve().parent
 
+#: why an option may exist
+KINDS = (
+    "two values",      # callers pass both the default and another value
+    "safety check",    # the default checks the input; one caller turns it off, and says why
+    "digest pin",      # kept until the benchmark digest changes (ROADMAP item 6)
+    "accumulator",     # starts empty and is filled by its owner (appends, recursion)
+    "diagnostic",      # detail an exception carries, which a raise may leave out
+)
+
 OPTIONS = {
     # function and method parameters with a default
-    "archive.load(law)",
-    "archive.load(expect)",
-    "cell.SolveCounter.tick(n)",
-    "cell.CellOperators.__init__(bc)",
-    "cell._solve_family(S)",
-    "cell._solve_family(G)",
-    "cli.main(argv)",
-    "config.schema_errors(path)",
-    "config.SimulationConfig._compile_problem_data.expr(vector)",
-    "dns.run_dns(snapshot_stride)",
-    "fem.pcg(x0)",
-    "fem.SolverError.__init__(residual)",
-    "fem.DirichletPlan.__init__(drop)",
-    "fem.SpdSolver.__init__(default_ordering)",
-    "fem.SpdSolver.solve_near(x0)",
-    "homog.verify_identities(law)",
-    "homog.build_table(bc)",
-    "homog.build_table(with_second_order)",
-    "homog.build_table(progress)",
-    "macro.StepError.__init__(step)",
-    "macro.Stepper.__init__(snapshot_stride)",
-    "macro.Stepper._solve(keep)",
-    "materials.lame_parameters(plane)",
-    "materials.lame_parameters(_validate)",
-    "materials.elasticity_tensor(plane)",
-    "materials.elasticity_tensor(_validate)",
-    "mesh._crossed_grid(in_band)",
-    "mesh.periodic_pairs(tol)",
-    "mesh.Mesh.__init__(phase_tag)",
-    "mesh.Mesh.locate_points(tol)",
-    "metrics.relative_error(ref_norm)",
-    "vtkio.write_vtk(point_data)",
+    "cell._solve_family(S)": "two values: a family's right-hand side has a source, a flux or both",
+    "cell._solve_family(G)": "two values: a family's right-hand side has a source, a flux or both",
+    "cli.main(argv)": "two values: the console script reads sys.argv, perfbench passes a list",
+    "config.schema_errors(path)": "accumulator: the JSON path of the recursion so far, () at the root",
+    "config.SimulationConfig._compile_problem_data.expr(vector)":
+        "two values: sources and boundary data are scalar or two-component",
+    "fem.pcg(x0)": "two values: solve_spd starts from zero, SpdSolver.solve_near from a last solution",
+    "fem.SolverError.__init__(residual)":
+        "diagnostic: the residual missed; every raise in the package passes it, none reads it",
+    "fem.DirichletPlan.__init__(drop)":
+        "two values: apply_dirichlet drops stored zeros, the stepper's plans keep them",
+    "fem.SpdSolver.__init__(default_ordering)":
+        "digest pin: Dirichlet cell operators keep SciPy's ordering for coefficients.csv",
+    "homog.build_table(with_second_order)":
+        "two values: the CLI builds both orders, first-order fixtures build one",
+    "homog.build_table(progress)": "two values: the CLI prints each temperature's time, tests pass none",
+    "macro.StepError.__init__(step)":
+        "diagnostic: the failing step; every raise in the package passes it, none reads it",
+    "macro.Stepper._solve(keep)": "two values: an LU is kept for reuse except on the last step",
+    "materials.lame_parameters(_validate)":
+        "safety check: E > 0 and 0 <= nu < 0.5; off only for the T-slope of E (elasticity_slope)",
+    "materials.elasticity_tensor(_validate)":
+        "safety check: passed on to lame_parameters; off only for CellOperators.elasticity_slope",
+    "mesh._crossed_grid(in_band)": "two values: stripe cells tag a band, cells without inclusion none",
+    "mesh.Mesh.__init__(phase_tag)": "two values: macro meshes have one phase, cell and fine meshes two",
+    "mesh.Mesh.locate_points(tol)": "two values: macro points at 1e-10, folded cell points at 1e-8",
     # class fields with a default
-    "cell.SecondOrderCellSet.fields",
-    "homog.TemperatureTable.bc",
-    "macro.Trajectory.snapshots",
-    "macro.Trajectory.meta",
-    "materials.MaterialLaw.coeffs",
-    "materials.MaterialLaw.T_range",
-    "materials.MaterialLaw.plane",
-    "mesh.PhaseGeometry.shape",
-    "mesh.PhaseGeometry.center",
-    "mesh.PhaseGeometry.radius",
-    "mesh.PhaseGeometry.band",
-    "metrics.ErrorSeries.times",
-    "metrics.ErrorSeries.rows",
-    "metrics.ErrorSeries.undefined",
+    "macro.Trajectory.snapshots": "accumulator: the stepper appends each snapshot as it is stored",
+    "macro.Trajectory.meta": "accumulator: the stepper records its solver statistics at the end",
+    "materials.MaterialLaw.T_range": "two values: a configuration sets it or keeps the default range",
+    "materials.MaterialLaw.plane": "two values: a configuration sets plane stress or keeps plane strain",
+    "mesh.PhaseGeometry.radius": "two values: a configuration sets the disk radius or keeps 0.25",
+    "mesh.PhaseGeometry.band": "two values: a configuration sets the stripe fraction or keeps 1/2",
+    "metrics.ErrorSeries.times": "accumulator: evolutive_errors appends each snapshot time",
+    "metrics.ErrorSeries.rows": "accumulator: evolutive_errors appends each row of errors",
+    "metrics.ErrorSeries.undefined": "accumulator: evolutive_errors adds each zero-norm field",
 }
 
 
@@ -104,5 +105,11 @@ def _options():
 def test_every_option_is_listed():
     found = _options()
     assert len(found) == len(set(found)), "an option is counted twice"
-    assert sorted(set(found) - OPTIONS) == [], "new options: list them in OPTIONS"
-    assert sorted(OPTIONS - set(found)) == [], "removed options: delete them from OPTIONS"
+    assert sorted(set(found) - set(OPTIONS)) == [], "new options: list them in OPTIONS"
+    assert sorted(set(OPTIONS) - set(found)) == [], "removed options: delete them from OPTIONS"
+
+
+def test_every_option_has_a_reason():
+    for option, reason in OPTIONS.items():
+        kind, _, why = reason.partition(": ")
+        assert kind in KINDS and why, f"{option}: reason {reason!r} is not '<kind>: <why>'"

@@ -141,6 +141,24 @@ def test_macro_evaluator_interpolates_fields(macro_mesh):
     assert h.shape == (40, 2, 2)
 
 
+def test_macro_evaluator_scalar_keeps_the_einsum_rounding(macro_mesh):
+    """scalar() gives, bit for bit, the barycentric einsum over the vertices
+    of each point's triangle that it replaced, for one field (also a strided
+    one, as a gradient component) and for stacks of fields."""
+    rng = np.random.default_rng(6)
+    pts = rng.random((300, 2))
+    ev = reconstruct.MacroEvaluator(macro_mesh, pts)
+    tri, bary = macro_mesh.locate_points(pts)
+    nn = macro_mesh.num_nodes
+    fields = [rng.standard_normal(nn), rng.standard_normal((nn, 2))[:, 0],
+              rng.standard_normal((2, nn)), rng.standard_normal((2, nn, 2))[..., 1],
+              rng.standard_normal((2, 2, nn))]
+    for nodal in fields:
+        ref = np.einsum("...pa,pa->...p", nodal[..., macro_mesh.triangles[tri]], bary)
+        got = ev.scalar(nodal)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), nodal.shape
+
+
 def test_bad_epsilon_rejected(macro_mesh, disk_cell_mesh, small_table):
     with pytest.raises(ValueError):
         reconstruct.Reconstructor(macro_mesh, disk_cell_mesh, small_table,
