@@ -13,15 +13,18 @@ twice is an A/A run.  Pair k runs
 
 once in each tree, the parent first when k is even and the change first when
 k is odd.  After each run the outputs of its last pipeline are hashed:
-``coefficients.csv``, ``errors.csv``, and the arrays of each trajectory and of
-the archive.
+``coefficients.csv``, ``errors.csv``, the arrays of each trajectory, and the
+archive's arrays in two parts: ``archive_first`` (``T0``, ``M``, ``H``, ``N``,
+``P`` and every ``coeff_*``) and ``archive_second`` (every ``second_*``).
+After the last pair, each output whose hashes differ between the last
+pipelines of the two trees is compared value by value (``max_rel_diff``).
 
 The comparison is appended to the ``runs`` list of OUT (created if missing),
 so that one file gathers every workload, seed and A/A set of a change.  An
 existing OUT of another layout is refused before anything runs, and one written
 on another host (Python, numpy, scipy, BLAS, CPU) right after the first run:
 
-    {"layout": "abbench 1",
+    {"layout": "abbench 2",
      "command": "python3 perfbench/run.py --workload W --seed S --seconds 10",
      "host": {"python", "numpy", "scipy", "blas", "nproc", "cpu", ...},
      "notes": {},  (for text written by hand: the script only creates it)
@@ -31,9 +34,10 @@ on another host (Python, numpy, scipy, BLAS, CPU) right after the first run:
         "kind": "A/B" or "A/A" (both trees identical),
         "first_side": ["parent", "change", ...],
         "failed": {"parent": n, "change": n}, "attempted": {...},
-        "outputs": {"parent": {file: sha256}, "change": {...},
+        "outputs": {"parent": {output: sha256}, "change": {...},
                     "stable": every run of a side hashed alike,
-                    "identical": both sides hashed alike},
+                    "identical": both sides hashed alike,
+                    "max_rel_diff": {output: ratio}},
         "metrics": {name: STATS},
         "stages": {stage: {"setup_s": STATS, "wall_s": STATS}}}]}
 
@@ -49,6 +53,15 @@ pairs separates nothing from noise.  Metrics
 come from the last line of run.py's output (at the reference CPU speed);
 per-stage set-up and wall times are the medians over the pipelines of a run,
 from its ``result.json``.
+
+``max_rel_diff`` holds one ratio for each output whose hashes differ between
+the last pipelines of the two trees, and is empty when none does (null if a
+side left no pipeline).  The ratio is max|a - b| / max|a|, a the parent's
+values and b the change's, taken over each CSV column or npz array of the
+output (each array of each ``T_*.npz`` for the archive parts) and maximised
+over them.  It is ``inf`` when a column or array is missing on one side, has
+another shape, or has its non-finite entries (NaN, inf) elsewhere or
+different.
 """
 
 from __future__ import annotations
@@ -57,6 +70,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import pathlib
 import shutil
 import statistics
@@ -66,7 +80,7 @@ import tarfile
 
 import numpy as np
 
-LAYOUT = "abbench 1"
+LAYOUT = "abbench 2"
 #: the length of each benchmark run, in seconds
 SECONDS = 10
 COMMAND = f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS}"
@@ -76,6 +90,8 @@ SIDES = ("parent", "change")
 STAGES = ("offline", "verify", "online", "dns", "errors")
 #: where perfbench/run.py keeps each workload's pipeline, relative to its tree
 OUTPUT = pathlib.Path(".perfbench_work")
+#: the archive's digests: the first order and coefficients, and the second order
+ARCHIVE_PARTS = ("archive_first", "archive_second")
 
 
 def extract(repo, rev: str, dest: pathlib.Path) -> str:
@@ -91,11 +107,19 @@ def extract(repo, rev: str, dest: pathlib.Path) -> str:
     return tree
 
 
-def _npz_digest(path) -> str:
-    """One sha256 over the name, dtype, shape and bytes of every array."""
+def _archive_part(name: str) -> str:
+    """The archive digest an array of a T_*.npz belongs to."""
+    return "archive_second" if name.startswith("second_") else "archive_first"
+
+
+def _npz_digest(path, part=None) -> str:
+    """One sha256 over the name, dtype, shape and bytes of every array (of one
+    archive part, if part is given)."""
     h = hashlib.sha256()
     with np.load(path) as z:
         for name in sorted(z.files):
+            if part is not None and _archive_part(name) != part:
+                continue
             a = np.ascontiguousarray(z[name])
             h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
             h.update(a.tobytes())
@@ -114,13 +138,69 @@ def output_digests(out: pathlib.Path) -> dict:
         else:
             got[name] = digest(path) if digest else hashlib.sha256(path.read_bytes()).hexdigest()
     npz = sorted((out / "archive").glob("T_*.npz"))
-    if npz:
-        h = hashlib.sha256()
-        for path in npz:
-            h.update(f"{path.name} {_npz_digest(path)}\n".encode())
-        got["archive"] = h.hexdigest()
-    else:
-        got["archive"] = None
+    for part in ARCHIVE_PARTS:
+        if npz:
+            h = hashlib.sha256()
+            for path in npz:
+                h.update(f"{path.name} {_npz_digest(path, part)}\n".encode())
+            got[part] = h.hexdigest()
+        else:
+            got[part] = None
+    return got
+
+
+def _values(out: pathlib.Path, output: str):
+    """{key: array} of one output: CSV columns by header name, npz arrays by
+    name, archive arrays by file and name; None if the output is missing."""
+    if output in ARCHIVE_PARTS:
+        got = {}
+        for path in sorted((out / "archive").glob("T_*.npz")):
+            with np.load(path) as z:
+                got.update({f"{path.name}/{k}": z[k] for k in z.files
+                            if _archive_part(k) == output})
+        return got or None
+    path = out / output
+    if not path.is_file():
+        return None
+    if output.endswith(".csv"):
+        with open(path) as f:
+            header = f.readline().strip().split(",")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).reshape(-1, len(header))
+        return dict(zip(header, data.T))
+    with np.load(path) as z:
+        return {k: z[k] for k in z.files}
+
+
+def rel_diff(a, b) -> float:
+    """max|a - b| / max|a| over the finite entries; inf if the shapes or the
+    non-finite entries differ."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    if a.shape != b.shape:
+        return math.inf
+    odd = ~np.isfinite(a)
+    if not (np.array_equal(odd, ~np.isfinite(b))
+            and np.array_equal(a[odd], b[odd], equal_nan=True)):
+        return math.inf
+    diff = float(np.abs(a - b)[~odd].max(initial=0.0))
+    scale = float(np.abs(a)[~odd].max(initial=0.0))
+    if diff == 0.0:
+        return 0.0
+    return diff / scale if scale > 0.0 else math.inf
+
+
+def max_rel_diff(parent: pathlib.Path, change: pathlib.Path) -> dict:
+    """{output: ratio} for each output whose digests differ between two
+    pipeline directories: the largest rel_diff over its columns or arrays."""
+    pd, cd = output_digests(parent), output_digests(change)
+    got = {}
+    for output in pd:
+        if pd[output] == cd[output]:
+            continue
+        a, b = _values(parent, output), _values(change, output)
+        if a is None or b is None or a.keys() != b.keys():
+            got[output] = math.inf
+        else:
+            got[output] = max(rel_diff(a[k], b[k]) for k in a)
     return got
 
 
@@ -156,11 +236,19 @@ def run_side(tree: pathlib.Path, workload: str, seed: int) -> dict:
         return rec
     rec.update(correct=last["correct"], attempted=last["attempted"], failed=last["failed"],
                metrics={k: v["value"] for k, v in last["metrics"].items()})
-    work = tree / OUTPUT / workload
-    result = json.loads((work / "result.json").read_text())
+    result = json.loads((tree / OUTPUT / workload / "result.json").read_text())
     rec["stages"] = _stage_medians(result)
-    rec["outputs"] = output_digests(work / result["config"]["output"]["directory"])
+    rec["outputs"] = output_digests(output_dir(tree, workload))
     return rec
+
+
+def output_dir(tree: pathlib.Path, workload: str):
+    """The output directory of the last pipeline run.py ran in tree, or None."""
+    work = tree / OUTPUT / workload
+    if not (work / "result.json").is_file():
+        return None
+    result = json.loads((work / "result.json").read_text())
+    return work / result["config"]["output"]["directory"]
 
 
 def stats(parent: list, change: list, better: str) -> dict:
@@ -281,13 +369,16 @@ def main(argv=None) -> int:
              "change": {"rev": args.change, "tree": ids["change"]},
              "kind": "A/A" if ids["parent"] == ids["change"] else "A/B"}
     entry.update(summarize(records, declared))
+    outs = [output_dir(trees[side], args.workload) for side in SIDES]
+    entry["outputs"]["max_rel_diff"] = None if None in outs else max_rel_diff(*outs)
     host = next((r["environment"] for r in records if r["environment"]), None)
     append(args.out, entry, host)
     for name, st in entry["metrics"].items():
         print(f"{name:<12} {st['parent_median']} -> {st['change_median']} "
               f"(parent IQR {st['parent_iqr']}; wins {st['wins']}/{entry['pairs']}; "
               f"{st['verdict']})")
-    print(f"outputs identical: {entry['outputs']['identical']}")
+    print(f"outputs identical: {entry['outputs']['identical']}; "
+          f"max_rel_diff {entry['outputs']['max_rel_diff']}")
     return 0
 
 

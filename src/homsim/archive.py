@@ -85,7 +85,7 @@ def save(path, cell_mesh, law, table: TemperatureTable) -> None:
         for name in COEFF_NAMES:
             data["coeff_" + name] = np.asarray(getattr(co, name))
         if table.second:
-            for fam, arr in table.second[i].fields.items():
+            for fam, arr in table.second[i].items():
                 data["second_" + fam] = arr
         np.savez_compressed(path / f"T_{i:03d}.npz", **data)
 
@@ -135,9 +135,8 @@ def load(path, law, expect) -> tuple:
         T0=T, **{name: z["coeff_" + name][()] for name in COEFF_NAMES}))
     first = PerTemperature(path, temps, lambda z, T: cell.FirstOrderCellSet(
         T0=T, **{k: z[k] for k in ("M", "H", "N", "P")}))
-    second = PerTemperature(path, temps, lambda z, T: cell.SecondOrderCellSet(
-        T0=T, Ttilde=manifest["T_ref"],
-        fields={f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES})
+    second = PerTemperature(path, temps, lambda z, T: {
+        f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES}
     ) if manifest["has_second_order"] else []
     table = TemperatureTable(temps=temps, first=first, second=second, coeffs=coeffs,
                              Ttilde=manifest["T_ref"], bc=manifest["cell_bc"])

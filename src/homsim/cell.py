@@ -103,25 +103,6 @@ class FirstOrderCellSet:
                      for f in (self.M, self.H, self.N, self.P))
 
 
-@dataclass
-class SecondOrderCellSet:
-    """Second-order correctors at one temperature.
-
-    Scalar families: Q (nn,); M2, R, O, G, J, H2, Z, W each (2, 2, nn).
-    Vector families (component k before the node axis): N2, D (2,2,2,2,nn)
-    indexed [a1, a2, m, k]; A (2,2,2,2,nn) indexed [beta, a1, m, k]; F, X, C
-    (2,2,nn) indexed [a1, k]; B (2,2,nn) indexed [beta, k].  R, Z, A, B are
-    the factored d/dT0 versions contracted with grad T0 at reconstruction.
-    """
-
-    T0: float
-    Ttilde: float
-    fields: dict
-
-    def __getitem__(self, key):
-        return self.fields[key]
-
-
 class _Dirichlet:
     """A cell operator with zero values on the cell boundary (unit-row elimination).
 
@@ -200,11 +181,12 @@ class CellOperators:
         return self._laws[quantity][1]
 
     def elasticity_slope(self):
-        """dc/dT per element (nt, 2, 2, 2, 2), for a Poisson ratio constant in T."""
+        """dc/dT per element (nt, 2, 2, 2, 2), for a Poisson ratio constant in T:
+        c is linear in E at fixed nu, so dc/dT = c(E=1, nu) dE/dT."""
         if np.any(self.slope("nu") != 0.0):
             raise MaterialError("temperature-dependent Poisson ratio is not supported")
-        return elasticity_tensor(self.slope("E"), self._at_T0("nu"), self.law.plane,
-                                 _validate=False)
+        unit = elasticity_tensor(1.0, self._at_T0("nu"), self.law.plane)
+        return unit * self.slope("E")[:, None, None, None, None]
 
     @cached_property
     def _solvers(self):
@@ -348,61 +330,21 @@ def _solve_family(ops, which, S=None, G=None):
     return np.ascontiguousarray(X if nc == 2 else X[..., 0, :])
 
 
-# Contractions of an elasticity tensor c (nt, 2, 2, 2, 2) with first-order
-# data, for the elastic families.  Each is bit for bit the np.einsum its
-# docstring names, which produced the archived correctors: the operands are
-# broadcast with the summed axes last and summed in that einsum's order.
-def _summed(x, y):
-    """sum_k x[..., k] y[..., k], from zero over k."""
-    return fem.sum_from_zero(x[..., k] * y[..., k] for k in range(x.shape[-1]))
-
-
-def _summed2(x, y):
-    """sum_kl x[..., k, l] y[..., k, l]: for l, the k-sum from zero, added."""
-    return fem.sum_from_zero(_summed(x[..., l], y[..., l]) for l in range(x.shape[-1]))
-
-
-def _c_gN(c, g):
-    """np.einsum("tiakl,mbktl->abmti", c, g) for gradients g (m, a2, k, nt, 2)."""
-    return _summed2(c.transpose(2, 0, 1, 3, 4)[:, None, None],
-                    g.transpose(1, 0, 3, 2, 4)[None, :, :, :, None])
-
-
-def _c_gN_ij(c, g):
-    """np.einsum("tijkl,mbktl->bmtij", c, g) for gradients g (m, a2, k, nt, 2)."""
-    return _summed2(c[None, None], g.transpose(1, 0, 3, 2, 4)[:, :, :, None, None])
-
-
-def _c_N(c, N):
-    """np.einsum("tijka,mbkt->abmtij", c, N) for element means N (m, a2, k, nt)."""
-    return _summed(c.transpose(4, 0, 1, 2, 3)[:, None, None],
-                   N.transpose(1, 0, 3, 2)[None, :, :, :, None, None])
-
-
-def _c_gP(c, g):
-    """np.einsum("tiakl,ktl->ati", c, g) for gradients g (k, nt, 2)."""
-    return _summed2(c.transpose(2, 0, 1, 3, 4), g.transpose(1, 0, 2)[:, None])
-
-
-def _c_gP_ij(c, g):
-    """np.einsum("tijkl,ktl->tij", c, g) for gradients g (k, nt, 2)."""
-    return _summed2(c, g.transpose(1, 0, 2)[:, None, None])
-
-
-def _c_P(c, P):
-    """np.einsum("tijka,kt->atij", c, P) for element means P (k, nt)."""
-    return _summed(c.transpose(4, 0, 1, 2, 3), P.T[:, None, None])
-
-
 def solve_second_order(
     ops: CellOperators,
     first: FirstOrderCellSet,
     homog,
-    Ttilde: float,
     first_dT: FirstOrderCellSet,
     homog_dT,
-) -> SecondOrderCellSet:
+) -> dict:
     """Solve all 16 second-order corrector families at the temperature of ops.
+
+    Returns {family: corrector} in SECOND_ORDER_FAMILIES order.  Scalar
+    families: Q (nn,); M2, R, O, G, J, H2, Z, W each (2, 2, nn).  Vector
+    families (component k before the node axis): N2, D (2,2,2,2,nn) indexed
+    [a1, a2, m, k]; A (2,2,2,2,nn) indexed [beta, a1, m, k]; F, X, C (2,2,nn)
+    indexed [a1, k]; B (2,2,nn) indexed [beta, k].  R, Z, A, B are the
+    factored d/dT0 versions contracted with grad T0 at reconstruction.
 
     `homog` (a HomogenizedCoefficients) carries the effective coefficients
     computed from `first`; `first_dT` / `homog_dT` carry their
@@ -479,13 +421,18 @@ def solve_second_order(
                 - np.transpose(c, (2, 4, 3, 0, 1)))
 
     # second elastic corrector
-    F["N2"] = solve("c", S=c_at(homog.c_hat, c_e) - _c_gN(c_e, gN), G=_c_N(c_e, -N_e))
+    F["N2"] = solve("c", S=(c_at(homog.c_hat, c_e)
+                            - np.einsum("tiakl,mbktl->abmti", c_e, gN, optimize=True)),
+                    G=np.einsum("tijka,mbkt->abmtij", c_e, -N_e, optimize=True))
     # factored x-derivative elastic corrector (beta=a1, sup=a2)
-    F["A"] = solve("c", S=c_at(homog_dT.c_hat, dc_e) - _c_gN(dc_e, gN) - _c_gN(c_e, gNp),
-                   G=_c_N(c_e, -Np_e))
+    F["A"] = solve("c", S=(c_at(homog_dT.c_hat, dc_e)
+                           - np.einsum("tiakl,mbktl->abmti", dc_e, gN, optimize=True)
+                           - np.einsum("tiakl,mbktl->abmti", c_e, gNp, optimize=True)),
+                   G=np.einsum("tijka,mbkt->abmtij", c_e, -Np_e, optimize=True))
     # gradient-coupled elastic corrector
     F["D"] = solve("c", G=-M_e[:, None, None, :, None, None] * (
-        np.transpose(dc_e, (4, 3, 0, 1, 2)) + _c_gN_ij(dc_e, gN))[None])
+        np.transpose(dc_e, (4, 3, 0, 1, 2))
+        + np.einsum("tijkl,mbktl->bmtij", dc_e, gN, optimize=True))[None])
 
     # elastic families indexed [a1], data as (a1, t, i[, j])
     # inertia corrector, pure source
@@ -494,16 +441,19 @@ def solve_second_order(
     F["F"] = solve("c", S=S)
     # thermal-stress gradient corrector
     F["X"] = solve("c", S=(beta_e[None, :, None] * d2[:, None, :]
-                           - homog.beta_hat.T[:, None, :] - _c_gP(c_e, gP)),
-                   G=_c_P(c_e, -P_e) + (beta_e * M_e)[:, :, None, None] * d2)
+                           - homog.beta_hat.T[:, None, :]
+                           - np.einsum("tiakl,ktl->ati", c_e, gP, optimize=True)),
+                   G=(np.einsum("tijka,kt->atij", c_e, -P_e, optimize=True)
+                      + (beta_e * M_e)[:, :, None, None] * d2))
     # factored x-derivative thermal-stress corrector (beta=a1)
     F["B"] = solve("c", S=(dbeta_e[None, :, None] * d2[:, None, :]
                            - homog_dT.beta_hat.T[:, None, :]
-                           - _c_gP(dc_e, gP) - _c_gP(c_e, gPp)),
-                   G=_c_P(c_e, -Pp_e))
+                           - np.einsum("tiakl,ktl->ati", dc_e, gP, optimize=True)
+                           - np.einsum("tiakl,ktl->ati", c_e, gPp, optimize=True)),
+                   G=np.einsum("tijka,kt->atij", c_e, -Pp_e, optimize=True))
     # temperature-offset gradient corrector
     F["C"] = solve("c", G=M_e[:, :, None, None] * (
-        dbeta_e[:, None, None] * d2 - _c_gP_ij(dc_e, gP))[None])
+        dbeta_e[:, None, None] * d2
+        - np.einsum("tijkl,ktl->tij", dc_e, gP, optimize=True))[None])
 
-    return SecondOrderCellSet(T0=float(T0), Ttilde=float(Ttilde),
-                              fields={name: F[name] for name in SECOND_ORDER_FAMILIES})
+    return {name: F[name] for name in SECOND_ORDER_FAMILIES}

@@ -43,9 +43,7 @@ CG_MAX_ITER = 20000
 
 
 class SolverError(RuntimeError):
-    def __init__(self, msg, residual=None):
-        super().__init__(msg)
-        self.residual = residual
+    pass
 
 
 def quad_points(mesh):
@@ -644,7 +642,7 @@ def solve_spd(A, b):
     x, _ = pcg(A, b, lambda r: dinv * r, CG_MAX_ITER)
     res = np.linalg.norm(A @ x - b) / bn
     if res > SOLVE_RTOL:
-        raise SolverError(f"conjugate gradients stalled at residual {res:.3e}", residual=res)
+        raise SolverError(f"conjugate gradients stalled at residual {res:.3e}")
     return x
 
 
@@ -705,7 +703,7 @@ class SpdSolver:
         x = self._lu.solve(cols)
         res = self.residual = float(np.max(np.linalg.norm(self.A @ x - cols, axis=0) / bn))
         if res > SOLVE_RTOL:
-            raise SolverError(f"factorized solve residual {res:.3e} above {SOLVE_RTOL}", residual=res)
+            raise SolverError(f"factorized solve residual {res:.3e} above {SOLVE_RTOL}")
         return x.reshape(b.shape)
 
     def solve_near(self, A, b, max_iter: int, x0):

@@ -269,7 +269,7 @@ def build_table(
             # centred differences at temps[i] read
             t0 = _time.perf_counter()
             table.second.append(cell.solve_second_order(
-                ops, table.first[i], table.coeffs[i], Ttilde,
+                ops, table.first[i], table.coeffs[i],
                 first_dT=cell.dT_of_first_order(table.first, T),
                 homog_dT=table.coeff_dT(i),
             ))

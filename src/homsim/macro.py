@@ -85,9 +85,7 @@ SNAPSHOT_T_TOL = 1e-9
 
 
 class StepError(RuntimeError):
-    def __init__(self, msg, step=None):
-        super().__init__(msg)
-        self.step = step
+    pass
 
 
 @dataclass
@@ -300,7 +298,7 @@ class Stepper:
                 U_next = self._solve("displacement", *self._displacement_system(
                     T_next, U_cur, U_prev, t_next), keep).reshape(nn, 2).T
             except fem.SolverError as e:
-                raise StepError(f"step {m}: {e}", step=m) from e
+                raise StepError(f"step {m}: {e}") from e
             T_prev, T_cur = T_cur, T_next
             U_prev2, U_prev, U_cur = U_prev, U_cur, U_next
             if (m + 1) % self.stride == 0 or m + 1 == grid.n_steps:

@@ -110,21 +110,19 @@ class MaterialLaw:
         return worst
 
 
-def lame_parameters(E, nu, plane: str, _validate: bool = True):
+def lame_parameters(E, nu, plane: str):
     """The 2D Lame parameters (lame, mu) of an isotropic material.
 
     E and nu may be arrays; both results carry their broadcast shape.
     Plane strain: lame = E nu /((1+nu)(1-2nu)), mu = E/(2(1+nu)).
     Plane stress: lame = E nu/(1-nu^2), the same mu.  Raises MaterialError
-    unless E > 0 and 0 <= nu < 0.5 (_validate=False skips that, for
-    temperature derivatives of E).
+    unless E > 0 and 0 <= nu < 0.5.
     """
     E, nu = np.asarray(E, float), np.asarray(nu, float)
-    if _validate:
-        if not np.all(E > 0):
-            raise MaterialError(f"E must be positive, got {E}")
-        if not np.all((0 <= nu) & (nu < 0.5)):
-            raise MaterialError(f"nu must lie in [0, 0.5), got {nu}")
+    if not np.all(E > 0):
+        raise MaterialError(f"E must be positive, got {E}")
+    if not np.all((0 <= nu) & (nu < 0.5)):
+        raise MaterialError(f"nu must lie in [0, 0.5), got {nu}")
     mu = E / (2.0 * (1.0 + nu))
     if plane == "strain":
         lame = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
@@ -135,14 +133,14 @@ def lame_parameters(E, nu, plane: str, _validate: bool = True):
     return lame, mu
 
 
-def elasticity_tensor(E, nu, plane: str, _validate: bool = True):
+def elasticity_tensor(E, nu, plane: str):
     """Isotropic 2D elasticity tensor c_ijkl from engineering constants.
 
     E and nu may be arrays; the result carries their broadcast axes in front
     of the four tensor axes.  c_ijkl = lame d_ij d_kl + mu (d_ik d_jl + d_il d_jk)
     with (lame, mu) from lame_parameters.
     """
-    lame, mu = lame_parameters(E, nu, plane, _validate)
+    lame, mu = lame_parameters(E, nu, plane)
     lame, mu = lame[..., None, None, None, None], mu[..., None, None, None, None]
     d = np.eye(2)
     c = (

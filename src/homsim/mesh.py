@@ -424,11 +424,23 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 
 def load_mesh(path) -> Mesh:
+    """Read a file in save_mesh's format.  Raises MeshError unless it is exactly
+    that: the "homsim-mesh 1" header, a line "nn nt", nn rows of two finite
+    floats and nt rows of four ints (vertex indices in [0, nn), then the tag)."""
     with open(path) as f:
-        header = f.readline().split()
-        if header[:1] != ["homsim-mesh"]:
-            raise MeshError(f"{path}: not a homsim mesh file")
-        nn, nt = map(int, f.readline().split())
-        nodes = np.loadtxt(f, max_rows=nn, ndmin=2)
-        rows = np.loadtxt(f, dtype=np.int64, max_rows=nt, ndmin=2)
+        lines = f.read().splitlines()
+    try:
+        if lines[:1] != ["homsim-mesh 1"] or len(lines) < 2:
+            raise ValueError("no 'homsim-mesh 1' header and counts line")
+        nn, nt = map(int, lines[1].split())
+        if nn < 1 or nt < 1 or len(lines) != 2 + nn + nt:
+            raise ValueError(f"{len(lines) - 2} data lines for {nn} nodes and {nt} triangles")
+        nodes = np.loadtxt(lines[2:2 + nn], ndmin=2)
+        rows = np.loadtxt(lines[2 + nn:], dtype=np.int64, ndmin=2)
+        if nodes.shape != (nn, 2) or rows.shape != (nt, 4) or not np.isfinite(nodes).all():
+            raise ValueError(f"expected {nn} rows of 2 finite floats and {nt} rows of 4 ints")
+        if rows[:, :3].min() < 0 or rows[:, :3].max() >= nn:
+            raise ValueError(f"a vertex index outside [0, {nn})")
+    except ValueError as e:
+        raise MeshError(f"{path}: malformed mesh file: {e}") from None
     return Mesh(nodes, rows[:, :3], rows[:, 3])

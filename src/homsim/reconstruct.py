@@ -31,25 +31,15 @@ class MacroEvaluator:
     def __init__(self, macro_mesh, points):
         self.space = FemSpace(macro_mesh)
         tri, bary = macro_mesh.locate_points(points)
-        verts = macro_mesh.triangles[tri]
-
-        def p1(order):  # row p: the P1 weights of point p at its triangle's vertices, in order
-            return sp.csr_matrix((bary[:, order].ravel(), verts[:, order].ravel(),
-                                  np.arange(0, 3 * len(tri) + 1, 3)),
-                                 shape=(len(tri), macro_mesh.num_nodes))
-
-        # a row sums its entries from zero, in stored order; these orders give
-        # bit for bit the np.einsum("...pa,pa->...p") over the vertices that
-        # they replaced: (0 + 2) + 1 for one field, which numpy sums two
-        # lanes at a time, and (0 + 1) + 2 for a stack of fields
-        self.p1, self._p1_stacked = p1([0, 2, 1]), p1([0, 1, 2])
+        # row p: the P1 weights of point p at its triangle's vertices
+        self.p1 = sp.csr_matrix((bary.ravel(), macro_mesh.triangles[tri].ravel(),
+                                 np.arange(0, 3 * len(tri) + 1, 3)),
+                                shape=(len(tri), macro_mesh.num_nodes))
 
     def scalar(self, nodal):
         """(..., nn) -> (..., npts): the P1 interpolant at the points, one sparse product."""
         nodal = np.asarray(nodal)
-        if nodal.ndim == 1:
-            return self.p1 @ nodal
-        values = self._p1_stacked @ nodal.reshape(-1, nodal.shape[-1]).T  # (npts, k)
+        values = self.p1 @ nodal.reshape(-1, nodal.shape[-1]).T  # (npts, k)
         return values.T.reshape(nodal.shape[:-1] + (values.shape[0],))
 
     def gradient(self, nodal):
@@ -169,7 +159,7 @@ class Reconstructor:
 
     def _second_order(self, st, low, op, sec):
         dT = st["T0"] - self.Ttilde
-        samp = lambda name: self.cs.sample(op, [s.fields[name] for s in sec])
+        samp = lambda name: self.cs.sample(op, [s[name] for s in sec])
         e2 = self.eps**2
         terms = {}
 

@@ -166,10 +166,51 @@ def test_run_side_reads_the_benchmark_output_and_hashes_the_outputs(ab, tmp_path
     assert rec["stages"]["errors"] == {"setup_s": 0.2, "wall_s": 0.4}
     assert rec["stages"]["online"] == {"setup_s": None, "wall_s": None}
     digests = rec["outputs"]
-    assert digests["dns_trajectory.npz"] is None and digests["archive"] is None
+    assert digests["dns_trajectory.npz"] is None
+    assert digests["archive_first"] is None and digests["archive_second"] is None
     assert len(digests["errors.csv"]) == 64
     np.savez(out / "macro_trajectory.npz", T=np.array([0.0, 1.0, 2.0 + 1e-12]))
     assert ab.output_digests(out)["macro_trajectory.npz"] != digests["macro_trajectory.npz"]
+
+
+def _pipeline_outputs(out):
+    """A synthetic pipeline directory: two CSVs, a trajectory and a 2-slot archive."""
+    rng = np.random.default_rng(4)
+    (out / "archive").mkdir(parents=True)
+    (out / "coefficients.csv").write_text("T0,k_hat_11\n300,1.5\n340,1.25\n")
+    (out / "errors.csv").write_text("t,e_Phi\n0.001,nan\n0.002,0.5\n")
+    np.savez(out / "macro_trajectory.npz", T=rng.standard_normal((3, 5)))
+    for i in range(2):
+        np.savez(out / "archive" / f"T_{i:03d}.npz", T0=np.float64(300.0 + 40 * i),
+                 M=rng.standard_normal((2, 5)), coeff_k_hat=rng.standard_normal((2, 2)),
+                 second_Q=rng.standard_normal(5), second_N2=rng.standard_normal((2, 5)))
+
+
+def test_max_rel_diff_reports_only_the_outputs_that_differ(ab, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _pipeline_outputs(parent)
+    _pipeline_outputs(change)
+    assert ab.max_rel_diff(parent, change) == {}
+    npz = change / "archive" / "T_001.npz"
+    with np.load(npz) as z:
+        arrays = {k: z[k] for k in z.files}
+    scale = np.abs(arrays["second_Q"]).max()
+    arrays["second_Q"][2] += 1e-14 * scale
+    np.savez(npz, **arrays)
+    got = ab.max_rel_diff(parent, change)
+    assert list(got) == ["archive_second"]
+    assert got["archive_second"] == pytest.approx(1e-14, rel=1e-3)
+    digests = ab.output_digests(change)
+    assert digests["archive_first"] == ab.output_digests(parent)["archive_first"]
+
+
+def test_max_rel_diff_is_inf_where_nan_positions_differ(ab, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _pipeline_outputs(parent)
+    _pipeline_outputs(change)
+    (change / "errors.csv").write_text("t,e_Phi\n0.001,0.5\n0.002,nan\n")
+    assert ab.max_rel_diff(parent, change) == {"errors.csv": float("inf")}
+    assert ab.rel_diff([1.0, np.nan, -4.0], [1.0, np.nan, -4.0 + 2.0**-49]) == 2.0**-51
 
 
 def test_extract_writes_the_tree_of_a_revision(ab, tmp_path):

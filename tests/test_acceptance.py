@@ -129,7 +129,7 @@ def test_degenerate_material_collapse(disk_cell):
     f0, s0 = table.first[0], table.second[0]
     for name in ("M", "H", "N", "P"):
         norms[name] = _h1_norm_families(disk_cell, getattr(f0, name))
-    for name, arr in s0.fields.items():
+    for name, arr in s0.items():
         norms[name] = _h1_norm_families(disk_cell, arr)
     worst_family = max(norms.values())
     ok_fam = len(norms) == 20 and worst_family <= 1e-10

@@ -393,10 +393,10 @@ def test_missing_archive_exits_2(tmp_path):
 
 
 def test_numerical_failure_exits_3(pipeline, monkeypatch):
-    from homsim import fem, macro
+    from homsim import macro
 
     def boom(self):
-        raise macro.StepError("synthetic divergence", step=0)
+        raise macro.StepError("synthetic divergence")
 
     monkeypatch.setattr(macro.Stepper, "run", boom)
     assert cli.main(["online", str(pipeline / "config.json")]) == 3
@@ -412,6 +412,20 @@ def test_errors_before_its_inputs_exist_exits_2(pipeline, tmp_path, capsys, name
     assert cli.main(["errors", str(p)]) == 2
     err = capsys.readouterr().err
     assert name in err and f"homsim {stage}" in err
+
+
+def test_errors_exits_2_on_a_corrupted_macro_mesh(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    mesh_file = out / "macro_mesh.txt"
+    lines = mesh_file.read_text().splitlines(keepends=True)
+    first_triangle = 2 + int(lines[1].split()[0])
+    lines[first_triangle] = "999999 " + lines[first_triangle].split(" ", 1)[1]
+    mesh_file.write_text("".join(lines))
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_mini_config(out)))
+    assert cli.main(["errors", str(p)]) == 2
+    assert "macro_mesh.txt" in capsys.readouterr().err
 
 
 def test_errors_refuses_archive_of_another_law(pipeline, tmp_path, capsys):
@@ -494,9 +508,7 @@ def _eager_errors_csv(out, cfg, path):
         with np.load(out / "archive" / f"T_{i:03d}.npz") as z:
             table.first.append(cell.FirstOrderCellSet(
                 T0=float(T), **{k: z[k] for k in ("M", "H", "N", "P")}))
-            table.second.append(cell.SecondOrderCellSet(
-                T0=float(T), Ttilde=table.Ttilde,
-                fields={f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES}))
+            table.second.append({f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES})
     macro_mesh, fine = load_mesh(out / "macro_mesh.txt"), load_mesh(out / "dns_mesh.txt")
     traj = macro.load_trajectory(out / "macro_trajectory.npz", macro_mesh)
     ref = macro.load_trajectory(out / "dns_trajectory.npz", fine)

@@ -192,6 +192,33 @@ def test_save_load_roundtrip(tmp_path, disk_cell_mesh):
     assert np.allclose(m.nodes, disk_cell_mesh.nodes, atol=0.0)
 
 
+def _corrupt_mesh_file(mesh, path, case):
+    """Write mesh to path in save_mesh's format, then damage it as case says."""
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines(keepends=True)
+    first_triangle = 2 + mesh.num_nodes
+    if case == "truncated":
+        lines = lines[:len(lines) // 2]
+    elif case == "negative index":
+        lines[first_triangle] = "-5 " + lines[first_triangle].split(" ", 1)[1]
+    elif case == "index past the nodes":
+        lines[first_triangle] = "999999 " + lines[first_triangle].split(" ", 1)[1]
+    elif case == "non-numeric coordinate":
+        lines[2] = "0.0 x\n"
+    elif case == "no counts":
+        del lines[1]
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("case", ["truncated", "negative index", "index past the nodes",
+                                  "non-numeric coordinate", "no counts"])
+def test_malformed_mesh_file_is_refused(tmp_path, macro_mesh, case):
+    p = tmp_path / "mesh.txt"
+    _corrupt_mesh_file(macro_mesh, p, case)
+    with pytest.raises(MeshError, match="mesh.txt"):
+        load_mesh(p)
+
+
 def test_mesh_arrays_frozen(disk_cell_mesh):
     with pytest.raises(ValueError):
         disk_cell_mesh.nodes[0, 0] = 99.0

@@ -22,7 +22,6 @@ KINDS = (
     "safety check",    # the default checks the input; one caller turns it off, and says why
     "digest pin",      # kept until the benchmark digest changes (ROADMAP item 6)
     "accumulator",     # starts empty and is filled by its owner (appends, recursion)
-    "diagnostic",      # detail an exception carries, which a raise may leave out
 )
 
 OPTIONS = {
@@ -34,8 +33,6 @@ OPTIONS = {
     "config.SimulationConfig._compile_problem_data.expr(vector)":
         "two values: sources and boundary data are scalar or two-component",
     "fem.pcg(x0)": "two values: solve_spd starts from zero, SpdSolver.solve_near from a last solution",
-    "fem.SolverError.__init__(residual)":
-        "diagnostic: the residual missed; every raise in the package passes it, none reads it",
     "fem.DirichletPlan.__init__(drop)":
         "two values: apply_dirichlet drops stored zeros, the stepper's plans keep them",
     "fem.SpdSolver.__init__(default_ordering)":
@@ -43,13 +40,7 @@ OPTIONS = {
     "homog.build_table(with_second_order)":
         "two values: the CLI builds both orders, first-order fixtures build one",
     "homog.build_table(progress)": "two values: the CLI prints each temperature's time, tests pass none",
-    "macro.StepError.__init__(step)":
-        "diagnostic: the failing step; every raise in the package passes it, none reads it",
     "macro.Stepper._solve(keep)": "two values: an LU is kept for reuse except on the last step",
-    "materials.lame_parameters(_validate)":
-        "safety check: E > 0 and 0 <= nu < 0.5; off only for the T-slope of E (elasticity_slope)",
-    "materials.elasticity_tensor(_validate)":
-        "safety check: passed on to lame_parameters; off only for CellOperators.elasticity_slope",
     "mesh._crossed_grid(in_band)": "two values: stripe cells tag a band, cells without inclusion none",
     "mesh.Mesh.__init__(phase_tag)": "two values: macro meshes have one phase, cell and fine meshes two",
     "mesh.Mesh.locate_points(tol)": "two values: macro points at 1e-10, folded cell points at 1e-8",
