@@ -20,7 +20,9 @@ the error harness reads, are sequences over the temperatures
 (PerTemperature).  Slot i is read from T_<i>.npz on first access and kept,
 so `online` and `verify` decompress only the coefficients, and a
 reconstruction whose macro temperatures stay inside a few table intervals
-decompresses only those slots' correctors, and no coefficient.
+decompresses only those slots' correctors, and no coefficient.  A T_<i>.npz
+that is not a readable zip is refused by load(), a damaged array (a bad CRC)
+when its slot is read; both raise ArchiveError.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import zipfile
+import zlib
 from collections.abc import Sequence
 
 import numpy as np
@@ -36,6 +40,10 @@ from . import cell, mesh as meshmod
 from .homog import COEFF_NAMES, HomogenizedCoefficients, TemperatureTable
 
 ARCHIVE_VERSION = 1
+
+#: what reading a damaged .npz that zipfile.is_zipfile accepts raises: a bad
+#: CRC or deflate stream, a broken or short .npy member, a missing array
+NPZ_ERRORS = (zipfile.BadZipFile, zlib.error, ValueError, KeyError)
 
 
 class ArchiveError(RuntimeError):
@@ -74,7 +82,6 @@ def save(path, cell_mesh, law, table: TemperatureTable) -> None:
         "cell_bc": table.bc,
         "mesh_sha256": mesh_hash(cell_mesh),
         "law_sha256": law_hash(law),
-        "has_second_order": bool(table.second),
     }
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
     for i, T in enumerate(table.temps):
@@ -84,9 +91,8 @@ def save(path, cell_mesh, law, table: TemperatureTable) -> None:
                 "M": first.M, "H": first.H, "N": first.N, "P": first.P}
         for name in COEFF_NAMES:
             data["coeff_" + name] = np.asarray(getattr(co, name))
-        if table.second:
-            for fam, arr in table.second[i].items():
-                data["second_" + fam] = arr
+        for fam, arr in table.second[i].items():
+            data["second_" + fam] = arr
         np.savez_compressed(path / f"T_{i:03d}.npz", **data)
 
 
@@ -97,7 +103,7 @@ def load(path, law, expect) -> tuple:
     expect maps manifest fields ("temperatures", "cell_bc", "T_ref") to the
     values the configuration asks for; a field that differs is refused.
     table.coeffs, table.first and table.second read each slot on first
-    access; table.second is empty if the archive holds no second order.
+    access.
     """
     path = pathlib.Path(path)
     try:
@@ -119,25 +125,28 @@ def load(path, law, expect) -> tuple:
                                f"configuration's {want}; re-run the off-line stage")
 
     temps = np.asarray(manifest["temperatures"], float)
-    required = ["T0", "M", "H", "N", "P"] + ["coeff_" + n for n in COEFF_NAMES]
-    if manifest["has_second_order"]:
-        required += ["second_" + f for f in cell.SECOND_ORDER_FAMILIES]
+    required = (["T0", "M", "H", "N", "P"] + ["coeff_" + n for n in COEFF_NAMES]
+                + ["second_" + f for f in cell.SECOND_ORDER_FAMILIES])
     for i in range(len(temps)):
         npz = path / f"T_{i:03d}.npz"
         if not npz.is_file():
             raise ArchiveError(f"{npz}: missing; re-run the off-line stage")
-        with np.load(npz) as z:
-            missing = [k for k in required if k not in z.files]
-            if missing:
-                raise ArchiveError(f"{npz}: missing array(s) {', '.join(missing)}; "
-                                   f"re-run the off-line stage")
+        if not zipfile.is_zipfile(npz):  # np.load would try it as a pickle
+            raise ArchiveError(f"{npz}: unreadable (not a zip file); re-run the off-line stage")
+        try:
+            with np.load(npz) as z:
+                missing = [k for k in required if k not in z.files]
+        except NPZ_ERRORS as e:
+            raise ArchiveError(f"{npz}: unreadable ({e}); re-run the off-line stage") from None
+        if missing:
+            raise ArchiveError(f"{npz}: missing array(s) {', '.join(missing)}; "
+                               f"re-run the off-line stage")
     coeffs = PerTemperature(path, temps, lambda z, T: HomogenizedCoefficients(
         T0=T, **{name: z["coeff_" + name][()] for name in COEFF_NAMES}))
     first = PerTemperature(path, temps, lambda z, T: cell.FirstOrderCellSet(
         T0=T, **{k: z[k] for k in ("M", "H", "N", "P")}))
     second = PerTemperature(path, temps, lambda z, T: {
-        f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES}
-    ) if manifest["has_second_order"] else []
+        f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES})
     table = TemperatureTable(temps=temps, first=first, second=second, coeffs=coeffs,
                              Ttilde=manifest["T_ref"], bc=manifest["cell_bc"])
     return stored_mesh, table
@@ -148,7 +157,8 @@ class PerTemperature(Sequence):
 
     Item i is build(npz, T) on the opened T_<i>.npz at temperature temps[i],
     read on first access and kept; a slice reads only its own slots.  A
-    missing array raises ArchiveError when its slot is read.
+    missing array or a damaged file (a bad CRC, say) raises ArchiveError when
+    its slot is read.
     """
 
     def __init__(self, path, temps, build):
@@ -166,10 +176,11 @@ class PerTemperature(Sequence):
         i = range(len(self))[i]
         if i not in self._kept:
             npz = self._path / f"T_{i:03d}.npz"
-            with np.load(npz) as z:
-                try:
+            try:
+                with np.load(npz) as z:
                     self._kept[i] = self._build(z, self._temps[i])
-                except KeyError as e:
-                    raise ArchiveError(f"{npz}: missing array {e}; "
-                                       f"re-run the off-line stage") from None
+            except KeyError as e:
+                raise ArchiveError(f"{npz}: missing array {e}; re-run the off-line stage") from None
+            except NPZ_ERRORS as e:
+                raise ArchiveError(f"{npz}: unreadable ({e}); re-run the off-line stage") from None
         return self._kept[i]

@@ -16,6 +16,7 @@ import argparse
 import pathlib
 import sys
 import time
+import zipfile
 
 import numpy as np
 
@@ -129,6 +130,21 @@ _ERRORS_INPUTS = {"macro_mesh.txt": "online", "macro_trajectory.npz": "online",
                   "dns_mesh.txt": "dns", "dns_trajectory.npz": "dns"}
 
 
+def _load_run(cfg, out, name, mesh):
+    """The trajectory in out / name, refused unless it is readable and ran on cfg's time grid."""
+    path, stage = out / name, _ERRORS_INPUTS[name]
+    if not zipfile.is_zipfile(path):  # np.load would try it as a pickle
+        raise ConfigError(f"{path}: unreadable trajectory (not a zip file); re-run `homsim {stage}`")
+    try:
+        traj = macro.load_trajectory(path, mesh)
+    except archive.NPZ_ERRORS as e:
+        raise ConfigError(f"{path}: unreadable trajectory ({e}); re-run `homsim {stage}`") from None
+    if traj.grid != cfg.time_grid():
+        raise ConfigError(f"{path} ran on {traj.grid}, not this configuration's "
+                          f"{cfg.time_grid()}; re-run `homsim {stage}`")
+    return traj
+
+
 def cmd_errors(cfg: SimulationConfig, args) -> int:
     out = _out_dir(cfg)
     for name, stage in _ERRORS_INPUTS.items():
@@ -136,8 +152,8 @@ def cmd_errors(cfg: SimulationConfig, args) -> int:
             raise ConfigError(f"{out / name} not found; `homsim {stage}` writes it")
     macro_mesh = load_mesh(out / "macro_mesh.txt")
     fine_mesh = load_mesh(out / "dns_mesh.txt")
-    traj = macro.load_trajectory(out / "macro_trajectory.npz", macro_mesh)
-    ref = macro.load_trajectory(out / "dns_trajectory.npz", fine_mesh)
+    traj = _load_run(cfg, out, "macro_trajectory.npz", macro_mesh)
+    ref = _load_run(cfg, out, "dns_trajectory.npz", fine_mesh)
     cell_mesh, table = _load_archive(cfg, out, cfg.law())
     q = dns.tiles(cfg.epsilon)
     if fine_mesh.num_triangles != q * q * cell_mesh.num_triangles:

@@ -229,7 +229,6 @@ def build_table(
     count: int,
     Ttilde: float,
     bc: str,
-    with_second_order: bool = True,
     progress=None,
 ) -> TemperatureTable:
     """Off-line stage: correctors and coefficients at equidistant temperatures.
@@ -264,16 +263,15 @@ def build_table(
     ops = first_order(0)
     for i, T in enumerate(temps):
         ops_next = first_order(i + 1) if i + 1 < count else None
-        if with_second_order:
-            # table.first and table.coeffs hold temps[: i + 2], all that the
-            # centred differences at temps[i] read
-            t0 = _time.perf_counter()
-            table.second.append(cell.solve_second_order(
-                ops, table.first[i], table.coeffs[i],
-                first_dT=cell.dT_of_first_order(table.first, T),
-                homog_dT=table.coeff_dT(i),
-            ))
-            elapsed[i] += _time.perf_counter() - t0
+        # table.first and table.coeffs hold temps[: i + 2], all that the
+        # centred differences at temps[i] read
+        t0 = _time.perf_counter()
+        table.second.append(cell.solve_second_order(
+            ops, table.first[i], table.coeffs[i],
+            first_dT=cell.dT_of_first_order(table.first, T),
+            homog_dT=table.coeff_dT(i),
+        ))
+        elapsed[i] += _time.perf_counter() - t0
         ops = ops_next
     if progress is not None:
         for T, dt in zip(temps, elapsed):

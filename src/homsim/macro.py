@@ -64,7 +64,7 @@ worst residual and max_lu_fill, the largest fill of L + U it factored.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,8 +80,6 @@ THERMAL = ("S", "k", "lam", "lam_star")
 MECHANICAL = ("rho", "c", "beta")
 #: coefficient fields a provider gives as element integrals
 INTEGRATED = ("k", "lam", "c")
-#: relative distance within which Trajectory.at_time takes a snapshot as at t
-SNAPSHOT_T_TOL = 1e-9
 
 
 class StepError(RuntimeError):
@@ -117,20 +115,13 @@ class Snapshot:
 
 @dataclass
 class Trajectory:
+    """The snapshots of one run on grid, in increasing step m, and the run's
+    solver statistics (empty for a trajectory read back from a file)."""
+
     mesh: object
     grid: TimeGrid
-    snapshots: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-    def at_time(self, t):
-        for s in self.snapshots:
-            if abs(s.t - t) <= SNAPSHOT_T_TOL * max(1.0, abs(t)):
-                return s
-        raise KeyError(f"no snapshot at t={t}")
-
-    def shared_times(self, other):
-        mine = {round(s.t, 12) for s in self.snapshots}
-        return sorted(mine & {round(s.t, 12) for s in other.snapshots})
+    snapshots: list
+    meta: dict
 
 
 class TableProvider:
@@ -275,10 +266,8 @@ class Stepper:
         # of the displacement factorization
         del co
 
-        traj = Trajectory(mesh=mesh, grid=grid)
-        snap = Snapshot(0, 0.0, T0.copy(), T0.copy(), Phi.copy(), U0.copy(),
-                        U_m1.copy(), U_m1.copy())
-        traj.snapshots.append(snap)
+        snapshots = [Snapshot(0, 0.0, T0.copy(), T0.copy(), Phi.copy(), U0.copy(),
+                              U_m1.copy(), U_m1.copy())]
 
         T_prev, T_cur = T0.copy(), T0.copy()
         U_prev, U_cur = U_m1, U0
@@ -302,11 +291,10 @@ class Stepper:
             T_prev, T_cur = T_cur, T_next
             U_prev2, U_prev, U_cur = U_prev, U_cur, U_next
             if (m + 1) % self.stride == 0 or m + 1 == grid.n_steps:
-                traj.snapshots.append(Snapshot(m + 1, t_next, T_cur.copy(), T_prev.copy(),
-                                               Phi.copy(), U_cur.copy(), U_prev.copy(),
-                                               U_prev2.copy()))
-        traj.meta.update(self._stats)
-        return traj
+                snapshots.append(Snapshot(m + 1, t_next, T_cur.copy(), T_prev.copy(),
+                                          Phi.copy(), U_cur.copy(), U_prev.copy(),
+                                          U_prev2.copy()))
+        return Trajectory(mesh, grid, snapshots, self._stats)
 
     # Each *_system method returns the Dirichlet-reduced (A, b) of one solve.
     # The unreduced operators and the coefficient arrays die with its frame,
@@ -388,6 +376,5 @@ def load_trajectory(path, mesh) -> Trajectory:
         columns = {name: z[name] for name in _SNAPSHOT_FIELDS}
     # m and t as Python numbers, the others as rows of their arrays
     columns["m"], columns["t"] = columns["m"].tolist(), columns["t"].tolist()
-    return Trajectory(mesh=mesh, grid=grid, snapshots=[
-        Snapshot(**{name: col[i] for name, col in columns.items()})
-        for i in range(len(columns["m"]))])
+    return Trajectory(mesh, grid, [Snapshot(**{name: col[i] for name, col in columns.items()})
+                                   for i in range(len(columns["m"]))], meta={})

@@ -443,4 +443,7 @@ def load_mesh(path) -> Mesh:
             raise ValueError(f"a vertex index outside [0, {nn})")
     except ValueError as e:
         raise MeshError(f"{path}: malformed mesh file: {e}") from None
-    return Mesh(nodes, rows[:, :3], rows[:, 3])
+    try:
+        return Mesh(nodes, rows[:, :3], rows[:, 3])
+    except MeshError as e:
+        raise MeshError(f"{path}: {e}") from None

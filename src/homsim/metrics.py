@@ -4,12 +4,12 @@ Norms are computed on a mesh from nodal values: L2 by element quadrature of
 the P1 interpolant, H1-semi from the (piecewise-constant) element gradients.
 Vector fields carry their components in leading axes and are summed over
 them.  The evolutive harness compares the order-0/1/2 reconstructions
-against a fine-mesh reference trajectory at every shared snapshot time.
+against a fine-mesh reference trajectory at every step both runs stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,13 +63,9 @@ class ErrorSeries:
     undefined: the fields whose reference had zero norm; their entries are NaN.
     """
 
-    times: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
-    undefined: set = field(default_factory=set)
-
-    def append(self, t, row: dict):
-        self.times.append(float(t))
-        self.rows.append([row[c] for c in COLUMNS])
+    times: list
+    rows: list
+    undefined: set
 
     def column(self, field_name, order, kind):
         j = COLUMNS.index(f"{field_name}_{order}_{kind}")
@@ -79,39 +75,43 @@ class ErrorSeries:
         return float(self.column(field_name, order, kind)[-1])
 
     def to_csv(self, path):
-        data = np.column_stack([np.asarray(self.times)] + [np.asarray(self.rows).T[j] for j in range(len(COLUMNS))]) \
-            if self.rows else np.zeros((0, 1 + len(COLUMNS)))
+        data = np.column_stack([self.times, self.rows])
         np.savetxt(path, data, delimiter=",", header=",".join(["t"] + COLUMNS), comments="")
 
 
 def evolutive_errors(ref_traj, macro_traj, recon: Reconstructor) -> ErrorSeries:
     """Relative errors of the three reconstruction orders vs the reference.
 
-    The reference trajectory supplies both the comparison fields and the
-    evaluation mesh (its own nodes/elements), so the reconstructor must have
-    been built with that mesh as the evaluation mesh.  A reference of zero
-    norm (Phi without an electric source) gets NaN errors.
+    Both trajectories must have run on one time grid (ValueError otherwise);
+    each reference snapshot after the initial one is paired with the macro
+    snapshot of the same step m, and a step only one of them stored is
+    skipped.  The reference trajectory supplies both the comparison fields
+    and the evaluation mesh (its own nodes/elements), so the reconstructor
+    must have been built with that mesh as the evaluation mesh.  A reference
+    of zero norm (Phi without an electric source) gets NaN errors.
     """
+    if ref_traj.grid != macro_traj.grid:
+        raise ValueError(f"the reference ran on {ref_traj.grid}, the macro run on "
+                         f"{macro_traj.grid}")
     space = fem.FemSpace(ref_traj.mesh)
-    series = ErrorSeries()
+    macro_at = {s.m: s for s in macro_traj.snapshots}
     dt = macro_traj.grid.dt
-    for t in ref_traj.shared_times(macro_traj):
-        if t == 0.0:
+    times, rows, undefined = [], [], set()
+    for ref in ref_traj.snapshots:
+        if ref.m == 0 or ref.m not in macro_at:
             continue  # initial data agrees by construction; errors undefined for zero refs
-        ref = ref_traj.at_time(t)
-        snap = macro_traj.at_time(t)
-        h0, h1, h2 = recon.all_orders(snap, dt)
+        h0, h1, h2 = recon.all_orders(macro_at[ref.m], dt)
         refs = {"T": ref.T, "Phi": ref.Phi, "U": ref.U}
         ref_norms = {(f, n): norm(space, refs[f], n) for f in FIELDS for n in NORMS}
-        row = {}
+        row = []
         for f in FIELDS:
             for o, h in zip(ORDERS, (h0, h1, h2)):
                 for n in NORMS:
                     try:
-                        row[f"{f}_{o}_{n}"] = relative_error(space, h[f], refs[f], n,
-                                                             ref_norms[f, n])
+                        row.append(relative_error(space, h[f], refs[f], n, ref_norms[f, n]))
                     except ZeroReferenceError:
-                        row[f"{f}_{o}_{n}"] = np.nan
-                        series.undefined.add(f)
-        series.append(t, row)
-    return series
+                        row.append(np.nan)
+                        undefined.add(f)
+        times.append(ref.t)
+        rows.append(row)
+    return ErrorSeries(times, rows, undefined)

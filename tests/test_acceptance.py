@@ -45,10 +45,9 @@ def disk_cell():
 
 @pytest.fixture(scope="module")
 def coeff_table(disk_cell, law):
-    """First-order coefficient table spanning the full validity range."""
+    """Coefficient table spanning the full validity range."""
     lo, hi = law.T_range
-    return homog.build_table(disk_cell, law, lo, hi, 5, Ttilde=300.0, bc="dirichlet",
-                             with_second_order=False)
+    return homog.build_table(disk_cell, law, lo, hi, 5, Ttilde=300.0, bc="dirichlet")
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +178,7 @@ def test_degenerate_material_collapse(disk_cell):
 def _uniform_table_for_mms():
     ulaw = single_material_law(EXAMPLE_LAWS[0])
     cm = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), 0.2)
-    return homog.build_table(cm, ulaw, 280.0, 400.0, 3, Ttilde=300.0, bc="dirichlet",
-                             with_second_order=False)
+    return homog.build_table(cm, ulaw, 280.0, 400.0, 3, Ttilde=300.0, bc="dirichlet")
 
 
 def _heat_mms_error(table, h, dt, n):

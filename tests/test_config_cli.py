@@ -6,8 +6,10 @@ import os
 import pathlib
 import random
 import shutil
+import struct
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -346,19 +348,23 @@ def test_unparseable_json_exits_2(tmp_path):
 
 
 def test_archive_load_returns_a_complete_table(tmp_path, disk_cell_mesh, example_law):
-    """load() attaches the correctors as well as the coefficients; a first-order
-    archive loads with no second order, as build_table leaves it."""
+    """load() attaches both corrector orders as well as the coefficients, each
+    equal to what build_table made."""
     from homsim import homog
 
     table = homog.build_table(disk_cell_mesh, example_law, 280.0, 400.0, 2, Ttilde=300.0,
-                              bc="dirichlet", with_second_order=False)
+                              bc="dirichlet")
     archive.save(tmp_path, disk_cell_mesh, example_law, table)
     expect = {"temperatures": table.temps.tolist(), "cell_bc": "dirichlet", "T_ref": 300.0}
     _, back = archive.load(tmp_path, example_law, expect)
-    assert back.second == [] and len(back.first) == len(back.coeffs) == 2
+    assert len(back.first) == len(back.second) == len(back.coeffs) == 2
     for got, ref in zip(back.first, table.first):
         for name in ("M", "H", "N", "P"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    for got, ref in zip(back.second, table.second):
+        assert got.keys() == ref.keys()
+        for name in ref:
+            assert np.array_equal(got[name], ref[name]), name
 
 
 def test_archive_hash_mismatch_refused(pipeline, tmp_path):
@@ -557,6 +563,64 @@ def test_errors_refuses_a_dns_of_another_epsilon(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "epsilon" in err and "mesh.cell_h" in err and "dns_mesh.txt" in err
     assert (out / "errors.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("key", ["T_final", "dt"])
+def test_errors_refuses_runs_on_another_time_grid(pipeline, tmp_path, capsys, key):
+    """The mini pipeline ran 4 steps of 0.001; halving T_final or dt is refused."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    raw = _mini_config(out)
+    raw["time"][key] /= 2
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    before = (out / "errors.csv").read_bytes()
+    assert cli.main(["errors", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "macro_trajectory.npz ran on TimeGrid(dt=0.001, n_steps=4)" in err
+    assert "homsim online" in err
+    assert (out / "errors.csv").read_bytes() == before
+
+
+def _damage_npz(path, how, member):
+    """Replace the .npz at path by garbage, cut it in half, or flip one bit in
+    the middle of member's compressed data."""
+    raw = bytearray(path.read_bytes())
+    if how == "garbage":
+        raw = b"not an npz file\n" * 8
+    elif how == "truncated":
+        raw = raw[:len(raw) // 2]
+    else:
+        with zipfile.ZipFile(path) as z:
+            info = z.getinfo(member + ".npy")
+        name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+        raw[info.header_offset + 30 + name_len + extra_len + info.compress_size // 2] ^= 1
+    path.write_bytes(raw)
+
+
+@pytest.mark.parametrize("how", ["garbage", "truncated", "bit flip"])
+@pytest.mark.parametrize("name", ["macro_trajectory.npz", "dns_trajectory.npz"])
+def test_errors_exits_2_on_a_damaged_trajectory(pipeline, tmp_path, capsys, name, how):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    _damage_npz(out / name, how, "T")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_mini_config(out)))
+    assert cli.main(["errors", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}: unreadable trajectory" in err and f"homsim {cli._ERRORS_INPUTS[name]}" in err
+
+
+@pytest.mark.parametrize("how", ["garbage", "truncated", "bit flip"])
+@pytest.mark.parametrize("stage, member", [("online", "coeff_k_hat"), ("verify", "coeff_c_hat"),
+                                           ("errors", "M")])
+def test_damaged_archive_slot_exits_2(pipeline, tmp_path, capsys, stage, member, how):
+    """A slot that is no zip is refused when the archive loads, a bad CRC when
+    the stage reads the damaged array."""
+    arch, p = _damaged_copy(pipeline, tmp_path)
+    _damage_npz(arch / "T_001.npz", how, member)
+    assert cli.main([stage, str(p)]) == 2
+    assert "T_001.npz: unreadable" in capsys.readouterr().err
 
 
 def test_verify_and_errors_do_not_load_the_factorization_modules(pipeline, tmp_path):

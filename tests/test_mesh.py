@@ -207,11 +207,14 @@ def _corrupt_mesh_file(mesh, path, case):
         lines[2] = "0.0 x\n"
     elif case == "no counts":
         del lines[1]
+    elif case == "degenerate triangle":  # parses; Mesh refuses its zero area
+        lines[first_triangle] = "0 0 1 " + lines[first_triangle].split()[3] + "\n"
     path.write_text("".join(lines))
 
 
 @pytest.mark.parametrize("case", ["truncated", "negative index", "index past the nodes",
-                                  "non-numeric coordinate", "no counts"])
+                                  "non-numeric coordinate", "no counts",
+                                  "degenerate triangle"])
 def test_malformed_mesh_file_is_refused(tmp_path, macro_mesh, case):
     p = tmp_path / "mesh.txt"
     _corrupt_mesh_file(macro_mesh, p, case)

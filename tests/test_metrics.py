@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from homsim import fem, metrics
+from homsim import fem, macro, metrics
 from homsim.mesh import build_macro_mesh
 
 
@@ -67,11 +67,9 @@ def test_unknown_norm_rejected(space, mesh):
 
 
 def test_error_series_columns_and_csv(tmp_path):
-    series = metrics.ErrorSeries()
     assert len(metrics.COLUMNS) == 18
-    row = {c: float(i) for i, c in enumerate(metrics.COLUMNS)}
-    series.append(0.5, row)
-    series.append(1.0, {c: 2.0 * v for c, v in row.items()})
+    row = [float(j) for j in range(len(metrics.COLUMNS))]
+    series = metrics.ErrorSeries([0.5, 1.0], [row, [2.0 * v for v in row]], set())
     assert series.final("T", "order0", "L2") == 0.0
     assert series.final("U", "order2", "H1") == 2.0 * 17.0
     p = tmp_path / "err.csv"
@@ -81,3 +79,57 @@ def test_error_series_columns_and_csv(tmp_path):
     data = np.loadtxt(p, delimiter=",", skiprows=1)
     assert data.shape == (2, 19)
     assert data[0, 0] == 0.5
+    assert np.array_equal(data[:, 1:], series.rows)
+
+
+#: the relative error of each reconstruction order in _FieldsOfStep
+_ORDER_ERRORS = (0.1, 0.2, 0.3)
+
+
+def _run(mesh, grid, stride):
+    """A trajectory on grid storing step 0, every stride-th step and the last;
+    the fields of step m are 1 + m times fixed non-constant fields."""
+    x, y = mesh.nodes.T
+    steps = sorted({0, grid.n_steps} | set(range(0, grid.n_steps, stride)))
+    snaps = []
+    for m in steps:
+        T, Phi, U = ((1 + m) * f for f in (1.0 + x, 1.0 + y, np.stack([x, x * y])))
+        snaps.append(macro.Snapshot(m, grid.time(m), T, T, Phi, U, U, U))
+    return macro.Trajectory(mesh, grid, snaps, {})
+
+
+class _FieldsOfStep:
+    """A reconstructor whose order k returns the macro snapshot's fields
+    times 1 + _ORDER_ERRORS[k], and which records the steps it was given."""
+
+    def __init__(self):
+        self.steps = []
+
+    def all_orders(self, snap, dt):
+        self.steps.append(snap.m)
+        return tuple({"T": (1 + e) * snap.T, "Phi": (1 + e) * snap.Phi, "U": (1 + e) * snap.U}
+                     for e in _ORDER_ERRORS)
+
+
+def test_evolutive_errors_pair_snapshots_by_step(mesh):
+    """Strides 2 and 3 over 6 steps share steps 0 and 6; step 0 is skipped,
+    and step 6 of the one run is compared with step 6 of the other."""
+    grid = macro.TimeGrid(dt=0.1, n_steps=6)
+    for ref_stride, macro_stride in [(2, 3), (3, 2)]:
+        recon = _FieldsOfStep()
+        series = metrics.evolutive_errors(_run(mesh, grid, ref_stride),
+                                          _run(mesh, grid, macro_stride), recon)
+        assert recon.steps == [6]
+        assert series.times == [grid.time(6)] and series.undefined == set()
+        for f in metrics.FIELDS:
+            for o, e in zip(metrics.ORDERS, _ORDER_ERRORS):
+                for n in metrics.NORMS:
+                    assert series.final(f, o, n) == pytest.approx(e, rel=1e-12), (f, o, n)
+
+
+@pytest.mark.parametrize("other", [macro.TimeGrid(dt=0.1, n_steps=3),
+                                   macro.TimeGrid(dt=0.05, n_steps=6)])
+def test_evolutive_errors_refuse_runs_on_different_grids(mesh, other):
+    grid = macro.TimeGrid(dt=0.1, n_steps=6)
+    with pytest.raises(ValueError, match="TimeGrid"):
+        metrics.evolutive_errors(_run(mesh, grid, 2), _run(mesh, other, 2), _FieldsOfStep())

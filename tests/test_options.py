@@ -37,23 +37,16 @@ OPTIONS = {
         "two values: apply_dirichlet drops stored zeros, the stepper's plans keep them",
     "fem.SpdSolver.__init__(default_ordering)":
         "digest pin: Dirichlet cell operators keep SciPy's ordering for coefficients.csv",
-    "homog.build_table(with_second_order)":
-        "two values: the CLI builds both orders, first-order fixtures build one",
     "homog.build_table(progress)": "two values: the CLI prints each temperature's time, tests pass none",
     "macro.Stepper._solve(keep)": "two values: an LU is kept for reuse except on the last step",
     "mesh._crossed_grid(in_band)": "two values: stripe cells tag a band, cells without inclusion none",
     "mesh.Mesh.__init__(phase_tag)": "two values: macro meshes have one phase, cell and fine meshes two",
     "mesh.Mesh.locate_points(tol)": "two values: macro points at 1e-10, folded cell points at 1e-8",
     # class fields with a default
-    "macro.Trajectory.snapshots": "accumulator: the stepper appends each snapshot as it is stored",
-    "macro.Trajectory.meta": "accumulator: the stepper records its solver statistics at the end",
     "materials.MaterialLaw.T_range": "two values: a configuration sets it or keeps the default range",
     "materials.MaterialLaw.plane": "two values: a configuration sets plane stress or keeps plane strain",
     "mesh.PhaseGeometry.radius": "two values: a configuration sets the disk radius or keeps 0.25",
     "mesh.PhaseGeometry.band": "two values: a configuration sets the stripe fraction or keeps 1/2",
-    "metrics.ErrorSeries.times": "accumulator: evolutive_errors appends each snapshot time",
-    "metrics.ErrorSeries.rows": "accumulator: evolutive_errors appends each row of errors",
-    "metrics.ErrorSeries.undefined": "accumulator: evolutive_errors adds each zero-norm field",
 }
 
 
