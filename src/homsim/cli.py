@@ -2,7 +2,7 @@
 
 Subcommands:
     offline  build cell meshes, solve the corrector table, write the archive
-    online   macro solve from an archive + multi-scale reconstruction
+    online   macro solve on the archived coefficient table
     dns      fine-mesh reference solve
     verify   coefficient identities, bounds and degeneracy checks
     errors   evolutive error table (CSV) from saved online + dns runs
@@ -32,12 +32,11 @@ def _out_dir(cfg) -> pathlib.Path:
     return d
 
 
-def _load_archive(cfg, out, law):
+def _load_archive(cfg, out):
     """The off-line archive in out, refused unless built for cfg's law and table."""
-    Tmin, Tmax, count, bc = cfg.table_spec
-    expect = {"temperatures": np.linspace(Tmin, Tmax, count).tolist(),
-              "cell_bc": bc, "T_ref": cfg.T_ref}
-    return archive.load(out / "archive", law, expect)
+    expect = {"temperatures": cfg.temperatures.tolist(), "cell_bc": cfg.cell_bc,
+              "T_ref": cfg.T_ref}
+    return archive.load(out / "archive", cfg.law, expect)
 
 
 def _solver_work(traj) -> str:
@@ -60,61 +59,57 @@ def _write_run(cfg, out, name, mesh, traj) -> int:
     return 0
 
 
-def cmd_offline(cfg: SimulationConfig, args) -> int:
+def cmd_offline(cfg: SimulationConfig) -> int:
+    """build cell meshes, solve the corrector table, write the archive"""
     out = _out_dir(cfg)
-    law = cfg.law()
-    law.audit_ellipticity()
-    _, cell_h = cfg.mesh_targets
-    cell_mesh = build_unit_cell_mesh(cfg.geometry(), cell_h)
-    Tmin, Tmax, count, bc = cfg.table_spec
+    cfg.law.audit_ellipticity()
+    cell_mesh = build_unit_cell_mesh(cfg.geometry, cfg.cell_h)
     print(f"cell mesh: {cell_mesh.num_triangles} elements (h={cell_mesh.h:.4f})")
     t_all = time.perf_counter()
     table = homog.build_table(
-        cell_mesh, law, Tmin, Tmax, count, Ttilde=cfg.T_ref, bc=bc,
+        cell_mesh, cfg.law, cfg.temperatures, Ttilde=cfg.T_ref, bc=cfg.cell_bc,
         progress=lambda T, s: print(f"  T0={T:8.2f}: corrector solves in {s:.3f} s"),
     )
     print(f"off-line stage total: {time.perf_counter() - t_all:.2f} s")
-    archive.save(out / "archive", cell_mesh, law, table)
+    archive.save(out / "archive", cell_mesh, cfg.law, table)
     homog.export_csv(table, out / "coefficients.csv")
     print(f"archive written to {out / 'archive'}")
     return 0
 
 
-def cmd_online(cfg: SimulationConfig, args) -> int:
+def cmd_online(cfg: SimulationConfig) -> int:
+    """macro solve on the archived coefficient table"""
     out = _out_dir(cfg)
-    law = cfg.law()
-    cell_mesh, table = _load_archive(cfg, out, law)
-    macro_h, _ = cfg.mesh_targets
-    mesh = build_macro_mesh(macro_h)
+    cell_mesh, table = _load_archive(cfg, out)
+    mesh = build_macro_mesh(cfg.macro_h)
     cell.SOLVES.reset()
     space = fem.FemSpace(mesh)
     stepper = macro.Stepper(space, macro.TableProvider(space, table), cfg.problem_data(),
-                            cfg.time_grid(), snapshot_stride=cfg.snapshot_stride())
+                            cfg.grid, snapshot_stride=cfg.snapshot_stride)
     traj = stepper.run()
     if cell.SOLVES.count != 0:
         raise RuntimeError("on-line stage solved a cell problem; stage separation broken")
     return _write_run(cfg, out, "macro", mesh, traj)
 
 
-def cmd_dns(cfg: SimulationConfig, args) -> int:
+def cmd_dns(cfg: SimulationConfig) -> int:
+    """fine-mesh reference solve"""
     out = _out_dir(cfg)
-    law = cfg.law()
-    _, cell_h = cfg.mesh_targets
-    cell_mesh = build_unit_cell_mesh(cfg.geometry(), cell_h)
+    cell_mesh = build_unit_cell_mesh(cfg.geometry, cfg.cell_h)
     fine = dns.build_tiled_mesh(cell_mesh, cfg.epsilon)
     print(f"fine mesh: {fine.num_triangles} elements")
-    traj = dns.run_dns(fine, law, cfg.problem_data(), cfg.time_grid(),
-                       snapshot_stride=cfg.snapshot_stride())
+    traj = dns.run_dns(fine, cfg.law, cfg.problem_data(), cfg.grid,
+                       snapshot_stride=cfg.snapshot_stride)
     return _write_run(cfg, out, "dns", fine, traj)
 
 
-def cmd_verify(cfg: SimulationConfig, args) -> int:
+def cmd_verify(cfg: SimulationConfig) -> int:
+    """coefficient identities, bounds and degeneracy checks"""
     out = _out_dir(cfg)
-    law = cfg.law()
-    cell_mesh, table = _load_archive(cfg, out, law)
+    cell_mesh, table = _load_archive(cfg, out)
     ok = True
     for i, T in enumerate(table.temps):
-        rep = homog.verify_identities(table.coeffs[i], law=law)
+        rep = homog.verify_identities(table.coeffs[i], law=cfg.law)
         status = "pass" if rep["pass"] else "FAIL"
         worst = max(c.get("deviation", c.get("symmetry_deviation", 0.0))
                     for c in rep["checks"].values())
@@ -139,13 +134,14 @@ def _load_run(cfg, out, name, mesh):
         traj = macro.load_trajectory(path, mesh)
     except archive.NPZ_ERRORS as e:
         raise ConfigError(f"{path}: unreadable trajectory ({e}); re-run `homsim {stage}`") from None
-    if traj.grid != cfg.time_grid():
+    if traj.grid != cfg.grid:
         raise ConfigError(f"{path} ran on {traj.grid}, not this configuration's "
-                          f"{cfg.time_grid()}; re-run `homsim {stage}`")
+                          f"{cfg.grid}; re-run `homsim {stage}`")
     return traj
 
 
-def cmd_errors(cfg: SimulationConfig, args) -> int:
+def cmd_errors(cfg: SimulationConfig) -> int:
+    """evolutive error table (CSV) from saved online + dns runs"""
     out = _out_dir(cfg)
     for name, stage in _ERRORS_INPUTS.items():
         if not (out / name).is_file():
@@ -154,7 +150,7 @@ def cmd_errors(cfg: SimulationConfig, args) -> int:
     fine_mesh = load_mesh(out / "dns_mesh.txt")
     traj = _load_run(cfg, out, "macro_trajectory.npz", macro_mesh)
     ref = _load_run(cfg, out, "dns_trajectory.npz", fine_mesh)
-    cell_mesh, table = _load_archive(cfg, out, cfg.law())
+    cell_mesh, table = _load_archive(cfg, out)
     q = dns.tiles(cfg.epsilon)
     if fine_mesh.num_triangles != q * q * cell_mesh.num_triangles:
         raise ConfigError(
@@ -203,7 +199,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](cfg)
     except (ConfigError, archive.ArchiveError, MaterialError, MeshError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

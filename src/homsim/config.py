@@ -1,15 +1,17 @@
-"""Simulation configuration: JSON schema, expression grammar, factories.
+"""Simulation configuration: JSON schema, expression grammar, stage inputs.
 
 A configuration file fully determines a run: phase geometry, material laws,
 scale separation epsilon, mesh targets, time grid, sources/boundary/initial
-data, the representative-temperature table, and output paths.  Sources and
-boundary data are constants or small arithmetic expressions over (x1, x2, t)
-compiled through an AST whitelist (no general eval).
+data, the representative-temperature table, and output paths.  SCHEMA holds
+the default of every optional key.  Sources and boundary data are constants
+or small arithmetic expressions over (x1, x2, t) compiled through an AST
+whitelist (no general eval).
 """
 
 from __future__ import annotations
 
 import ast
+import copy
 import json
 import math
 import sys
@@ -18,7 +20,7 @@ import numpy as np
 
 from .dns import tiles
 from .macro import ProblemData, TimeGrid
-from .materials import MaterialLaw, QUANTITIES
+from .materials import MaterialError, MaterialLaw, QUANTITIES
 from .mesh import INCLUSION, MATRIX, MeshError, PhaseGeometry
 
 
@@ -110,8 +112,10 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "kind": {"enum": ["disk", "stripe", "none"]},
-                "radius": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
-                "fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+                "radius": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5,
+                           "default": 0.25},
+                "fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1,
+                             "default": 0.5},
             },
             "required": ["kind"],
         },
@@ -121,8 +125,8 @@ SCHEMA = {
                 "matrix": _law_entry,
                 "inclusion": _law_entry,
                 "T_range": {"type": "array", "items": {"type": "number"},
-                            "minItems": 2, "maxItems": 2},
-                "plane": {"enum": ["strain", "stress"]},
+                            "minItems": 2, "maxItems": 2, "default": [250.0, 900.0]},
+                "plane": {"enum": ["strain", "stress"], "default": "strain"},
             },
             "required": ["matrix", "inclusion"],
         },
@@ -140,7 +144,7 @@ SCHEMA = {
             "properties": {
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "T_final": {"type": "number", "exclusiveMinimum": 0},
-                "snapshot_stride": {"type": "integer", "minimum": 1},
+                "snapshot_stride": {"type": "integer", "minimum": 1, "default": 1},
             },
             "required": ["dt", "T_final"],
         },
@@ -159,8 +163,8 @@ SCHEMA = {
             "properties": {
                 "T": {"type": "number"},
                 "T_ref": {"type": "number"},
-                "U": _vec,
-                "V": _vec,
+                "U": dict(_vec, default=[0.0, 0.0]),
+                "V": dict(_vec, default=[0.0, 0.0]),
             },
             "required": ["T", "T_ref"],
         },
@@ -170,16 +174,17 @@ SCHEMA = {
                 "T_min": {"type": "number"},
                 "T_max": {"type": "number"},
                 "count": {"type": "integer", "minimum": 2},
-                "cell_bc": {"enum": ["dirichlet", "periodic"]},
+                "cell_bc": {"enum": ["dirichlet", "periodic"], "default": "dirichlet"},
             },
             "required": ["T_min", "T_max", "count"],
         },
         "output": {
             "type": "object",
             "properties": {
-                "directory": {"type": "string"},
-                "vtk": {"type": "boolean"},
+                "directory": {"type": "string", "default": "out"},
+                "vtk": {"type": "boolean", "default": False},
             },
+            "default": {},
         },
     },
     "required": ["version", "geometry", "materials", "epsilon", "mesh",
@@ -266,7 +271,7 @@ def schema_errors(value, schema, path=()):
                 yield path, (f"Additional properties are not allowed "
                              f"({', '.join(map(repr, extra))} {'was' if len(extra) == 1 else 'were'} "
                              f"unexpected)")
-        elif key != "$schema":  # an annotation; anything else is a keyword not implemented
+        elif key not in ("$schema", "default"):  # annotations; anything else is not implemented
             raise NotImplementedError(f"schema keyword {key!r}: {arg!r} is not implemented")
 
 
@@ -274,15 +279,42 @@ def _json_path(path):
     return "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in path)
 
 
+def _with_defaults(value, schema):
+    """A copy of value in which every missing property with a "default" in schema is filled in."""
+    if not isinstance(value, dict):
+        return copy.deepcopy(value)
+    props = schema.get("properties", {})
+    filled = {k: _with_defaults(v, props.get(k, {})) for k, v in value.items()}
+    for name, sub in props.items():
+        if name not in filled and "default" in sub:
+            filled[name] = _with_defaults(sub["default"], sub)
+    return filled
+
+
+#: the geometry keys that one kind reads, and that kind
+_KIND_KEYS = {"radius": "disk", "fraction": "stripe"}
+
+
 class SimulationConfig:
-    """Validated configuration with factories for the solver objects."""
+    """A validated configuration and the input of every stage, resolved once.
+
+    raw is the configuration with SCHEMA's defaults filled in.  The stages
+    read law, geometry, epsilon, macro_h, cell_h, grid, snapshot_stride,
+    temperatures (the table's representative temperatures), cell_bc, T_ref,
+    output_dir and write_vtk.
+    """
 
     def __init__(self, raw: dict):
         errors = sorted(schema_errors(raw, SCHEMA), key=lambda e: e[0])
         if errors:
             msgs = "; ".join(f"{_json_path(path)}: {msg}" for path, msg in errors)
             raise ConfigError(f"configuration invalid: {msgs}")
-        self.raw = raw
+        g = raw["geometry"]
+        for key, kind in _KIND_KEYS.items():
+            if key in g and g["kind"] != kind:
+                raise ConfigError(f"$['geometry']: {key!r} applies to kind {kind!r} only, "
+                                  f"not to kind {g['kind']!r}")
+        self.raw = raw = _with_defaults(raw, SCHEMA)
         eps = raw["epsilon"]
         try:
             tiles(eps)
@@ -292,10 +324,35 @@ class SimulationConfig:
         dt, Tf = raw["time"]["dt"], raw["time"]["T_final"]
         if not math.isfinite(Tf / dt) or abs(round(Tf / dt) * dt - Tf) > 1e-9 * Tf:
             raise ConfigError(f"$['time']: dt*N must equal T_final (dt={dt}, T_final={Tf})")
-        self.n_steps = round(Tf / dt)
+        self.grid = TimeGrid(dt=dt, n_steps=round(Tf / dt))
+        self.snapshot_stride = int(raw["time"]["snapshot_stride"])
+        m = raw["materials"]
+        try:
+            self.law = MaterialLaw(
+                coeffs={MATRIX: {q: tuple(v) for q, v in m["matrix"].items()},
+                        INCLUSION: {q: tuple(v) for q, v in m["inclusion"].items()}},
+                T_range=tuple(m["T_range"]), plane=m["plane"])
+        except MaterialError as e:
+            raise ConfigError(f"$['materials']: {e}") from None
         tb = raw["table"]
         if not tb["T_min"] < tb["T_max"]:
             raise ConfigError("$['table']: T_min must be below T_max")
+        lo, hi = self.law.T_range
+        if not (lo <= tb["T_min"] and tb["T_max"] <= hi):
+            raise ConfigError(f"$['table']: [T_min, T_max] = [{tb['T_min']}, {tb['T_max']}] "
+                              f"must lie inside materials.T_range [{lo}, {hi}]")
+        self.temperatures = np.linspace(float(tb["T_min"]), float(tb["T_max"]), int(tb["count"]))
+        self.cell_bc = tb["cell_bc"]
+        g = raw["geometry"]
+        try:
+            self.geometry = PhaseGeometry(g["kind"], g["radius"], g["fraction"])
+        except MeshError as e:
+            raise ConfigError(f"$['geometry']: {e}") from None
+        self.macro_h = float(raw["mesh"]["macro_h"])
+        self.cell_h = float(raw["mesh"]["cell_h"])
+        self.T_ref = float(raw["initial"]["T_ref"])
+        self.output_dir = raw["output"]["directory"]
+        self.write_vtk = raw["output"]["vtk"]
         # compile every expression now, so that a bad one fails every stage
         self._problem_data = self._compile_problem_data()
 
@@ -312,38 +369,6 @@ class SimulationConfig:
             raise ConfigError(f"{path}: not valid JSON: {e}") from None
         return cls(raw)
 
-    # -- factories -------------------------------------------------------
-    def geometry(self) -> PhaseGeometry:
-        g = self.raw["geometry"]
-        kw = {}
-        if "radius" in g:
-            kw["radius"] = g["radius"]
-        if "fraction" in g:  # centered stripe of the given volume fraction
-            f = g["fraction"]
-            kw["band"] = (0.5 * (1.0 - f), 0.5 * (1.0 + f))
-        geom = PhaseGeometry(g["kind"], **kw)
-        geom.validate()
-        return geom
-
-    def law(self) -> MaterialLaw:
-        m = self.raw["materials"]
-        coeffs = {
-            MATRIX: {q: tuple(v) for q, v in m["matrix"].items()},
-            INCLUSION: {q: tuple(v) for q, v in m["inclusion"].items()},
-        }
-        kw = {}
-        if "T_range" in m:
-            kw["T_range"] = tuple(m["T_range"])
-        if "plane" in m:
-            kw["plane"] = m["plane"]
-        return MaterialLaw(coeffs=coeffs, **kw)
-
-    def time_grid(self) -> TimeGrid:
-        return TimeGrid(dt=self.raw["time"]["dt"], n_steps=self.n_steps)
-
-    def snapshot_stride(self) -> int:
-        return int(self.raw["time"].get("snapshot_stride", 1))
-
     def problem_data(self) -> ProblemData:
         return self._problem_data
 
@@ -351,8 +376,6 @@ class SimulationConfig:
         raw = self.raw
 
         def expr(section, key, vector=False):
-            if key not in raw[section]:  # optional initial displacement/velocity
-                return _vector_expression([0.0, 0.0])
             try:
                 return (_vector_expression if vector else compile_expression)(raw[section][key])
             except ConfigError as e:
@@ -369,25 +392,3 @@ class SimulationConfig:
             U_init=expr("initial", "U", vector=True),
             V_init=expr("initial", "V", vector=True),
         )
-
-    @property
-    def T_ref(self) -> float:
-        return float(self.raw["initial"]["T_ref"])
-
-    @property
-    def table_spec(self):
-        tb = self.raw["table"]
-        return (float(tb["T_min"]), float(tb["T_max"]), int(tb["count"]),
-                tb.get("cell_bc", "dirichlet"))
-
-    @property
-    def mesh_targets(self):
-        return (float(self.raw["mesh"]["macro_h"]), float(self.raw["mesh"]["cell_h"]))
-
-    @property
-    def output_dir(self):
-        return self.raw.get("output", {}).get("directory", "out")
-
-    @property
-    def write_vtk(self) -> bool:
-        return bool(self.raw.get("output", {}).get("vtk", False))

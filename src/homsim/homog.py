@@ -224,14 +224,12 @@ class TemperatureTable:
 def build_table(
     mesh,
     law,
-    Tmin: float,
-    Tmax: float,
-    count: int,
+    temps: np.ndarray,
     Ttilde: float,
     bc: str,
     progress=None,
 ) -> TemperatureTable:
-    """Off-line stage: correctors and coefficients at equidistant temperatures.
+    """Off-line stage: correctors and coefficients at the equidistant temperatures temps.
 
     One pass over the temperatures builds one cell.CellOperators per
     temperature and uses it for both orders.  The second order at temps[i]
@@ -244,13 +242,10 @@ def build_table(
     """
     import time as _time
 
-    if count < 2:
-        raise HomogError("table count must be >= 2")
-    temps = np.linspace(Tmin, Tmax, count)
-    space = fem.FemSpace(mesh)
-    elapsed = np.zeros(count)
     table = TemperatureTable(temps=temps, first=[], second=[], coeffs=[],
                              Ttilde=Ttilde, bc=bc)
+    space = fem.FemSpace(mesh)
+    elapsed = np.zeros(len(temps))
 
     def first_order(i):
         t0 = _time.perf_counter()
@@ -262,7 +257,7 @@ def build_table(
 
     ops = first_order(0)
     for i, T in enumerate(temps):
-        ops_next = first_order(i + 1) if i + 1 < count else None
+        ops_next = first_order(i + 1) if i + 1 < len(temps) else None
         # table.first and table.coeffs hold temps[: i + 2], all that the
         # centred differences at temps[i] read
         t0 = _time.perf_counter()

@@ -4,7 +4,7 @@ Each scalar property follows an affine law a + b*T per phase, which makes the
 first temperature derivative constant and the second identically zero.  The
 engineering pair (E, nu) is converted to the 2D elasticity tensor c_ijkl in
 plane strain or plane stress, as the law says.  The package ships no law:
-the CLI builds each one from a configuration (config.SimulationConfig.law).
+the CLI builds each one from a configuration (config.SimulationConfig).
 """
 
 from __future__ import annotations
@@ -32,13 +32,17 @@ class MaterialLaw:
 
     coeffs[phase][quantity] = (a, b) meaning a + b*T.  Properties are
     isotropic: the conductivity/coupling tensors are value * identity.
+    T_range = (low, high) is the declared validity range, plane "strain"
+    or "stress".
     """
 
     coeffs: dict
-    T_range: tuple[float, float] = (250.0, 900.0)
-    plane: str = "strain"
+    T_range: tuple[float, float]
+    plane: str
 
     def __post_init__(self):
+        if not self.T_range[0] < self.T_range[1]:
+            raise MaterialError(f"T_range must be increasing, got {list(self.T_range)}")
         if self.plane not in ("strain", "stress"):
             raise MaterialError(f"plane mode must be 'strain' or 'stress', got {self.plane!r}")
         for phase, table in self.coeffs.items():

@@ -29,30 +29,31 @@ class MeshError(ValueError):
 class PhaseGeometry:
     """Inclusion descriptor on the unit cell [0,1]^2.
 
-    shape: "disk" (radius, centred at (0.5, 0.5)), "stripe" (band in y1) or
-    "none".  The geometry must be symmetric about both cell mid-planes.
+    shape: "disk" (of the given radius, centred at (0.5, 0.5)), "stripe"
+    (the band in y1 of the given volume fraction, centred on y1 = 0.5) or
+    "none".  Each shape reads only its own value.  The geometry is symmetric
+    about both cell mid-planes; construction raises MeshError unless the
+    shape's value is admissible.
     """
 
     shape: str
-    radius: float = 0.25
-    band: tuple[float, float] = (0.25, 0.75)
+    radius: float
+    fraction: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.shape == "disk":
             if not 0.0 < self.radius < 0.5:
                 raise MeshError(f"disk radius must lie in (0, 0.5), got {self.radius}")
         elif self.shape == "stripe":
-            a, b = self.band
-            if not (0.0 <= a < b <= 1.0):
-                raise MeshError(f"stripe band must satisfy 0 <= a < b <= 1, got {self.band}")
-            if abs((a + b) - 1.0) > 1e-12:
-                raise MeshError(
-                    f"stripe band must be symmetric about y1=0.5, got {self.band}"
-                )
-        elif self.shape == "none":
-            pass
-        else:
+            if not 0.0 < self.fraction < 1.0:
+                raise MeshError(f"stripe fraction must lie in (0, 1), got {self.fraction}")
+        elif self.shape != "none":
             raise MeshError(f"unknown inclusion shape {self.shape!r}")
+
+    @property
+    def band(self) -> tuple[float, float]:
+        """The stripe's extent (a, b) in y1."""
+        return (0.5 * (1.0 - self.fraction), 0.5 * (1.0 + self.fraction))
 
 
 class Mesh:
@@ -342,7 +343,6 @@ def build_unit_cell_mesh(geometry: PhaseGeometry, target_h: float) -> Mesh:
     """Symmetric interface-conforming mesh of [0,1]^2 with h <= 1.5*target_h."""
     if target_h <= 0:
         raise MeshError(f"target_h must be positive, got {target_h}")
-    geometry.validate()
     if geometry.shape == "stripe":
         return _stripe_mesh(geometry.band, target_h)
     if geometry.shape == "none":

@@ -1,11 +1,12 @@
 """Shared fixtures: small meshes, laws and corrector tables reused across tests."""
 
+import dataclasses
 import pathlib
 
 import numpy as np
 import pytest
 
-from homsim import fem, homog, materials
+from homsim import fem, homog
 from homsim.config import SimulationConfig
 from homsim.mesh import INCLUSION, MATRIX, PhaseGeometry, build_macro_mesh, build_unit_cell_mesh
 
@@ -15,7 +16,7 @@ EXAMPLE_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "exam
 
 def shipped_law():
     """The material law of EXAMPLE_CONFIG, read through SimulationConfig."""
-    return SimulationConfig.from_file(EXAMPLE_CONFIG).law()
+    return SimulationConfig.from_file(EXAMPLE_CONFIG).law
 
 
 #: the per-phase affine laws of EXAMPLE_CONFIG, {phase: {quantity: (a, b)}}
@@ -24,17 +25,17 @@ EXAMPLE_LAWS = shipped_law().coeffs
 
 @pytest.fixture(scope="session")
 def disk_cell_mesh():
-    return build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), 0.2)
+    return build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25, fraction=0.5), 0.2)
 
 
 @pytest.fixture(scope="session")
 def fine_disk_cell_mesh():
-    return build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), 0.12)
+    return build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25, fraction=0.5), 0.12)
 
 
 @pytest.fixture(scope="session")
 def stripe_cell_mesh():
-    return build_unit_cell_mesh(PhaseGeometry("stripe", band=(0.25, 0.75)), 0.1)
+    return build_unit_cell_mesh(PhaseGeometry("stripe", radius=0.25, fraction=0.5), 0.1)
 
 
 @pytest.fixture(scope="session")
@@ -48,8 +49,10 @@ def example_law():
 
 
 def single_material_law(values):
-    """The law of one material, values {quantity: (a, b)}, applied to both phases."""
-    return materials.MaterialLaw(coeffs={MATRIX: dict(values), INCLUSION: dict(values)})
+    """The law of one material, values {quantity: (a, b)}, applied to both phases,
+    on the range and plane mode of the shipped law."""
+    return dataclasses.replace(shipped_law(),
+                               coeffs={MATRIX: dict(values), INCLUSION: dict(values)})
 
 
 @pytest.fixture(scope="session")
@@ -61,14 +64,14 @@ def uniform_law():
 @pytest.fixture(scope="session")
 def small_table(disk_cell_mesh, example_law):
     """Composite corrector table on the coarse disk cell (3 temperatures)."""
-    return homog.build_table(disk_cell_mesh, example_law, 280.0, 400.0, 3,
+    return homog.build_table(disk_cell_mesh, example_law, np.linspace(280.0, 400.0, 3),
                              Ttilde=300.0, bc="dirichlet")
 
 
 @pytest.fixture(scope="session")
 def uniform_table(disk_cell_mesh, uniform_law):
     """Degenerate (single-material) table on the coarse disk cell."""
-    return homog.build_table(disk_cell_mesh, uniform_law, 280.0, 400.0, 3,
+    return homog.build_table(disk_cell_mesh, uniform_law, np.linspace(280.0, 400.0, 3),
                              Ttilde=300.0, bc="dirichlet")
 
 

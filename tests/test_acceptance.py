@@ -40,14 +40,15 @@ def law():
 
 @pytest.fixture(scope="module")
 def disk_cell():
-    return build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), 0.2)
+    return build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25, fraction=0.5), 0.2)
 
 
 @pytest.fixture(scope="module")
 def coeff_table(disk_cell, law):
     """Coefficient table spanning the full validity range."""
     lo, hi = law.T_range
-    return homog.build_table(disk_cell, law, lo, hi, 5, Ttilde=300.0, bc="dirichlet")
+    return homog.build_table(disk_cell, law, np.linspace(lo, hi, 5), Ttilde=300.0,
+                             bc="dirichlet")
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +89,7 @@ def test_ellipticity_bounds(coeff_table, law):
 # ---------------------------------------------------------------------------
 
 def test_laminate_oracle(law):
-    stripe = build_unit_cell_mesh(PhaseGeometry("stripe", band=(0.25, 0.75)), 0.1)
+    stripe = build_unit_cell_mesh(PhaseGeometry("stripe", radius=0.25, fraction=0.5), 0.1)
     ops = cell.CellOperators(fem.FemSpace(stripe), law, 300.0, bc="periodic")
     first = cell.solve_first_order(ops)
     co = homog.compute_coefficients(ops, first)
@@ -102,7 +103,7 @@ def test_laminate_oracle(law):
     # so successive refinement differences shrink ~4x
     vals = []
     for h in (0.1, 0.05, 0.025):
-        m = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), h)
+        m = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25, fraction=0.5), h)
         ops = cell.CellOperators(fem.FemSpace(m), law, 300.0, bc="periodic")
         vals.append(homog.compute_coefficients(ops, cell.solve_first_order(ops)).k_hat[0, 0])
     ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
@@ -121,7 +122,8 @@ def test_laminate_oracle(law):
 
 def test_degenerate_material_collapse(disk_cell):
     ulaw = single_material_law(EXAMPLE_LAWS[0])
-    table = homog.build_table(disk_cell, ulaw, 280.0, 400.0, 3, Ttilde=300.0, bc="dirichlet")
+    table = homog.build_table(disk_cell, ulaw, np.linspace(280.0, 400.0, 3), Ttilde=300.0,
+                              bc="dirichlet")
 
     # all 20 corrector families vanish in H1
     norms = {}
@@ -177,8 +179,9 @@ def test_degenerate_material_collapse(disk_cell):
 
 def _uniform_table_for_mms():
     ulaw = single_material_law(EXAMPLE_LAWS[0])
-    cm = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), 0.2)
-    return homog.build_table(cm, ulaw, 280.0, 400.0, 3, Ttilde=300.0, bc="dirichlet")
+    cm = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25, fraction=0.5), 0.2)
+    return homog.build_table(cm, ulaw, np.linspace(280.0, 400.0, 3), Ttilde=300.0,
+                             bc="dirichlet")
 
 
 def _heat_mms_error(table, h, dt, n):
@@ -254,8 +257,8 @@ def test_scheme_convergence_rates():
 @pytest.fixture(scope="module")
 def epsilon_runs(law):
     """Composite runs at epsilon = 1/4 and 1/8 with a fine-mesh reference."""
-    cellm = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), 0.12)
-    table = homog.build_table(cellm, law, 275.0, 400.0, 6, Ttilde=300.0,
+    cellm = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25, fraction=0.5), 0.12)
+    table = homog.build_table(cellm, law, np.linspace(275.0, 400.0, 6), Ttilde=300.0,
                               bc="periodic")
     mm = build_macro_mesh(0.02)
     zvec = lambda pts, t: np.zeros((len(pts), 2))
@@ -315,9 +318,9 @@ def test_error_ordering(epsilon_runs):
 # ---------------------------------------------------------------------------
 
 def test_long_horizon_stability(law):
-    cellm = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), 0.4)
+    cellm = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25, fraction=0.5), 0.4)
     lo, hi = law.T_range
-    table = homog.build_table(cellm, law, lo, hi, 6, Ttilde=300.0,
+    table = homog.build_table(cellm, law, np.linspace(lo, hi, 6), Ttilde=300.0,
                               bc="periodic")
     mm = build_macro_mesh(0.05)
     eps = 0.1

@@ -1,5 +1,6 @@
 """Cell (corrector) problems: degeneracy, symmetry and bookkeeping."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -9,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from homsim import cell, fem, homog
-from homsim.materials import MaterialError, MaterialLaw, elasticity_tensor
+from homsim.materials import MaterialError, elasticity_tensor
 from homsim.mesh import INCLUSION, MATRIX, PhaseGeometry, build_unit_cell_mesh, periodic_pairs
 
 from conftest import EXAMPLE_LAWS, count_patterns
@@ -56,7 +57,7 @@ def test_correctors_vanish_on_dirichlet_boundary(small_table, disk_cell_mesh):
 
 def test_stripe_corrector_invariant_along_stripe(example_law):
     """On a laminate, the y1-direction corrector cannot depend on y2."""
-    mesh = build_unit_cell_mesh(PhaseGeometry("stripe", band=(0.25, 0.75)), 0.15)
+    mesh = build_unit_cell_mesh(PhaseGeometry("stripe", radius=0.25, fraction=0.5), 0.15)
     ops = cell.CellOperators(fem.FemSpace(mesh), example_law, 300.0, bc="periodic")
     first = cell.solve_first_order(ops)
     g = fem.element_gradient(mesh, first.M[0])
@@ -170,8 +171,8 @@ def test_cell_coefficients_are_bit_for_bit_the_per_phase_loop(
                                    phase_elasticity(mesh, example_law, T0, 1), rtol=1e-15)
 
 
-def test_a_mesh_phase_without_a_law_is_refused(disk_cell_mesh):
-    law = MaterialLaw(coeffs={MATRIX: EXAMPLE_LAWS[MATRIX]})
+def test_a_mesh_phase_without_a_law_is_refused(disk_cell_mesh, example_law):
+    law = dataclasses.replace(example_law, coeffs={MATRIX: EXAMPLE_LAWS[MATRIX]})
     with pytest.raises(MaterialError, match=rf"\[{INCLUSION}\] have no material law"):
         cell.CellOperators(fem.FemSpace(disk_cell_mesh), law, 300.0, "dirichlet")
 
@@ -243,7 +244,7 @@ def test_build_table_assembles_each_operator_once_per_temperature(
 
     monkeypatch.setattr(cell, "CellOperators", Counted)
     patterns = count_patterns(monkeypatch)
-    table = homog.build_table(disk_cell_mesh, example_law, 280.0, 400.0, 3,
+    table = homog.build_table(disk_cell_mesh, example_law, np.linspace(280.0, 400.0, 3),
                               Ttilde=300.0, bc=bc)
     assert built == [float(T) for T in table.temps]
     # heat and electric conduction, then elasticity, at each temperature
@@ -265,8 +266,8 @@ def test_build_table_keeps_at_most_two_operator_sets(monkeypatch, disk_cell_mesh
             alive.append(sum(ref() is not None for ref in made))
 
     monkeypatch.setattr(cell, "CellOperators", Tracked)
-    homog.build_table(disk_cell_mesh, example_law, 280.0, 400.0, 4, Ttilde=300.0,
-                      bc="periodic")
+    homog.build_table(disk_cell_mesh, example_law, np.linspace(280.0, 400.0, 4),
+                      Ttilde=300.0, bc="periodic")
     assert len(made) == 4 and max(alive) == 2
     gc.collect()
     assert all(ref() is None for ref in made)
@@ -393,7 +394,8 @@ def test_second_order_solves_one_block_per_family(monkeypatch, disk_cell_mesh, e
     monkeypatch.setattr(fem.SpdSolver, "solve", counted_lu)
     monkeypatch.setattr(cell, "solve_second_order", counted_second)
     before = cell.SOLVES.count
-    homog.build_table(disk_cell_mesh, example_law, 280.0, 400.0, 3, Ttilde=300.0, bc=bc)
+    homog.build_table(disk_cell_mesh, example_law, np.linspace(280.0, 400.0, 3),
+                      Ttilde=300.0, bc=bc)
     assert calls["second"] <= 16 * 3
     assert cell.SOLVES.count - before == 74 * 3
 
@@ -433,8 +435,8 @@ def test_periodic_table_factors_each_operator_once(monkeypatch, disk_cell_mesh, 
     monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
     monkeypatch.setattr(fem, "solve_spd", counted("solve_spd", fem.solve_spd))
     before = cell.SOLVES.count
-    homog.build_table(disk_cell_mesh, example_law, 280.0, 400.0, 3, Ttilde=300.0,
-                      bc="periodic")
+    homog.build_table(disk_cell_mesh, example_law, np.linspace(280.0, 400.0, 3),
+                      Ttilde=300.0, bc="periodic")
     # per temperature: one LU per operator, Jacobi-CG for the 9 first-order
     # correctors only, and 9 + 65 cell solves in all
     assert calls == {"splu": 3 * 3, "solve_spd": 9 * 3}

@@ -135,7 +135,7 @@ def test_bool_is_not_the_integer_one():
 def test_integral_float_is_an_integer():
     raw = example_config()
     raw["table"]["count"] = 2.0
-    assert SimulationConfig(raw).table_spec[2] == 2
+    assert len(SimulationConfig(raw).temperatures) == 2
 
 
 def _subschemas(schema):
@@ -158,6 +158,38 @@ def test_checker_implements_every_keyword_of_the_schema():
                     {"type": "object", "patternProperties": {}}):
         with pytest.raises(NotImplementedError):
             list(config.schema_errors({}, unknown))
+
+
+def test_every_default_satisfies_its_own_schema():
+    defaulted = [node for node in _subschemas(SCHEMA) if "default" in node]
+    assert len(defaulted) == 11
+    for node in defaulted:
+        assert list(config.schema_errors(node["default"], node)) == [], node
+
+
+def _resolved(cfg):
+    """Every stage input cfg resolved, arrays as lists, the compiled expressions left out."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(cfg).items() if k != "_problem_data"}
+
+
+def test_omitted_and_stated_defaults_resolve_equal():
+    omitted = example_config()
+    del omitted["geometry"]["radius"], omitted["time"]["snapshot_stride"], omitted["output"]
+    stated = copy.deepcopy(omitted)
+    stated["geometry"]["radius"] = 0.25
+    stated["materials"].update(T_range=[250.0, 900.0], plane="strain")
+    stated["time"]["snapshot_stride"] = 1
+    stated["initial"].update(U=[0.0, 0.0], V=[0.0, 0.0])
+    stated["table"]["cell_bc"] = "dirichlet"
+    stated["output"] = {"directory": "out", "vtk": False}
+    a, b = SimulationConfig(omitted), SimulationConfig(stated)
+    assert _resolved(a) == _resolved(b)
+    assert a.raw == stated | {"geometry": dict(stated["geometry"], fraction=0.5)}
+    assert archive.law_hash(a.law) == archive.law_hash(b.law)
+    pts = np.array([[0.1, 0.2], [0.7, 0.4]])
+    for name in ("U_init", "V_init"):
+        assert np.array_equal(getattr(a.problem_data(), name)(pts, 0.0), np.zeros((2, 2)))
 
 
 #: replacement values for the mutations: every JSON type, all finite
@@ -341,6 +373,44 @@ def test_removed_coupling_temperature_option_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "archive").exists()
 
 
+@pytest.mark.parametrize("section, edit", [
+    ("table", lambda raw: raw["table"].update(T_max=950.0)),
+    ("table", lambda raw: raw["table"].update(T_min=200.0)),
+    ("materials", lambda raw: raw["materials"].update(T_range=[900.0, 250.0])),
+])
+def test_table_outside_the_material_range_exits_2(tmp_path, capsys, section, edit):
+    """materials.T_range defaults to [250, 900]; the mini table spans 280-360 K."""
+    raw = _mini_config(tmp_path / "out")
+    edit(raw)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    assert cli.main(["offline", str(p)]) == 2
+    assert f"$[{section!r}]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "archive").exists()
+
+
+@pytest.mark.parametrize("geometry", [{"kind": "stripe", "radius": 0.25},
+                                      {"kind": "disk", "fraction": 0.5},
+                                      {"kind": "none", "radius": 0.25}])
+def test_geometry_key_of_another_kind_exits_2(tmp_path, capsys, geometry):
+    raw = _mini_config(tmp_path / "out")
+    raw["geometry"] = geometry
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    assert cli.main(["offline", str(p)]) == 2
+    key = "radius" if "radius" in geometry else "fraction"
+    assert f"$['geometry']: {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "archive").exists()
+
+
+def test_every_subcommand_has_help(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    listing = " ".join(capsys.readouterr().out.split())
+    for name, fn in cli._COMMANDS.items():
+        assert fn.__doc__ and f"{name} {fn.__doc__}" in listing, name
+
+
 def test_unparseable_json_exits_2(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{nope")
@@ -352,8 +422,8 @@ def test_archive_load_returns_a_complete_table(tmp_path, disk_cell_mesh, example
     equal to what build_table made."""
     from homsim import homog
 
-    table = homog.build_table(disk_cell_mesh, example_law, 280.0, 400.0, 2, Ttilde=300.0,
-                              bc="dirichlet")
+    table = homog.build_table(disk_cell_mesh, example_law, np.linspace(280.0, 400.0, 2),
+                              Ttilde=300.0, bc="dirichlet")
     archive.save(tmp_path, disk_cell_mesh, example_law, table)
     expect = {"temperatures": table.temps.tolist(), "cell_bc": "dirichlet", "T_ref": 300.0}
     _, back = archive.load(tmp_path, example_law, expect)
@@ -508,7 +578,7 @@ def _eager_errors_csv(out, cfg, path):
     from homsim import cell, macro, metrics, reconstruct
     from homsim.mesh import load_mesh
 
-    cell_mesh, table = cli._load_archive(cfg, out, cfg.law())
+    cell_mesh, table = cli._load_archive(cfg, out)
     table.first, table.second = [], []
     for i, T in enumerate(table.temps):
         with np.load(out / "archive" / f"T_{i:03d}.npz") as z:

@@ -313,7 +313,7 @@ def pattern_meshes(macro_mesh, disk_cell_mesh, stripe_cell_mesh):
     from homsim.dns import build_tiled_mesh
     from homsim.mesh import PhaseGeometry, build_unit_cell_mesh
 
-    none = build_unit_cell_mesh(PhaseGeometry("none"), 0.15)
+    none = build_unit_cell_mesh(PhaseGeometry("none", radius=0.25, fraction=0.5), 0.15)
     return [macro_mesh, disk_cell_mesh, stripe_cell_mesh, none,
             build_tiled_mesh(disk_cell_mesh, 1.0 / 3.0)]
 

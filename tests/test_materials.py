@@ -121,7 +121,7 @@ def test_audit_ellipticity_passes(example_law):
 
 def test_audit_catches_vanishing_modulus():
     # matrix E law hits zero at T=1000; widening the range must fail the audit
-    law = MaterialLaw(coeffs=EXAMPLE_LAWS, T_range=(250.0, 1000.0))
+    law = MaterialLaw(coeffs=EXAMPLE_LAWS, T_range=(250.0, 1000.0), plane="strain")
     with pytest.raises(MaterialError):
         law.audit_ellipticity()
 
@@ -129,7 +129,7 @@ def test_audit_catches_vanishing_modulus():
 def test_missing_quantity_rejected():
     bad = {MATRIX: {"rho": (1.0, 0.0)}, INCLUSION: dict(EXAMPLE_LAWS[INCLUSION])}
     with pytest.raises(MaterialError):
-        MaterialLaw(coeffs=bad)
+        MaterialLaw(coeffs=bad, T_range=(250.0, 900.0), plane="strain")
 
 
 def test_uniform_law_phases_identical(uniform_law):
@@ -141,7 +141,7 @@ def test_temperature_dependent_nu_rejected_for_derivative(disk_cell_mesh):
     """The cell stage's dc/dT (CellOperators.elasticity_slope) needs a constant nu."""
     coeffs = {ph: dict(EXAMPLE_LAWS[ph]) for ph in (MATRIX, INCLUSION)}
     coeffs[MATRIX]["nu"] = (0.25, 1e-5)
-    ops = cell.CellOperators(fem.FemSpace(disk_cell_mesh), MaterialLaw(coeffs=coeffs), 300.0,
-                             "dirichlet")
+    law = MaterialLaw(coeffs=coeffs, T_range=(250.0, 900.0), plane="strain")
+    ops = cell.CellOperators(fem.FemSpace(disk_cell_mesh), law, 300.0, "dirichlet")
     with pytest.raises(MaterialError, match="Poisson ratio"):
         ops.elasticity_slope()

@@ -168,19 +168,19 @@ def test_macro_mesh_resolution():
 
 
 def test_refinement_honors_target():
-    coarse = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), 0.3)
-    fine = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25), 0.1)
+    coarse = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25, fraction=0.5), 0.3)
+    fine = build_unit_cell_mesh(PhaseGeometry("disk", radius=0.25, fraction=0.5), 0.1)
     assert fine.num_triangles > coarse.num_triangles
     assert fine.h < coarse.h
 
 
 def test_geometry_validation():
     with pytest.raises(MeshError):
-        PhaseGeometry("disk", radius=0.7).validate()   # would cut the cell boundary
+        PhaseGeometry("disk", radius=0.7, fraction=0.5)   # would cut the cell boundary
     with pytest.raises(MeshError):
-        PhaseGeometry("stripe", band=(0.3, 0.9)).validate()  # not centered
+        PhaseGeometry("stripe", radius=0.25, fraction=1.0)  # no matrix left
     with pytest.raises(MeshError):
-        PhaseGeometry("hexagon").validate()
+        PhaseGeometry("hexagon", radius=0.25, fraction=0.5)
 
 
 def test_save_load_roundtrip(tmp_path, disk_cell_mesh):

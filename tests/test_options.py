@@ -42,11 +42,6 @@ OPTIONS = {
     "mesh._crossed_grid(in_band)": "two values: stripe cells tag a band, cells without inclusion none",
     "mesh.Mesh.__init__(phase_tag)": "two values: macro meshes have one phase, cell and fine meshes two",
     "mesh.Mesh.locate_points(tol)": "two values: macro points at 1e-10, folded cell points at 1e-8",
-    # class fields with a default
-    "materials.MaterialLaw.T_range": "two values: a configuration sets it or keeps the default range",
-    "materials.MaterialLaw.plane": "two values: a configuration sets plane stress or keeps plane strain",
-    "mesh.PhaseGeometry.radius": "two values: a configuration sets the disk radius or keeps 0.25",
-    "mesh.PhaseGeometry.band": "two values: a configuration sets the stripe fraction or keeps 1/2",
 }
 
 
