@@ -5,7 +5,8 @@ Layout:
                     boundary-condition flag, sha256 hashes of the cell mesh
                     and the material-law coefficients
     cell_mesh.txt   the unit-cell mesh
-    T_<index>.npz   corrector sets + coefficient block at one temperature
+    T_<index>.npz   corrector sets + coefficient block at one temperature,
+                    stored uncompressed (np.savez), a crc32 per member
 
 load() refuses an archive whose material-law hash, temperature grid, cell
 boundary condition or reference temperature differs from the configuration
@@ -14,15 +15,16 @@ an edited or damaged cell mesh is detected; an archive built with another
 geometry or cell_h, stored intact, is not.
 
 load() returns a complete table and checks that every array is present, but
-decompresses none: the coefficients, which the macro stepper and the
-identity checks read, and the first- and second-order correctors, which only
-the error harness reads, are sequences over the temperatures
-(PerTemperature).  Slot i is read from T_<i>.npz on first access and kept,
-so `online` and `verify` decompress only the coefficients, and a
-reconstruction whose macro temperatures stay inside a few table intervals
-decompresses only those slots' correctors, and no coefficient.  A T_<i>.npz
-that is not a readable zip is refused by load(), a damaged array (a bad CRC)
-when its slot is read; both raise ArchiveError.
+reads none: the coefficients, which the macro stepper and the identity
+checks read, and the first- and second-order correctors, which only the
+error harness reads, are sequences over the temperatures (PerTemperature).
+Slot i is read from T_<i>.npz on first access and kept, so `online` and
+`verify` read only the coefficients, and a reconstruction whose macro
+temperatures stay inside a few table intervals reads only those slots'
+correctors, and no coefficient.  A T_<i>.npz that is not a readable zip is
+refused by load(), a damaged array (a bad CRC) when its slot is read; both
+raise ArchiveError.  np.load reads compressed members too, so an archive
+whose slots were written with np.savez_compressed still loads.
 """
 
 from __future__ import annotations
@@ -59,11 +61,12 @@ def mesh_hash(m) -> str:
 
 
 def law_hash(law) -> str:
+    """sha256 of the law, its numbers as floats: laws that compare equal hash equal."""
     payload = json.dumps(
         {
-            "coeffs": {str(p): {q: list(v) for q, v in sorted(law.coeffs[p].items())}
+            "coeffs": {str(p): {q: [float(x) for x in v] for q, v in sorted(law.coeffs[p].items())}
                        for p in sorted(law.coeffs)},
-            "T_range": list(law.T_range),
+            "T_range": [float(x) for x in law.T_range],
             "plane": law.plane,
         },
         sort_keys=True,
@@ -93,7 +96,7 @@ def save(path, cell_mesh, law, table: TemperatureTable) -> None:
             data["coeff_" + name] = np.asarray(getattr(co, name))
         for fam, arr in table.second[i].items():
             data["second_" + fam] = arr
-        np.savez_compressed(path / f"T_{i:03d}.npz", **data)
+        np.savez(path / f"T_{i:03d}.npz", **data)
 
 
 def load(path, law, expect) -> tuple:

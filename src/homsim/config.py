@@ -118,6 +118,7 @@ SCHEMA = {
                              "default": 0.5},
             },
             "required": ["kind"],
+            "additionalProperties": False,
         },
         "materials": {
             "type": "object",
@@ -129,6 +130,7 @@ SCHEMA = {
                 "plane": {"enum": ["strain", "stress"], "default": "strain"},
             },
             "required": ["matrix", "inclusion"],
+            "additionalProperties": False,
         },
         "epsilon": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "mesh": {
@@ -138,6 +140,7 @@ SCHEMA = {
                 "cell_h": {"type": "number", "exclusiveMinimum": 0},
             },
             "required": ["macro_h", "cell_h"],
+            "additionalProperties": False,
         },
         "time": {
             "type": "object",
@@ -147,16 +150,19 @@ SCHEMA = {
                 "snapshot_stride": {"type": "integer", "minimum": 1, "default": 1},
             },
             "required": ["dt", "T_final"],
+            "additionalProperties": False,
         },
         "sources": {
             "type": "object",
             "properties": {"f_T": _expr, "f_Phi": _expr, "f_U": _vec},
             "required": ["f_T", "f_Phi", "f_U"],
+            "additionalProperties": False,
         },
         "boundary": {
             "type": "object",
             "properties": {"T": _expr, "Phi": _expr, "U": _vec},
             "required": ["T", "Phi", "U"],
+            "additionalProperties": False,
         },
         "initial": {
             "type": "object",
@@ -167,6 +173,7 @@ SCHEMA = {
                 "V": dict(_vec, default=[0.0, 0.0]),
             },
             "required": ["T", "T_ref"],
+            "additionalProperties": False,
         },
         "table": {
             "type": "object",
@@ -177,6 +184,7 @@ SCHEMA = {
                 "cell_bc": {"enum": ["dirichlet", "periodic"], "default": "dirichlet"},
             },
             "required": ["T_min", "T_max", "count"],
+            "additionalProperties": False,
         },
         "output": {
             "type": "object",
@@ -184,6 +192,7 @@ SCHEMA = {
                 "directory": {"type": "string", "default": "out"},
                 "vtk": {"type": "boolean", "default": False},
             },
+            "additionalProperties": False,
             "default": {},
         },
     },

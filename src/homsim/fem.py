@@ -22,9 +22,10 @@ pcg is the one conjugate-gradient loop, for the Jacobi-preconditioned cell
 solves (solve_spd) and the LU-preconditioned stepper solves
 (SpdSolver.solve_near).
 
-SuperLU (scipy.sparse.linalg) is imported by SpdSolver at the first
-factorization, not with this module: the stages that never factor (verify,
-errors) do not pay for loading it.
+SciPy is imported where it is used, not with this module: scipy.sparse by
+each function that builds a matrix, and SuperLU (scipy.sparse.linalg) by
+SpdSolver at the first factorization.  A stage that builds no matrix
+(verify) loads no SciPy, and one that never factors (errors) no SuperLU.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 #: relative residual every linear solve must meet
 SOLVE_RTOL = 1e-10
@@ -113,6 +113,8 @@ def _entry_rows(indptr):
 
 def _canonical_csr(data, indices, indptr, shape):
     """The CSR matrix of these arrays, which the caller knows to be canonical."""
+    import scipy.sparse as sp
+
     A = sp.csr_matrix((data, indices, indptr), shape=shape)
     A.has_canonical_format = True
     return A
@@ -143,6 +145,8 @@ class CsrPattern:
     """
 
     def __init__(self, dofs, n):
+        import scipy.sparse as sp
+
         k = dofs.shape[1]
         idx = np.int32 if max(n, dofs.size * k) <= np.iinfo(np.int32).max else np.int64
         dofs = dofs.astype(idx)
@@ -237,6 +241,8 @@ class FemSpace:
     @cached_property
     def _p1_integral(self):
         """(nt, nn) operator: nodal values -> element integrals of their P1 field."""
+        import scipy.sparse as sp
+
         mesh = self.mesh
         return sp.csr_matrix((np.repeat(mesh.areas / 3.0, 3), mesh.triangles.ravel(),
                               np.arange(0, mesh.triangles.size + 1, 3)),
@@ -260,6 +266,8 @@ class FemSpace:
     @cached_property
     def average(self):
         """(nn, nt) operator: area average of element values at each node."""
+        import scipy.sparse as sp
+
         mesh = self.mesh
         rows = mesh.triangles.ravel()
         cols = np.repeat(np.arange(mesh.num_triangles), 3)
@@ -273,6 +281,8 @@ class FemSpace:
         The area average, with each boundary row replaced by the
         least-squares patch row of that node.
         """
+        import scipy.sparse as sp
+
         mesh = self.mesh
         avg = self.average.tocoo()
         keep = ~np.isin(avg.row, mesh.boundary_nodes)
@@ -307,6 +317,8 @@ class FemSpace:
     def _load(self, elem):
         """(nn, nt * per) operator from elem (nt, per, 3): column t * per + c
         adds elem[t, c, a] at node a of element t."""
+        import scipy.sparse as sp
+
         mesh = self.mesh
         nt, per = elem.shape[:2]
         rows = np.repeat(mesh.triangles, per, axis=0)
@@ -742,6 +754,8 @@ class PeriodicMap:
     """
 
     def __init__(self, mesh, masters, slaves, K):
+        import scipy.sparse as sp
+
         nn = mesh.num_nodes
         components = K.shape[0] // nn
         rep = np.arange(nn)

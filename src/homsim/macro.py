@@ -363,10 +363,14 @@ _SNAPSHOT_FIELDS = [f.name for f in dataclasses.fields(Snapshot)]
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    """Persist a trajectory (grid, then each Snapshot field over the snapshots) to one npz file."""
-    np.savez_compressed(path, dt=np.float64(traj.grid.dt), n_steps=np.int64(traj.grid.n_steps),
-                        **{name: np.array([getattr(s, name) for s in traj.snapshots])
-                           for name in _SNAPSHOT_FIELDS})
+    """Persist a trajectory (grid, then each Snapshot field over the snapshots) to one npz file.
+
+    The members are stored, not compressed: zlib would cost more time than
+    the space it saves is worth, and each member keeps its crc32.
+    """
+    np.savez(path, dt=np.float64(traj.grid.dt), n_steps=np.int64(traj.grid.n_steps),
+             **{name: np.array([getattr(s, name) for s in traj.snapshots])
+                for name in _SNAPSHOT_FIELDS})
 
 
 def load_trajectory(path, mesh) -> Trajectory:

@@ -17,7 +17,6 @@ differences of the stored history.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dns import tiles
 from .fem import FemSpace
@@ -29,6 +28,8 @@ class MacroEvaluator:
     """Macro nodal fields and recovered derivatives at fixed evaluation points."""
 
     def __init__(self, macro_mesh, points):
+        import scipy.sparse as sp
+
         self.space = FemSpace(macro_mesh)
         tri, bary = macro_mesh.locate_points(points)
         # row p: the P1 weights of point p at its triangle's vertices
@@ -89,6 +90,8 @@ class CellSampler:
         t.  Row p holds the hat weights in T times the P1 weights in y: 6
         entries.
         """
+        import scipy.sparse as sp
+
         i, s = hat_weights(self.temps, T_eval)
         npts, nn = len(s), self.num_cell_nodes
         lo, hi = int(i.min()), int(i.max()) + 1

@@ -192,6 +192,24 @@ def test_omitted_and_stated_defaults_resolve_equal():
         assert np.array_equal(getattr(a.problem_data(), name)(pts, 0.0), np.zeros((2, 2)))
 
 
+def test_equal_laws_hash_equal_however_their_numbers_are_spelt():
+    """T_range [250, 900] and [250.0, 900.0], or a coefficient 0 and 0.0, are one law."""
+    ints, floats = example_config(), example_config()
+    ints["materials"]["T_range"] = [250, 900]
+    floats["materials"]["T_range"] = [250.0, 900.0]
+    ints["materials"]["matrix"]["rho"] = [0.008, 0]
+    floats["materials"]["matrix"]["rho"] = [0.008, 0.0]
+    a, b = SimulationConfig(ints).law, SimulationConfig(floats).law
+    assert a == b
+    assert archive.law_hash(a) == archive.law_hash(b)
+
+
+def test_shipped_law_keeps_its_hash():
+    """configs/example1.json writes its law with floats: archives built from it stay valid."""
+    law = SimulationConfig.from_file(EXAMPLE_CONFIG).law
+    assert archive.law_hash(law) == "07a4a5293b0b9a444fa9c396d64b137e7a41c9adca85a72d2644ca4f68389ee2"
+
+
 #: replacement values for the mutations: every JSON type, all finite
 _VALUES = [None, True, False, 0, 1, 2, -1, 2.0, 0.5, -0.25, 1e6, "", "disk", "periodic",
            "strain", [], [1.0], [1, 2], [1.0, "x", 3], {}, {"kind": "none"}]
@@ -403,6 +421,20 @@ def test_geometry_key_of_another_kind_exits_2(tmp_path, capsys, geometry):
     assert not (tmp_path / "out" / "archive").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [("time", "snapshot_strid", 2),
+                                                 ("table", "cellbc", "periodic")])
+def test_misspelt_key_exits_2(tmp_path, capsys, section, key, value):
+    """A misspelt optional key is refused, not dropped for the default of the real one."""
+    raw = _mini_config(tmp_path / "out")
+    raw[section][key] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    assert cli.main(["offline", str(p)]) == 2
+    assert (f"$[{section!r}]: Additional properties are not allowed ({key!r} was unexpected)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "archive").exists()
+
+
 def test_every_subcommand_has_help(capsys):
     with pytest.raises(SystemExit):
         cli.main(["--help"])
@@ -554,7 +586,7 @@ def _record_npz_reads(monkeypatch):
     return read
 
 
-def test_only_errors_decompresses_the_second_order(pipeline, monkeypatch):
+def test_only_errors_reads_the_second_order(pipeline, monkeypatch):
     """online and verify each read every coefficient array once and no
     corrector; errors reads both corrector orders and no coefficient."""
     from homsim.homog import COEFF_NAMES
@@ -654,7 +686,7 @@ def test_errors_refuses_runs_on_another_time_grid(pipeline, tmp_path, capsys, ke
 
 def _damage_npz(path, how, member):
     """Replace the .npz at path by garbage, cut it in half, or flip one bit in
-    the middle of member's compressed data."""
+    the middle of the bytes the file holds for member."""
     raw = bytearray(path.read_bytes())
     if how == "garbage":
         raw = b"not an npz file\n" * 8
@@ -693,20 +725,68 @@ def test_damaged_archive_slot_exits_2(pipeline, tmp_path, capsys, stage, member,
     assert "T_001.npz: unreadable" in capsys.readouterr().err
 
 
+def _npz_files(out):
+    """The archive slots and both trajectories of a pipeline's output directory."""
+    return sorted((out / "archive").glob("T_*.npz")) + [out / "macro_trajectory.npz",
+                                                          out / "dns_trajectory.npz"]
+
+
+def test_archive_slots_and_trajectories_are_stored_uncompressed(pipeline):
+    files = _npz_files(pipeline / "out")
+    assert len(files) == 4
+    for path in files:
+        with zipfile.ZipFile(path) as z:
+            assert {m.compress_type for m in z.infolist()} == {zipfile.ZIP_STORED}, path.name
+
+
+def test_compressed_archive_and_trajectories_still_load(pipeline, tmp_path):
+    """Slots and trajectories re-saved with np.savez_compressed, as earlier
+    versions wrote them, give the same arrays and the same errors.csv."""
+    from homsim.homog import COEFF_NAMES
+
+    arch, p = _damaged_copy(pipeline, tmp_path)
+    for path in _npz_files(arch.parent):
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        np.savez_compressed(path, **arrays)
+        with zipfile.ZipFile(path) as z:
+            assert {m.compress_type for m in z.infolist()} == {zipfile.ZIP_DEFLATED}
+    cfg = SimulationConfig.from_file(p)
+    _, stored = cli._load_archive(cfg, pipeline / "out")
+    _, deflated = cli._load_archive(cfg, arch.parent)
+    for i in range(len(stored.temps)):
+        for name in COEFF_NAMES:
+            assert np.array_equal(getattr(stored.coeffs[i], name), getattr(deflated.coeffs[i], name))
+        for name in ("M", "H", "N", "P"):
+            assert np.array_equal(getattr(stored.first[i], name), getattr(deflated.first[i], name))
+        assert stored.second[i].keys() == deflated.second[i].keys()
+        for name, arr in stored.second[i].items():
+            assert np.array_equal(arr, deflated.second[i][name]), name
+    (arch.parent / "errors.csv").unlink()
+    for cmdname in ("verify", "errors"):
+        assert cli.main([cmdname, str(p)]) == 0, cmdname
+    assert (arch.parent / "errors.csv").read_bytes() == (pipeline / "out" / "errors.csv").read_bytes()
+
+
 def test_verify_and_errors_do_not_load_the_factorization_modules(pipeline, tmp_path):
-    """Neither stage factors, so neither imports SuperLU (scipy.sparse.linalg) or scipy.linalg."""
+    """verify builds no matrix, so neither it nor the import of the CLI loads
+    SciPy at all; errors builds sparse operators but never factors, so it
+    imports neither SuperLU (scipy.sparse.linalg) nor scipy.linalg."""
     out = tmp_path / "out"
     shutil.copytree(pipeline / "out", out)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(_mini_config(out)))
     code = f"""
 import sys, homsim.cli
-def loaded():
-    return [m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules]
-assert not loaded(), f"import homsim.cli loaded {{loaded()}}"
-for cmd in ("verify", "errors"):
-    assert homsim.cli.main([cmd, {str(p)!r}]) == 0, cmd
-    assert not loaded(), f"homsim {{cmd}} loaded {{loaded()}}"
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
+assert not loaded("scipy"), f"import homsim.cli loaded {{loaded('scipy')}}"
+assert homsim.cli.main(["verify", {str(p)!r}]) == 0
+assert not loaded("scipy"), f"homsim verify loaded {{loaded('scipy')}}"
+assert homsim.cli.main(["errors", {str(p)!r}]) == 0
+assert "scipy.sparse" in sys.modules
+factoring = loaded("scipy.sparse.linalg", "scipy.linalg")
+assert not factoring, f"homsim errors loaded {{factoring}}"
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
