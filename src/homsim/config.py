@@ -11,6 +11,7 @@ whitelist (no general eval).
 from __future__ import annotations
 
 import ast
+import contextlib
 import copy
 import json
 import math
@@ -20,12 +21,23 @@ import numpy as np
 
 from .dns import tiles
 from .macro import ProblemData, TimeGrid
-from .materials import MaterialError, MaterialLaw, QUANTITIES
+from .materials import MaterialLaw, QUANTITIES
 from .mesh import INCLUSION, MATRIX, MeshError, PhaseGeometry
 
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _section(name):
+    """Turn a ValueError (MaterialError and MeshError among them) raised while
+    the stage inputs of one config section are built into a ConfigError
+    naming that section."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"$[{name!r}]: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +348,11 @@ class SimulationConfig:
         self.grid = TimeGrid(dt=dt, n_steps=round(Tf / dt))
         self.snapshot_stride = int(raw["time"]["snapshot_stride"])
         m = raw["materials"]
-        try:
+        with _section("materials"):
             self.law = MaterialLaw(
                 coeffs={MATRIX: {q: tuple(v) for q, v in m["matrix"].items()},
                         INCLUSION: {q: tuple(v) for q, v in m["inclusion"].items()}},
                 T_range=tuple(m["T_range"]), plane=m["plane"])
-        except MaterialError as e:
-            raise ConfigError(f"$['materials']: {e}") from None
         tb = raw["table"]
         if not tb["T_min"] < tb["T_max"]:
             raise ConfigError("$['table']: T_min must be below T_max")
@@ -350,13 +360,13 @@ class SimulationConfig:
         if not (lo <= tb["T_min"] and tb["T_max"] <= hi):
             raise ConfigError(f"$['table']: [T_min, T_max] = [{tb['T_min']}, {tb['T_max']}] "
                               f"must lie inside materials.T_range [{lo}, {hi}]")
-        self.temperatures = np.linspace(float(tb["T_min"]), float(tb["T_max"]), int(tb["count"]))
+        with _section("table"):
+            self.temperatures = np.linspace(float(tb["T_min"]), float(tb["T_max"]),
+                                            int(tb["count"]))
         self.cell_bc = tb["cell_bc"]
         g = raw["geometry"]
-        try:
+        with _section("geometry"):
             self.geometry = PhaseGeometry(g["kind"], g["radius"], g["fraction"])
-        except MeshError as e:
-            raise ConfigError(f"$['geometry']: {e}") from None
         self.macro_h = float(raw["mesh"]["macro_h"])
         self.cell_h = float(raw["mesh"]["cell_h"])
         self.T_ref = float(raw["initial"]["T_ref"])

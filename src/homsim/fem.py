@@ -22,10 +22,15 @@ pcg is the one conjugate-gradient loop, for the Jacobi-preconditioned cell
 solves (solve_spd) and the LU-preconditioned stepper solves
 (SpdSolver.solve_near).
 
+The operators that are built once and then only multiply,
+FemSpace.average and FemSpace.recovery here and the point-interpolation and
+cell-sampling operators of reconstruct, are RowSums: numpy arrays whose
+product is SciPy's CSR product bit for bit.
+
 SciPy is imported where it is used, not with this module: scipy.sparse by
 each function that builds a matrix, and SuperLU (scipy.sparse.linalg) by
-SpdSolver at the first factorization.  A stage that builds no matrix
-(verify) loads no SciPy, and one that never factors (errors) no SuperLU.
+SpdSolver at the first factorization.  So import homsim.cli loads no SciPy,
+and neither do the stages that build no matrix: verify and errors.
 """
 
 from __future__ import annotations
@@ -56,21 +61,33 @@ def quad_points(mesh):
     return xq, wq, bary
 
 
-def _boundary_patches(mesh):
+def _node_elements(mesh):
+    """(nodes, elements): every (vertex, element) pair of mesh, node-major,
+    with the elements of each node ascending: CSR order of a node-by-element
+    operator."""
+    flat = mesh.triangles.ravel()
+    # a stable order is unique, and numpy sorts 16-bit keys by radix, in
+    # linear time: 0.5 ms against 2.8 ms for the int64 keys of the
+    # 14,497-node tiled mesh on a 2-core x86-64 host
+    key = flat.astype(np.uint16) if mesh.num_nodes <= 1 << 16 else flat
+    order = np.argsort(key, kind="stable")
+    return flat[order], order // 3
+
+
+def _boundary_patches(mesh, nodes, elems_by_node):
     """Recovery patches (elements, weights) for the boundary nodes.
 
-    Area-weighted averaging is biased at boundary nodes (one-sided patches).
-    Instead, fit a linear function to the element gradients over the element
-    ring of the nearest interior node and evaluate the fit at the boundary
-    node; the interior ring keeps the superconvergence of centroid sampling.
+    nodes, elems_by_node: _node_elements(mesh).  Area-weighted averaging is
+    biased at boundary nodes (one-sided patches).  Instead, fit a linear
+    function to the element gradients over the element ring of the nearest
+    interior node and evaluate the fit at the boundary node; the interior
+    ring keeps the superconvergence of centroid sampling.
     """
     tri = mesh.triangles
-    flat = tri.ravel()
-    order = np.argsort(flat, kind="stable")
-    start = np.searchsorted(flat[order], np.arange(mesh.num_nodes + 1))
+    start = np.searchsorted(nodes, np.arange(mesh.num_nodes + 1))
 
     def node_elems(a):  # the elements around node a, in ascending order
-        return order[start[a]:start[a + 1]] // 3
+        return elems_by_node[start[a]:start[a + 1]]
 
     def nbrs(a):
         # built in element order: the iteration order of the set, and so the
@@ -109,6 +126,97 @@ def _boundary_patches(mesh):
 def _entry_rows(indptr):
     """The row of each stored entry of a CSR matrix with this indptr."""
     return np.repeat(np.arange(len(indptr) - 1, dtype=indptr.dtype), np.diff(indptr))
+
+
+class RowSum:
+    """An (n, m) linear operator held by rows, whose product sums each row as CSR does.
+
+    Row i of self @ x is 0.0 plus, left to right, weight * x[column] over the
+    entries of row i in the order they were given, for x (m,) or (m, k).
+    That is the order of SciPy's csr_matvec(s) over a CSR matrix storing the
+    same entries in the same order (canonical CSR stores each row's columns
+    ascending), so the two products agree bit for bit, as sum_from_zero
+    agrees with einsum.  A row without entries gives 0.0.
+
+    The entries are kept position-major, ELLPACK's fixed-width layout cut to
+    each row's length (N. Bell, M. Garland, "Implementing sparse
+    matrix-vector multiplication on throughput-oriented processors", SC
+    2009): rows are ranked longest first, and position j lists the j-th
+    entry of every row that has one, which are ranks 0 to counts[j] - 1.  A
+    product is then one gather, one multiply and one slice addition per
+    position, however the row lengths vary.  The positions that at most
+    n / 32 rows reach, such as the long rows of a mesh's hub nodes (56 elements
+    around the disk centre of a fine cell), are added in one
+    np.add.accumulate over a zero-padded block instead of one step each.
+    """
+
+    def __init__(self, rows, cols, weights, shape):
+        """One entry per item of rows, cols and weights; the entries of each
+        row are contiguous and in the order they are summed."""
+        n, m = shape
+        rows = np.asarray(rows)
+        nnz = len(rows)
+        # int32 indices halve the memory a fine mesh's operators keep, and
+        # the temporaries of this set-up
+        idx = np.int32 if max(n, m, nnz) <= np.iinfo(np.int32).max else np.intp
+        rows = rows.astype(idx, copy=False)
+        first = np.flatnonzero(np.diff(rows, prepend=-1)).astype(idx)  # each row's first entry
+        row_nnz = np.diff(np.append(first, nnz))
+        if np.bincount(rows[first], minlength=n).max(initial=0) > 1:
+            raise ValueError("RowSum: the entries of a row must be contiguous")
+        lengths = np.zeros(n, dtype=np.intp)
+        lengths[rows[first]] = row_nnz
+        self._rank = np.empty(n, dtype=idx)
+        self._rank[np.argsort(-lengths, kind="stable")] = np.arange(n)
+        counts = n - np.cumsum(np.bincount(lengths))[:-1]  # rows with more than j entries
+        at = np.append(0, np.cumsum(counts)).astype(idx)
+        pos = np.arange(nnz, dtype=idx)
+        pos -= np.repeat(first, row_nnz)  # each entry's position in its row
+        pos = at[pos]
+        pos += self._rank[rows]
+        self._cols = np.empty(nnz, dtype=idx)
+        self._cols[pos] = cols
+        self._weights = np.empty(nnz)
+        self._weights[pos] = weights
+        self._counts = counts
+        # the positions few rows reach (a hub node's long row) form the tail
+        few = np.flatnonzero(counts <= max(1, n // 32))
+        tail = few[0] if len(few) else len(counts)
+        self._steps = list(zip(at[:tail].tolist(), counts[:tail].tolist()))
+        self._tail = None
+        if tail < len(counts):
+            # flat slots of the tail terms in a (rows, width) block whose
+            # column 0 holds each row's running total
+            width = len(counts) - tail + 1
+            slots = np.concatenate([np.arange(c) * width + j
+                                    for j, c in enumerate(counts[tail:].tolist(), 1)])
+            self._tail = (int(at[tail]), int(counts[tail]), width, slots)
+        self.shape = (n, m)
+
+    @property
+    def row_lengths(self):
+        """(n,): the number of entries of each row."""
+        return np.count_nonzero(self._rank[:, None] < self._counts, axis=1)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or len(x) != self.shape[1]:
+            raise ValueError(f"RowSum of shape {self.shape} cannot multiply x of shape {x.shape}")
+        terms = np.take(x, self._cols, axis=0)
+        terms *= self._weights if x.ndim == 1 else self._weights[:, None]
+        total = np.zeros((self.shape[0],) + x.shape[1:])
+        for start, count in self._steps:
+            total[:count] += terms[start:start + count]
+        if self._tail is not None:
+            # np.add.accumulate adds left to right along a row of the block,
+            # as the steps would; the zero padding adds nothing
+            start, rows, width, slots = self._tail
+            block = np.zeros((rows * width,) + x.shape[1:])
+            block[slots] = terms[start:]
+            block = block.reshape((rows, width) + x.shape[1:])
+            block[:, 0] = total[:rows]
+            total[:rows] = np.add.accumulate(block, axis=1)[:, -1]
+        return np.take(total, self._rank, axis=0)
 
 
 def _canonical_csr(data, indices, indptr, shape):
@@ -199,12 +307,15 @@ class FemSpace:
     the kernels below, so that quadrature points, node area sums and the
     gradient-recovery operator are not recomputed on every call.
 
+    average and recovery, the RowSums that map element values to the nodes,
+    are built on first use from the node-major list of the elements around
+    each node, which the boundary patches of recovery read too.
+
     The element-constant load operators source_load and flux_load map
     per-element data, flattened element-major, to the load vector of the
     source and the flux form, so that a block of right-hand sides costs one
-    sparse product per form (per component for the vector forms).  Like
-    average and recovery they are built on first use: only the cell
-    problems need them.
+    sparse product per form (per component for the vector forms).  They are
+    built on first use too: only the cell problems need them.
 
     unit_stiffness, the (3, 3, nt) products g_a . g_b of the element
     gradients, is built on first use too: a scalar stiffness is its element
@@ -261,37 +372,39 @@ class FemSpace:
         g0, g1 = self.grads_last
         return g0[:, None] * g0 + g1[:, None] * g1
 
+    def _average_weights(self, nodes, elems):
+        """The weight of each (node, element) pair in average: the element's
+        area over the node's area sum."""
+        return self.mesh.areas[elems] / self.node_area[nodes]
+
     # The two operators below are built on first use: the cell operators
     # never need them, and the boundary patches cost a Python loop.
     @cached_property
     def average(self):
-        """(nn, nt) operator: area average of element values at each node."""
-        import scipy.sparse as sp
-
-        mesh = self.mesh
-        rows = mesh.triangles.ravel()
-        cols = np.repeat(np.arange(mesh.num_triangles), 3)
-        vals = np.repeat(mesh.areas, 3) / self.node_area[rows]
-        return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.num_nodes, mesh.num_triangles))
+        """(nn, nt) RowSum: area average of element values at each node."""
+        nodes, elems = _node_elements(self.mesh)
+        return RowSum(nodes, elems, self._average_weights(nodes, elems),
+                      (self.mesh.num_nodes, self.mesh.num_triangles))
 
     @cached_property
     def recovery(self):
-        """(nn, nt) gradient-recovery operator applied to element gradients.
+        """(nn, nt) RowSum: gradient recovery applied to element gradients.
 
         The area average, with each boundary row replaced by the
         least-squares patch row of that node.
         """
-        import scipy.sparse as sp
-
         mesh = self.mesh
-        avg = self.average.tocoo()
-        keep = ~np.isin(avg.row, mesh.boundary_nodes)
-        patches = _boundary_patches(mesh)
-        rows = [avg.row[keep]] + [np.full(len(e), b) for b, (e, _) in zip(mesh.boundary_nodes, patches)]
-        cols = [avg.col[keep]] + [e for e, _ in patches]
-        vals = [avg.data[keep]] + [r for _, r in patches]
-        return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=avg.shape)
+        nodes, elems = _node_elements(mesh)
+        patches = _boundary_patches(mesh, nodes, elems)
+        interior = np.ones(mesh.num_nodes, dtype=bool)
+        interior[mesh.boundary_nodes] = False
+        keep = interior[nodes]
+        nodes, elems = nodes[keep], elems[keep]
+        rows = [nodes] + [np.full(len(e), b) for b, (e, _) in zip(mesh.boundary_nodes, patches)]
+        cols = [elems] + [e for e, _ in patches]
+        vals = [self._average_weights(nodes, elems)] + [r for _, r in patches]
+        return RowSum(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                      (mesh.num_nodes, mesh.num_triangles))
 
     @cached_property
     def scalar_pattern(self):
@@ -637,6 +750,19 @@ def pcg(A, b, precondition, max_iter: int, x0=None):
     return x, max_iter
 
 
+def _require_finite(b, norm):
+    """SolverError unless every entry of the right-hand side b is finite.
+
+    Every solve checks its right-hand side here: a NaN norm would pass both
+    its zero test and its residual check, each of which compares.  norm is
+    b's 2-norm (each column's, for a block): it is finite unless b is, or
+    unless squares overflow, so the entries are read only then, and a
+    finite b costs no temporary.
+    """
+    if not np.isfinite(norm).all() and not np.isfinite(b).all():
+        raise SolverError("the right-hand side is not finite")
+
+
 def solve_spd(A, b):
     """Diagonally preconditioned conjugate gradients with residual guarantee.
 
@@ -648,12 +774,13 @@ def solve_spd(A, b):
     tolerance by the whole tensor (ROADMAP item 6).
     """
     bn = np.linalg.norm(b)
+    _require_finite(b, bn)
     if bn == 0.0:
         return np.zeros_like(b)
     dinv = 1.0 / A.diagonal()
     x, _ = pcg(A, b, lambda r: dinv * r, CG_MAX_ITER)
     res = np.linalg.norm(A @ x - b) / bn
-    if res > SOLVE_RTOL:
+    if not res <= SOLVE_RTOL:
         raise SolverError(f"conjugate gradients stalled at residual {res:.3e}")
     return x
 
@@ -701,11 +828,13 @@ class SpdSolver:
         self.residual = 0.0
 
     def solve(self, b):
-        """x with A x = b for b (n,) or (n, k); an all-zero column gives zeros."""
+        """x with A x = b for b (n,) or (n, k); an all-zero column gives zeros,
+        a non-finite b raises SolverError."""
         b = np.asarray(b, dtype=float)
         cols = b.reshape(len(b), -1)
         bn = np.linalg.norm(cols, axis=0)
-        live = bn > 0.0
+        _require_finite(cols, bn)
+        live = bn != 0.0
         if not live.all():
             x = np.zeros_like(cols)
             self.residual = 0.0
@@ -714,7 +843,7 @@ class SpdSolver:
             return x.reshape(b.shape)
         x = self._lu.solve(cols)
         res = self.residual = float(np.max(np.linalg.norm(self.A @ x - cols, axis=0) / bn))
-        if res > SOLVE_RTOL:
+        if not res <= SOLVE_RTOL:
             raise SolverError(f"factorized solve residual {res:.3e} above {SOLVE_RTOL}")
         return x.reshape(b.shape)
 
@@ -723,17 +852,18 @@ class SpdSolver:
 
         CG starts from x0 (zero if None) and stops at CG_RTOL, as solve_spd
         does.  x is None when CG has not stopped within max_iter iterations
-        or the residual is above SOLVE_RTOL: the owner should then factor A
-        itself.
+        or the residual is not within SOLVE_RTOL: the owner should then
+        factor A itself.  A non-finite b raises SolverError.
         """
         b = np.asarray(b, dtype=float)
         bn = np.linalg.norm(b)
+        _require_finite(b, bn)
         if bn == 0.0:
             self.residual = 0.0
             return np.zeros_like(b), 0
         x, iterations = pcg(A, b, self._lu.solve, max_iter, x0)
         self.residual = np.linalg.norm(A @ x - b) / bn
-        if iterations == max_iter or self.residual > SOLVE_RTOL:
+        if iterations == max_iter or not self.residual <= SOLVE_RTOL:
             return None, iterations
         return x, iterations
 

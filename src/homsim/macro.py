@@ -212,20 +212,23 @@ class Stepper:
         Reuses the LU kept for kind as a CG preconditioner, started from the
         last solution of kind, and factors A only when there is none or CG
         does not converge; the LU in use is kept for the next solve of that
-        kind if keep.
+        kind if keep.  A SolverError from here names kind.
         """
         stats = self._stats
         solver = self._factors.pop(kind, None)
         x = None
-        if solver is not None:
-            x, iterations = solver.solve_near(A, b, REUSE_MAX_ITER, self._last.get(kind))
-            stats["cg_iterations"] += iterations
-        if x is None:
-            solver = None  # release the old LU before SuperLU runs
-            solver = fem.SpdSolver(A)
-            stats["factorizations"] += 1
-            stats["max_lu_fill"] = max(stats["max_lu_fill"], solver.fill)
-            x = solver.solve(b)
+        try:
+            if solver is not None:
+                x, iterations = solver.solve_near(A, b, REUSE_MAX_ITER, self._last.get(kind))
+                stats["cg_iterations"] += iterations
+            if x is None:
+                solver = None  # release the old LU before SuperLU runs
+                solver = fem.SpdSolver(A)
+                stats["factorizations"] += 1
+                stats["max_lu_fill"] = max(stats["max_lu_fill"], solver.fill)
+                x = solver.solve(b)
+        except fem.SolverError as e:
+            raise fem.SolverError(f"{kind} solve: {e}") from e
         stats["worst_residual"] = max(stats["worst_residual"], solver.residual)
         if keep:
             self._factors[kind] = solver

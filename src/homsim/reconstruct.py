@@ -12,6 +12,10 @@ slots; a snapshot reads only the slots its temperatures reach.  Macroscopic
 first derivatives come from area-weighted gradient recovery, second
 derivatives from recovery applied twice, and time derivatives from backward
 differences of the stored history.
+
+Every operator here only multiplies: the P1 interpolation at the points,
+the cell sampling and the recovery are fem.RowSum operators, so a
+reconstruction loads no SciPy.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dns import tiles
-from .fem import FemSpace
+from .fem import FemSpace, RowSum
 from .homog import hat_weights
 from .macro import recover_nodal_gradient
 
@@ -28,17 +32,14 @@ class MacroEvaluator:
     """Macro nodal fields and recovered derivatives at fixed evaluation points."""
 
     def __init__(self, macro_mesh, points):
-        import scipy.sparse as sp
-
         self.space = FemSpace(macro_mesh)
         tri, bary = macro_mesh.locate_points(points)
         # row p: the P1 weights of point p at its triangle's vertices
-        self.p1 = sp.csr_matrix((bary.ravel(), macro_mesh.triangles[tri].ravel(),
-                                 np.arange(0, 3 * len(tri) + 1, 3)),
-                                shape=(len(tri), macro_mesh.num_nodes))
+        self.p1 = RowSum(np.repeat(np.arange(len(tri)), 3), macro_mesh.triangles[tri].ravel(),
+                         bary.ravel(), (len(tri), macro_mesh.num_nodes))
 
     def scalar(self, nodal):
-        """(..., nn) -> (..., npts): the P1 interpolant at the points, one sparse product."""
+        """(..., nn) -> (..., npts): the P1 interpolant at the points, one product with p1."""
         nodal = np.asarray(nodal)
         values = self.p1 @ nodal.reshape(-1, nodal.shape[-1]).T  # (npts, k)
         return values.T.reshape(nodal.shape[:-1] + (values.shape[0],))
@@ -88,18 +89,16 @@ class CellSampler:
         slots runs from the lowest slot any point reaches to the highest, and
         column (t - slots.start) * nn + a is cell node a at table temperature
         t.  Row p holds the hat weights in T times the P1 weights in y: 6
-        entries.
+        entries, a RowSum.
         """
-        import scipy.sparse as sp
-
         i, s = hat_weights(self.temps, T_eval)
         npts, nn = len(s), self.num_cell_nodes
         lo, hi = int(i.min()), int(i.max()) + 1
         t = (i - lo)[:, None, None] + np.arange(2)[None, :, None]
         cols = t * nn + self.nodes3[:, None, :]  # (npts, 2, 3)
         vals = np.stack([1.0 - s, s], axis=1)[:, :, None] * self.bary[:, None, :]
-        op = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 6 * npts + 1, 6)),
-                           shape=(npts, (hi + 1 - lo) * nn))
+        op = RowSum(np.repeat(np.arange(npts), 6), cols.ravel(), vals.ravel(),
+                    (npts, (hi + 1 - lo) * nn))
         return op, slice(lo, hi + 1)
 
     def sample(self, op, per_temp_arrays):

@@ -407,6 +407,19 @@ def test_table_outside_the_material_range_exits_2(tmp_path, capsys, section, edi
     assert not (tmp_path / "out" / "archive").exists()
 
 
+def test_table_count_beyond_an_array_exits_2(tmp_path, capsys):
+    """np.linspace refuses 1e300 temperatures with a ValueError: every stage
+    exits 2 naming the table section, not 1 with a traceback."""
+    raw = _mini_config(tmp_path / "out")
+    raw["table"]["count"] = 1e300
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    for stage in ("offline", "online", "dns", "verify", "errors"):
+        assert cli.main([stage, str(p)]) == 2, stage
+        assert "configuration error: $['table']: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("geometry", [{"kind": "stripe", "radius": 0.25},
                                       {"kind": "disk", "fraction": 0.5},
                                       {"kind": "none", "radius": 0.25}])
@@ -768,29 +781,33 @@ def test_compressed_archive_and_trajectories_still_load(pipeline, tmp_path):
     assert (arch.parent / "errors.csv").read_bytes() == (pipeline / "out" / "errors.csv").read_bytes()
 
 
-def test_verify_and_errors_do_not_load_the_factorization_modules(pipeline, tmp_path):
-    """verify builds no matrix, so neither it nor the import of the CLI loads
-    SciPy at all; errors builds sparse operators but never factors, so it
-    imports neither SuperLU (scipy.sparse.linalg) nor scipy.linalg."""
+def test_verify_and_errors_load_no_scipy(pipeline, tmp_path):
+    """verify builds no operator, and errors builds only RowSum operators, so
+    neither they nor the import of the CLI loads any SciPy module, with or
+    without the VTK output."""
     out = tmp_path / "out"
     shutil.copytree(pipeline / "out", out)
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(_mini_config(out)))
+    (out / "homs_final.vtk").unlink()
+    paths = []
+    for vtk in (False, True):
+        raw = _mini_config(out)
+        raw["output"]["vtk"] = vtk
+        paths.append(tmp_path / f"cfg_vtk_{vtk}.json")
+        paths[-1].write_text(json.dumps(raw))
     code = f"""
 import sys, homsim.cli
-def loaded(*prefixes):
-    return sorted(m for m in sys.modules if m.startswith(prefixes))
-assert not loaded("scipy"), f"import homsim.cli loaded {{loaded('scipy')}}"
-assert homsim.cli.main(["verify", {str(p)!r}]) == 0
-assert not loaded("scipy"), f"homsim verify loaded {{loaded('scipy')}}"
-assert homsim.cli.main(["errors", {str(p)!r}]) == 0
-assert "scipy.sparse" in sys.modules
-factoring = loaded("scipy.sparse.linalg", "scipy.linalg")
-assert not factoring, f"homsim errors loaded {{factoring}}"
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded(), f"import homsim.cli loaded {{loaded()}}"
+for p in {[str(p) for p in paths]!r}:
+    for cmd in ("verify", "errors"):
+        assert homsim.cli.main([cmd, p]) == 0, (cmd, p)
+        assert not loaded(), f"homsim {{cmd}} {{p}} loaded {{loaded()}}"
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    stdout=subprocess.DEVNULL)
+    assert (out / "homs_final.vtk").is_file()  # written by the run with the VTK output
 
 
 def test_errors_with_missing_second_order_array_exits_2(pipeline, tmp_path, capsys):

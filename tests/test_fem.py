@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from homsim import fem, macro
+from homsim import fem, homog, macro, reconstruct
 from homsim.mesh import Mesh, build_macro_mesh
 
 from conftest import isotropic_elasticity
@@ -664,3 +664,124 @@ def test_spd_solver_never_returns_an_unpivoted_wrong_answer():
         except RuntimeError:
             continue
         assert np.linalg.norm(B @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+# The four RowSum operators against the SciPy CSR matrices they replaced, as
+# those were built: average and recovery by COO -> CSR (columns ascending in
+# each row), the P1 and sampling operators from (data, indices, indptr) in the
+# order given.
+
+
+def _csr_average(mesh):
+    rows = mesh.triangles.ravel()
+    cols = np.repeat(np.arange(mesh.num_triangles), 3)
+    node_area = np.bincount(rows, weights=np.repeat(mesh.areas, 3), minlength=mesh.num_nodes)
+    vals = np.repeat(mesh.areas, 3) / node_area[rows]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.num_nodes, mesh.num_triangles))
+
+
+def _csr_recovery(space):
+    mesh = space.mesh
+    avg = _csr_average(mesh).tocoo()
+    keep = ~np.isin(avg.row, mesh.boundary_nodes)
+    patches = fem._boundary_patches(mesh, *fem._node_elements(mesh))
+    rows = [avg.row[keep]] + [np.full(len(e), b) for b, (e, _) in zip(mesh.boundary_nodes, patches)]
+    cols = [avg.col[keep]] + [e for e, _ in patches]
+    vals = [avg.data[keep]] + [r for _, r in patches]
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=avg.shape)
+
+
+def _csr_p1(mesh, points):
+    tri, bary = mesh.locate_points(points)
+    return sp.csr_matrix((bary.ravel(), mesh.triangles[tri].ravel(),
+                          np.arange(0, 3 * len(tri) + 1, 3)), shape=(len(tri), mesh.num_nodes))
+
+
+def _csr_sampler(cs, T_eval):
+    i, s = homog.hat_weights(cs.temps, T_eval)
+    nn, lo = cs.num_cell_nodes, int(i.min())
+    cols = (i - lo)[:, None, None] * nn + np.arange(2)[None, :, None] * nn + cs.nodes3[:, None, :]
+    vals = np.stack([1.0 - s, s], axis=1)[:, :, None] * cs.bary[:, None, :]
+    return sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 6 * len(s) + 1, 6)),
+                         shape=(len(s), (int(i.max()) + 2 - lo) * nn))
+
+
+def _cancelling(csr, x):
+    """x with the products of one row of csr cancelling exactly; that row's index."""
+    row = int(np.flatnonzero(np.diff(csr.indptr) >= 2)[0])
+    lo, hi = csr.indptr[row], csr.indptr[row + 1]
+    c, w = csr.indices[lo:hi], csr.data[lo:hi]
+    x[c] = -0.0  # its other products are signed zeros
+    x[c[0]], x[c[1]] = w[1], -w[0]
+    return row
+
+
+@pytest.mark.parametrize("which", ["macro", "disk cell", "tiled"])
+def test_row_sum_operators_are_bit_for_bit_their_csr_products(which, macro_mesh, disk_cell_mesh):
+    from homsim.dns import build_tiled_mesh
+
+    mesh = {"macro": macro_mesh, "disk cell": disk_cell_mesh,
+            "tiled": build_tiled_mesh(disk_cell_mesh, 0.25)}[which]
+    space = fem.FemSpace(mesh)
+    rng = np.random.default_rng(11)
+    points = rng.random((300, 2))
+    temps = np.linspace(280.0, 360.0, 4)
+    T_eval = rng.uniform(270.0, 350.0, mesh.num_nodes)  # clamped below the grid too
+    cs = reconstruct.CellSampler(disk_cell_mesh, temps, mesh.nodes, 0.25)
+    pairs = [(space.average, _csr_average(mesh)), (space.recovery, _csr_recovery(space)),
+             (reconstruct.MacroEvaluator(mesh, points).p1, _csr_p1(mesh, points)),
+             (cs.operator(T_eval)[0], _csr_sampler(cs, T_eval))]
+    for op, csr in pairs:
+        assert op.shape == csr.shape
+        assert np.array_equal(op.row_lengths, np.diff(csr.indptr))
+        x = rng.standard_normal(csr.shape[1])
+        assert (op @ x).tobytes() == (csr @ x).tobytes()
+        block = rng.standard_normal((csr.shape[1], 4))
+        row = _cancelling(csr, block[:, 2])
+        got = op @ block
+        assert got.tobytes() == (csr @ block).tobytes()
+        assert got[row, 2] == 0.0 and not np.signbit(got[row, 2])
+
+
+def test_row_sum_sums_from_zero_in_the_given_order():
+    """Empty rows give +0.0, a lone -0.0 product gives +0.0 as in CSR, and the
+    entries of a row sum in the order given, not sorted by column."""
+    indptr = np.array([0, 2, 2, 3, 7, 8])
+    cols = np.array([1, 0, 2, 3, 0, 3, 1, 0])
+    data = np.array([1.0, -1.0, 1.0, 1e16, 1.0, -1e16, 1.0, 3.0])
+    csr = sp.csr_matrix((data, cols, indptr), shape=(5, 4))
+    op = fem.RowSum(fem._entry_rows(indptr), cols, data, (5, 4))
+    x = np.array([0.3, 0.3, -0.0, 1.0])
+    y = op @ x
+    assert y.tobytes() == (csr @ x).tobytes()
+    # row 3 in column order would lose both 0.3 terms to 1e16 and give 0.0
+    assert y.tolist() == [0.0, 0.0, 0.0, 0.3, 0.8999999999999999]
+    assert not np.signbit(y).any()
+    X = np.stack([x, -x, 2.0 * x], axis=1)
+    assert (op @ X).tobytes() == (csr @ X).tobytes()
+    with pytest.raises(ValueError, match="contiguous"):
+        fem.RowSum([0, 1, 0], [0, 1, 2], np.ones(3), (2, 3))
+    with pytest.raises(ValueError, match="cannot multiply"):
+        op @ np.ones(5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solves_refuse_a_non_finite_right_hand_side(macro_mesh, macro_space, bad):
+    """A NaN norm is not above zero and a NaN residual is not above SOLVE_RTOL:
+    each solve checks its right-hand side, and zero stays zeros."""
+    rng = np.random.default_rng(9)
+    A, b = _cg_system(macro_mesh, macro_space, 1.0, rng)
+    solver = fem.SpdSolver(A)
+    b[len(b) // 2] = bad
+    block = np.stack([rng.standard_normal(len(b)), b], axis=1)
+    for solve in (lambda: fem.solve_spd(A, b), lambda: solver.solve(b),
+                  lambda: solver.solve(block),
+                  lambda: solver.solve_near(A, b, macro.REUSE_MAX_ITER, None)):
+        with pytest.raises(fem.SolverError, match="right-hand side is not finite"):
+            solve()
+    zero = np.zeros(len(b))
+    assert fem.solve_spd(A, zero).tobytes() == zero.tobytes()
+    x, iterations = solver.solve_near(A, zero, macro.REUSE_MAX_ITER, None)
+    assert x.tobytes() == zero.tobytes() and iterations == 0 and solver.residual == 0.0
+    assert solver.solve(zero).tobytes() == zero.tobytes() and solver.residual == 0.0

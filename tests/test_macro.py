@@ -130,7 +130,8 @@ def test_recovery_operator_matches_patch_loop(macro_mesh, disk_cell_mesh):
                 acc = np.zeros(mesh.num_nodes)
                 np.add.at(acc, tri, np.repeat(ge[r, :, comp] * mesh.areas, 3))
                 ref[r, :, comp] = acc / wsum
-        for b, (elems, row) in zip(mesh.boundary_nodes, fem._boundary_patches(mesh)):
+        patches = fem._boundary_patches(mesh, *fem._node_elements(mesh))
+        for b, (elems, row) in zip(mesh.boundary_nodes, patches):
             ref[:, b, :] = ge[:, elems, :].transpose(0, 2, 1) @ row
         got = macro.recover_nodal_gradient(fem.FemSpace(mesh), nodal)
         assert got.shape == ref.shape
@@ -176,7 +177,7 @@ def test_boundary_patches_match_full_adjacency(macro_mesh, disk_cell_mesh, strip
 
     for mesh in (macro_mesh, disk_cell_mesh, stripe_cell_mesh,
                  build_tiled_mesh(disk_cell_mesh, 0.25)):
-        got = fem._boundary_patches(mesh)
+        got = fem._boundary_patches(mesh, *fem._node_elements(mesh))
         ref = _patches_by_full_adjacency(mesh)
         assert len(got) == len(ref)
         for (e1, r1), (e2, r2) in zip(got, ref):
@@ -362,3 +363,22 @@ def test_manufactured_spatial_convergence(uniform_table):
     e2 = _manufactured_heat_error(0.05, 1e-3, 20, uniform_table)
     rate = np.log2(e1 / e2)
     assert 1.5 < rate < 2.5
+
+
+@pytest.mark.parametrize("kind, source", [("potential", "f_Phi"), ("temperature", "f_T"),
+                                          ("displacement", "f_U")])
+def test_non_finite_source_fails_naming_the_step_and_the_solve(macro_mesh, small_table,
+                                                                kind, source):
+    """A source that turns NaN at step 1 raises StepError for that step and
+    operator kind, not a field of zeros."""
+    data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
+    finite = getattr(data, source)
+
+    def turns_nan(pts, t):
+        v = finite(pts, t)
+        return np.full_like(v, np.nan) if t > 1.2e-3 else v
+
+    data = dataclasses.replace(data, **{source: turns_nan})
+    with pytest.raises(macro.StepError,
+                       match=f"step 1: {kind} solve: the right-hand side is not finite"):
+        _run(macro_mesh, small_table, data, 1e-3, 3)
