@@ -30,14 +30,15 @@ class ConfigError(ValueError):
 
 
 @contextlib.contextmanager
-def _section(name):
-    """Turn a ValueError (MaterialError and MeshError among them) raised while
-    the stage inputs of one config section are built into a ConfigError
-    naming that section."""
+def _section(*path):
+    """Turn a ValueError (ConfigError, MaterialError and MeshError among them)
+    raised while the stage inputs of one config section are built, or the
+    expression of one key is compiled or evaluated, into a ConfigError
+    naming that section or key."""
     try:
         yield
     except ValueError as e:
-        raise ConfigError(f"$[{name!r}]: {e}") from None
+        raise ConfigError(f"{_json_path(path)}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +58,12 @@ _ALLOWED_NODES = (
 
 
 def compile_expression(src):
-    """Compile a constant or expression string to f(points, t) -> (npts,)."""
+    """Compile a constant or expression string to f(points, t) -> (npts,).
+
+    f raises ConfigError, naming the expression and t, where the evaluation
+    raises an ArithmeticError (1/0, 10.0**400) or a value is not finite
+    (exp(1000), 1/x1 at x1 = 0, sqrt(-1)).
+    """
     if isinstance(src, (int, float)):
         val = float(src)
         return lambda pts, t: np.full(len(pts), val)
@@ -87,8 +93,13 @@ def compile_expression(src):
     def fn(pts, t):
         pts = np.asarray(pts, float)
         loc = dict(env, x1=pts[:, 0], x2=pts[:, 1], t=t)
-        out = eval(code, {"__builtins__": {}}, loc)
-        return np.broadcast_to(np.asarray(out, float), (len(pts),)).copy()
+        try:
+            out = np.asarray(eval(code, {"__builtins__": {}}, loc), float)
+        except ArithmeticError as e:
+            raise ConfigError(f"{src!r} at t={float(t)!r}: {e}") from None
+        if not np.isfinite(out).all():
+            raise ConfigError(f"{src!r} is not finite at t={float(t)!r}")
+        return np.broadcast_to(out, (len(pts),)).copy()
 
     return fn
 
@@ -192,7 +203,9 @@ SCHEMA = {
             "properties": {
                 "T_min": {"type": "number"},
                 "T_max": {"type": "number"},
-                "count": {"type": "integer", "minimum": 2},
+                # far beyond any table, and refused before np.linspace
+                # fills memory with it
+                "count": {"type": "integer", "minimum": 2, "maximum": 1000},
                 "cell_bc": {"enum": ["dirichlet", "periodic"], "default": "dirichlet"},
             },
             "required": ["T_min", "T_max", "count"],
@@ -395,10 +408,14 @@ class SimulationConfig:
         raw = self.raw
 
         def expr(section, key, vector=False):
-            try:
-                return (_vector_expression if vector else compile_expression)(raw[section][key])
-            except ConfigError as e:
-                raise ConfigError(f"$[{section!r}][{key!r}]: {e}") from None
+            with _section(section, key):
+                fn = (_vector_expression if vector else compile_expression)(raw[section][key])
+
+            def named(pts, t):  # an evaluation error names the key too
+                with _section(section, key):
+                    return fn(pts, t)
+
+            return named
 
         return ProblemData(
             f_T=expr("sources", "f_T"),

@@ -34,27 +34,29 @@ def tiles(epsilon: float) -> int:
 
 
 def build_tiled_mesh(cell_mesh: Mesh, epsilon: float) -> Mesh:
-    """Tile the scaled unit-cell mesh over [0,1]^2 (epsilon = 1/q)."""
+    """Tile the scaled unit-cell mesh over [0,1]^2 (epsilon = 1/q).
+
+    Tile (i, j) is the cell mesh shifted by (i, j) and scaled by epsilon;
+    the q^2 tiles are numbered i * q + j and built at once by broadcasting.
+    Nodes whose coordinates agree to 9 decimals (the tile seams) are merged,
+    and the merged nodes are numbered in lexicographic order of their
+    rounded (x, y), each taken from its first copy in tile order: the nodes,
+    triangles and tags of np.unique(axis=0) over the rounded coordinates,
+    for one stable lexsort.
+    """
     q = tiles(epsilon)
-    nodes = []
-    tris = []
-    tags = []
     nn = cell_mesh.num_nodes
-    for i in range(q):
-        for j in range(q):
-            off = (i * q + j) * nn
-            nodes.append((cell_mesh.nodes + [i, j]) * epsilon)
-            tris.append(cell_mesh.triangles + off)
-            tags.append(cell_mesh.phase_tag)
-    nodes = np.concatenate(nodes)
-    tris = np.concatenate(tris)
-    tags = np.concatenate(tags)
-    # merge coincident nodes along tile seams
+    shift = np.stack(np.divmod(np.arange(q * q), q), axis=1)  # (i, j) of each tile
+    nodes = ((cell_mesh.nodes + shift[:, None]) * epsilon).reshape(-1, 2)
+    tris = (cell_mesh.triangles + (nn * np.arange(q * q))[:, None, None]).reshape(-1, 3)
     key = np.round(nodes, 9)
-    _, first_idx, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    merged_nodes = nodes[first_idx]
-    merged_tris = inverse[tris]
-    return Mesh(merged_nodes, merged_tris, tags)
+    order = np.lexsort((key[:, 1], key[:, 0]))
+    key = key[order]
+    opens = np.ones(len(key), dtype=bool)  # the first copy of each merged node
+    opens[1:] = (key[1:] != key[:-1]).any(axis=1)
+    merged = np.empty(len(key), dtype=np.intp)
+    merged[order] = np.cumsum(opens) - 1
+    return Mesh(nodes[order[opens]], merged[tris], np.tile(cell_mesh.phase_tag, q * q))
 
 
 class OscillatoryProvider:

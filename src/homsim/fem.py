@@ -52,11 +52,16 @@ class SolverError(RuntimeError):
 
 
 def quad_points(mesh):
-    """(xq, wq, phi) of the edge-midpoint rule: points (nt,nq,2), weights (nt,nq), P1 values (nq,3)."""
+    """(xq, wq, phi) of the edge-midpoint rule: points (nt,nq,2), weights (nt,nq), P1 values (nq,3).
+
+    Point q is the midpoint of the edge from vertex q to vertex q + 1, where
+    phi is 1/2 at both ends and 0 at the third vertex.
+    """
     bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     w = np.array([1.0, 1.0, 1.0]) / 3.0  # sums to 1, scaled by the element area
-    p = mesh.nodes[mesh.triangles]  # (nt,3,2)
-    xq = np.einsum("qa,tak->tqk", bary, p)
+    p = np.take(mesh.nodes, mesh.triangles, axis=0)  # (nt,3,2)
+    xq = p + np.take(p, [1, 2, 0], axis=1)
+    xq *= 0.5
     wq = mesh.areas[:, None] * w[None, :]
     return xq, wq, bary
 
@@ -82,6 +87,10 @@ def _boundary_patches(mesh, nodes, elems_by_node):
     function to the element gradients over the element ring of the nearest
     interior node and evaluate the fit at the boundary node; the interior
     ring keeps the superconvergence of centroid sampling.
+
+    The nearest node is picked in Python, on lists; the fits of the patches
+    of one size are then one stacked matmul and one stacked solve, which
+    each run the LAPACK and BLAS call of a single patch, patch by patch.
     """
     tri = mesh.triangles
     start = np.searchsorted(nodes, np.arange(mesh.num_nodes + 1))
@@ -92,34 +101,40 @@ def _boundary_patches(mesh, nodes, elems_by_node):
     def nbrs(a):
         # built in element order: the iteration order of the set, and so the
         # nearest candidate picked among equidistant ones, depends on it
-        out = set()
-        for t in node_elems(a):
-            out.update(tri[t])
-        return out
+        return set(tri[node_elems(a)].ravel().tolist())
 
     interior = np.ones(mesh.num_nodes, dtype=bool)
     interior[mesh.boundary_nodes] = False
-    centroids = mesh.nodes[tri].mean(axis=1)
-    patches = []
-    for b in mesh.boundary_nodes:
+    interior = interior.tolist()
+    nearest = []
+    for b in mesh.boundary_nodes.tolist():
         cand = [a for a in nbrs(b) if interior[a]]
         if not cand:  # corner node: widen to the second ring
             two = set()
             for a in nbrs(b):
                 two.update(nbrs(a))
             cand = [a for a in two if interior[a]]
-        cand = np.asarray(cand)
-        dist = np.sum((mesh.nodes[cand] - mesh.nodes[b]) ** 2, axis=1)
-        elems = node_elems(cand[np.argmin(dist)])
-        # weighted least-squares linear fit of patch values, evaluated at the
-        # boundary node: value = row @ data with row precomputed from the
-        # design matrix [1, cx - x_b, cy - y_b] at the element centroids.
-        d = centroids[elems] - mesh.nodes[b]
-        X = np.column_stack([np.ones(len(elems)), d])
+        (xb, yb), dist = mesh.nodes[b].tolist(), []
+        for xa, ya in mesh.nodes[cand].tolist():
+            dist.append((xa - xb) * (xa - xb) + (ya - yb) * (ya - yb))
+        nearest.append(cand[dist.index(min(dist))])  # the first of the nearest
+    # weighted least-squares linear fit of patch values, evaluated at the
+    # boundary node: value = row @ data with row precomputed from the design
+    # matrix [1, cx - x_b, cy - y_b] at the element centroids
+    size = np.diff(start)[nearest]
+    patches = [None] * len(nearest)
+    for m in np.unique(size).tolist():
+        which = np.flatnonzero(size == m)
+        elems = np.array([node_elems(nearest[i]) for i in which.tolist()])
+        p = np.take(mesh.nodes, tri[elems], axis=0)  # the vertices, (patches, m, 3, 2)
+        centroids = (p[..., 0, :] + p[..., 1, :] + p[..., 2, :]) / 3.0  # np.mean's order
+        X = np.ones(elems.shape + (3,))
+        X[..., 1:] = centroids - mesh.nodes[mesh.boundary_nodes[which]][:, None]
         w = mesh.areas[elems]
-        A = X.T @ (w[:, None] * X)
-        row = np.linalg.solve(A, X.T * w)[0]
-        patches.append((elems, row))
+        Xt = X.transpose(0, 2, 1)
+        rows = np.linalg.solve(Xt @ (w[..., None] * X), Xt * w[:, None])[:, 0]
+        for i, e, row in zip(which.tolist(), elems, rows):
+            patches[i] = (e, row)
     return patches
 
 
@@ -172,8 +187,8 @@ class RowSum:
         at = np.append(0, np.cumsum(counts)).astype(idx)
         pos = np.arange(nnz, dtype=idx)
         pos -= np.repeat(first, row_nnz)  # each entry's position in its row
-        pos = at[pos]
-        pos += self._rank[rows]
+        pos = np.take(at, pos)
+        pos += np.take(self._rank, rows)
         self._cols = np.empty(nnz, dtype=idx)
         self._cols[pos] = cols
         self._weights = np.empty(nnz)
@@ -250,6 +265,11 @@ class CsrPattern:
     SciPy's csr_matvec sums each row left to right from 0.0 and multiplies by
     exact ones, so assemble(elem) is bit for bit SciPy's COO path and
     scatter(entries) is bit for bit np.add.at of the entries into zeros.
+
+    The entries are put in rows by one stable argsort of the element dofs,
+    on 16-bit keys while n <= 65,536 (numpy sorts those by radix; a larger
+    n sorts the dofs as they are), and the two operators share one array of
+    ones, the first dofs.size of which are load's.
     """
 
     def __init__(self, dofs, n):
@@ -263,11 +283,20 @@ class CsrPattern:
         # by row in input order, as SciPy's COO -> CSR conversion stores them
         # before it sorts each row
         nt = len(dofs)
-        by_dof = np.argsort(dofs.ravel(), kind="stable").astype(idx)
-        at_dof = np.append(0, np.cumsum(np.bincount(dofs.ravel(), minlength=n))).astype(idx)
+        # a stable order is unique, whatever the width of the keys
+        flat = dofs.ravel()
+        by_dof = np.argsort(flat.astype(np.uint16) if n <= 1 << 16 else flat, kind="stable")
+        by_dof = by_dof.astype(idx)
+        at_dof = np.append(0, np.cumsum(np.bincount(flat, minlength=n))).astype(idx)
         t, a = np.divmod(by_dof, idx(k))
-        number = (a[:, None] * k + np.arange(k, dtype=idx)) * idx(nt) + t[:, None]
-        unsummed = sp.csr_matrix((number.ravel(), dofs[t].ravel(), at_dof * idx(k)), shape=(n, n))
+        # the number of entry (t, a, b) is (a k + b) nt + t, written one b at
+        # a time: numpy broadcasts slowly over a short inner axis
+        number = np.empty((len(t), k), dtype=idx)
+        start = a * idx(k * nt) + t
+        for b in range(k):
+            np.add(start, idx(b * nt), out=number[:, b])
+        unsummed = sp.csr_matrix((number.ravel(), np.take(dofs, t, axis=0).ravel(), at_dof * idx(k)),
+                                  shape=(n, n))
         unsummed.sort_indices()
         # an entry opens a new slot at the start of its row or where its
         # column differs from the entry before it
@@ -275,13 +304,18 @@ class CsrPattern:
         first = np.ones(len(j), dtype=bool)
         first[1:] = j[1:] != j[:-1]
         first[unsummed.indptr[:-1][np.diff(at_dof) > 0]] = True
-        opens = np.append(np.flatnonzero(first), len(j)).astype(idx)
-        self.indices = j[first]
+        opens = np.flatnonzero(np.append(first, True)).astype(idx)
+        self.indices = np.take(j, opens[:-1])
         self.indptr = np.searchsorted(opens, unsummed.indptr).astype(idx)
         self.nnz = len(self.indices)
         self.shape = (n, n)
-        self.sum = sp.csr_matrix((np.ones(len(j)), unsummed.data, opens), shape=(self.nnz, len(j)))
-        self.load = sp.csr_matrix((np.ones(dofs.size), by_dof, at_dof), shape=(n, dofs.size))
+        ones = np.ones(len(j))
+        self.sum = sp.csr_matrix((ones, unsummed.data, opens), shape=(self.nnz, len(j)))
+        self.load = sp.csr_matrix((ones[:dofs.size], by_dof, at_dof), shape=(n, dofs.size))
+        # SciPy copies a short view of a long array into a matrix it builds,
+        # and keeps the view it is given afterwards: 1.4 MB less on the
+        # epsilon=1/6 vector pattern, live through every factorization
+        self.load.data = ones[:dofs.size]
         for A in (self.sum, self.load):
             A.data.flags.writeable = False
         for A in (self, self.sum, self.load):
@@ -416,13 +450,13 @@ class FemSpace:
 
     @cached_property
     def vector_mass_slots(self):
+        # vector row 2i + c stores the columns 2j, 2j + 1 of each column j of
+        # scalar row i, ascending: the r-th entry of scalar row i sits at
+        # 2r + c in vector row 2i + c
         s, v = self.scalar_pattern, self.vector_pattern
-        n = v.shape[1]
-        # row-major keys of the stored entries, ascending in canonical CSR
-        keys = _entry_rows(v.indptr).astype(np.int64) * n + v.indices
-        rows = _entry_rows(s.indptr).astype(np.int64)
-        return np.stack([np.searchsorted(keys, (2 * rows + c) * n + 2 * s.indices + c)
-                         for c in (0, 1)], axis=1)
+        rows = _entry_rows(s.indptr)
+        offset = 2 * (np.arange(s.nnz) - s.indptr[rows])
+        return np.stack([v.indptr[2 * rows + c] + offset + c for c in (0, 1)], axis=1)
 
     # The two element-constant load operators below serve the vector forms
     # too: component i of integral f_i v_i or of integral G_ij dv_i/dx_j is
@@ -692,15 +726,16 @@ class DirichletPlan:
         fixed = np.zeros(n, dtype=bool)
         fixed[self.dofs] = True
         rows = _entry_rows(pattern.indptr)
-        cut = fixed[rows] | fixed[pattern.indices]
+        cut = np.repeat(fixed, np.diff(pattern.indptr)) | np.take(fixed, pattern.indices)
         pivot = cut & (rows == pattern.indices)
         if np.count_nonzero(pivot) != np.count_nonzero(fixed):
             raise ValueError("Dirichlet elimination: a constrained row stores no diagonal entry")
         self.keep = ~(cut | drop) | pivot
-        before = np.concatenate([[0], np.cumsum(self.keep)])  # kept entries before each stored one
-        self.pivots = before[np.flatnonzero(pivot)]
-        self.indices = pattern.indices[self.keep]
-        self.indptr = before[pattern.indptr].astype(pattern.indptr.dtype)
+        kept = np.flatnonzero(self.keep)
+        # the kept entries before a stored one are kept entries at lower positions
+        self.pivots = np.searchsorted(kept, np.flatnonzero(pivot))
+        self.indices = np.take(pattern.indices, kept)
+        self.indptr = np.searchsorted(kept, pattern.indptr).astype(pattern.indptr.dtype)
         self.indices.flags.writeable = self.indptr.flags.writeable = False
         self.shape = pattern.shape
 

@@ -74,7 +74,7 @@ class MaterialLaw:
         if missing:
             raise MaterialError(f"mesh phases {missing} have no material law")
         idx = np.searchsorted(phases, tags)
-        return {q: tuple(np.array([self.coeffs[ph][q][j] for ph in phases], float)[idx]
+        return {q: tuple(np.take(np.array([self.coeffs[ph][q][j] for ph in phases], float), idx)
                          for j in (0, 1))
                 for q in QUANTITIES}
 

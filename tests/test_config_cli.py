@@ -408,16 +408,88 @@ def test_table_outside_the_material_range_exits_2(tmp_path, capsys, section, edi
 
 
 def test_table_count_beyond_an_array_exits_2(tmp_path, capsys):
-    """np.linspace refuses 1e300 temperatures with a ValueError: every stage
-    exits 2 naming the table section, not 1 with a traceback."""
+    """1e300 temperatures are refused by the schema's maximum: every stage
+    exits 2 naming the count, not 1 with a traceback."""
     raw = _mini_config(tmp_path / "out")
     raw["table"]["count"] = 1e300
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(raw))
     for stage in ("offline", "online", "dns", "verify", "errors"):
         assert cli.main([stage, str(p)]) == 2, stage
-        assert "configuration error: $['table']: " in capsys.readouterr().err
+        assert "$['table']['count']: 1e+300 is greater than the maximum of 1000" \
+            in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", [1e18, 1e9, 1001])
+def test_table_count_above_the_maximum_exits_2_without_allocating(tmp_path, capsys,
+                                                                   monkeypatch, count):
+    """1e9 temperatures would fill 8 GB in np.linspace, and 1e18 raised a
+    MemoryError (exit 1): the schema refuses both before the grid is made."""
+    def linspace(*args, **kwargs):
+        raise AssertionError(f"np.linspace{args} called")
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    raw = _mini_config(tmp_path / "out")
+    raw["table"]["count"] = count
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    for stage in ("offline", "online", "dns", "verify", "errors"):
+        assert cli.main([stage, str(p)]) == 2, stage
+        assert f"$['table']['count']: {count!r} is greater than the maximum of 1000" \
+            in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_table_count_at_the_maximum_loads():
+    raw = example_config()
+    raw["table"]["count"] = 1000
+    assert len(SimulationConfig(raw).temperatures) == 1000
+
+
+@pytest.mark.parametrize("key, src, t", [
+    ("f_T", "1/0", 0.0005),
+    ("f_T", "exp(1000)", 0.0005),
+    ("f_Phi", "(x1-0.5)**-1", 0.0),
+])
+@pytest.mark.parametrize("stage", ["online", "dns"])
+def test_expression_that_fails_where_it_is_evaluated_exits_2(pipeline, tmp_path, capsys,
+                                                             stage, key, src, t):
+    """A division by zero of two constants, an overflow and a pole on a mesh
+    line each exit 2 naming the key, the expression and t, and the stage
+    leaves no trajectory."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out" / "archive", out / "archive")
+    raw = _mini_config(out)
+    raw["sources"][key] = src
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    with np.errstate(all="ignore"):  # the numpy warnings of the overflow and the pole
+        assert cli.main([stage, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: $['sources'][{key!r}]: {src!r}" in err
+    assert f"t={t!r}" in err
+    name = "macro" if stage == "online" else "dns"
+    assert not (out / f"{name}_trajectory.npz").exists()
+    assert not (out / f"{name}_mesh.txt").exists()
+
+
+def test_finite_expressions_evaluate_as_before():
+    """The checks pass finite values through unchanged, bit for bit."""
+    pts = np.array([[0.25, 0.5], [0.5, 0.75], [1.0, 0.0]])
+    for src in ("2*x1 + x2**2 - t", "1/exp(1000)", "0.5 + exp(-4*((x1 - 0.3)**2))", "7"):
+        f = compile_expression(src)
+        with np.errstate(all="ignore"):  # exp(1000) overflows on the way to 0.0
+            want = np.broadcast_to(np.asarray(eval(src, {"exp": np.exp}, {
+                "x1": pts[:, 0], "x2": pts[:, 1], "t": 0.25}), float), (3,))
+            assert f(pts, 0.25).tobytes() == want.tobytes(), src
+
+
+@pytest.mark.parametrize("src", ["1/0", "10.0**400", "sqrt(x1 - 2)", "x1/(x2 - x2)"])
+def test_compiled_expression_raises_config_error(src):
+    f = compile_expression(src)
+    with np.errstate(all="ignore"), pytest.raises(ConfigError, match="t=0.5"):
+        f(np.array([[0.25, 0.5]]), 0.5)
 
 
 @pytest.mark.parametrize("geometry", [{"kind": "stripe", "radius": 0.25},
