@@ -8,9 +8,10 @@ Layout:
     T_<index>.npz   corrector sets + coefficient block at one temperature,
                     stored uncompressed (np.savez), a crc32 per member
 
-load() refuses an archive whose material-law hash, temperature grid, cell
-boundary condition or reference temperature differs from the configuration
-its caller passes, and a cell_mesh.txt whose hash is not the manifest's, so
+load() refuses a manifest.json that is not a JSON object or lacks a field,
+an archive whose material-law hash, temperature grid, cell boundary
+condition or reference temperature differs from the configuration its
+caller passes, and a cell_mesh.txt whose hash is not the manifest's, so
 an edited or damaged cell mesh is detected; an archive built with another
 geometry or cell_h, stored intact, is not.
 
@@ -42,6 +43,8 @@ from . import cell, mesh as meshmod
 from .homog import COEFF_NAMES, HomogenizedCoefficients, TemperatureTable
 
 ARCHIVE_VERSION = 1
+#: the fields save() writes to manifest.json besides the version
+MANIFEST_FIELDS = ("temperatures", "T_ref", "cell_bc", "mesh_sha256", "law_sha256")
 
 #: what reading a damaged .npz that zipfile.is_zipfile accepts raises: a bad
 #: CRC or deflate stream, a broken or short .npy member, a missing array
@@ -109,13 +112,22 @@ def load(path, law, expect) -> tuple:
     access.
     """
     path = pathlib.Path(path)
+    manifest_file = path / "manifest.json"
     try:
-        manifest = json.loads((path / "manifest.json").read_text())
+        manifest = json.loads(manifest_file.read_text())
     except FileNotFoundError:
         raise ArchiveError(f"{path}: not an archive (no manifest.json)") from None
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ArchiveError(f"{manifest_file}: unreadable ({e}); re-run the off-line stage") from None
+    if not isinstance(manifest, dict):
+        raise ArchiveError(f"{manifest_file}: not a JSON object; re-run the off-line stage")
     if manifest.get("version") != ARCHIVE_VERSION:
         raise ArchiveError(f"{path}: archive version {manifest.get('version')} "
                            f"!= supported {ARCHIVE_VERSION}")
+    missing = [k for k in MANIFEST_FIELDS if k not in manifest]
+    if missing:
+        raise ArchiveError(f"{manifest_file}: missing field(s) {', '.join(missing)}; "
+                           f"re-run the off-line stage")
     stored_mesh = meshmod.load_mesh(path / "cell_mesh.txt")
     if mesh_hash(stored_mesh) != manifest["mesh_sha256"]:
         raise ArchiveError(f"{path}: cell_mesh.txt does not match the manifest's cell-mesh hash; "

@@ -50,8 +50,6 @@ SECOND_ORDER_FAMILIES = (
 )
 
 
-#: relative distance within which a temperature is taken as a table temperature
-TABLE_T_TOL = 1e-9
 #: largest cell mean of a pure source, relative to its norm (solvability check)
 COMPAT_TOL = 1e-8
 
@@ -271,19 +269,15 @@ def centred_slope(entries, temps, i, names) -> dict:
             for name in names}
 
 
-def dT_of_first_order(entries, T0) -> FirstOrderCellSet:
-    """centred_slope of the first-order functions at a table node.
+def dT_of_first_order(entries, i) -> FirstOrderCellSet:
+    """centred_slope of the first-order functions at table node i.
 
-    entries: FirstOrderCellSet list sorted by temperature; T0 must coincide
-    with one of them.
+    entries: FirstOrderCellSet list sorted by temperature.
     """
-    temps = np.array([e.T0 for e in entries])
     if len(entries) < 2:
         raise CellError("need at least 2 table entries for temperature derivatives")
-    i = int(np.argmin(np.abs(temps - T0)))
-    if abs(temps[i] - T0) > TABLE_T_TOL * max(1.0, abs(T0)):
-        raise CellError(f"T0={T0} is not a table temperature")
-    return FirstOrderCellSet(T0=float(T0),
+    temps = np.array([e.T0 for e in entries])
+    return FirstOrderCellSet(T0=float(temps[i]),
                              **centred_slope(entries, temps, i, ("M", "H", "N", "P")))
 
 

@@ -159,10 +159,9 @@ class RowSum:
     2009): rows are ranked longest first, and position j lists the j-th
     entry of every row that has one, which are ranks 0 to counts[j] - 1.  A
     product is then one gather, one multiply and one slice addition per
-    position, however the row lengths vary.  The positions that at most
-    n / 32 rows reach, such as the long rows of a mesh's hub nodes (56 elements
-    around the disk centre of a fine cell), are added in one
-    np.add.accumulate over a zero-padded block instead of one step each.
+    position, however the row lengths vary: the long row of a hub node (56
+    elements around the disk centre of a fine cell) adds steps over the few
+    rows that reach its later positions.
     """
 
     def __init__(self, rows, cols, weights, shape):
@@ -194,18 +193,7 @@ class RowSum:
         self._weights = np.empty(nnz)
         self._weights[pos] = weights
         self._counts = counts
-        # the positions few rows reach (a hub node's long row) form the tail
-        few = np.flatnonzero(counts <= max(1, n // 32))
-        tail = few[0] if len(few) else len(counts)
-        self._steps = list(zip(at[:tail].tolist(), counts[:tail].tolist()))
-        self._tail = None
-        if tail < len(counts):
-            # flat slots of the tail terms in a (rows, width) block whose
-            # column 0 holds each row's running total
-            width = len(counts) - tail + 1
-            slots = np.concatenate([np.arange(c) * width + j
-                                    for j, c in enumerate(counts[tail:].tolist(), 1)])
-            self._tail = (int(at[tail]), int(counts[tail]), width, slots)
+        self._steps = list(zip(at[:-1].tolist(), counts.tolist()))
         self.shape = (n, m)
 
     @property
@@ -222,15 +210,6 @@ class RowSum:
         total = np.zeros((self.shape[0],) + x.shape[1:])
         for start, count in self._steps:
             total[:count] += terms[start:start + count]
-        if self._tail is not None:
-            # np.add.accumulate adds left to right along a row of the block,
-            # as the steps would; the zero padding adds nothing
-            start, rows, width, slots = self._tail
-            block = np.zeros((rows * width,) + x.shape[1:])
-            block[slots] = terms[start:]
-            block = block.reshape((rows, width) + x.shape[1:])
-            block[:, 0] = total[:rows]
-            total[:rows] = np.add.accumulate(block, axis=1)[:, -1]
         return np.take(total, self._rank, axis=0)
 
 

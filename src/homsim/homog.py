@@ -256,14 +256,14 @@ def build_table(
         return ops
 
     ops = first_order(0)
-    for i, T in enumerate(temps):
+    for i in range(len(temps)):
         ops_next = first_order(i + 1) if i + 1 < len(temps) else None
         # table.first and table.coeffs hold temps[: i + 2], all that the
         # centred differences at temps[i] read
         t0 = _time.perf_counter()
         table.second.append(cell.solve_second_order(
             ops, table.first[i], table.coeffs[i],
-            first_dT=cell.dT_of_first_order(table.first, T),
+            first_dT=cell.dT_of_first_order(table.first, i),
             homog_dT=table.coeff_dT(i),
         ))
         elapsed[i] += _time.perf_counter() - t0

@@ -29,7 +29,14 @@ from .macro import recover_nodal_gradient
 
 
 class MacroEvaluator:
-    """Macro nodal fields and recovered derivatives at fixed evaluation points."""
+    """Macro nodal fields and recovered derivatives at fixed evaluation points.
+
+    Each method takes a stack of fields (..., nn) and maps it to the points in
+    one product with p1; derivatives() recovers the stack's gradients in one
+    call and its Hessians in one more, from every gradient component at once.
+    Recovery and product act on each field on its own, so a stacked call
+    gives each field what its own call gives, bit for bit.
+    """
 
     def __init__(self, macro_mesh, points):
         self.space = FemSpace(macro_mesh)
@@ -39,35 +46,30 @@ class MacroEvaluator:
                          bary.ravel(), (len(tri), macro_mesh.num_nodes))
 
     def scalar(self, nodal):
-        """(..., nn) -> (..., npts): the P1 interpolant at the points, one product with p1."""
-        nodal = np.asarray(nodal)
-        values = self.p1 @ nodal.reshape(-1, nodal.shape[-1]).T  # (npts, k)
-        return values.T.reshape(nodal.shape[:-1] + (values.shape[0],))
+        """(..., nn) -> (..., npts): the P1 interpolant at the points."""
+        return self._at(nodal, 0)
 
     def gradient(self, nodal):
         """(..., nn) -> (..., npts, 2) recovered gradient at the points."""
-        return self._gradient_at(recover_nodal_gradient(self.space, nodal))
+        return self._at(recover_nodal_gradient(self.space, nodal), 1)
 
     def hessian(self, nodal):
         """(..., nn) -> (..., npts, 2, 2) by double gradient recovery."""
-        return self._hessian_at(recover_nodal_gradient(self.space, nodal))
+        return self.derivatives(nodal)[1]
 
     def derivatives(self, nodal):
-        """(gradient, hessian) at the points from one recovery of the gradient."""
+        """(gradient, hessian) at the points: the gradient recovered once, and
+        the Hessian from one recovery of both its components."""
         g = recover_nodal_gradient(self.space, nodal)  # (..., nn, 2)
-        return self._gradient_at(g), self._hessian_at(g)
+        h = recover_nodal_gradient(self.space, np.moveaxis(g, -1, -2))  # (..., i, nn, j)
+        return self._at(g, 1), self._at(np.moveaxis(h, -3, -2), 2)
 
-    def _gradient_at(self, g):
-        return np.stack([self.scalar(g[..., 0]), self.scalar(g[..., 1])], axis=-1)
-
-    def _hessian_at(self, g):
-        rows = [recover_nodal_gradient(self.space, g[..., i]) for i in range(2)]
-        h = np.stack(rows, axis=-2)  # (..., nn, i, j)
-        out = np.empty(h.shape[:-3] + (self.p1.shape[0], 2, 2))
-        for i in range(2):
-            for j in range(2):
-                out[..., i, j] = self.scalar(h[..., i, j])
-        return out
+    def _at(self, field, tail):
+        """(..., nn, *tail) -> (..., npts, *tail), C-contiguous: one product with p1."""
+        field = np.moveaxis(np.asarray(field), -1 - tail, 0)  # (nn, ..., *tail)
+        values = self.p1 @ field.reshape(len(field), -1)  # (npts, k)
+        values = values.reshape(values.shape[:1] + field.shape[1:])
+        return np.ascontiguousarray(np.moveaxis(values, 0, -1 - tail))
 
 
 class CellSampler:
@@ -121,18 +123,23 @@ class Reconstructor:
 
     # -- macro state at the evaluation points ---------------------------
     def _macro_state(self, snap, dt):
-        st = {}
-        st["T0"] = self.ev.scalar(snap.T)
-        st["gT"], st["hT"] = self.ev.derivatives(snap.T)  # (npts, 2), (npts, 2, 2)
-        st["dTdt"] = self.ev.scalar((snap.T - snap.T_prev) / dt)
-        st["Phi"] = self.ev.scalar(snap.Phi)
-        st["gPhi"], st["hPhi"] = self.ev.derivatives(snap.Phi)
-        st["U"] = np.stack([self.ev.scalar(snap.U[c]) for c in range(2)])
-        st["gU"], st["hU"] = self.ev.derivatives(snap.U)  # (2, npts, 2), (2, npts, 2, 2)
-        st["gV"] = self.ev.gradient((snap.U - snap.U_prev) / dt)
+        """The macro fields and derivatives at the points: one stacked
+        interpolation, one stacked recovery of gradients and Hessians, and
+        the velocity gradient.
+
+        gU and gV are stored point major and every other array C-contiguous:
+        the einsums of the orders 1 and 2 sum in an order their operands'
+        strides set, and tests/test_reconstruct.py pins these layouts.
+        """
         acc = (snap.U - 2.0 * snap.U_prev + snap.U_prevprev) / dt**2
-        st["acc"] = np.stack([self.ev.scalar(acc[c]) for c in range(2)])
-        return st
+        values = self.ev.scalar(np.stack([snap.T, (snap.T - snap.T_prev) / dt, snap.Phi,
+                                          *snap.U, *acc]))
+        g, h = self.ev.derivatives(np.stack([snap.T, snap.Phi, *snap.U]))  # (4, npts, 2[, 2])
+        point_major = lambda a: np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+        return {"T0": values[0], "dTdt": values[1], "Phi": values[2], "U": values[3:5],
+                "acc": values[5:7], "gT": g[0], "hT": h[0], "gPhi": g[1], "hPhi": h[1],
+                "gU": point_major(g[2:]), "hU": h[2:],
+                "gV": point_major(self.ev.gradient((snap.U - snap.U_prev) / dt))}
 
     def all_orders(self, snap, dt):
         """(order 0, order 1, order 2) fields from one macro-state evaluation.

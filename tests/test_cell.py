@@ -76,9 +76,11 @@ def test_dT_of_first_order_centered(disk_cell_mesh, example_law):
     space = fem.FemSpace(disk_cell_mesh)
     entries = [cell.solve_first_order(cell.CellOperators(space, example_law, T, "dirichlet"))
                for T in temps]
-    d = cell.dT_of_first_order(entries, 340.0)
+    d = cell.dT_of_first_order(entries, 1)
     expect = (entries[2].M - entries[0].M) / 120.0
-    assert np.allclose(d.M, expect, atol=1e-14)
+    assert d.T0 == 340.0 and np.allclose(d.M, expect, atol=1e-14)
+    with pytest.raises(cell.CellError, match="at least 2"):
+        cell.dT_of_first_order(entries[:1], 0)
 
 
 @pytest.mark.parametrize("i, lo, hi", [(0, 0, 1), (1, 0, 2), (2, 1, 3), (3, 2, 3)])
@@ -102,7 +104,7 @@ def test_centred_slope_is_centred_inside_and_one_sided_at_the_ends(small_table, 
         for n in names:
             expect = (getattr(entries[hi], n) - getattr(entries[lo], n)) / dT
             assert np.asarray(got[n]).tobytes() == np.asarray(expect).tobytes(), n
-    d = cell.dT_of_first_order(first, temps[i])
+    d = cell.dT_of_first_order(first, i)
     assert d.T0 == temps[i] and d.N.tobytes() == ((first[hi].N - first[lo].N) / dT).tobytes()
     table = homog.TemperatureTable(temps=temps, first=first, second=[], coeffs=blocks,
                                    Ttilde=300.0, bc="dirichlet")
@@ -283,7 +285,7 @@ def _periodic_second_order_inputs(mesh, law):
     table = homog.TemperatureTable(temps=np.array(temps), first=first, second=[],
                                    coeffs=coeffs, Ttilde=300.0, bc="periodic")
     return ops[0], (first[0], coeffs[0]), {
-        "first_dT": cell.dT_of_first_order(first, 300.0), "homog_dT": table.coeff_dT(0)}
+        "first_dT": cell.dT_of_first_order(first, 0), "homog_dT": table.coeff_dT(0)}
 
 
 def test_factored_second_order_matches_jacobi_cg(monkeypatch, disk_cell_mesh, example_law):
@@ -345,7 +347,7 @@ def _second_order_at(mesh, law, temps, i, bc):
                                    coeffs=coeffs, Ttilde=300.0, bc=bc)
     return lambda: cell.solve_second_order(
         ops[i], first[i], coeffs[i],
-        first_dT=cell.dT_of_first_order(first, temps[i]), homog_dT=table.coeff_dT(i))
+        first_dT=cell.dT_of_first_order(first, i), homog_dT=table.coeff_dT(i))
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])

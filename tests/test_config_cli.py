@@ -647,6 +647,21 @@ def test_online_with_missing_temperature_file_exits_2(pipeline, tmp_path, capsys
     assert "T_001.npz: missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda raw: "{" + raw, "manifest.json: unreadable"),
+    (lambda raw: json.dumps([json.loads(raw)]), "manifest.json: not a JSON object"),
+    (lambda raw: json.dumps({k: v for k, v in json.loads(raw).items() if k != "law_sha256"}),
+     "manifest.json: missing field(s) law_sha256"),
+], ids=["not JSON", "a list", "no law hash"])
+@pytest.mark.parametrize("stage", ["online", "verify"])
+def test_damaged_manifest_exits_2(pipeline, tmp_path, capsys, stage, damage, message):
+    arch, p = _damaged_copy(pipeline, tmp_path)
+    manifest = arch / "manifest.json"
+    manifest.write_text(damage(manifest.read_text()))
+    assert cli.main([stage, str(p)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("stage", ["verify", "errors"])
 def test_edited_cell_mesh_in_the_archive_exits_2(pipeline, tmp_path, capsys, stage):
     arch, p = _damaged_copy(pipeline, tmp_path)

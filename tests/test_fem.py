@@ -707,9 +707,21 @@ def _csr_sampler(cs, T_eval):
                          shape=(len(s), (int(i.max()) + 2 - lo) * nn))
 
 
+def _hub_row(rng):
+    """A RowSum and its CSR matrix with one row of 240 entries among rows of 3
+    to 7, as the row of a hub node among the rows of a mesh's other nodes."""
+    lengths = rng.integers(3, 8, 400)
+    lengths[123] = 240
+    indptr = np.append(0, np.cumsum(lengths))
+    cols = np.concatenate([np.sort(rng.choice(500, k, replace=False)) for k in lengths])
+    data = rng.standard_normal(indptr[-1])
+    return (fem.RowSum(fem._entry_rows(indptr), cols, data, (400, 500)),
+            sp.csr_matrix((data, cols, indptr), shape=(400, 500)))
+
+
 def _cancelling(csr, x):
-    """x with the products of one row of csr cancelling exactly; that row's index."""
-    row = int(np.flatnonzero(np.diff(csr.indptr) >= 2)[0])
+    """x with the products of the longest row of csr cancelling exactly; that row's index."""
+    row = int(np.argmax(np.diff(csr.indptr)))
     lo, hi = csr.indptr[row], csr.indptr[row + 1]
     c, w = csr.indices[lo:hi], csr.data[lo:hi]
     x[c] = -0.0  # its other products are signed zeros
@@ -717,21 +729,24 @@ def _cancelling(csr, x):
     return row
 
 
-@pytest.mark.parametrize("which", ["macro", "disk cell", "tiled"])
+@pytest.mark.parametrize("which", ["macro", "disk cell", "tiled", "hub row"])
 def test_row_sum_operators_are_bit_for_bit_their_csr_products(which, macro_mesh, disk_cell_mesh):
     from homsim.dns import build_tiled_mesh
 
-    mesh = {"macro": macro_mesh, "disk cell": disk_cell_mesh,
-            "tiled": build_tiled_mesh(disk_cell_mesh, 0.25)}[which]
-    space = fem.FemSpace(mesh)
     rng = np.random.default_rng(11)
-    points = rng.random((300, 2))
-    temps = np.linspace(280.0, 360.0, 4)
-    T_eval = rng.uniform(270.0, 350.0, mesh.num_nodes)  # clamped below the grid too
-    cs = reconstruct.CellSampler(disk_cell_mesh, temps, mesh.nodes, 0.25)
-    pairs = [(space.average, _csr_average(mesh)), (space.recovery, _csr_recovery(space)),
-             (reconstruct.MacroEvaluator(mesh, points).p1, _csr_p1(mesh, points)),
-             (cs.operator(T_eval)[0], _csr_sampler(cs, T_eval))]
+    if which == "hub row":
+        pairs = [_hub_row(rng)]
+    else:
+        mesh = {"macro": macro_mesh, "disk cell": disk_cell_mesh,
+                "tiled": build_tiled_mesh(disk_cell_mesh, 0.25)}[which]
+        space = fem.FemSpace(mesh)
+        points = rng.random((300, 2))
+        temps = np.linspace(280.0, 360.0, 4)
+        T_eval = rng.uniform(270.0, 350.0, mesh.num_nodes)  # clamped below the grid too
+        cs = reconstruct.CellSampler(disk_cell_mesh, temps, mesh.nodes, 0.25)
+        pairs = [(space.average, _csr_average(mesh)), (space.recovery, _csr_recovery(space)),
+                 (reconstruct.MacroEvaluator(mesh, points).p1, _csr_p1(mesh, points)),
+                 (cs.operator(T_eval)[0], _csr_sampler(cs, T_eval))]
     for op, csr in pairs:
         assert op.shape == csr.shape
         assert np.array_equal(op.row_lengths, np.diff(csr.indptr))

@@ -173,18 +173,84 @@ def test_all_orders_recovers_each_gradient_once(monkeypatch, macro_mesh, disk_ce
     rec = reconstruct.Reconstructor(macro_mesh, disk_cell_mesh, small_table, 0.25,
                                     dns.build_tiled_mesh(disk_cell_mesh, 0.25))
     snap = driven_run.snapshots[-1]
-    calls = []
+    calls, products = [], []
     recover = reconstruct.recover_nodal_gradient
+    p1 = rec.ev.p1
 
     def counted(space, nodal):
         calls.append(np.shape(nodal))
         return recover(space, nodal)
 
+    class CountedP1:
+        def __matmul__(self, x):
+            products.append(np.shape(x))
+            return p1 @ x
+
     monkeypatch.setattr(reconstruct, "recover_nodal_gradient", counted)
+    monkeypatch.setattr(rec.ev, "p1", CountedP1())
     rec.all_orders(snap, driven_run.grid.dt)
-    # T, Phi, U: the gradient and its two components again; the velocity once
-    assert len(calls) == 10
-    for nodal in (snap.T, snap.U):
-        g, h = rec.ev.derivatives(nodal)
-        assert np.array_equal(g, rec.ev.gradient(nodal))
-        assert np.array_equal(h, rec.ev.hessian(nodal))
+    # the gradients of (T, Phi, U1, U2), their components again, the velocity's
+    nn = snap.T.size
+    assert calls == [(4, nn), (4, 2, nn), (2, nn)]
+    # the nodal values, the gradients, the Hessians, the velocity gradient
+    assert products == [(nn, 7), (nn, 8), (nn, 16), (nn, 4)]
+    monkeypatch.undo()
+    ev = rec.ev
+    stack = np.stack([snap.T, snap.Phi, *snap.U])
+    values, g, h = ev.scalar(stack), *ev.derivatives(stack)
+    for k, nodal in enumerate(stack):
+        assert values[k].tobytes() == ev.scalar(nodal).tobytes()
+        assert g[k].tobytes() == ev.gradient(nodal).tobytes()
+        assert ev.gradient(stack)[k].tobytes() == g[k].tobytes()
+        assert h[k].tobytes() == ev.hessian(nodal).tobytes()
+
+
+def _per_field_macro_state(ev, snap, dt):
+    """The macro state evaluated field by field, as Reconstructor._macro_state
+    did before its stacked pass: a P1 product per field or vector field, and
+    the Hessian from recovering each gradient component on its own."""
+    recover = lambda nodal: macro.recover_nodal_gradient(ev.space, nodal)
+
+    def scalar(nodal):
+        values = ev.p1 @ nodal.reshape(-1, nodal.shape[-1]).T
+        return values.T.reshape(nodal.shape[:-1] + (values.shape[0],))
+
+    def gradient_at(g):
+        return np.stack([scalar(g[..., 0]), scalar(g[..., 1])], axis=-1)
+
+    def hessian_at(g):
+        h = np.stack([recover(g[..., i]) for i in range(2)], axis=-2)  # (..., nn, i, j)
+        out = np.empty(h.shape[:-3] + (ev.p1.shape[0], 2, 2))
+        for i in range(2):
+            for j in range(2):
+                out[..., i, j] = scalar(h[..., i, j])
+        return out
+
+    acc = (snap.U - 2.0 * snap.U_prev + snap.U_prevprev) / dt**2
+    st = {"T0": scalar(snap.T), "dTdt": scalar((snap.T - snap.T_prev) / dt),
+          "Phi": scalar(snap.Phi), "U": np.stack([scalar(u) for u in snap.U]),
+          "acc": np.stack([scalar(a) for a in acc]),
+          "gV": gradient_at(recover((snap.U - snap.U_prev) / dt))}
+    for name, nodal in (("T", snap.T), ("Phi", snap.Phi), ("U", snap.U)):
+        g = recover(nodal)
+        st["g" + name], st["h" + name] = gradient_at(g), hessian_at(g)
+    return st
+
+
+def test_stacked_macro_state_is_the_per_field_one_bit_for_bit(monkeypatch, macro_mesh,
+                                                              disk_cell_mesh, small_table,
+                                                              driven_run):
+    """Same values and same memory layouts (the order-1 and -2 einsums sum in
+    an order their operands' strides set), so the same fields at every order."""
+    rec = reconstruct.Reconstructor(macro_mesh, disk_cell_mesh, small_table, 0.25,
+                                    dns.build_tiled_mesh(disk_cell_mesh, 0.25))
+    snap, dt = driven_run.snapshots[-1], driven_run.grid.dt
+    got, ref = rec._macro_state(snap, dt), _per_field_macro_state(rec.ev, snap, dt)
+    assert sorted(got) == sorted(ref)
+    for k in ref:
+        assert got[k].tobytes() == ref[k].tobytes() and got[k].strides == ref[k].strides, k
+    orders = rec.all_orders(snap, dt)
+    monkeypatch.setattr(rec, "_macro_state", lambda snap, dt: ref)
+    for new, old in zip(orders, rec.all_orders(snap, dt)):
+        for f in ("T", "Phi", "U"):
+            assert new[f].tobytes() == old[f].tobytes(), f
