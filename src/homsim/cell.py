@@ -18,9 +18,10 @@ periodic cells: those correctors feed the homogenized coefficients, whose
 benchmark digest pins the rounding of pure-noise columns, so they keep the
 Jacobi-CG solve (fem.PeriodicMap.solve) that produced the digest.
 
-Each second-order family is solved as one block: its element-constant data
-for every index combination are stacked, mapped to an (ndof, k) load block
-by the FemSpace load operators, and solved by one multi-column LU call.
+Each second-order family is solved as one block: the element loads of every
+index combination come from one batched product per element, one product
+with the operator's CsrPattern.load sums them into an (ndof, k) load block,
+as it sums every load vector of fem, and one multi-column LU call solves it.
 
 Families whose right-hand sides contain macroscopic x-derivatives (R, Z, A, B)
 are solved in factored form: the x-derivative acts only through T0(x), so
@@ -225,7 +226,8 @@ def solve_first_order(ops: CellOperators) -> FirstOrderCellSet:
     """Solve the 4 first-order corrector families at the temperature of ops."""
     # One right-hand side at a time, by fem's cell-stage kernels: these solves
     # feed the coefficients.csv digest (see CellOperators.solve_first).  They
-    # move onto the FemSpace load operators and blocks with ROADMAP item 6.
+    # move onto the second order's load blocks (_solve_family) with ROADMAP
+    # item 6.
     nn = ops.mesh.num_nodes
     nt = ops.mesh.num_triangles
 
@@ -304,22 +306,36 @@ def _solve_family(ops, which, S=None, G=None):
 
     Scalar families ("k", "lam"): S (..., nt), G (..., nt, 2), result
     (..., nn).  Elasticity ("c"): S (..., nt, 2), G (..., nt, 2, 2), result
-    (..., 2, nn); component i of its load is the scalar load of S[..., i]
-    and G[..., i, :].  The leading axes index the family: one product per
-    load operator and component, and one CellOperators.solve, serve all of
-    them.
+    (..., 2, nn).  The leading axes index the family.
+
+    Element t gives vertex a, in component i, the load
+    -|t|/3 S_i + |t| sum_j G_ij g_aj (|t| its area, g_a the gradient of the
+    hat function of vertex a): one (3, r) @ (r, nc k) product per element,
+    over the r data rows G_i1, G_i2 and S_i the family has, copied once from
+    views of S and G.  One product with the operator's CsrPattern.load sums
+    these element loads (t, a, i) into the (ndof, k) block, interleaved for
+    elasticity, and one CellOperators.solve solves it; the element loads are
+    freed before the solve.
     """
-    space, nc = ops.space, 2 if which == "c" else 1
-    nn = ops.mesh.num_nodes
+    mesh, nc = ops.mesh, 2 if which == "c" else 1
+    nt, nn = mesh.num_triangles, mesh.num_nodes
     fam = S.shape[:S.ndim - nc] if S is not None else G.shape[:G.ndim - nc - 1]
-    k = int(np.prod(fam))
-    B = np.zeros((nn, nc, k))
-    for i in range(nc):
-        if S is not None:
-            B[:, i] -= space.source_load @ S.reshape(k, -1, nc)[:, :, i].T
-        if G is not None:
-            B[:, i] += space.flux_load @ G.reshape(k, -1, nc, 2)[:, :, i].reshape(k, -1).T
-    X = ops.solve(which, B.reshape(nc * nn, k)).T.reshape(fam + (nn, nc))
+    weights, rows = [], []  # (nt, 3, 2 or 1) and fam + (nt, nc) each
+    if G is not None:
+        weights.append(mesh.areas[:, None, None] * mesh.grads)
+        rows += [G.reshape(fam + (nt, nc, 2))[..., j] for j in range(2)]
+    if S is not None:
+        weights.append(np.broadcast_to(mesh.areas[:, None, None] / -3.0, (nt, 3, 1)))
+        rows.append(S.reshape(fam + (nt, nc)))
+    data = np.empty((nt, len(rows), nc) + fam)
+    for r, row in enumerate(rows):
+        data[:, r] = np.moveaxis(row, range(len(fam)), range(-len(fam), 0))
+    elem = np.concatenate(weights, axis=2) @ data.reshape(nt, len(rows), -1)  # (t, a, i, fam)
+    del data
+    pattern = ops.space.vector_pattern if nc == 2 else ops.space.scalar_pattern
+    B = pattern.load @ elem.reshape(3 * nt * nc, -1)
+    del elem
+    X = ops.solve(which, B).T.reshape(fam + (nn, nc))
     X = np.moveaxis(X, -1, -2)  # (..., component, node)
     return np.ascontiguousarray(X if nc == 2 else X[..., 0, :])
 

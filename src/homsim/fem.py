@@ -14,7 +14,9 @@ Matrices are canonical CSR on one fixed pattern per operator kind
 vectors are bit for bit an np.add.at scatter.  Both are one sparse product
 with a 0/1 operator the pattern holds: CsrPattern.assemble takes the element
 blocks element-last, (k, k, nt), so no block is copied back to element-first
-order, and CsrPattern.scatter takes the element loads element-first, (nt, k).
+order, and CsrPattern.scatter takes the element loads element-first, (nt, k);
+a block of loads is the same product with one column per load
+(cell._solve_family).
 apply_dirichlet eliminates boundary dofs by masking the stored entries of any
 matrix; DirichletPlan plans the same elimination once per pattern and dof
 set, for a stepper that eliminates on every solve.
@@ -324,21 +326,19 @@ class FemSpace:
     are built on first use from the node-major list of the elements around
     each node, which the boundary patches of recovery read too.
 
-    The element-constant load operators source_load and flux_load map
-    per-element data, flattened element-major, to the load vector of the
-    source and the flux form, so that a block of right-hand sides costs one
-    sparse product per form (per component for the vector forms).  They are
-    built on first use too: only the cell problems need them.
-
     unit_stiffness, the (3, 3, nt) products g_a . g_b of the element
     gradients, is built on first use too: a scalar stiffness is its element
     integral times this block.
 
     scalar_pattern and vector_pattern, the CSR patterns of the scalar and
     the interleaved vector operators and loads, are built on first assembly
-    of their kind.  vector_mass_slots (nnz_scalar, 2) holds the vector_pattern
-    positions of the entries (2i, 2j) and (2i+1, 2j+1) of each stored scalar
-    entry (i, j): a scalar M added there is the interleaved kron(M, I_2).
+    of their kind.  Every load vector, and every block of them, is one
+    product with a pattern's load operator: the kernels below and the
+    second-order cell loads (cell._solve_family) compute the element loads,
+    and the pattern sums them.  vector_mass_slots (nnz_scalar, 2) holds the
+    vector_pattern positions of the entries (2i, 2j) and (2i+1, 2j+1) of
+    each stored scalar entry (i, j): a scalar M added there is the
+    interleaved kron(M, I_2).
     """
 
     def __init__(self, mesh):
@@ -436,31 +436,6 @@ class FemSpace:
         rows = _entry_rows(s.indptr)
         offset = 2 * (np.arange(s.nnz) - s.indptr[rows])
         return np.stack([v.indptr[2 * rows + c] + offset + c for c in (0, 1)], axis=1)
-
-    # The two element-constant load operators below serve the vector forms
-    # too: component i of integral f_i v_i or of integral G_ij dv_i/dx_j is
-    # the scalar load of f_i or of the row G_i.
-    def _load(self, elem):
-        """(nn, nt * per) operator from elem (nt, per, 3): column t * per + c
-        adds elem[t, c, a] at node a of element t."""
-        import scipy.sparse as sp
-
-        mesh = self.mesh
-        nt, per = elem.shape[:2]
-        rows = np.repeat(mesh.triangles, per, axis=0)
-        return sp.csc_matrix((elem.ravel(), rows.ravel(), np.arange(0, elem.size + 1, 3)),
-                             shape=(mesh.num_nodes, nt * per))
-
-    @cached_property
-    def source_load(self):
-        """(nn, nt): element-constant f -> integral f v."""
-        return self._load((self.wq @ self.phi)[:, None, :])
-
-    @cached_property
-    def flux_load(self):
-        """(nn, 2 nt): element-constant g (nt, 2) -> integral g_i dv/dx_i."""
-        mesh = self.mesh
-        return self._load((mesh.areas[:, None, None] * mesh.grads).transpose(0, 2, 1))
 
 
 def assemble_grad_grad(space, k):

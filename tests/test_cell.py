@@ -312,29 +312,66 @@ def test_factored_second_order_matches_jacobi_cg(monkeypatch, disk_cell_mesh, ex
         assert np.abs(a - b).max() <= 1e-9 * np.abs(a).max(), name
 
 
-def _per_column_family(ops, which, S=None, G=None):
-    """cell._solve_family one right-hand side at a time: each load assembled
-    by the fem kernels and solved by its own ops.solve.  The source kernels
+def _per_column_loads(space, which, S=None, G=None):
+    """The family's index shape and the load of each right-hand side, in C
+    order, assembled one at a time by the fem kernels.  The source kernels
     take values at the quadrature points: each element's value repeated."""
     vector = which == "c"
     source_at_points = fem.assemble_vector_source if vector else fem.assemble_source
     flux = fem.assemble_cell_tensor_flux if vector else fem.assemble_flux
 
-    def source(space, s):
+    def source(s):
         return source_at_points(space, np.broadcast_to(s[:, None], space.wq.shape + s.shape[1:]))
 
     fam = S.shape[:S.ndim - 1 - vector] if S is not None else G.shape[:G.ndim - 2 - vector]
-    nn = ops.mesh.num_nodes
-    out = []
+    loads = []
     for idx in np.ndindex(*fam):
-        b = np.zeros((1 + vector) * nn)
+        b = np.zeros((1 + vector) * space.mesh.num_nodes)
         if S is not None:
-            b -= source(ops.space, S[idx])
+            b -= source(S[idx])
         if G is not None:
-            b += flux(ops.space, G[idx])
-        x = ops.solve(which, b)
-        out.append(x.reshape(nn, 2).T if vector else x)
+            b += flux(space, G[idx])
+        loads.append(b)
+    return fam, loads
+
+
+def _per_column_family(ops, which, S=None, G=None):
+    """cell._solve_family one right-hand side at a time: each load assembled
+    by the fem kernels (_per_column_loads) and solved by its own ops.solve."""
+    fam, loads = _per_column_loads(ops.space, which, S, G)
+    nn = ops.mesh.num_nodes
+    out = [ops.solve(which, b) for b in loads]
+    out = [x.reshape(nn, 2).T if which == "c" else x for x in out]
     return np.reshape(out, fam + out[0].shape)
+
+
+@pytest.mark.parametrize("data", ["S", "G", "SG"])
+@pytest.mark.parametrize("which", ["k", "c"])
+@pytest.mark.parametrize("cell_mesh", ["disk_cell_mesh", "stripe_cell_mesh"])
+def test_family_load_block_matches_the_kernels(request, monkeypatch, example_law,
+                                               cell_mesh, which, data):
+    """The block _solve_family hands to CellOperators.solve holds, column by
+    column, the load the fem kernels assemble for each right-hand side, for a
+    family with a source, a flux or both, on a scalar and the vector operator."""
+    mesh = request.getfixturevalue(cell_mesh)
+    ops = cell.CellOperators(fem.FemSpace(mesh), example_law, 300.0, "dirichlet")
+    blocks = []
+
+    def capture(_, b):
+        blocks.append(b)
+        return np.zeros_like(b)
+
+    monkeypatch.setattr(ops, "solve", capture)
+    rng = np.random.default_rng(29)
+    per_element = (mesh.num_triangles,) + ((2,) if which == "c" else ())
+    S = rng.standard_normal((2, 3) + per_element) if "S" in data else None
+    G = rng.standard_normal((2, 3) + per_element + (2,)) if "G" in data else None
+    cell._solve_family(ops, which, S=S, G=G)
+    (block,) = blocks
+    _, loads = _per_column_loads(ops.space, which, S, G)
+    assert block.shape == (len(loads[0]), 6)
+    for column, ref in zip(block.T, loads):
+        assert np.abs(column - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _second_order_at(mesh, law, temps, i, bc):

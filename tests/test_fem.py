@@ -598,31 +598,6 @@ def test_load_vectors_equal_the_add_at_scatter(pattern_meshes):
             assert np.array_equal(got, ref)
 
 
-def test_element_constant_load_operators_match_the_kernels(macro_mesh, macro_space):
-    """source_load and flux_load applied to element-constant data give the load
-    vector of each kernel, componentwise for the vector forms, one column per datum.
-    The quadrature-point kernels get each datum repeated over the points."""
-    rng = np.random.default_rng(12)
-    nn, nt = macro_mesh.num_nodes, macro_mesh.num_triangles
-    S, G = rng.standard_normal((3, nt)), rng.standard_normal((3, nt, 2))
-    f, T = rng.standard_normal((3, nt, 2)), rng.standard_normal((3, nt, 2, 2))
-    def per_point(kernel):
-        return lambda space, d: kernel(space, np.broadcast_to(d[:, None], space.wq.shape + d.shape[1:]))
-
-    cases = [(macro_space.source_load @ S.T, per_point(fem.assemble_source), S),
-             (macro_space.flux_load @ G.reshape(3, -1).T, fem.assemble_flux, G)]
-    vector = np.empty((nn, 2, 2, 3))
-    for i in range(2):
-        vector[:, i, 0] = macro_space.source_load @ f[:, :, i].T
-        vector[:, i, 1] = macro_space.flux_load @ T[:, :, i].reshape(3, -1).T
-    cases += [(vector[:, :, 0].reshape(2 * nn, 3), per_point(fem.assemble_vector_source), f),
-              (vector[:, :, 1].reshape(2 * nn, 3), fem.assemble_cell_tensor_flux, T)]
-    for block, kernel, data in cases:
-        for j in range(3):
-            ref = kernel(macro_space, data[j])
-            assert np.abs(block[:, j] - ref).max() <= 1e-14 * np.abs(ref).max()
-
-
 def test_spd_solver_solves_a_block_and_zero_columns_give_zeros(macro_mesh, macro_space):
     A = (fem.assemble_grad_grad(macro_space, macro_mesh.areas)
          + fem.assemble_mass(macro_space, np.ones(macro_space.wq.shape))).tocsr()
