@@ -9,9 +9,9 @@ each takes its coefficient in one form: element integrals for the stiffness
 kernels, quadrature-point values for the others, one value per element for
 the cell stage's block of kernels.
 
-Matrices are canonical CSR on one fixed pattern per operator kind
-(CsrPattern), bit for bit what SciPy's COO -> CSR conversion gives, and load
-vectors are bit for bit an np.add.at scatter.  Both are one sparse product
+Matrices are canonical CSR (CsrMatrix) on one fixed pattern per operator
+kind (CsrPattern), bit for bit what SciPy's COO -> CSR conversion gives,
+and load vectors are bit for bit an np.add.at scatter.  Both are one sparse product
 with a 0/1 operator the pattern holds: CsrPattern.assemble takes the element
 blocks element-last, (k, k, nt), so no block is copied back to element-first
 order, and CsrPattern.scatter takes the element loads element-first, (nt, k);
@@ -29,15 +29,24 @@ FemSpace.average and FemSpace.recovery here and the point-interpolation and
 cell-sampling operators of reconstruct, are RowSums: numpy arrays whose
 product is SciPy's CSR product bit for bit.
 
-SciPy is imported where it is used, not with this module: scipy.sparse by
-each function that builds a matrix, and SuperLU (scipy.sparse.linalg) by
-SpdSolver at the first factorization.  So import homsim.cli loads no SciPy,
-and neither do the stages that build no matrix: verify and errors.
+fem is the one module that reaches SciPy, and it loads two of SciPy's
+compiled modules, not the scipy packages (_scipy_kernel): the CSR kernels
+(scipy.sparse._sparsetools), which CsrMatrix's products, CsrPattern's sort
+and SpdSolver's CSC conversion call, and SuperLU's gstrf
+(scipy.sparse.linalg._dsolve._superlu), which SpdSolver calls.  Each is
+loaded on first use, so import homsim.cli loads no SciPy, and neither do
+verify and errors, which build no matrix; online, dns and the off-line
+stage on Dirichlet cells load only the two kernels.  Only PeriodicMap
+imports scipy.sparse, for its reduction operator and R^T K R product.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from functools import cached_property
+from importlib.machinery import PathFinder
 
 import numpy as np
 
@@ -215,13 +224,61 @@ class RowSum:
         return np.take(total, self._rank, axis=0)
 
 
-def _canonical_csr(data, indices, indptr, shape):
-    """The CSR matrix of these arrays, which the caller knows to be canonical."""
-    import scipy.sparse as sp
+def _scipy_kernel(path):
+    """SciPy's compiled module scipy.<path>, loaded from its file on first use.
 
-    A = sp.csr_matrix((data, indices, indptr), shape=shape)
-    A.has_canonical_format = True
-    return A
+    Only the extension module runs, none of the scipy packages above it: in
+    a process that has imported homsim.cli, import scipy.sparse takes
+    0.13-0.18 s and scipy.sparse.linalg 0.05-0.07 s more, where loading
+    both kernels used here takes 3 ms (2-core x86-64 host).  The module is
+    registered in sys.modules under its own name, so a later import of SciPy
+    in the process reuses it, as this reuses one SciPy has loaded.
+    """
+    name = "scipy." + path
+    if name not in sys.modules:
+        root = PathFinder.find_spec("scipy").submodule_search_locations[0]
+        spec = PathFinder.find_spec(name, [os.path.join(root, *path.split(".")[:-1])])
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+class CsrMatrix:
+    """A CSR matrix held as SciPy's csr_matrix holds it: data, indices, indptr.
+
+    self @ x calls the kernel SciPy's csr_matrix @ x calls, csr_matvec for x
+    (m,) or (m, 1) and csr_matvecs for x (m, k), on the same arrays, so the
+    two products agree bit for bit: each row sums from 0.0 in stored order.
+    diagonal() is SciPy's csr_diagonal.  Every matrix fem assembles or
+    eliminates is canonical (each row's columns ascending, none twice), which
+    apply_dirichlet and SpdSolver require.
+    """
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = shape
+        self.nnz = len(indices)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        m, n = self.shape
+        if x.ndim not in (1, 2) or len(x) != n:
+            raise ValueError(f"CsrMatrix of shape {self.shape} cannot multiply x of shape {x.shape}")
+        kernels = _scipy_kernel("sparse._sparsetools")
+        if x.shape[1:] in ((), (1,)):
+            y = np.zeros(m)
+            kernels.csr_matvec(m, n, self.indptr, self.indices, self.data, x.ravel(), y)
+            return y.reshape((m,) + x.shape[1:])
+        y = np.zeros((m, x.shape[1]))
+        kernels.csr_matvecs(m, n, x.shape[1], self.indptr, self.indices, self.data, x.ravel(),
+                            y.ravel())
+        return y
+
+    def diagonal(self):
+        d = np.empty(min(self.shape))
+        _scipy_kernel("sparse._sparsetools").csr_diagonal(0, *self.shape, self.indptr, self.indices,
+                                                            self.data, d)
+        return d
 
 
 class CsrPattern:
@@ -233,16 +290,17 @@ class CsrPattern:
     those entries, built once and shared, read-only, by every matrix
     assembled here.
 
-    sum (nnz, k^2 nt) and load (n, k nt) are read-only 0/1 CSR operators.
+    sum (nnz, k^2 nt) and load (n, k nt) are read-only 0/1 CsrMatrix operators.
     Row s of sum lists the entries that sum into stored slot s, by their flat
     position (a k + b) nt + t in elem, in the order SciPy's
     coo_matrix(...).tocsr() adds them: that path stores the entries row by
     row in input order, blocks (t, a, b) element-first, sorts each row with
     csr_sort_indices (not a stable sort) and sums the duplicates left to
-    right.  The order is taken from sort_indices() itself, on the unsummed
-    CSR whose data are the entry numbers; the sort compares columns only, so
-    element-last numbers give the order element-first ones give.  Row i of
-    load lists the positions t k + a of dof i in dofs, in input order.
+    right.  The order is taken from csr_sort_indices itself, called as
+    sort_indices() calls it, on the unsummed CSR whose data are the entry
+    numbers; the sort compares columns only, so element-last numbers give
+    the order element-first ones give.  Row i of load lists the positions
+    t k + a of dof i in dofs, in input order.
     SciPy's csr_matvec sums each row left to right from 0.0 and multiplies by
     exact ones, so assemble(elem) is bit for bit SciPy's COO path and
     scatter(entries) is bit for bit np.add.at of the entries into zeros.
@@ -254,8 +312,6 @@ class CsrPattern:
     """
 
     def __init__(self, dofs, n):
-        import scipy.sparse as sp
-
         k = dofs.shape[1]
         idx = np.int32 if max(n, dofs.size * k) <= np.iinfo(np.int32).max else np.int64
         dofs = dofs.astype(idx)
@@ -276,35 +332,34 @@ class CsrPattern:
         start = a * idx(k * nt) + t
         for b in range(k):
             np.add(start, idx(b * nt), out=number[:, b])
-        unsummed = sp.csr_matrix((number.ravel(), np.take(dofs, t, axis=0).ravel(), at_dof * idx(k)),
-                                  shape=(n, n))
-        unsummed.sort_indices()
+        number = number.ravel()
+        # the unsummed CSR, sorted as its sort_indices() sorts it: each row
+        # by csr_sort_indices, unless every row is sorted already
+        j, indptr = np.take(dofs, t, axis=0).ravel(), at_dof * idx(k)
+        kernels = _scipy_kernel("sparse._sparsetools")
+        if not kernels.csr_has_sorted_indices(n, indptr, j):
+            kernels.csr_sort_indices(n, indptr, j, number)
         # an entry opens a new slot at the start of its row or where its
         # column differs from the entry before it
-        j = unsummed.indices
         first = np.ones(len(j), dtype=bool)
         first[1:] = j[1:] != j[:-1]
-        first[unsummed.indptr[:-1][np.diff(at_dof) > 0]] = True
+        first[indptr[:-1][np.diff(at_dof) > 0]] = True
         opens = np.flatnonzero(np.append(first, True)).astype(idx)
         self.indices = np.take(j, opens[:-1])
-        self.indptr = np.searchsorted(opens, unsummed.indptr).astype(idx)
+        self.indptr = np.searchsorted(opens, indptr).astype(idx)
         self.nnz = len(self.indices)
         self.shape = (n, n)
         ones = np.ones(len(j))
-        self.sum = sp.csr_matrix((ones, unsummed.data, opens), shape=(self.nnz, len(j)))
-        self.load = sp.csr_matrix((ones[:dofs.size], by_dof, at_dof), shape=(n, dofs.size))
-        # SciPy copies a short view of a long array into a matrix it builds,
-        # and keeps the view it is given afterwards: 1.4 MB less on the
-        # epsilon=1/6 vector pattern, live through every factorization
-        self.load.data = ones[:dofs.size]
+        self.sum = CsrMatrix(ones, number, opens, (self.nnz, len(j)))
+        self.load = CsrMatrix(ones[:dofs.size], by_dof, at_dof, (n, dofs.size))
         for A in (self.sum, self.load):
             A.data.flags.writeable = False
         for A in (self, self.sum, self.load):
             A.indices.flags.writeable = A.indptr.flags.writeable = False
 
     def matrix(self, data):
-        """The CSR matrix with this pattern and the stored values data (nnz,)."""
-        return _canonical_csr(data, self.indices, self.indptr, self.shape)
+        """The CsrMatrix with this pattern and the stored values data (nnz,)."""
+        return CsrMatrix(data, self.indices, self.indptr, self.shape)
 
     def assemble(self, elem):
         """Sum the element blocks elem (k, k, nt) into a matrix."""
@@ -349,7 +404,7 @@ class FemSpace:
 
     def at_quadrature(self, nodal):
         """P1 interpolation of nodal values, (..., nn) -> (..., nt, nq)."""
-        return np.asarray(nodal, dtype=float)[..., self.mesh.triangles] @ self.phi.T
+        return np.take(np.asarray(nodal, dtype=float), self.mesh.triangles, axis=-1) @ self.phi.T
 
     def element_integrals(self, nodal):
         """Integral of a P1 field over each element, (..., nn) -> (nt, ...).
@@ -364,13 +419,10 @@ class FemSpace:
 
     @cached_property
     def _p1_integral(self):
-        """(nt, nn) operator: nodal values -> element integrals of their P1 field."""
-        import scipy.sparse as sp
-
+        """(nt, nn) CsrMatrix: nodal values -> element integrals of their P1 field."""
         mesh = self.mesh
-        return sp.csr_matrix((np.repeat(mesh.areas / 3.0, 3), mesh.triangles.ravel(),
-                              np.arange(0, mesh.triangles.size + 1, 3)),
-                             shape=(mesh.num_triangles, mesh.num_nodes))
+        return CsrMatrix(np.repeat(mesh.areas / 3.0, 3), mesh.triangles.ravel(),
+                         np.arange(0, mesh.triangles.size + 1, 3), (mesh.num_triangles, mesh.num_nodes))
 
     # Products of element gradients run with the element axis last, over nt
     # contiguous values each: numpy is slow on the short axes of (nt, 3, 2).
@@ -512,13 +564,13 @@ _EDGES_BEFORE = [2, 0, 1]  # the midpoint of the edge ending at each vertex
 def assemble_source(space, f):
     """Load vector  integral  f v, f (nt,nq) at the quadrature points."""
     wf = space.wq * f
-    return space.scalar_pattern.scatter(0.5 * (wf + wf[:, _EDGES_BEFORE]))
+    return space.scalar_pattern.scatter(0.5 * (wf + np.take(wf, _EDGES_BEFORE, axis=1)))
 
 
 def assemble_vector_source(space, f):
     """Load vector  integral  f_i v_i  (interleaved dofs), f (nt,nq,2) at the quadrature points."""
     wf = space.wq[..., None] * f
-    return space.vector_pattern.scatter(0.5 * (wf + wf[:, _EDGES_BEFORE]))
+    return space.vector_pattern.scatter(0.5 * (wf + np.take(wf, _EDGES_BEFORE, axis=1)))
 
 
 def assemble_tensor_flux(space, G):
@@ -629,7 +681,7 @@ def element_gradient(mesh, nodal):
     """
     nodal = np.asarray(nodal, dtype=float)
     g = mesh.grads
-    v = [nodal[..., mesh.triangles[:, a]] for a in range(3)]  # (..., nt) each
+    v = [np.take(nodal, mesh.triangles[:, a], axis=-1) for a in range(3)]  # (..., nt) each
     out = np.moveaxis(np.empty(g.shape[:1] + nodal.shape[:-1] + (2,)), 0, -2)
     for i in range(2):
         out[..., i] = sum_from_zero(v[a] * g[:, a, i] for a in range(3))
@@ -648,24 +700,20 @@ def apply_dirichlet(A, b, dofs, values):
     diagonal and b' forces the prescribed values; the solution of the
     reduced system carries the exact boundary values.
 
-    A' is canonical CSR, a mask over the stored entries of A: those in kept
-    rows and kept columns, less exact zeros, and the diagonal entry of each
-    constrained row, set to 1; A must store that diagonal.  That is
-    D A D + I - D, with D the diagonal of kept dofs, as SciPy's sparse
-    products and sum compute it, bit for bit: they multiply by exact ones,
-    add exact zeros and drop every entry that sums to zero.
+    A is a canonical CsrMatrix, and so is A', a mask over the stored
+    entries of A: those in kept rows and kept columns, less exact zeros, and
+    the diagonal entry of each constrained row, set to 1; A must store that
+    diagonal.  That is D A D + I - D, with D the diagonal of kept dofs, as
+    SciPy's sparse products and sum compute it, bit for bit: they multiply
+    by exact ones, add exact zeros and drop every entry that sums to zero.
     """
-    A = A.tocsr()
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()
     return DirichletPlan(A, dofs, drop=A.data == 0.0).apply(A, b, values)
 
 
 class DirichletPlan:
     """Dirichlet elimination of dofs, planned once for the matrices on one pattern.
 
-    pattern is a CsrPattern or a canonical CSR matrix.  The plan keeps the
+    pattern is a CsrPattern or a canonical CsrMatrix.  The plan keeps the
     mask of the stored entries that survive (those in kept rows and columns,
     less drop, and the diagonal of each constrained row), the positions of
     those diagonals among them, and the reduced indices and indptr, shared
@@ -701,7 +749,7 @@ class DirichletPlan:
         b[self.dofs] = values
         data = A.data[self.keep]
         data[self.pivots] = 1.0
-        return _canonical_csr(data, self.indices, self.indptr, self.shape), b
+        return CsrMatrix(data, self.indices, self.indptr, self.shape), b
 
 
 def pcg(A, b, precondition, max_iter: int, x0=None):
@@ -791,10 +839,16 @@ class SpdSolver:
     ACM TOMS 31, 2005).  That fills L + U about half as much as SciPy's
     default (COLAMD ordering of A^T A, partial pivoting), so the factor, its
     triangular solves and its memory all shrink.  self.fill is the number of
-    entries SuperLU stores for L and U (its own count: the L and U
-    properties would build CSC copies of both factors).  There is no
-    pivoting to fall back on and no retry with the default ordering: a
-    factor whose solve misses SOLVE_RTOL raises SolverError.
+    entries SuperLU stores for L and U.  There is no pivoting to fall back
+    on and no retry with the default ordering: a factor whose solve misses
+    SOLVE_RTOL raises SolverError.
+
+    A is a canonical CsrMatrix.  SuperLU's gstrf is called as SciPy's splu
+    calls it: on the CSC arrays A.tocsc() builds (csr_tocsc), with int
+    indices, and with the options splu passes for the same arguments.  The
+    factor has no L and U properties, which would build SciPy matrices.  The
+    residuals are checked with A's CSR product, which sums each row in the
+    column order the CSC product of A.tocsc() does, bit for bit.
 
     default_ordering=True keeps SciPy's default.  Only cell.CellOperators
     passes it, for the Dirichlet-cell operators: their first-order
@@ -805,14 +859,17 @@ class SpdSolver:
     """
 
     def __init__(self, A, *, default_ordering: bool = False):
-        from scipy.sparse.linalg import splu
-
-        self.A = A.tocsc()
-        if default_ordering:
-            self._lu = splu(self.A)
-        else:
-            self._lu = splu(self.A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                            options={"SymmetricMode": True})
+        n, nnz = A.shape[0], A.nnz
+        indptr, indices, data = np.empty(n + 1, np.intc), np.empty(nnz, np.intc), np.empty(nnz)
+        _scipy_kernel("sparse._sparsetools").csr_tocsc(
+            n, n, A.indptr.astype(np.intc, copy=False), A.indices.astype(np.intc, copy=False), A.data,
+            indptr, indices, data)
+        options = dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None)
+        if not default_ordering:
+            options.update(DiagPivotThresh=0.0, ColPerm="MMD_AT_PLUS_A", SymmetricMode=True)
+        self._lu = _scipy_kernel("sparse.linalg._dsolve._superlu").gstrf(
+            n, nnz, data, indices, indptr, csc_construct_func=None, ilu=False, options=options)
+        self.A = A
         self.fill = self._lu.nnz
         self.residual = 0.0
 
@@ -863,8 +920,9 @@ class PeriodicMap:
     R has full-dof rows and reduced-dof columns, identifying opposite-boundary
     nodes of the unit cell, so that x_full = R x_red.  The reduced operator
     A = R^T K R, with the anchor (the origin corner master) additionally
-    pinned to remove the constant null space, is built once here.  K is
-    scalar (nn dofs) or interleaved vector (2 nn dofs).
+    pinned to remove the constant null space, is built once here, by
+    SciPy's sparse products, and handed out as a CsrMatrix.  K, a CsrMatrix,
+    is scalar (nn dofs) or interleaved vector (2 nn dofs).
 
     reduce(b) and expand(x) map a right-hand side, or a block (n, k) of
     them, to A's dofs and a solution back; cell.CellOperators factors A once
@@ -894,7 +952,9 @@ class PeriodicMap:
             R = sp.coo_matrix((np.ones(2 * nn), (r2, c2)), shape=(2 * nn, 2 * len(keep)))
             self.anchors = np.array([2 * a, 2 * a + 1])
         self.R = R.tocsr()
-        Ar = (self.R.T @ K @ self.R).tocsr()
+        Ar = (self.R.T @ sp.csr_matrix((K.data, K.indices, K.indptr), shape=K.shape) @ self.R).tocsr()
+        Ar.sum_duplicates()
+        Ar = CsrMatrix(Ar.data, Ar.indices, Ar.indptr, Ar.shape)
         self.A, _ = apply_dirichlet(Ar, np.zeros(Ar.shape[0]), self.anchors, 0.0)
 
     def reduce(self, b):

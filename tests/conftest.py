@@ -112,3 +112,65 @@ def count_patterns(monkeypatch):
 
     monkeypatch.setattr(fem, "CsrPattern", Counted)
     return built
+
+
+def scipy_csr(A):
+    """A fem.CsrMatrix as SciPy's csr_matrix, on copies of its arrays, for the
+    tests that read fem matrices with SciPy (toarray, sums, products)."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
+
+
+def fem_csr(S):
+    """A SciPy sparse matrix, or a dense array, as the canonical fem.CsrMatrix
+    the fem kernels take."""
+    import scipy.sparse as sp
+
+    S = sp.csr_matrix(S, copy=True)
+    S.sum_duplicates()
+    return fem.CsrMatrix(S.data, S.indices, S.indptr, S.shape)
+
+
+def superlu():
+    """SuperLU's compiled module, as fem loads it; SciPy's splu calls the same object."""
+    return fem._scipy_kernel("sparse.linalg._dsolve._superlu")
+
+
+def splu_options(**kwargs):
+    """The options scipy.sparse.linalg.splu(A, **kwargs) passes to SuperLU's gstrf.
+
+    splu runs on a 1 x 1 matrix and is stopped at its gstrf call, so no
+    factorization happens and no recorder of gstrf sees it.
+    """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    class Seen(Exception):
+        pass
+
+    def stop(*args, options, **kw):
+        raise Seen(options)
+
+    module, gstrf = superlu(), superlu().gstrf
+    module.gstrf = stop
+    try:
+        spla.splu(sp.csc_matrix(np.eye(1)), **kwargs)
+    except Seen as seen:
+        return seen.args[0]
+    finally:
+        module.gstrf = gstrf
+    raise AssertionError("splu did not call gstrf")
+
+
+@pytest.fixture
+def gstrf_options(monkeypatch):
+    """The options of every SuperLU factorization from here on, in call order."""
+    seen, gstrf = [], superlu().gstrf
+
+    def recorded(*args, options, **kwargs):
+        seen.append(options)
+        return gstrf(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(superlu(), "gstrf", recorded)
+    return seen

@@ -13,7 +13,7 @@ from homsim import cell, fem, homog
 from homsim.materials import MaterialError, elasticity_tensor
 from homsim.mesh import INCLUSION, MATRIX, PhaseGeometry, build_unit_cell_mesh, periodic_pairs
 
-from conftest import EXAMPLE_LAWS, count_patterns
+from conftest import EXAMPLE_LAWS, count_patterns, fem_csr, scipy_csr, splu_options, superlu
 
 
 def _h1(mesh, nodal):
@@ -196,8 +196,8 @@ def _per_solve_reference(pm, K, b):
     """Reference periodic solve that builds everything for one right-hand side:
     R^T K R, anchored by apply_dirichlet, then Jacobi-CG with scipy given the
     matrices themselves."""
-    Ar = (pm.R.T @ K @ pm.R).tocsr()
-    Ar, br = fem.apply_dirichlet(Ar, pm.R.T @ b, pm.anchors, 0.0)
+    Ar, br = fem.apply_dirichlet(fem_csr(pm.R.T @ scipy_csr(K) @ pm.R), pm.R.T @ b, pm.anchors, 0.0)
+    Ar = scipy_csr(Ar)
     xr, info = spla.cg(Ar, br, rtol=1e-12, atol=0.0, maxiter=20000,
                        M=sp.diags(1.0 / Ar.diagonal()))
     assert info == 0
@@ -462,8 +462,9 @@ def test_periodic_first_order_stays_on_jacobi_cg(disk_cell_mesh, example_law):
     assert np.array_equal(first.P, x.reshape(nn, 2).T)
 
 
-def test_periodic_table_factors_each_operator_once(monkeypatch, disk_cell_mesh, example_law):
-    calls = {"splu": 0, "solve_spd": 0}
+def test_periodic_table_factors_each_operator_once(monkeypatch, gstrf_options, disk_cell_mesh,
+                                                   example_law):
+    calls = {"solve_spd": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -471,14 +472,13 @@ def test_periodic_table_factors_each_operator_once(monkeypatch, disk_cell_mesh, 
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
     monkeypatch.setattr(fem, "solve_spd", counted("solve_spd", fem.solve_spd))
     before = cell.SOLVES.count
     homog.build_table(disk_cell_mesh, example_law, np.linspace(280.0, 400.0, 3),
                       Ttilde=300.0, bc="periodic")
     # per temperature: one LU per operator, Jacobi-CG for the 9 first-order
     # correctors only, and 9 + 65 cell solves in all
-    assert calls == {"splu": 3 * 3, "solve_spd": 9 * 3}
+    assert dict(calls, lu=len(gstrf_options)) == {"lu": 3 * 3, "solve_spd": 9 * 3}
     assert cell.SOLVES.count - before == 74 * 3
 
 
@@ -486,28 +486,22 @@ def test_dirichlet_cells_keep_the_default_ordering(monkeypatch, disk_cell_mesh, 
     """The Dirichlet first order is the one SciPy's default LU gives, bit for bit."""
     space = fem.FemSpace(disk_cell_mesh)
     first = cell.solve_first_order(cell.CellOperators(space, example_law, 300.0, "dirichlet"))
-    splu = spla.splu
-    # no ordering or pivoting option reaches SuperLU here
-    monkeypatch.setattr(spla, "splu", lambda A: splu(A))
+    default, gstrf = splu_options(), superlu().gstrf
+    # no ordering or pivoting option reaches SuperLU here: those of splu(A)
+    monkeypatch.setattr(superlu(), "gstrf",
+                        lambda *args, options, **kw: gstrf(*args, options=default, **kw))
     ref = cell.solve_first_order(cell.CellOperators(space, example_law, 300.0, "dirichlet"))
     for name in ("M", "H", "N", "P"):
         assert np.array_equal(getattr(first, name), getattr(ref, name))
 
 
-def test_periodic_cells_factor_in_symmetric_mode(monkeypatch, disk_cell_mesh, example_law):
-    seen = []
-    splu = spla.splu
-
-    def recorded(A, **kwargs):
-        seen.append(kwargs)
-        return splu(A, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", recorded)
+def test_periodic_cells_factor_in_symmetric_mode(gstrf_options, disk_cell_mesh, example_law):
+    seen = gstrf_options
     space = fem.FemSpace(disk_cell_mesh)
     ops = cell.CellOperators(space, example_law, 300.0, bc="periodic")
     nn = disk_cell_mesh.num_nodes
     for which, ndof in (("k", nn), ("lam", nn), ("c", 2 * nn)):
         ops.solve(which, np.ones(ndof))
     assert len(seen) == 3
-    assert all(kw == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-                      "options": {"SymmetricMode": True}} for kw in seen)
+    assert all(kw == splu_options(**{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                                     "options": {"SymmetricMode": True}}) for kw in seen)

@@ -868,10 +868,16 @@ def test_compressed_archive_and_trajectories_still_load(pipeline, tmp_path):
     assert (arch.parent / "errors.csv").read_bytes() == (pipeline / "out" / "errors.csv").read_bytes()
 
 
-def test_verify_and_errors_load_no_scipy(pipeline, tmp_path):
-    """verify builds no operator, and errors builds only RowSum operators, so
-    neither they nor the import of the CLI loads any SciPy module, with or
-    without the VTK output."""
+def test_stages_load_only_scipys_kernels(pipeline, tmp_path):
+    """The SciPy each stage loads, in one fresh process.
+
+    The import of the CLI, verify and errors, with or without the VTK
+    output, load no SciPy module: verify builds no operator, and errors
+    builds only RowSum operators.  offline on Dirichlet cells, online and
+    dns load SciPy's two compiled kernels and no scipy package; periodic
+    offline then imports scipy.sparse for its reduction, but neither
+    scipy.sparse.linalg nor scipy.linalg.
+    """
     out = tmp_path / "out"
     shutil.copytree(pipeline / "out", out)
     (out / "homs_final.vtk").unlink()
@@ -881,6 +887,10 @@ def test_verify_and_errors_load_no_scipy(pipeline, tmp_path):
         raw["output"]["vtk"] = vtk
         paths.append(tmp_path / f"cfg_vtk_{vtk}.json")
         paths[-1].write_text(json.dumps(raw))
+    raw = _mini_config(tmp_path / "periodic")
+    raw["table"]["cell_bc"] = "periodic"
+    periodic = tmp_path / "cfg_periodic.json"
+    periodic.write_text(json.dumps(raw))
     code = f"""
 import sys, homsim.cli
 def loaded():
@@ -890,6 +900,13 @@ for p in {[str(p) for p in paths]!r}:
     for cmd in ("verify", "errors"):
         assert homsim.cli.main([cmd, p]) == 0, (cmd, p)
         assert not loaded(), f"homsim {{cmd}} {{p}} loaded {{loaded()}}"
+kernels = ["scipy.sparse._sparsetools", "scipy.sparse.linalg._dsolve._superlu"]
+for cmd in ("offline", "online", "dns"):
+    assert homsim.cli.main([cmd, {str(paths[0])!r}]) == 0, cmd
+    assert loaded() == kernels, f"homsim {{cmd}} loaded {{loaded()}}"
+assert homsim.cli.main(["offline", {str(periodic)!r}]) == 0
+assert "scipy.sparse" in loaded(), loaded()
+assert "scipy.sparse.linalg" not in loaded() and "scipy.linalg" not in loaded(), loaded()
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c", code], env=env, check=True,

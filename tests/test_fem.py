@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from homsim import fem, homog, macro, reconstruct
 from homsim.mesh import Mesh, build_macro_mesh
 
-from conftest import isotropic_elasticity
+from conftest import fem_csr, isotropic_elasticity, scipy_csr
 
 
 @pytest.fixture(scope="module")
@@ -24,14 +24,14 @@ def macro_space(macro_mesh):
 
 def test_reference_stiffness_matrix(unit_triangle):
     # the stiffness kernel takes the integral of the coefficient 1 over each element
-    A = fem.assemble_grad_grad(fem.FemSpace(unit_triangle), unit_triangle.areas).toarray()
+    A = scipy_csr(fem.assemble_grad_grad(fem.FemSpace(unit_triangle), unit_triangle.areas)).toarray()
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.allclose(A, expected)
 
 
 def test_mass_matrix_sums_to_area(macro_space):
     M = fem.assemble_mass(macro_space, np.ones(macro_space.wq.shape))
-    assert M.sum() == pytest.approx(1.0, abs=1e-12)
+    assert scipy_csr(M).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_source_vector_sums_to_integral(macro_space):
@@ -82,14 +82,14 @@ def test_elasticity_matrix_spd(macro_mesh, macro_space):
     d = np.eye(2)
     c = (np.einsum("ij,kl->ijkl", d, d)
          + np.einsum("ik,jl->ijkl", d, d) + np.einsum("il,jk->ijkl", d, d))
-    K = fem.assemble_elasticity(macro_space, macro_mesh.areas[:, None, None, None, None] * c).tocsr()
-    assert abs(K - K.T).max() < 1e-12
+    K = fem.assemble_elasticity(macro_space, macro_mesh.areas[:, None, None, None, None] * c)
+    assert abs(scipy_csr(K) - scipy_csr(K).T).max() < 1e-12
     # positive semi-definite with rigid modes; pin the boundary for PD
     bn = macro_mesh.boundary_nodes
     bd = np.concatenate([2 * bn, 2 * bn + 1])
     b = np.zeros(K.shape[0])
     K2, _ = fem.apply_dirichlet(K, b, bd, np.zeros(len(bd)))
-    lam = spla.eigsh(K2, k=1, which="SA", return_eigenvectors=False)
+    lam = spla.eigsh(scipy_csr(K2), k=1, which="SA", return_eigenvectors=False)
     assert lam[0] > 0
 
 
@@ -142,7 +142,8 @@ def test_quadrature_varying_elasticity_matches_direct_contraction(macro_mesh, ma
     ke = np.einsum("tq,tqijkl,tal,tbj->tbiak", macro_space.wq, c, g, g)
     ref = _scatter_matrix(ke.reshape(-1, 6, 6), fem.vector_dofs(macro_mesh.triangles)).toarray()
     # the kernel contracts the element integral of c
-    K = fem.assemble_elasticity(macro_space, np.einsum("tq,tq...->t...", macro_space.wq, c)).toarray()
+    K = fem.assemble_elasticity(macro_space, np.einsum("tq,tq...->t...", macro_space.wq, c))
+    K = scipy_csr(K).toarray()
     assert _rel(K, ref) <= 1e-13
 
 
@@ -161,7 +162,7 @@ def test_quadrature_varying_conductivity_matches_direct_contraction(macro_mesh, 
     kg = np.einsum("tq,tqij,tbj->tbi", macro_space.wq, k, g)
     ref = _scatter_matrix(np.einsum("tai,tbi->tab", g, kg), macro_mesh.triangles).toarray()
     kbar = np.einsum("tq,tq...->t...", macro_space.wq, k)  # the element integral of k
-    assert _rel(fem.assemble_grad_grad(macro_space, kbar).toarray(), ref) <= 1e-13
+    assert _rel(scipy_csr(fem.assemble_grad_grad(macro_space, kbar)).toarray(), ref) <= 1e-13
 
 
 def test_element_constant_elasticity_keeps_its_rounding(pattern_meshes):
@@ -219,7 +220,7 @@ def test_element_gradient_keeps_its_rounding_and_layout(pattern_meshes):
 def _assert_close(A, ref):
     """Equal within 1e-14 of the reference's largest entry."""
     scale = abs(ref).max()
-    assert abs(A - ref).max() <= 1e-14 * scale
+    assert abs(scipy_csr(A) - ref).max() <= 1e-14 * scale
 
 
 def _quadrature_elasticity(space, c):
@@ -284,6 +285,40 @@ def test_isotropic_tensor_flux_matches_the_tensor_density(pattern_meshes):
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def _indexed_element_gradient(mesh, nodal):
+    """fem.element_gradient with its vertex values gathered by fancy indexing."""
+    g = mesh.grads
+    v = [nodal[..., mesh.triangles[:, a]] for a in range(3)]
+    out = np.moveaxis(np.empty(g.shape[:1] + nodal.shape[:-1] + (2,)), 0, -2)
+    for i in range(2):
+        out[..., i] = fem.sum_from_zero(v[a] * g[:, a, i] for a in range(3))
+    return out
+
+
+@pytest.mark.parametrize("which", ["macro", "tiled"])
+def test_gathers_by_take_equal_the_indexed_forms(which, macro_mesh, disk_cell_mesh):
+    """at_quadrature, element_gradient and the source loads gather by np.take;
+    each gives the values and the strides of its fancy-indexed form."""
+    from homsim.dns import build_tiled_mesh
+
+    mesh = macro_mesh if which == "macro" else build_tiled_mesh(disk_cell_mesh, 0.25)
+    space = fem.FemSpace(mesh)
+    rng = np.random.default_rng(12)
+    pairs = []
+    for lead in ((), (2,), (2, 2)):
+        nodal = rng.standard_normal(lead + (mesh.num_nodes,))
+        pairs += [(space.at_quadrature(nodal), nodal[..., mesh.triangles] @ space.phi.T),
+                  (fem.element_gradient(mesh, nodal), _indexed_element_gradient(mesh, nodal))]
+    f, F = rng.standard_normal(space.wq.shape), rng.standard_normal(space.wq.shape + (2,))
+    wf, wF = space.wq * f, space.wq[..., None] * F
+    pairs += [(fem.assemble_source(space, f),
+               space.scalar_pattern.scatter(0.5 * (wf + wf[:, [2, 0, 1]]))),
+              (fem.assemble_vector_source(space, F),
+               space.vector_pattern.scatter(0.5 * (wF + wF[:, [2, 0, 1]])))]
+    for got, ref in pairs:
+        assert np.array_equal(got, ref) and got.strides == ref.strides
+
+
 def test_element_integrals_of_a_p1_field(pattern_meshes):
     rng = np.random.default_rng(35)
     for mesh in pattern_meshes:
@@ -296,8 +331,8 @@ def test_element_integrals_of_a_p1_field(pattern_meshes):
 
 
 def _assert_canonical(A):
-    """A is CSR with int32 indices, and SciPy itself finds its arrays canonical."""
-    assert A.format == "csr" and A.indices.dtype == A.indptr.dtype == np.int32
+    """A is a fem CSR with int32 indices, and SciPy itself finds its arrays canonical."""
+    assert isinstance(A, fem.CsrMatrix) and A.indices.dtype == A.indptr.dtype == np.int32
     assert sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape).has_canonical_format
 
 
@@ -358,13 +393,14 @@ def test_vector_mass_slots_add_the_interleaved_mass(macro_space):
     rng = np.random.default_rng(23)
     M = fem.assemble_mass(macro_space, rng.random(macro_space.wq.shape))
     K = fem.assemble_elasticity(macro_space, rng.random((macro_space.mesh.num_triangles, 2, 2, 2, 2)))
-    ref = sp.kron(M, sp.eye(2), format="csr") + K
+    ref = sp.kron(scipy_csr(M), sp.eye(2), format="csr") + scipy_csr(K)
     K.data[macro_space.vector_mass_slots] += M.data[:, None]
     _assert_same_csr(K, ref)
 
 
 def _dirichlet_reference(A, b, dofs, values):
     """Symmetric elimination by sparse products: D A D + I - D, D the kept dofs."""
+    A = scipy_csr(A)
     n = A.shape[0]
     x = np.zeros(n)
     x[dofs] = values
@@ -392,7 +428,7 @@ def test_apply_dirichlet_is_bit_for_bit_the_product_form(macro_mesh, macro_space
     ma, sl = periodic_pairs(disk_cell_mesh)
     for op in (K, C):
         pm = fem.PeriodicMap(disk_cell_mesh, ma, sl, op)
-        cases.append(((pm.R.T @ op @ pm.R).tocsr(), pm.anchors, 0.0))
+        cases.append((fem_csr(pm.R.T @ scipy_csr(op) @ pm.R), pm.anchors, 0.0))
     # macro operators with nonzero boundary values
     bn = macro_mesh.boundary_nodes
     nt = macro_mesh.num_triangles
@@ -401,7 +437,7 @@ def test_apply_dirichlet_is_bit_for_bit_the_product_form(macro_mesh, macro_space
     cases += [(A, bn, rng.standard_normal(len(bn))),
               (V, np.concatenate([2 * bn, 2 * bn + 1]), rng.standard_normal(2 * len(bn)))]
     # a matrix that stores exact zeros, of both signs
-    Z = A.copy()
+    Z = fem_csr(scipy_csr(A))
     Z.data[::5] = 0.0
     Z.data[1::7] = -0.0
     cases.append((Z, bn, rng.standard_normal(len(bn))))
@@ -412,7 +448,7 @@ def test_apply_dirichlet_is_bit_for_bit_the_product_form(macro_mesh, macro_space
         _assert_same_csr(got, ref)
         assert got_b.tobytes() == ref_b.tobytes()
     # the unit diagonal goes where A stores its diagonal: none stored, no elimination
-    hollow = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
+    hollow = fem_csr(np.array([[0.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(ValueError):
         fem.apply_dirichlet(hollow, np.ones(2), [0], 0.0)
 
@@ -430,7 +466,7 @@ def test_apply_dirichlet_preserves_solution(macro_mesh, macro_space):
 def test_spd_solver_matches_direct(macro_mesh, macro_space):
     A = fem.assemble_grad_grad(macro_space, macro_mesh.areas)
     M = fem.assemble_mass(macro_space, np.ones(macro_space.wq.shape))
-    A = (A + M).tocsr()
+    A = fem_csr(scipy_csr(A) + scipy_csr(M))
     rng = np.random.default_rng(0)
     b = rng.standard_normal(macro_mesh.num_nodes)
     x1 = fem.solve_spd(A, b)
@@ -440,8 +476,8 @@ def test_spd_solver_matches_direct(macro_mesh, macro_space):
 
 def _cg_system(macro_mesh, macro_space, k, rng):
     """A Dirichlet-reduced SPD system with conductivity k and a random right-hand side."""
-    A = (fem.assemble_grad_grad(macro_space, k * macro_mesh.areas)
-         + fem.assemble_mass(macro_space, np.full(macro_space.wq.shape, 50.0))).tocsr()
+    A = fem_csr(scipy_csr(fem.assemble_grad_grad(macro_space, k * macro_mesh.areas))
+                + scipy_csr(fem.assemble_mass(macro_space, np.full(macro_space.wq.shape, 50.0))))
     return fem.apply_dirichlet(A, rng.standard_normal(A.shape[0]), macro_mesh.boundary_nodes, 0.0)
 
 
@@ -534,16 +570,16 @@ def test_dirichlet_plan_equals_apply_dirichlet(pattern_meshes):
             _assert_canonical(got)
             assert np.shares_memory(got.indices, plan.indices)
             assert got.nnz > ref.nnz
-            got = got.copy()
+            got = scipy_csr(got)
             got.eliminate_zeros()
-            _assert_same_csr(got, ref)
+            _assert_same_csr(fem_csr(got), ref)
 
 
 def test_periodic_map_constant_nullspace(disk_cell_mesh):
     from homsim.mesh import periodic_pairs
 
     space = fem.FemSpace(disk_cell_mesh)
-    A = fem.assemble_grad_grad(space, disk_cell_mesh.areas).tocsr()
+    A = fem.assemble_grad_grad(space, disk_cell_mesh.areas)
     masters, slaves = periodic_pairs(disk_cell_mesh)
     pm = fem.PeriodicMap(disk_cell_mesh, masters, slaves, A)
     b = np.zeros(disk_cell_mesh.num_nodes)
@@ -599,8 +635,8 @@ def test_load_vectors_equal_the_add_at_scatter(pattern_meshes):
 
 
 def test_spd_solver_solves_a_block_and_zero_columns_give_zeros(macro_mesh, macro_space):
-    A = (fem.assemble_grad_grad(macro_space, macro_mesh.areas)
-         + fem.assemble_mass(macro_space, np.ones(macro_space.wq.shape))).tocsr()
+    A = fem_csr(scipy_csr(fem.assemble_grad_grad(macro_space, macro_mesh.areas))
+                + scipy_csr(fem.assemble_mass(macro_space, np.ones(macro_space.wq.shape))))
     rng = np.random.default_rng(4)
     B = rng.standard_normal((macro_mesh.num_nodes, 4))
     B[:, 1] = 0.0
@@ -623,7 +659,7 @@ def test_spd_solver_never_returns_an_unpivoted_wrong_answer():
     Here the zero leading diagonal makes SuperLU take the tiny (1, 1) entry
     as a pivot, and the factor loses every digit; the residual check raises.
     """
-    A = sp.csc_matrix(np.array([[0.0, 1.0, 1.0], [1.0, 1e-20, 0.0], [1.0, 0.0, 1.0]]))
+    A = fem_csr(np.array([[0.0, 1.0, 1.0], [1.0, 1e-20, 0.0], [1.0, 0.0, 1.0]]))
     with pytest.raises((fem.SolverError, RuntimeError)):
         fem.SpdSolver(A).solve(np.ones(3))
     # and on random indefinite matrices with a zero leading diagonal: either
@@ -635,7 +671,7 @@ def test_spd_solver_never_returns_an_unpivoted_wrong_answer():
         B[0, 0] = 0.0
         b = rng.standard_normal(8)
         try:
-            x = fem.SpdSolver(sp.csc_matrix(B)).solve(b)
+            x = fem.SpdSolver(fem_csr(B)).solve(b)
         except RuntimeError:
             continue
         assert np.linalg.norm(B @ x - b) <= 1e-10 * np.linalg.norm(b)

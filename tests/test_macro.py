@@ -6,12 +6,11 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from homsim import fem, macro
 from homsim.mesh import build_macro_mesh
 
-from conftest import constant_problem_data, count_patterns
+from conftest import constant_problem_data, count_patterns, splu_options
 
 
 def _run(mesh, table, data, dt, n, stride=None):
@@ -209,26 +208,20 @@ class _FactorEverySolve(macro.Stepper):
         return fem.SpdSolver(A).solve(b)
 
 
-def test_stepper_reuses_one_lu_per_operator_kind(monkeypatch, macro_mesh, small_table):
+def test_stepper_reuses_one_lu_per_operator_kind(gstrf_options, macro_mesh, small_table):
     space = fem.FemSpace(macro_mesh)
     data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
     grid = macro.TimeGrid(dt=1e-3, n_steps=12)
     ref = _FactorEverySolve(space, macro.TableProvider(space, small_table), data, grid,
                             snapshot_stride=1).run()
-    factored = []
-    splu = spla.splu
-
-    def counted(A, *args, **kwargs):
-        factored.append(kwargs)
-        return splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counted)
+    factored = gstrf_options
+    factored.clear()  # the reference's factorizations are not counted
     traj = macro.Stepper(space, macro.TableProvider(space, small_table), data, grid,
                          snapshot_stride=1).run()
     # potential, temperature (factored for the start-up half step and kept
     # for step 0 on) and displacement, each in SuperLU's symmetric mode
-    symmetric = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-                 "options": {"SymmetricMode": True}}
+    symmetric = splu_options(**{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                                "options": {"SymmetricMode": True}})
     assert factored == [symmetric] * 3
     assert traj.meta["factorizations"] == len(factored)
     assert traj.meta["max_lu_fill"] > 0
