@@ -204,8 +204,9 @@ class CellOperators:
 
         The benchmark's coefficients.csv digest pins the rounding of noise
         columns such as k_hat_12, so these solves keep the path that produced
-        it.  Periodic cells solve them by Jacobi-CG (fem.PeriodicMap.solve),
-        not by the LU, which rounds them otherwise; Dirichlet cells solve
+        it.  Periodic cells solve them by Jacobi-CG (fem.PeriodicMap.solve,
+        whose reduction is SciPy's R^T K R and R^T b bit for bit), not by the
+        LU, which rounds them otherwise; Dirichlet cells solve
         them by an LU with SciPy's default ordering (fem.SpdSolver's
         default_ordering), not in SuperLU's symmetric mode.  Delete this
         method, that argument and fem.solve_spd once that digest scales its

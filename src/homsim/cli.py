@@ -203,6 +203,9 @@ def main(argv=None) -> int:
     except (ConfigError, archive.ArchiveError, MaterialError, MeshError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
+    except fem.KernelError as e:
+        print(f"unsupported SciPy: {e}", file=sys.stderr)
+        return 2
     except (fem.SolverError, macro.StepError, cell.CellError, RuntimeError,
             np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

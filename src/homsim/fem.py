@@ -24,20 +24,19 @@ pcg is the one conjugate-gradient loop, for the Jacobi-preconditioned cell
 solves (solve_spd) and the LU-preconditioned stepper solves
 (SpdSolver.solve_near).
 
-The operators that are built once and then only multiply,
-FemSpace.average and FemSpace.recovery here and the point-interpolation and
-cell-sampling operators of reconstruct, are RowSums: numpy arrays whose
-product is SciPy's CSR product bit for bit.
+CsrMatrix is the one sparse operator: the matrices, and the operators that
+are built once and then only multiply (CsrPattern's, PeriodicMap's, and
+those CsrMatrix.by_rows builds for FemSpace and reconstruct).
 
 fem is the one module that reaches SciPy, and it loads two of SciPy's
 compiled modules, not the scipy packages (_scipy_kernel): the CSR kernels
 (scipy.sparse._sparsetools), which CsrMatrix's products, CsrPattern's sort
 and SpdSolver's CSC conversion call, and SuperLU's gstrf
 (scipy.sparse.linalg._dsolve._superlu), which SpdSolver calls.  Each is
-loaded on first use, so import homsim.cli loads no SciPy, and neither do
-verify and errors, which build no matrix; online, dns and the off-line
-stage on Dirichlet cells load only the two kernels.  Only PeriodicMap
-imports scipy.sparse, for its reduction operator and R^T K R product.
+loaded on first use, and checked for every function fem calls in it
+(KERNEL_FUNCTIONS), so import homsim.cli loads no SciPy, and neither does
+verify, which builds no matrix; errors loads the CSR kernels alone, and the
+off-line stage, online and dns load the two kernels.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from importlib.machinery import PathFinder
 
 import numpy as np
@@ -154,76 +153,29 @@ def _entry_rows(indptr):
     return np.repeat(np.arange(len(indptr) - 1, dtype=indptr.dtype), np.diff(indptr))
 
 
-class RowSum:
-    """An (n, m) linear operator held by rows, whose product sums each row as CSR does.
+class KernelError(ImportError):
+    """The installed SciPy lacks a compiled module, or a function in one, that
+    fem calls; the message names SciPy's version, read without importing it."""
 
-    Row i of self @ x is 0.0 plus, left to right, weight * x[column] over the
-    entries of row i in the order they were given, for x (m,) or (m, k).
-    That is the order of SciPy's csr_matvec(s) over a CSR matrix storing the
-    same entries in the same order (canonical CSR stores each row's columns
-    ascending), so the two products agree bit for bit, as sum_from_zero
-    agrees with einsum.  A row without entries gives 0.0.
+    def __init__(self, what):
+        from importlib import metadata
 
-    The entries are kept position-major, ELLPACK's fixed-width layout cut to
-    each row's length (N. Bell, M. Garland, "Implementing sparse
-    matrix-vector multiplication on throughput-oriented processors", SC
-    2009): rows are ranked longest first, and position j lists the j-th
-    entry of every row that has one, which are ranks 0 to counts[j] - 1.  A
-    product is then one gather, one multiply and one slice addition per
-    position, however the row lengths vary: the long row of a hub node (56
-    elements around the disk centre of a fine cell) adds steps over the few
-    rows that reach its later positions.
-    """
-
-    def __init__(self, rows, cols, weights, shape):
-        """One entry per item of rows, cols and weights; the entries of each
-        row are contiguous and in the order they are summed."""
-        n, m = shape
-        rows = np.asarray(rows)
-        nnz = len(rows)
-        # int32 indices halve the memory a fine mesh's operators keep, and
-        # the temporaries of this set-up
-        idx = np.int32 if max(n, m, nnz) <= np.iinfo(np.int32).max else np.intp
-        rows = rows.astype(idx, copy=False)
-        first = np.flatnonzero(np.diff(rows, prepend=-1)).astype(idx)  # each row's first entry
-        row_nnz = np.diff(np.append(first, nnz))
-        if np.bincount(rows[first], minlength=n).max(initial=0) > 1:
-            raise ValueError("RowSum: the entries of a row must be contiguous")
-        lengths = np.zeros(n, dtype=np.intp)
-        lengths[rows[first]] = row_nnz
-        self._rank = np.empty(n, dtype=idx)
-        self._rank[np.argsort(-lengths, kind="stable")] = np.arange(n)
-        counts = n - np.cumsum(np.bincount(lengths))[:-1]  # rows with more than j entries
-        at = np.append(0, np.cumsum(counts)).astype(idx)
-        pos = np.arange(nnz, dtype=idx)
-        pos -= np.repeat(first, row_nnz)  # each entry's position in its row
-        pos = np.take(at, pos)
-        pos += np.take(self._rank, rows)
-        self._cols = np.empty(nnz, dtype=idx)
-        self._cols[pos] = cols
-        self._weights = np.empty(nnz)
-        self._weights[pos] = weights
-        self._counts = counts
-        self._steps = list(zip(at[:-1].tolist(), counts.tolist()))
-        self.shape = (n, m)
-
-    @property
-    def row_lengths(self):
-        """(n,): the number of entries of each row."""
-        return np.count_nonzero(self._rank[:, None] < self._counts, axis=1)
-
-    def __matmul__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or len(x) != self.shape[1]:
-            raise ValueError(f"RowSum of shape {self.shape} cannot multiply x of shape {x.shape}")
-        terms = np.take(x, self._cols, axis=0)
-        terms *= self._weights if x.ndim == 1 else self._weights[:, None]
-        total = np.zeros((self.shape[0],) + x.shape[1:])
-        for start, count in self._steps:
-            total[:count] += terms[start:start + count]
-        return np.take(total, self._rank, axis=0)
+        try:
+            version = "SciPy " + metadata.version("scipy")
+        except metadata.PackageNotFoundError:
+            version = "no installed SciPy"
+        super().__init__(f"{version} has no {what}")
 
 
+#: the functions fem calls in each of SciPy's compiled modules it loads
+KERNEL_FUNCTIONS = {
+    "sparse._sparsetools": ("csr_matvec", "csr_matvecs", "csr_diagonal", "csr_tocsc",
+                            "csr_has_sorted_indices", "csr_sort_indices"),
+    "sparse.linalg._dsolve._superlu": ("gstrf",),
+}
+
+
+@cache
 def _scipy_kernel(path):
     """SciPy's compiled module scipy.<path>, loaded from its file on first use.
 
@@ -233,14 +185,26 @@ def _scipy_kernel(path):
     both kernels used here takes 3 ms (2-core x86-64 host).  The module is
     registered in sys.modules under its own name, so a later import of SciPy
     in the process reuses it, as this reuses one SciPy has loaded.
+
+    Each module is looked up and checked once per process: a missing
+    module, or one without a function KERNEL_FUNCTIONS lists for it, raises
+    KernelError before any kernel runs.
     """
     name = "scipy." + path
-    if name not in sys.modules:
-        root = PathFinder.find_spec("scipy").submodule_search_locations[0]
-        spec = PathFinder.find_spec(name, [os.path.join(root, *path.split(".")[:-1])])
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = PathFinder.find_spec("scipy")
+        spec = scipy and PathFinder.find_spec(
+            name, [os.path.join(scipy.submodule_search_locations[0], *path.split(".")[:-1])])
+        if spec is None:
+            raise KernelError(f"module {name}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    missing = [f for f in KERNEL_FUNCTIONS[path] if not hasattr(module, f)]
+    if missing:
+        raise KernelError(f"{', '.join(missing)} in {name}")
+    sys.modules[name] = module
+    return module
 
 
 class CsrMatrix:
@@ -258,6 +222,18 @@ class CsrMatrix:
         self.data, self.indices, self.indptr = data, indices, indptr
         self.shape = shape
         self.nnz = len(indices)
+
+    @classmethod
+    def by_rows(cls, rows, cols, data, shape):
+        """The CsrMatrix of the entries (rows[s], cols[s], data[s]), each
+        row's stored, and so summed, in the order given: a stable sort puts
+        the entries in rows.  The indices are int32 where they fit, which
+        halves what a fine mesh's operators keep."""
+        rows = np.asarray(rows)
+        idx = np.int32 if max(shape + (len(rows),)) <= np.iinfo(np.int32).max else np.int64
+        order = np.argsort(rows, kind="stable")
+        indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=shape[0])))
+        return cls(np.take(data, order), np.take(cols, order).astype(idx), indptr.astype(idx), shape)
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
@@ -377,9 +353,10 @@ class FemSpace:
     the kernels below, so that quadrature points, node area sums and the
     gradient-recovery operator are not recomputed on every call.
 
-    average and recovery, the RowSums that map element values to the nodes,
-    are built on first use from the node-major list of the elements around
-    each node, which the boundary patches of recovery read too.
+    average and recovery, the CsrMatrix operators that map element values
+    to the nodes, are built on first use from the node-major list of the
+    elements around each node, which the boundary patches of recovery read
+    too.
 
     unit_stiffness, the (3, 3, nt) products g_a . g_b of the element
     gradients, is built on first use too: a scalar stiffness is its element
@@ -446,14 +423,14 @@ class FemSpace:
     # never need them, and the boundary patches cost a Python loop.
     @cached_property
     def average(self):
-        """(nn, nt) RowSum: area average of element values at each node."""
+        """(nn, nt) CsrMatrix: area average of element values at each node."""
         nodes, elems = _node_elements(self.mesh)
-        return RowSum(nodes, elems, self._average_weights(nodes, elems),
-                      (self.mesh.num_nodes, self.mesh.num_triangles))
+        return CsrMatrix.by_rows(nodes, elems, self._average_weights(nodes, elems),
+                                 (self.mesh.num_nodes, self.mesh.num_triangles))
 
     @cached_property
     def recovery(self):
-        """(nn, nt) RowSum: gradient recovery applied to element gradients.
+        """(nn, nt) CsrMatrix: gradient recovery applied to element gradients.
 
         The area average, with each boundary row replaced by the
         least-squares patch row of that node.
@@ -468,8 +445,8 @@ class FemSpace:
         rows = [nodes] + [np.full(len(e), b) for b, (e, _) in zip(mesh.boundary_nodes, patches)]
         cols = [elems] + [e for e, _ in patches]
         vals = [self._average_weights(nodes, elems)] + [r for _, r in patches]
-        return RowSum(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-                      (mesh.num_nodes, mesh.num_triangles))
+        return CsrMatrix.by_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                                 (mesh.num_nodes, mesh.num_triangles))
 
     @cached_property
     def scalar_pattern(self):
@@ -917,54 +894,71 @@ class SpdSolver:
 class PeriodicMap:
     """A cell operator constrained to periodic fields, for many right-hand sides.
 
-    R has full-dof rows and reduced-dof columns, identifying opposite-boundary
-    nodes of the unit cell, so that x_full = R x_red.  The reduced operator
-    A = R^T K R, with the anchor (the origin corner master) additionally
-    pinned to remove the constant null space, is built once here, by
-    SciPy's sparse products, and handed out as a CsrMatrix.  K, a CsrMatrix,
-    is scalar (nn dofs) or interleaved vector (2 nn dofs).
+    rep maps each full dof to its reduced dof: opposite-boundary nodes of the
+    unit cell share their master's dofs (interleaved, for a vector K).  R,
+    the 0/1 matrix of rep, has x_full = R x_red.  A = R^T K R, with the
+    anchor (the origin corner master) pinned to remove the constant null
+    space, is built once here, bit for bit what SciPy's products with R
+    give.  K, a CsrMatrix, is scalar (nn dofs) or interleaved vector (2 nn).
 
-    reduce(b) and expand(x) map a right-hand side, or a block (n, k) of
-    them, to A's dofs and a solution back; cell.CellOperators factors A once
-    (SpdSolver) and solves between them.  solve(b) is the Jacobi-CG path,
-    kept only for the first-order correctors (see solve_spd).
+    _reduced sums K's stored entries into the slots (rep(i), rep(j)) with a
+    0/1 sum operator, as CsrPattern.sum sums element entries: each slot from
+    0.0 in K's stored order, dropping exact zeros as SciPy's csr_matmat
+    does.  csr_matmat sums over the columns j the sums over the rows i; the
+    orders agree on a cell mesh, where no node neighbours two copies of one
+    node: a slot then has one term per row and per column, and only the
+    corner's own slots, which couple each corner node with itself, have
+    more than two.
+
+    reduce(b) is R^T b with the anchors zeroed, a 0/1 CsrMatrix that sums
+    the full dofs of each reduced dof ascending, as SciPy's csc_matvec(s)
+    does; expand(x) is R x, a gather plus 0.0, which turns -0.0 into +0.0 as
+    the product does.  Both take one vector or a block (n, k);
+    cell.CellOperators factors A once (SpdSolver) and solves between them.
+    solve(b) is the Jacobi-CG path, kept only for the first-order correctors
+    (see solve_spd).
     """
 
     def __init__(self, mesh, masters, slaves, K):
-        import scipy.sparse as sp
-
         nn = mesh.num_nodes
         components = K.shape[0] // nn
-        rep = np.arange(nn)
-        rep[slaves] = masters
-        keep = np.setdiff1d(np.arange(nn), slaves)
-        col_of = -np.ones(nn, dtype=np.int64)
-        col_of[keep] = np.arange(len(keep))
-        rows = np.arange(nn)
-        cols = col_of[rep[rows]]
-        a = col_of[rep[int(np.argmin(np.sum(mesh.nodes**2, axis=1)))]]
-        if components == 1:
-            R = sp.coo_matrix((np.ones(nn), (rows, cols)), shape=(nn, len(keep)))
-            self.anchors = np.array([a])
-        else:
-            r2 = np.concatenate([2 * rows, 2 * rows + 1])
-            c2 = np.concatenate([2 * cols, 2 * cols + 1])
-            R = sp.coo_matrix((np.ones(2 * nn), (r2, c2)), shape=(2 * nn, 2 * len(keep)))
-            self.anchors = np.array([2 * a, 2 * a + 1])
-        self.R = R.tocsr()
-        Ar = (self.R.T @ sp.csr_matrix((K.data, K.indices, K.indptr), shape=K.shape) @ self.R).tocsr()
-        Ar.sum_duplicates()
-        Ar = CsrMatrix(Ar.data, Ar.indices, Ar.indptr, Ar.shape)
-        self.A, _ = apply_dirichlet(Ar, np.zeros(Ar.shape[0]), self.anchors, 0.0)
+        node = np.arange(nn)
+        node[slaves] = masters
+        master = np.ones(nn, dtype=bool)
+        master[slaves] = False
+        node = (np.cumsum(master) - 1)[node]  # the reduced node of each node
+        self.rep = rep = (components * node[:, None] + np.arange(components)).ravel()
+        origin = int(np.argmin(np.sum(mesh.nodes**2, axis=1)))
+        self.anchors = rep[components * origin:components * (origin + 1)]
+        n = components * np.count_nonzero(master)
+        self.A, _ = apply_dirichlet(self._reduced(K, n), np.zeros(n), self.anchors, 0.0)
+        # the full dofs of each reduced dof, ascending
+        self._sum = CsrMatrix.by_rows(rep, np.arange(len(rep)), np.ones(len(rep)), (n, len(rep)))
+
+    def _reduced(self, K, n):
+        """R^T K R (n, n), as SciPy's csr_matmat gives it: canonical, no exact zeros."""
+        idx = K.indptr.dtype
+        # K's stored entries by reduced slot, each slot's in stored order
+        keys = np.take(self.rep, _entry_rows(K.indptr)) * n + np.take(self.rep, K.indices)
+        order = np.argsort(keys, kind="stable")
+        keys = np.take(keys, order)
+        opens = np.flatnonzero(np.diff(keys, prepend=-1))
+        total = CsrMatrix(np.ones(K.nnz), order.astype(idx), np.append(opens, K.nnz).astype(idx),
+                          (len(opens), K.nnz))
+        data = total @ K.data
+        nonzero = data != 0.0
+        rows, cols = np.divmod(np.take(keys, opens[nonzero]), n)
+        return CsrMatrix(data[nonzero], cols.astype(idx),
+                         np.searchsorted(rows, np.arange(n + 1)).astype(idx), (n, n))
 
     def reduce(self, b):
         # the anchored right-hand side apply_dirichlet gives for the value 0
-        br = self.R.T @ b
+        br = self._sum @ b
         br[self.anchors] = 0.0
         return br
 
     def expand(self, x):
-        return self.R @ x
+        return 0.0 + np.take(x, self.rep, axis=0)
 
     def solve(self, b):
         return self.expand(solve_spd(self.A, self.reduce(b)))

@@ -6,8 +6,8 @@ matrix/inclusion interface (a polygon whose vertices lie on the circle for a
 disk inclusion centred in the cell, grid-snapped lines for a stripe band).
 Mesh.locate_points gives the triangle and barycentric coordinates of points;
 the interpolation operators built from them belong to their users
-(reconstruct, as fem.RowSum operators, without SciPy).  periodic_pairs
-matches the nodes of opposite cell edges to PERIODIC_TOL.
+(reconstruct, as fem.CsrMatrix operators).  periodic_pairs matches the nodes
+of opposite cell edges to PERIODIC_TOL.
 """
 
 from __future__ import annotations

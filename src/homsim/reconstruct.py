@@ -14,8 +14,9 @@ derivatives from recovery applied twice, and time derivatives from backward
 differences of the stored history.
 
 Every operator here only multiplies: the P1 interpolation at the points,
-the cell sampling and the recovery are fem.RowSum operators, so a
-reconstruction loads no SciPy.
+the cell sampling and the recovery are fem.CsrMatrix operators
+(CsrMatrix.by_rows), so a reconstruction loads SciPy's CSR kernels alone,
+and no scipy package.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dns import tiles
-from .fem import FemSpace, RowSum
+from .fem import CsrMatrix, FemSpace
 from .homog import hat_weights
 from .macro import recover_nodal_gradient
 
@@ -42,8 +43,9 @@ class MacroEvaluator:
         self.space = FemSpace(macro_mesh)
         tri, bary = macro_mesh.locate_points(points)
         # row p: the P1 weights of point p at its triangle's vertices
-        self.p1 = RowSum(np.repeat(np.arange(len(tri)), 3), macro_mesh.triangles[tri].ravel(),
-                         bary.ravel(), (len(tri), macro_mesh.num_nodes))
+        self.p1 = CsrMatrix.by_rows(np.repeat(np.arange(len(tri)), 3),
+                                    macro_mesh.triangles[tri].ravel(), bary.ravel(),
+                                    (len(tri), macro_mesh.num_nodes))
 
     def scalar(self, nodal):
         """(..., nn) -> (..., npts): the P1 interpolant at the points."""
@@ -91,7 +93,7 @@ class CellSampler:
         slots runs from the lowest slot any point reaches to the highest, and
         column (t - slots.start) * nn + a is cell node a at table temperature
         t.  Row p holds the hat weights in T times the P1 weights in y: 6
-        entries, a RowSum.
+        entries, a fem.CsrMatrix.
         """
         i, s = hat_weights(self.temps, T_eval)
         npts, nn = len(s), self.num_cell_nodes
@@ -99,8 +101,8 @@ class CellSampler:
         t = (i - lo)[:, None, None] + np.arange(2)[None, :, None]
         cols = t * nn + self.nodes3[:, None, :]  # (npts, 2, 3)
         vals = np.stack([1.0 - s, s], axis=1)[:, :, None] * self.bary[:, None, :]
-        op = RowSum(np.repeat(np.arange(npts), 6), cols.ravel(), vals.ravel(),
-                    (npts, (hi + 1 - lo) * nn))
+        op = CsrMatrix.by_rows(np.repeat(np.arange(npts), 6), cols.ravel(), vals.ravel(),
+                               (npts, (hi + 1 - lo) * nn))
         return op, slice(lo, hi + 1)
 
     def sample(self, op, per_temp_arrays):

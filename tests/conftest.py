@@ -132,6 +132,15 @@ def fem_csr(S):
     return fem.CsrMatrix(S.data, S.indices, S.indptr, S.shape)
 
 
+def periodic_R(pm):
+    """The SciPy CSR matrix R of a fem.PeriodicMap, built from its rep: full
+    dof f has a 1 in column rep[f], so that x_full = R x_red."""
+    import scipy.sparse as sp
+
+    n = len(pm.rep)
+    return sp.csr_matrix((np.ones(n), pm.rep, np.arange(n + 1)), shape=(n, pm.A.shape[0]))
+
+
 def superlu():
     """SuperLU's compiled module, as fem loads it; SciPy's splu calls the same object."""
     return fem._scipy_kernel("sparse.linalg._dsolve._superlu")

@@ -13,7 +13,8 @@ from homsim import cell, fem, homog
 from homsim.materials import MaterialError, elasticity_tensor
 from homsim.mesh import INCLUSION, MATRIX, PhaseGeometry, build_unit_cell_mesh, periodic_pairs
 
-from conftest import EXAMPLE_LAWS, count_patterns, fem_csr, scipy_csr, splu_options, superlu
+from conftest import (EXAMPLE_LAWS, count_patterns, fem_csr, periodic_R, scipy_csr, splu_options,
+                      superlu)
 
 
 def _h1(mesh, nodal):
@@ -196,12 +197,13 @@ def _per_solve_reference(pm, K, b):
     """Reference periodic solve that builds everything for one right-hand side:
     R^T K R, anchored by apply_dirichlet, then Jacobi-CG with scipy given the
     matrices themselves."""
-    Ar, br = fem.apply_dirichlet(fem_csr(pm.R.T @ scipy_csr(K) @ pm.R), pm.R.T @ b, pm.anchors, 0.0)
+    R = periodic_R(pm)
+    Ar, br = fem.apply_dirichlet(fem_csr(R.T @ scipy_csr(K) @ R), R.T @ b, pm.anchors, 0.0)
     Ar = scipy_csr(Ar)
     xr, info = spla.cg(Ar, br, rtol=1e-12, atol=0.0, maxiter=20000,
                        M=sp.diags(1.0 / Ar.diagonal()))
     assert info == 0
-    return pm.R @ xr
+    return R @ xr
 
 
 def test_periodic_solve_constrained_once_matches_per_solve_path(disk_cell_mesh, example_law):

@@ -871,12 +871,11 @@ def test_compressed_archive_and_trajectories_still_load(pipeline, tmp_path):
 def test_stages_load_only_scipys_kernels(pipeline, tmp_path):
     """The SciPy each stage loads, in one fresh process.
 
-    The import of the CLI, verify and errors, with or without the VTK
-    output, load no SciPy module: verify builds no operator, and errors
-    builds only RowSum operators.  offline on Dirichlet cells, online and
-    dns load SciPy's two compiled kernels and no scipy package; periodic
-    offline then imports scipy.sparse for its reduction, but neither
-    scipy.sparse.linalg nor scipy.linalg.
+    The import of the CLI and verify, with or without the VTK output, load
+    no SciPy module: verify builds no operator.  errors then loads SciPy's
+    CSR kernels alone, for its CsrMatrix products, and offline on Dirichlet
+    and on periodic cells, online and dns load the two compiled kernels and
+    no scipy package.
     """
     out = tmp_path / "out"
     shutil.copytree(pipeline / "out", out)
@@ -896,22 +895,67 @@ import sys, homsim.cli
 def loaded():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded(), f"import homsim.cli loaded {{loaded()}}"
-for p in {[str(p) for p in paths]!r}:
-    for cmd in ("verify", "errors"):
-        assert homsim.cli.main([cmd, p]) == 0, (cmd, p)
-        assert not loaded(), f"homsim {{cmd}} {{p}} loaded {{loaded()}}"
+paths = {[str(p) for p in paths]!r}
+for p in paths:
+    assert homsim.cli.main(["verify", p]) == 0, p
+    assert not loaded(), f"homsim verify {{p}} loaded {{loaded()}}"
+for p in paths:
+    assert homsim.cli.main(["errors", p]) == 0, p
+    assert loaded() == ["scipy.sparse._sparsetools"], f"homsim errors {{p}} loaded {{loaded()}}"
 kernels = ["scipy.sparse._sparsetools", "scipy.sparse.linalg._dsolve._superlu"]
-for cmd in ("offline", "online", "dns"):
-    assert homsim.cli.main([cmd, {str(paths[0])!r}]) == 0, cmd
-    assert loaded() == kernels, f"homsim {{cmd}} loaded {{loaded()}}"
-assert homsim.cli.main(["offline", {str(periodic)!r}]) == 0
-assert "scipy.sparse" in loaded(), loaded()
-assert "scipy.sparse.linalg" not in loaded() and "scipy.linalg" not in loaded(), loaded()
+for cmd, p in [("offline", {str(periodic)!r})] + [(cmd, paths[0]) for cmd in ("offline", "online", "dns")]:
+    assert homsim.cli.main([cmd, p]) == 0, (cmd, p)
+    assert loaded() == kernels, f"homsim {{cmd}} {{p}} loaded {{loaded()}}"
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    stdout=subprocess.DEVNULL)
     assert (out / "homs_final.vtk").is_file()  # written by the run with the VTK output
+
+
+def _fake_scipy(root, kernels):
+    """A SciPy installation under root that reports version 1.99.0 and holds
+    only the compiled modules kernels maps (path -> file to link or text of a
+    Python module); importing its scipy package fails."""
+    (root / "scipy-1.99.0.dist-info").mkdir(parents=True)
+    (root / "scipy-1.99.0.dist-info" / "METADATA").write_text(
+        "Metadata-Version: 2.1\nName: scipy\nVersion: 1.99.0\n")
+    (root / "scipy").mkdir()
+    (root / "scipy" / "__init__.py").write_text("raise ImportError('the scipy package was imported')\n")
+    for path, source in kernels.items():
+        where = root.joinpath("scipy", *path.split(".")[:-1])
+        where.mkdir(parents=True, exist_ok=True)
+        if isinstance(source, str):
+            (where / (path.split(".")[-1] + ".py")).write_text(source)
+        else:
+            (where / source.name).symlink_to(source)
+
+
+@pytest.mark.parametrize("missing", ["module", "function"])
+def test_a_scipy_without_a_kernel_exits_2_in_one_line(missing, tmp_path):
+    """A SciPy that lacks a compiled module or a function fem calls stops the
+    first stage that needs it with exit code 2 and one line naming the SciPy
+    version, the module and the function: no traceback, no scipy import."""
+    from homsim import fem
+
+    real = pathlib.Path(fem._scipy_kernel("sparse._sparsetools").__file__)
+    if missing == "module":  # the CSR kernels but no SuperLU
+        kernels = {"sparse._sparsetools": real}
+        expected = "has no module scipy.sparse.linalg._dsolve._superlu"
+    else:  # a kernel module without csr_matvecs
+        names = [f for f in fem.KERNEL_FUNCTIONS["sparse._sparsetools"] if f != "csr_matvecs"]
+        kernels = {"sparse._sparsetools": f"{' = '.join(names)} = None\n"}
+        expected = "has no csr_matvecs in scipy.sparse._sparsetools"
+    _fake_scipy(tmp_path / "site", kernels)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_mini_config(tmp_path / "out")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path / "site"), str(SRC)]))
+    done = subprocess.run([sys.executable, "-m", "homsim.cli", "offline", str(cfg)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("unsupported SciPy: SciPy 1.99.0"), lines
+    assert expected in lines[0], lines
 
 
 def test_errors_with_missing_second_order_array_exits_2(pipeline, tmp_path, capsys):

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from homsim import fem, homog, macro, reconstruct
 from homsim.mesh import Mesh, build_macro_mesh
 
-from conftest import fem_csr, isotropic_elasticity, scipy_csr
+from conftest import fem_csr, isotropic_elasticity, periodic_R, scipy_csr
 
 
 @pytest.fixture(scope="module")
@@ -428,7 +428,8 @@ def test_apply_dirichlet_is_bit_for_bit_the_product_form(macro_mesh, macro_space
     ma, sl = periodic_pairs(disk_cell_mesh)
     for op in (K, C):
         pm = fem.PeriodicMap(disk_cell_mesh, ma, sl, op)
-        cases.append((fem_csr(pm.R.T @ scipy_csr(op) @ pm.R), pm.anchors, 0.0))
+        R = periodic_R(pm)
+        cases.append((fem_csr(R.T @ scipy_csr(op) @ R), pm.anchors, 0.0))
     # macro operators with nonzero boundary values
     bn = macro_mesh.boundary_nodes
     nt = macro_mesh.num_triangles
@@ -592,6 +593,132 @@ def test_periodic_map_constant_nullspace(disk_cell_mesh):
     assert np.allclose(u[slaves], um, atol=1e-10)
 
 
+# PeriodicMap's reduction against SciPy's products with R, the 0/1 matrix that
+# identifies the nodes of opposite cell edges, built here as the map built it
+# before it left SciPy: from the periodic pairs, not from the map's rep.
+
+
+def _scipy_reduction(mesh, masters, slaves, components):
+    """(R, anchors): R (components nn, components nr) as SciPy's CSR, and the
+    dofs of the origin corner's master."""
+    nn = mesh.num_nodes
+    rep = np.arange(nn)
+    rep[slaves] = masters
+    keep = np.setdiff1d(np.arange(nn), slaves)
+    col_of = -np.ones(nn, dtype=np.int64)
+    col_of[keep] = np.arange(len(keep))
+    cols = col_of[rep]
+    a = cols[int(np.argmin(np.sum(mesh.nodes**2, axis=1)))]
+    rows = np.arange(components * nn)
+    cols = (components * cols[:, None] + np.arange(components)).ravel()
+    R = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(rows), components * len(keep)))
+    return R.tocsr(), np.arange(components * a, components * a + components)
+
+
+def _scipy_reduced(R, K):
+    """SciPy's R^T K R, canonical and without exact zeros."""
+    Ar = (R.T @ scipy_csr(K) @ R).tocsr()
+    Ar.sum_duplicates()
+    Ar.eliminate_zeros()
+    return Ar
+
+
+@pytest.fixture(scope="module", params=[("disk", 0.08), ("disk", 0.12), ("disk", 0.2),
+                                        ("stripe", 0.1)], ids=str)
+def periodic_cell(request):
+    from homsim.mesh import PhaseGeometry, build_unit_cell_mesh, periodic_pairs
+
+    shape, h = request.param
+    mesh = build_unit_cell_mesh(PhaseGeometry(shape, radius=0.25, fraction=0.5), h)
+    return mesh, periodic_pairs(mesh)
+
+
+def _cell_operators(mesh, T0):
+    """The scalar and vector cell operators of the shipped law at T0, as
+    cell.CellOperators assembles them."""
+    from conftest import shipped_law
+    from homsim import cell
+
+    space = fem.FemSpace(mesh)
+    ops = cell.CellOperators(space, shipped_law(), T0, "dirichlet")
+    return {"k": fem.assemble_cell_grad_grad(space, ops.k_e),
+            "lam": fem.assemble_cell_grad_grad(space, ops.lam_e),
+            "c": fem.assemble_cell_elasticity(space, ops.c_e)}
+
+
+def test_periodic_map_is_bit_for_bit_scipys_reduction(periodic_cell):
+    """R^T K R, the anchored operator, reduce (R^T b with the anchors zeroed)
+    and expand (R x) are SciPy's products with R bit for bit: for the shipped
+    law's operators at three temperatures and for random values on their
+    patterns, on right-hand sides (n,) and (n, k) with signed zeros."""
+    mesh, (masters, slaves) = periodic_cell
+    rng = np.random.default_rng(31)
+    cases = []
+    for T0 in (275.0, 337.5, 400.0):
+        cases += list(_cell_operators(mesh, T0).values())
+    for K in cases[:3]:  # random, unsymmetric values with some exact zeros
+        data = rng.standard_normal(K.nnz)
+        data[::9] = 0.0
+        cases.append(fem.CsrMatrix(data, K.indices, K.indptr, K.shape))
+    for K in cases:
+        components = K.shape[0] // mesh.num_nodes
+        pm = fem.PeriodicMap(mesh, masters, slaves, K)
+        R, anchors = _scipy_reduction(mesh, masters, slaves, components)
+        assert np.array_equal(pm.anchors, anchors)
+        assert (periodic_R(pm) != R).nnz == 0
+        ref = _scipy_reduced(R, K)
+        _assert_same_csr(pm._reduced(K, R.shape[1]), ref)
+        _assert_same_csr(pm.A, fem.apply_dirichlet(fem_csr(ref), np.zeros(R.shape[1]), anchors, 0.0)[0])
+        for shape in ((R.shape[0],), (R.shape[0], 1), (R.shape[0], 5)):
+            b = rng.standard_normal(shape)
+            b[::4] = -0.0
+            br = R.T @ b
+            br[anchors] = 0.0
+            assert pm.reduce(b).tobytes() == br.tobytes()
+            x = rng.standard_normal((R.shape[1],) + shape[1:])
+            x[::3] = -0.0
+            assert pm.expand(x).tobytes() == (R @ x).tobytes()
+
+
+def test_periodic_reduction_sums_each_slot_in_stored_order(monkeypatch, disk_cell_mesh):
+    """The corner's diagonal slot sums the diagonals of the four corner nodes.
+
+    With the values 1e16, 1, -1e16, 1 in K's stored order the sum is 1.0, as
+    SciPy's R^T K R gives it; summed in reverse order it is 0.0, so a
+    reduction that sums each row backwards fails the check against SciPy.
+    """
+    from homsim.mesh import periodic_pairs
+
+    mesh = disk_cell_mesh
+    masters, slaves = periodic_pairs(mesh)
+    K = fem.assemble_cell_grad_grad(fem.FemSpace(mesh), np.ones(mesh.num_triangles))
+    R, anchors = _scipy_reduction(mesh, masters, slaves, 1)
+    corners = R.tocsc()[:, anchors[0]].indices  # ascending
+    assert len(corners) == 4
+    data = K.data.copy()
+    for node, value in zip(corners, (1e16, 1.0, -1e16, 1.0)):
+        lo, hi = K.indptr[node], K.indptr[node + 1]
+        data[lo + np.flatnonzero(K.indices[lo:hi] == node)[0]] = value
+    K = fem.CsrMatrix(data, K.indices, K.indptr, K.shape)
+    ref = _scipy_reduced(R, K)
+    n = R.shape[1]
+    assert ref[anchors[0], anchors[0]] == 1.0
+    pm = fem.PeriodicMap(mesh, masters, slaves, K)
+    _assert_same_csr(pm._reduced(K, n), ref)
+
+    matmul = fem.CsrMatrix.__matmul__
+
+    def backwards(self, x):  # the mutation: each row summed in reverse order
+        flip = np.lexsort((-np.arange(self.nnz), fem._entry_rows(self.indptr)))
+        return matmul(fem.CsrMatrix(self.data[flip], self.indices[flip], self.indptr, self.shape), x)
+
+    monkeypatch.setattr(fem.CsrMatrix, "__matmul__", backwards)
+    got = pm._reduced(K, n)
+    assert scipy_csr(got)[anchors[0], anchors[0]] == 0.0  # dropped as an exact zero
+    with pytest.raises(AssertionError):
+        _assert_same_csr(got, ref)
+
+
 def test_load_vectors_equal_the_add_at_scatter(pattern_meshes):
     """Each load kernel sums exactly as an np.add.at scatter of its element entries."""
     rng = np.random.default_rng(11)
@@ -677,10 +804,10 @@ def test_spd_solver_never_returns_an_unpivoted_wrong_answer():
         assert np.linalg.norm(B @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-# The four RowSum operators against the SciPy CSR matrices they replaced, as
-# those were built: average and recovery by COO -> CSR (columns ascending in
-# each row), the P1 and sampling operators from (data, indices, indptr) in the
-# order given.
+# The four operators built by CsrMatrix.by_rows against the SciPy CSR matrices
+# they replaced, as those were built: average and recovery by COO -> CSR
+# (columns ascending in each row), the P1 and sampling operators from (data,
+# indices, indptr) in the order given.
 
 
 def _csr_average(mesh):
@@ -719,14 +846,14 @@ def _csr_sampler(cs, T_eval):
 
 
 def _hub_row(rng):
-    """A RowSum and its CSR matrix with one row of 240 entries among rows of 3
-    to 7, as the row of a hub node among the rows of a mesh's other nodes."""
+    """A CsrMatrix and SciPy's with one row of 240 entries among rows of 3 to
+    7, as the row of a hub node among the rows of a mesh's other nodes."""
     lengths = rng.integers(3, 8, 400)
     lengths[123] = 240
     indptr = np.append(0, np.cumsum(lengths))
     cols = np.concatenate([np.sort(rng.choice(500, k, replace=False)) for k in lengths])
     data = rng.standard_normal(indptr[-1])
-    return (fem.RowSum(fem._entry_rows(indptr), cols, data, (400, 500)),
+    return (fem.CsrMatrix.by_rows(fem._entry_rows(indptr), cols, data, (400, 500)),
             sp.csr_matrix((data, cols, indptr), shape=(400, 500)))
 
 
@@ -760,24 +887,27 @@ def test_row_sum_operators_are_bit_for_bit_their_csr_products(which, macro_mesh,
                  (cs.operator(T_eval)[0], _csr_sampler(cs, T_eval))]
     for op, csr in pairs:
         assert op.shape == csr.shape
-        assert np.array_equal(op.row_lengths, np.diff(csr.indptr))
+        assert np.array_equal(op.indptr, csr.indptr) and np.array_equal(op.indices, csr.indices)
+        assert op.data.tobytes() == csr.data.tobytes()
         x = rng.standard_normal(csr.shape[1])
         assert (op @ x).tobytes() == (csr @ x).tobytes()
-        block = rng.standard_normal((csr.shape[1], 4))
-        row = _cancelling(csr, block[:, 2])
-        got = op @ block
-        assert got.tobytes() == (csr @ block).tobytes()
-        assert got[row, 2] == 0.0 and not np.signbit(got[row, 2])
+        for k in (1, 4, 16):
+            block = rng.standard_normal((csr.shape[1], k))
+            row = _cancelling(csr, block[:, k // 2])
+            got = op @ block
+            assert got.tobytes() == (csr @ block).tobytes()
+            assert got[row, k // 2] == 0.0 and not np.signbit(got[row, k // 2])
 
 
 def test_row_sum_sums_from_zero_in_the_given_order():
-    """Empty rows give +0.0, a lone -0.0 product gives +0.0 as in CSR, and the
-    entries of a row sum in the order given, not sorted by column."""
+    """by_rows: empty rows give +0.0, a lone -0.0 product gives +0.0 as in
+    SciPy's CSR, and the entries of a row sum in the order given, not sorted by
+    column, also where a row's entries are not given together."""
     indptr = np.array([0, 2, 2, 3, 7, 8])
     cols = np.array([1, 0, 2, 3, 0, 3, 1, 0])
     data = np.array([1.0, -1.0, 1.0, 1e16, 1.0, -1e16, 1.0, 3.0])
     csr = sp.csr_matrix((data, cols, indptr), shape=(5, 4))
-    op = fem.RowSum(fem._entry_rows(indptr), cols, data, (5, 4))
+    op = fem.CsrMatrix.by_rows(fem._entry_rows(indptr), cols, data, (5, 4))
     x = np.array([0.3, 0.3, -0.0, 1.0])
     y = op @ x
     assert y.tobytes() == (csr @ x).tobytes()
@@ -786,8 +916,9 @@ def test_row_sum_sums_from_zero_in_the_given_order():
     assert not np.signbit(y).any()
     X = np.stack([x, -x, 2.0 * x], axis=1)
     assert (op @ X).tobytes() == (csr @ X).tobytes()
-    with pytest.raises(ValueError, match="contiguous"):
-        fem.RowSum([0, 1, 0], [0, 1, 2], np.ones(3), (2, 3))
+    split = fem.CsrMatrix.by_rows([0, 1, 0], [2, 1, 0], [1.0, 2.0, 3.0], (2, 3))
+    assert split.indptr.tolist() == [0, 2, 3] and split.indices.tolist() == [2, 0, 1]
+    assert split.data.tolist() == [1.0, 3.0, 2.0]
     with pytest.raises(ValueError, match="cannot multiply"):
         op @ np.ones(5)
 

@@ -68,7 +68,7 @@ def test_locate_and_interpolate_linear_field(disk_cell_mesh):
     pts = rng.random((200, 2))
     nodal = 2.0 * disk_cell_mesh.nodes[:, 0] - 0.5 * disk_cell_mesh.nodes[:, 1]
     p1 = MacroEvaluator(disk_cell_mesh, pts).p1  # the P1 operator from locate_points
-    assert p1.shape == (200, disk_cell_mesh.num_nodes) and np.all(p1.row_lengths == 3)
+    assert p1.shape == (200, disk_cell_mesh.num_nodes) and np.all(np.diff(p1.indptr) == 3)
     assert np.allclose(p1 @ np.ones(p1.shape[1]), 1.0, rtol=0.0, atol=1e-14)
     assert np.allclose(p1 @ nodal, 2.0 * pts[:, 0] - 0.5 * pts[:, 1], atol=1e-12)
 

@@ -28,7 +28,7 @@ def test_cell_sampler_weights_partition_unity(disk_cell_mesh, small_table):
     assert slots == slice(0, len(small_table.temps))
     assert op.shape == (50, len(small_table.temps) * disk_cell_mesh.num_nodes)
     weights = op @ np.eye(op.shape[1])  # a row's columns are distinct: its weights, in place
-    assert np.all(op.row_lengths == 6) and weights.min() >= -1e-12
+    assert np.all(np.diff(op.indptr) == 6) and weights.min() >= -1e-12
     assert np.allclose(op @ np.ones(op.shape[1]), 1.0, atol=1e-12)
 
 

@@ -1,14 +1,12 @@
 """SciPy in the package: every site that reaches it, and the kernels fem loads from it.
 
-homsim reaches SciPy in two places only (README, the fem docstring):
-fem._scipy_kernel loads SciPy's two compiled kernels by file, and
-fem.PeriodicMap.__init__ imports scipy.sparse for its reduction.  So import
-homsim.cli and the stages that build no matrix load no SciPy, and the
-others load no scipy package unless their cells are periodic.  A new site
-must be added to SCIPY_SITES, and a deleted one removed.  A site is an
-import statement of scipy or an importlib lookup of a "scipy..." name, so
-a load by file is a site too; one at module level is listed under the
-module's name, and fails.
+homsim reaches SciPy in one place only (README, the fem docstring):
+fem._scipy_kernel loads SciPy's two compiled kernels by file.  So import
+homsim.cli and verify, which builds no matrix, load no SciPy, and no stage
+loads a scipy package.  A new site must be added to SCIPY_SITES, and a
+deleted one removed.  A site is an import statement of scipy or an
+importlib lookup of a "scipy..." name, so a load by file is a site too; one
+at module level is listed under the module's name, and fails.
 
 The kernels compute what SciPy does with them: SpdSolver solves bit for bit
 as splu, and CsrMatrix multiplies bit for bit as csr_matrix, whether the
@@ -29,7 +27,6 @@ SRC = pathlib.Path(homsim.__file__).resolve().parent
 
 SCIPY_SITES = {
     "fem._scipy_kernel": "SciPy's CSR kernels and SuperLU's gstrf, loaded by file",
-    "fem.PeriodicMap.__init__": "the periodic reduction operator and the reduced matrix",
 }
 
 #: importlib's functions that look a module up by its name
