@@ -16,14 +16,13 @@ import argparse
 import pathlib
 import sys
 import time
-import zipfile
 
 import numpy as np
 
 from . import archive, cell, dns, fem, homog, macro, metrics, reconstruct, vtkio
 from .config import ConfigError, SimulationConfig
 from .materials import MaterialError
-from .mesh import MeshError, build_macro_mesh, build_unit_cell_mesh, load_mesh, save_mesh
+from .mesh import ArtifactError, MeshError, build_macro_mesh, build_unit_cell_mesh
 
 
 def _out_dir(cfg) -> pathlib.Path:
@@ -45,16 +44,17 @@ def _solver_work(traj) -> str:
             f"{m['cg_iterations']} CG iterations, worst residual {m['worst_residual']:.2e}")
 
 
-def _write_run(cfg, out, name, mesh, traj) -> int:
-    """Save a run as {name}_trajectory.npz and {name}_mesh.txt, print its
-    summary and, if asked for, write the final snapshot to {name}_final.vtk."""
+def _write_run(cfg, out, name, traj) -> int:
+    """Save a run, with its mesh and cfg's stamp, as {name}_trajectory.npz,
+    print its summary and, if asked for, write the final snapshot to
+    {name}_final.vtk."""
+    traj.stamp = cfg.stamp
     macro.save_trajectory(traj, out / f"{name}_trajectory.npz")
-    save_mesh(mesh, out / f"{name}_mesh.txt")
     print(f"{name} solve: {len(traj.snapshots)} snapshots, "
           f"final |T| max {np.abs(traj.snapshots[-1].T).max():.4g}, {_solver_work(traj)}")
     if cfg.write_vtk:
         s = traj.snapshots[-1]
-        vtkio.write_vtk(out / f"{name}_final.vtk", mesh,
+        vtkio.write_vtk(out / f"{name}_final.vtk", traj.mesh,
                         {"T": s.T, "Phi": s.Phi, "U": s.U})
     return 0
 
@@ -89,7 +89,7 @@ def cmd_online(cfg: SimulationConfig) -> int:
     traj = stepper.run()
     if cell.SOLVES.count != 0:
         raise RuntimeError("on-line stage solved a cell problem; stage separation broken")
-    return _write_run(cfg, out, "macro", mesh, traj)
+    return _write_run(cfg, out, "macro", traj)
 
 
 def cmd_dns(cfg: SimulationConfig) -> int:
@@ -100,7 +100,7 @@ def cmd_dns(cfg: SimulationConfig) -> int:
     print(f"fine mesh: {fine.num_triangles} elements")
     traj = dns.run_dns(fine, cfg.law, cfg.problem_data(), cfg.grid,
                        snapshot_stride=cfg.snapshot_stride)
-    return _write_run(cfg, out, "dns", fine, traj)
+    return _write_run(cfg, out, "dns", traj)
 
 
 def cmd_verify(cfg: SimulationConfig) -> int:
@@ -121,43 +121,37 @@ def cmd_verify(cfg: SimulationConfig) -> int:
 
 
 #: the outputs `errors` reads, and the stage that writes each
-_ERRORS_INPUTS = {"macro_mesh.txt": "online", "macro_trajectory.npz": "online",
-                  "dns_mesh.txt": "dns", "dns_trajectory.npz": "dns"}
+_ERRORS_INPUTS = {"macro_trajectory.npz": "online", "dns_trajectory.npz": "dns"}
 
 
-def _load_run(cfg, out, name, mesh):
-    """The trajectory in out / name, refused unless it is readable and ran on cfg's time grid."""
+def _load_run(cfg, out, name):
+    """The trajectory in out / name, refused unless it is readable, ran on
+    cfg's time grid and carries cfg's stamp."""
     path, stage = out / name, _ERRORS_INPUTS[name]
-    if not zipfile.is_zipfile(path):  # np.load would try it as a pickle
-        raise ConfigError(f"{path}: unreadable trajectory (not a zip file); re-run `homsim {stage}`")
-    try:
-        traj = macro.load_trajectory(path, mesh)
-    except archive.NPZ_ERRORS as e:
-        raise ConfigError(f"{path}: unreadable trajectory ({e}); re-run `homsim {stage}`") from None
+    traj = macro.load_trajectory(path, stage)
     if traj.grid != cfg.grid:
         raise ConfigError(f"{path} ran on {traj.grid}, not this configuration's "
                           f"{cfg.grid}; re-run `homsim {stage}`")
+    for section, digest in cfg.stamp.items():
+        if traj.stamp.get(section) != digest:
+            raise ConfigError(f"{path} ran with other {section} than this configuration; "
+                              f"re-run `homsim {stage}`")
     return traj
 
 
 def cmd_errors(cfg: SimulationConfig) -> int:
     """evolutive error table (CSV) from saved online + dns runs"""
     out = _out_dir(cfg)
-    for name, stage in _ERRORS_INPUTS.items():
-        if not (out / name).is_file():
-            raise ConfigError(f"{out / name} not found; `homsim {stage}` writes it")
-    macro_mesh = load_mesh(out / "macro_mesh.txt")
-    fine_mesh = load_mesh(out / "dns_mesh.txt")
-    traj = _load_run(cfg, out, "macro_trajectory.npz", macro_mesh)
-    ref = _load_run(cfg, out, "dns_trajectory.npz", fine_mesh)
     cell_mesh, table = _load_archive(cfg, out)
+    traj, ref = (_load_run(cfg, out, name) for name in _ERRORS_INPUTS)
+    fine_mesh = ref.mesh
     q = dns.tiles(cfg.epsilon)
     if fine_mesh.num_triangles != q * q * cell_mesh.num_triangles:
         raise ConfigError(
-            f"{out / 'dns_mesh.txt'} has {fine_mesh.num_triangles} triangles, not {q}^2 x "
+            f"{out / 'dns_trajectory.npz'} has {fine_mesh.num_triangles} triangles, not {q}^2 x "
             f"the archived cell mesh's {cell_mesh.num_triangles}: the DNS ran with another "
             f"epsilon or mesh.cell_h than this configuration (epsilon {cfg.epsilon})")
-    rec = reconstruct.Reconstructor(macro_mesh, cell_mesh, table, cfg.epsilon, fine_mesh)
+    rec = reconstruct.Reconstructor(traj.mesh, cell_mesh, table, cfg.epsilon, fine_mesh)
     series = metrics.evolutive_errors(ref, traj, rec)
     series.to_csv(out / "errors.csv")
     print(f"error table with {len(series.times)} rows -> {out / 'errors.csv'}")
@@ -200,7 +194,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, archive.ArchiveError, MaterialError, MeshError) as e:
+    except (ConfigError, ArtifactError, archive.ArchiveError, MaterialError, MeshError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except fem.KernelError as e:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import copy
+import hashlib
 import json
 import math
 import sys
@@ -335,7 +336,9 @@ class SimulationConfig:
     raw is the configuration with SCHEMA's defaults filled in.  The stages
     read law, geometry, epsilon, macro_h, cell_h, grid, snapshot_stride,
     temperatures (the table's representative temperatures), cell_bc, T_ref,
-    output_dir and write_vtk.
+    output_dir, write_vtk and stamp: {section: sha256} of the sections
+    sources, boundary and initial, which each trajectory carries, its
+    numbers read as floats, as archive.law_hash reads them.
     """
 
     def __init__(self, raw: dict):
@@ -385,6 +388,9 @@ class SimulationConfig:
         self.T_ref = float(raw["initial"]["T_ref"])
         self.output_dir = raw["output"]["directory"]
         self.write_vtk = raw["output"]["vtk"]
+        self.stamp = {s: hashlib.sha256(json.dumps(json.loads(json.dumps(raw[s]), parse_int=float),
+                                                   sort_keys=True).encode()).hexdigest()
+                      for s in ("sources", "boundary", "initial")}
         # compile every expression now, so that a bad one fails every stage
         self._problem_data = self._compile_problem_data()
 

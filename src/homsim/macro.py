@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem
+from . import fem, mesh as meshmod
 
 #: CG iterations a kept LU may take on a later operator of its kind before
 #: that operator is factored again
@@ -115,13 +115,16 @@ class Snapshot:
 
 @dataclass
 class Trajectory:
-    """The snapshots of one run on grid, in increasing step m, and the run's
-    solver statistics (empty for a trajectory read back from a file)."""
+    """The snapshots of one run on grid, in increasing step m, the run's
+    solver statistics (empty for a trajectory read back from a file) and its
+    stamp: {configuration section: sha256} of the input it ran with, which
+    its caller sets (config.SimulationConfig.stamp; Stepper.run leaves it empty)."""
 
     mesh: object
     grid: TimeGrid
     snapshots: list
     meta: dict
+    stamp: dict
 
 
 class TableProvider:
@@ -297,7 +300,7 @@ class Stepper:
                 snapshots.append(Snapshot(m + 1, t_next, T_cur.copy(), T_prev.copy(),
                                           Phi.copy(), U_cur.copy(), U_prev.copy(),
                                           U_prev2.copy()))
-        return Trajectory(mesh, grid, snapshots, self._stats)
+        return Trajectory(mesh, grid, snapshots, self._stats, {})
 
     # Each *_system method returns the Dirichlet-reduced (A, b) of one solve.
     # The unreduced operators and the coefficient arrays die with its frame,
@@ -366,22 +369,35 @@ _SNAPSHOT_FIELDS = [f.name for f in dataclasses.fields(Snapshot)]
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    """Persist a trajectory (grid, then each Snapshot field over the snapshots) to one npz file.
+    """Persist a trajectory to one npz file: the grid, the mesh's arrays, the
+    stamp as (section, sha256) rows and each Snapshot field over the snapshots.
 
     The members are stored, not compressed: zlib would cost more time than
     the space it saves is worth, and each member keeps its crc32.
     """
     np.savez(path, dt=np.float64(traj.grid.dt), n_steps=np.int64(traj.grid.n_steps),
+             **{k: getattr(traj.mesh, k) for k in meshmod.MESH_ARRAYS},
+             stamp=np.array(sorted(traj.stamp.items()), dtype=str).reshape(-1, 2),
              **{name: np.array([getattr(s, name) for s in traj.snapshots])
                 for name in _SNAPSHOT_FIELDS})
 
 
-def load_trajectory(path, mesh) -> Trajectory:
-    """The trajectory save_trajectory wrote to path, on mesh; each array is read once."""
-    with np.load(path) as z:
-        grid = TimeGrid(dt=float(z["dt"]), n_steps=int(z["n_steps"]))
-        columns = {name: z[name] for name in _SNAPSHOT_FIELDS}
+def load_trajectory(path, stage: str) -> Trajectory:
+    """The trajectory save_trajectory wrote to path, on its own mesh
+    (mesh.load_mesh); each array is read once.  Raises mesh.ArtifactError,
+    naming path and `homsim stage`, which writes it, on a file mesh.read_npz
+    refuses, or an array of another dtype kind or shape than the mesh's node
+    count and the snapshot count give."""
+    mesh = meshmod.load_mesh(path, stage)
+    z = meshmod.read_npz(path, stage, ["dt", "n_steps", "stamp", *_SNAPSHOT_FIELDS], read=True)
+    ns, nn = z["m"].size, mesh.num_nodes
+    meshmod.check_arrays(path, stage, z, {
+        "dt": ("f", ()), "n_steps": ("iu", ()), "stamp": ("U", (z["stamp"].size // 2, 2)),
+        "m": ("iu", (ns,)), "t": ("f", (ns,)), **dict.fromkeys(("T", "T_prev", "Phi"), ("f", (ns, nn))),
+        **dict.fromkeys(("U", "U_prev", "U_prevprev"), ("f", (ns, 2, nn)))})
+    grid = TimeGrid(dt=float(z["dt"]), n_steps=int(z["n_steps"]))
     # m and t as Python numbers, the others as rows of their arrays
+    columns = {name: z[name] for name in _SNAPSHOT_FIELDS}
     columns["m"], columns["t"] = columns["m"].tolist(), columns["t"].tolist()
     return Trajectory(mesh, grid, [Snapshot(**{name: col[i] for name, col in columns.items()})
-                                   for i in range(len(columns["m"]))], meta={})
+                                   for i in range(ns)], meta={}, stamp=dict(z["stamp"].tolist()))

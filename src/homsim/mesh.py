@@ -7,12 +7,16 @@ disk inclusion centred in the cell, grid-snapped lines for a stripe band).
 Mesh.locate_points gives the triangle and barycentric coordinates of points;
 the interpolation operators built from them belong to their users
 (reconstruct, as fem.CsrMatrix operators).  periodic_pairs matches the nodes
-of opposite cell edges to PERIODIC_TOL.
+of opposite cell edges to PERIODIC_TOL.  Meshes are stored as npz files of
+their arrays; read_npz is the one reader of every npz file the package reads.
 """
 
 from __future__ import annotations
 
 import math
+import pathlib
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -403,70 +407,80 @@ def periodic_pairs(mesh: Mesh):
 
 
 # ---------------------------------------------------------------------------
-# plain-text persistence
+# npz persistence
 # ---------------------------------------------------------------------------
+
+#: the arrays that store a mesh, in a mesh file and in a trajectory file
+MESH_ARRAYS = ("nodes", "triangles", "phase_tag")
+
+#: what reading a damaged .npz that zipfile.is_zipfile accepts raises: a bad
+#: CRC or deflate stream, a broken or short .npy member, a pickled array
+NPZ_ERRORS = (zipfile.BadZipFile, zlib.error, ValueError)
+
+
+class ArtifactError(ValueError):
+    """An output of an earlier stage is missing, damaged or malformed."""
+
+
+def read_npz(path, stage: str, names, *, read: bool) -> dict:
+    """{name: array} for each member in names of the npz file at path, each
+    read once; with read=False, only check that the members are there.
+
+    A missing file, a file that is not a zip (np.load would try it as a
+    pickle), a missing member or a damaged one raises ArtifactError naming
+    path and the `homsim` stage that writes it.  Pickled arrays are refused.
+    """
+    path = pathlib.Path(path)
+    redo = f"re-run `homsim {stage}`"
+    if not path.is_file():
+        raise ArtifactError(f"{path}: missing; {redo}")
+    if not zipfile.is_zipfile(path):
+        raise ArtifactError(f"{path}: unreadable (not a zip file); {redo}")
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            missing = [k for k in names if k not in z.files]
+            arrays = {k: z[k] for k in names} if read and not missing else {}
+    except NPZ_ERRORS as e:
+        raise ArtifactError(f"{path}: unreadable ({e}); {redo}") from None
+    if missing:
+        raise ArtifactError(f"{path}: missing array(s) {', '.join(missing)}; {redo}")
+    return arrays
+
+
+def check_arrays(path, stage: str, arrays, want) -> None:
+    """Raise ArtifactError, as read_npz does, unless each array of want,
+    {name: (dtype kinds, shape)}, has one of the kinds and the shape."""
+    bad = [f"{k} is {arrays[k].dtype} {arrays[k].shape}, not of kind {kinds} and shape {shape}"
+           for k, (kinds, shape) in want.items()
+           if arrays[k].dtype.kind not in kinds or arrays[k].shape != shape]
+    if bad:
+        raise ArtifactError(f"{path}: malformed: {'; '.join(bad)}; re-run `homsim {stage}`")
 
 
 def save_mesh(mesh: Mesh, path) -> None:
-    """Write the documented plain-text format (see README).
+    """Write the mesh's MESH_ARRAYS to path as an uncompressed npz file (np.savez)."""
+    np.savez(path, **{k: getattr(mesh, k) for k in MESH_ARRAYS})
 
-    A node line is the repr of its two floats, a triangle line its three
-    vertex indices and its tag in decimal.  Where the numbers repeat, each
-    distinct one is formatted once, with the space or newline that follows
-    it, and the section is one join of those strings: the epsilon=1/6 tiled
-    mesh has 1,535 distinct values among its 28,994 coordinates, a tiled or
-    macro mesh's vertex indices repeat 6 times on average.  The coordinates
-    of a cell mesh, about half of them distinct, are formatted one by one:
-    their strings would take more memory than the floats, and the archive
-    writes the cell mesh while the whole table is held.
+
+def load_mesh(path, stage: str) -> Mesh:
+    """The mesh of the MESH_ARRAYS in the npz file at path, which `homsim stage` writes.
+
+    Raises ArtifactError, as read_npz does, unless nodes are (nn, 2) finite
+    floats, triangles (nt, 3) integers in [0, nn), phase_tag (nt,) integers,
+    nt >= 1, and no triangle is degenerate.
     """
-    nodes = np.ascontiguousarray(mesh.nodes)
-    # distinct by bit pattern, as repr is: it tells 0.0 and -0.0 apart
-    values, at = np.unique(nodes.view(np.int64), return_inverse=True)
-    if 4 * len(values) <= nodes.size:
-        words = [repr(v) for v in values.view(np.float64).tolist()]
-        at = at.reshape(nodes.shape)
-        at[:, 1] += len(words)
-        node_text = _joined([w + " " for w in words] + [w + "\n" for w in words], at)
-    else:
-        node_text = ("%r %r\n" * mesh.num_nodes) % tuple(nodes.ravel().tolist())
-    lo, hi = int(mesh.triangles.min()), int(mesh.triangles.max())
-    tags, tag_at = np.unique(mesh.phase_tag, return_inverse=True)
-    words = [f"{i} " for i in range(lo, hi + 1)] + [f"{t}\n" for t in tags.tolist()]
-    with open(path, "w") as f:
-        f.write("homsim-mesh 1\n")
-        f.write(f"{mesh.num_nodes} {mesh.num_triangles}\n")
-        f.write(node_text)
-        del node_text
-        f.write(_joined(words, np.column_stack([mesh.triangles - lo, tag_at + (hi + 1 - lo)])))
-
-
-def _joined(words, at):
-    """The concatenation of words[i] for the indices i of at, row by row."""
-    return "".join(np.take(np.array(words, dtype=object), at).ravel().tolist())
-
-
-def load_mesh(path) -> Mesh:
-    """Read a file in save_mesh's format.  Raises MeshError unless it is exactly
-    that: the "homsim-mesh 1" header, a line "nn nt", nn rows of two finite
-    floats and nt rows of four ints (vertex indices in [0, nn), then the tag)."""
-    with open(path) as f:
-        lines = f.read().splitlines()
+    arrays = read_npz(path, stage, MESH_ARRAYS, read=True)
+    nodes, tris = arrays["nodes"], arrays["triangles"]
+    nt = tris.shape[:1]
+    check_arrays(path, stage, arrays, {"nodes": ("f", (*nodes.shape[:1], 2)),
+                                       "triangles": ("iu", (*nt, 3)), "phase_tag": ("iu", nt)})
     try:
-        if lines[:1] != ["homsim-mesh 1"] or len(lines) < 2:
-            raise ValueError("no 'homsim-mesh 1' header and counts line")
-        nn, nt = map(int, lines[1].split())
-        if nn < 1 or nt < 1 or len(lines) != 2 + nn + nt:
-            raise ValueError(f"{len(lines) - 2} data lines for {nn} nodes and {nt} triangles")
-        nodes = np.loadtxt(lines[2:2 + nn], ndmin=2)
-        rows = np.loadtxt(lines[2 + nn:], dtype=np.int64, ndmin=2)
-        if nodes.shape != (nn, 2) or rows.shape != (nt, 4) or not np.isfinite(nodes).all():
-            raise ValueError(f"expected {nn} rows of 2 finite floats and {nt} rows of 4 ints")
-        if rows[:, :3].min() < 0 or rows[:, :3].max() >= nn:
-            raise ValueError(f"a vertex index outside [0, {nn})")
-    except ValueError as e:
-        raise MeshError(f"{path}: malformed mesh file: {e}") from None
-    try:
-        return Mesh(nodes, rows[:, :3], rows[:, 3])
+        if not len(tris):
+            raise MeshError("no triangle")
+        if not np.isfinite(nodes).all():
+            raise MeshError("a non-finite coordinate")
+        if tris.min() < 0 or tris.max() >= len(nodes):
+            raise MeshError(f"a vertex index outside [0, {len(nodes)})")
+        return Mesh(nodes, tris, arrays["phase_tag"])
     except MeshError as e:
-        raise MeshError(f"{path}: {e}") from None
+        raise ArtifactError(f"{path}: malformed: {e}; re-run `homsim {stage}`") from None

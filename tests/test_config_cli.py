@@ -341,6 +341,20 @@ def test_pipeline_outputs_exist(pipeline):
         assert (out / name).exists(), name
 
 
+def test_pipeline_writes_exactly_its_outputs(pipeline):
+    """The five stages leave these files and no other: each mesh is inside
+    the archive or a trajectory, none is a file of its own."""
+    out = pipeline / "out"
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == [
+        "archive/T_000.npz", "archive/T_001.npz", "archive/cell_mesh.npz",
+        "archive/manifest.json", "coefficients.csv", "dns_final.vtk", "dns_trajectory.npz",
+        "errors.csv", "homs_final.vtk", "macro_final.vtk", "macro_trajectory.npz"]
+    with np.load(out / "macro_trajectory.npz") as z:
+        assert sorted(z.files) == sorted(["dt", "n_steps", "stamp", "nodes", "triangles",
+                                          "phase_tag", "m", "t", "T", "T_prev", "Phi", "U",
+                                          "U_prev", "U_prevprev"])
+
+
 def test_error_csv_has_documented_columns(pipeline):
     from homsim import metrics
 
@@ -471,7 +485,6 @@ def test_expression_that_fails_where_it_is_evaluated_exits_2(pipeline, tmp_path,
     assert f"t={t!r}" in err
     name = "macro" if stage == "online" else "dns"
     assert not (out / f"{name}_trajectory.npz").exists()
-    assert not (out / f"{name}_mesh.txt").exists()
 
 
 def test_finite_expressions_evaluate_as_before():
@@ -607,18 +620,97 @@ def test_errors_before_its_inputs_exist_exits_2(pipeline, tmp_path, capsys, name
     assert name in err and f"homsim {stage}" in err
 
 
+def _edit_npz(path, **arrays):
+    """Rewrite the npz at path with the given arrays in place of its own."""
+    with np.load(path) as z:
+        kept = {k: z[k] for k in z.files}
+    np.savez(path, **dict(kept, **arrays))
+
+
 def test_errors_exits_2_on_a_corrupted_macro_mesh(pipeline, tmp_path, capsys):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "out", out)
-    mesh_file = out / "macro_mesh.txt"
-    lines = mesh_file.read_text().splitlines(keepends=True)
-    first_triangle = 2 + int(lines[1].split()[0])
-    lines[first_triangle] = "999999 " + lines[first_triangle].split(" ", 1)[1]
-    mesh_file.write_text("".join(lines))
+    with np.load(out / "macro_trajectory.npz") as z:
+        triangles = z["triangles"].copy()
+    triangles[0, 0] = 999999
+    _edit_npz(out / "macro_trajectory.npz", triangles=triangles)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(_mini_config(out)))
     assert cli.main(["errors", str(p)]) == 2
-    assert "macro_mesh.txt" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "macro_trajectory.npz: malformed: a vertex index outside" in err
+    assert "homsim online" in err
+
+
+@pytest.mark.parametrize("name, stage", sorted(cli._ERRORS_INPUTS.items()))
+def test_errors_exits_2_on_a_trajectory_that_does_not_fit_its_mesh(pipeline, tmp_path, capsys,
+                                                                  name, stage):
+    """T with one node fewer than the trajectory's mesh is refused."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    with np.load(out / name) as z:
+        T = z["T"][:, :-1]
+    _edit_npz(out / name, T=T)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_mini_config(out)))
+    assert cli.main(["errors", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}: malformed: T is float64" in err and f"homsim {stage}" in err
+
+
+@pytest.mark.parametrize("stage", ["online", "verify", "errors"])
+def test_archive_without_its_cell_mesh_exits_2(pipeline, tmp_path, capsys, stage):
+    arch, p = _damaged_copy(pipeline, tmp_path)
+    (arch / "cell_mesh.npz").unlink()
+    assert cli.main([stage, str(p)]) == 2
+    assert "cell_mesh.npz: missing; re-run `homsim offline`" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["online", "verify", "errors"])
+def test_archive_of_the_previous_version_exits_2(pipeline, tmp_path, capsys, stage):
+    """An archive of version 1, which stored its cell mesh as text, is refused."""
+    arch, p = _damaged_copy(pipeline, tmp_path)
+    manifest = json.loads((arch / "manifest.json").read_text())
+    assert manifest["version"] == archive.ARCHIVE_VERSION == 2
+    (arch / "manifest.json").write_text(json.dumps(dict(manifest, version=1)))
+    assert cli.main([stage, str(p)]) == 2
+    assert "archive version 1 != supported 2; re-run `homsim offline`" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, edit", [
+    ("sources", lambda raw: raw["sources"].update(f_T=5000.0)),
+    ("sources", lambda raw: raw["sources"].update(f_U=[500.0, "500 + x1"])),
+    ("boundary", lambda raw: raw["boundary"].update(T=301.0)),
+    ("initial", lambda raw: raw["initial"].update(V=[0.0, 1.0])),
+], ids=["f_T", "f_U", "boundary T", "initial V"])
+def test_errors_refuses_runs_with_other_sources_boundary_or_initial_data(
+        pipeline, tmp_path, capsys, section, edit):
+    """Runs made with the mini configuration, compared under another one:
+    refused, naming the section and the run."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    raw = _mini_config(out)
+    edit(raw)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    before = (out / "errors.csv").read_bytes()
+    assert cli.main(["errors", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"macro_trajectory.npz ran with other {section} than this configuration" in err
+    assert "re-run `homsim online`" in err
+    assert (out / "errors.csv").read_bytes() == before
+
+
+def test_errors_accepts_the_same_data_spelt_otherwise(pipeline, tmp_path):
+    """Integers where the runs had floats, and keys in another order, hash alike."""
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    raw = _mini_config(out)
+    raw["sources"] = {"f_U": [500, 500], "f_Phi": 20, "f_T": 2000}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    assert cli.main(["errors", str(p)]) == 0
+    assert (out / "errors.csv").read_bytes() == (pipeline / "out" / "errors.csv").read_bytes()
 
 
 def test_errors_refuses_archive_of_another_law(pipeline, tmp_path, capsys):
@@ -665,10 +757,10 @@ def test_damaged_manifest_exits_2(pipeline, tmp_path, capsys, stage, damage, mes
 @pytest.mark.parametrize("stage", ["verify", "errors"])
 def test_edited_cell_mesh_in_the_archive_exits_2(pipeline, tmp_path, capsys, stage):
     arch, p = _damaged_copy(pipeline, tmp_path)
-    lines = (arch / "cell_mesh.txt").read_text().splitlines(keepends=True)
-    x, y = map(float, lines[2].split())  # the first node
-    lines[2] = f"{x!r} {y + 1e-3!r}\n"
-    (arch / "cell_mesh.txt").write_text("".join(lines))
+    with np.load(arch / "cell_mesh.npz") as z:
+        nodes = z["nodes"].copy()
+    nodes[0, 1] += 1e-3  # the first node
+    _edit_npz(arch / "cell_mesh.npz", nodes=nodes)
     assert cli.main([stage, str(p)]) == 2
     assert "cell-mesh hash" in capsys.readouterr().err
 
@@ -687,8 +779,8 @@ def _record_npz_reads(monkeypatch):
 
 
 def test_only_errors_reads_the_second_order(pipeline, monkeypatch):
-    """online and verify each read every coefficient array once and no
-    corrector; errors reads both corrector orders and no coefficient."""
+    """online and verify each read every coefficient array of the slots once
+    and no corrector; errors reads both corrector orders and no coefficient."""
     from homsim.homog import COEFF_NAMES
 
     read = _record_npz_reads(monkeypatch)
@@ -697,7 +789,7 @@ def test_only_errors_reads_the_second_order(pipeline, monkeypatch):
                           for i in range(2) for name in COEFF_NAMES)
     for cmdname in ("online", "verify"):
         assert cli.main([cmdname, cfg]) == 0, cmdname
-        assert sorted(read) == coefficients, cmdname
+        assert sorted(r for r in read if r[0].startswith("T_")) == coefficients, cmdname
         del read[:]
     assert cli.main(["errors", cfg]) == 0
     keys = [k for _, k in read]
@@ -708,7 +800,6 @@ def test_only_errors_reads_the_second_order(pipeline, monkeypatch):
 def _eager_errors_csv(out, cfg, path):
     """errors.csv as `homsim errors` writes it, from a table with every slot loaded up front."""
     from homsim import cell, macro, metrics, reconstruct
-    from homsim.mesh import load_mesh
 
     cell_mesh, table = cli._load_archive(cfg, out)
     table.first, table.second = [], []
@@ -717,10 +808,9 @@ def _eager_errors_csv(out, cfg, path):
             table.first.append(cell.FirstOrderCellSet(
                 T0=float(T), **{k: z[k] for k in ("M", "H", "N", "P")}))
             table.second.append({f: z["second_" + f] for f in cell.SECOND_ORDER_FAMILIES})
-    macro_mesh, fine = load_mesh(out / "macro_mesh.txt"), load_mesh(out / "dns_mesh.txt")
-    traj = macro.load_trajectory(out / "macro_trajectory.npz", macro_mesh)
-    ref = macro.load_trajectory(out / "dns_trajectory.npz", fine)
-    rec = reconstruct.Reconstructor(macro_mesh, cell_mesh, table, cfg.epsilon, fine)
+    traj = macro.load_trajectory(out / "macro_trajectory.npz", "online")
+    ref = macro.load_trajectory(out / "dns_trajectory.npz", "dns")
+    rec = reconstruct.Reconstructor(traj.mesh, cell_mesh, table, cfg.epsilon, ref.mesh)
     metrics.evolutive_errors(ref, traj, rec).to_csv(path)
 
 
@@ -763,7 +853,7 @@ def test_errors_refuses_a_dns_of_another_epsilon(pipeline, tmp_path, capsys):
     before = (out / "errors.csv").read_bytes()
     assert cli.main(["errors", str(p)]) == 2
     err = capsys.readouterr().err
-    assert "epsilon" in err and "mesh.cell_h" in err and "dns_mesh.txt" in err
+    assert "epsilon" in err and "mesh.cell_h" in err and "dns_trajectory.npz" in err
     assert (out / "errors.csv").read_bytes() == before
 
 
@@ -810,7 +900,7 @@ def test_errors_exits_2_on_a_damaged_trajectory(pipeline, tmp_path, capsys, name
     p.write_text(json.dumps(_mini_config(out)))
     assert cli.main(["errors", str(p)]) == 2
     err = capsys.readouterr().err
-    assert f"{name}: unreadable trajectory" in err and f"homsim {cli._ERRORS_INPUTS[name]}" in err
+    assert f"{name}: unreadable (" in err and f"homsim {cli._ERRORS_INPUTS[name]}" in err
 
 
 @pytest.mark.parametrize("how", ["garbage", "truncated", "bit flip"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from homsim import fem, macro
-from homsim.mesh import build_macro_mesh
+from homsim.mesh import ArtifactError, build_macro_mesh
 
 from conftest import constant_problem_data, count_patterns, splu_options
 
@@ -70,8 +70,13 @@ def test_trajectory_roundtrip(tmp_path, macro_mesh, small_table):
     data = constant_problem_data(value_T=300.0, f_T=2000.0)
     traj = _run(macro_mesh, small_table, data, 1e-3, 4, stride=2)
     p = tmp_path / "traj.npz"
+    traj.stamp = {"sources": "a" * 64, "boundary": "b" * 64}
     macro.save_trajectory(traj, p)
-    back = macro.load_trajectory(p, macro_mesh)
+    back = macro.load_trajectory(p, "online")
+    assert back.stamp == traj.stamp
+    for name in ("nodes", "triangles", "phase_tag", "boundary_nodes"):
+        a, b = getattr(back.mesh, name), getattr(macro_mesh, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert back.grid.dt == traj.grid.dt
     assert len(back.snapshots) == len(traj.snapshots)
     assert np.array_equal(back.snapshots[-1].T, traj.snapshots[-1].T)
@@ -79,8 +84,28 @@ def test_trajectory_roundtrip(tmp_path, macro_mesh, small_table):
                           traj.snapshots[-1].U_prevprev)
 
 
+@pytest.mark.parametrize("name, shape", [("T", (3, 10)), ("Phi", (3, 120)), ("U_prev", (3, 121, 2)),
+                                         ("t", (2,)), ("dt", (1,))])
+def test_trajectory_that_does_not_fit_its_mesh_is_refused(tmp_path, macro_mesh, small_table,
+                                                          name, shape):
+    """A Snapshot array sized for another mesh, a snapshot count that
+    disagrees, or a grid that is not a scalar: refused, naming the file, the
+    array and the stage that writes it."""
+    traj = _run(macro_mesh, small_table, constant_problem_data(value_T=300.0, f_T=2000.0),
+                1e-3, 4, stride=2)
+    p = tmp_path / "traj.npz"
+    macro.save_trajectory(traj, p)
+    with np.load(p) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays[name] = np.zeros(shape, arrays[name].dtype)
+    np.savez(p, **arrays)
+    with pytest.raises(ArtifactError, match=rf"traj\.npz: malformed: (.*; )?{name} is .*re-run `homsim dns`"):
+        macro.load_trajectory(p, "dns")
+
+
 def test_load_trajectory_reads_each_array_once(tmp_path, monkeypatch, macro_mesh, small_table):
-    """dt, n_steps and one array per Snapshot field, each read once for all snapshots."""
+    """dt, n_steps, the stamp, the mesh's arrays and one array per Snapshot
+    field, each read once for all snapshots."""
     traj = _run(macro_mesh, small_table, constant_problem_data(value_T=300.0, f_T=2000.0),
                 1e-3, 4, stride=2)
     p = tmp_path / "traj.npz"
@@ -89,9 +114,10 @@ def test_load_trajectory_reads_each_array_once(tmp_path, monkeypatch, macro_mesh
     getitem = np.lib.npyio.NpzFile.__getitem__
     monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
                         lambda self, key: read.append(key) or getitem(self, key))
-    back = macro.load_trajectory(p, macro_mesh)
+    back = macro.load_trajectory(p, "online")
     names = [f.name for f in dataclasses.fields(macro.Snapshot)]
-    assert sorted(read) == sorted(["dt", "n_steps"] + names)
+    assert sorted(read) == sorted(["dt", "n_steps", "stamp", "nodes", "triangles", "phase_tag"]
+                                  + names)
     assert len(back.snapshots) == len(traj.snapshots) == 3
     for a, b in zip(back.snapshots, traj.snapshots):
         assert type(a.m) is int and type(a.t) is float

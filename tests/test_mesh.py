@@ -1,11 +1,15 @@
 """Unit-cell and macro mesh construction, queries and persistence."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
 from homsim.mesh import (
     INCLUSION,
     MATRIX,
+    MESH_ARRAYS,
+    ArtifactError,
     Mesh,
     MeshError,
     PhaseGeometry,
@@ -183,43 +187,77 @@ def test_geometry_validation():
         PhaseGeometry("hexagon", radius=0.25, fraction=0.5)
 
 
-def test_save_load_roundtrip(tmp_path, disk_cell_mesh):
-    p = tmp_path / "mesh.txt"
-    save_mesh(disk_cell_mesh, p)
-    m = load_mesh(p)
-    assert np.array_equal(m.triangles, disk_cell_mesh.triangles)
-    assert np.array_equal(m.phase_tag, disk_cell_mesh.phase_tag)
-    assert np.allclose(m.nodes, disk_cell_mesh.nodes, atol=0.0)
+#: the arrays a Mesh computes from what a mesh file stores
+MESH_FIELDS = ("nodes", "triangles", "phase_tag", "areas", "grads", "boundary_nodes")
 
 
-def _corrupt_mesh_file(mesh, path, case):
-    """Write mesh to path in save_mesh's format, then damage it as case says."""
-    save_mesh(mesh, path)
-    lines = path.read_text().splitlines(keepends=True)
-    first_triangle = 2 + mesh.num_nodes
-    if case == "truncated":
-        lines = lines[:len(lines) // 2]
+def test_save_load_roundtrip(tmp_path, disk_cell_mesh, macro_mesh):
+    """The cell, macro and tiled meshes reload array for array: each stored
+    and each computed array has its dtype and its bytes."""
+    from homsim.dns import build_tiled_mesh
+
+    for i, m in enumerate((disk_cell_mesh, macro_mesh, build_tiled_mesh(disk_cell_mesh, 0.25))):
+        p = tmp_path / f"mesh{i}.npz"
+        save_mesh(m, p)
+        with zipfile.ZipFile(p) as z:
+            assert sorted(z.namelist()) == sorted(k + ".npy" for k in MESH_ARRAYS)
+        loaded = load_mesh(p, "offline")
+        for name in MESH_FIELDS:
+            a, b = getattr(loaded, name), getattr(m, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _arrays(mesh):
+    return {k: np.array(getattr(mesh, k)) for k in MESH_ARRAYS}
+
+
+def _damaged_mesh_file(mesh, path, case):
+    """Write mesh to path as save_mesh does, damaged as case says."""
+    a = _arrays(mesh)
+    if case == "missing member":
+        del a["phase_tag"]
     elif case == "negative index":
-        lines[first_triangle] = "-5 " + lines[first_triangle].split(" ", 1)[1]
+        a["triangles"][0, 0] = -5
     elif case == "index past the nodes":
-        lines[first_triangle] = "999999 " + lines[first_triangle].split(" ", 1)[1]
+        a["triangles"][0, 0] = len(a["nodes"])
     elif case == "non-numeric coordinate":
-        lines[2] = "0.0 x\n"
-    elif case == "no counts":
-        del lines[1]
-    elif case == "degenerate triangle":  # parses; Mesh refuses its zero area
-        lines[first_triangle] = "0 0 1 " + lines[first_triangle].split()[3] + "\n"
-    path.write_text("".join(lines))
+        a["nodes"] = a["nodes"].astype(str)
+    elif case == "non-finite coordinate":
+        a["nodes"][3, 1] = np.nan
+    elif case == "non-integer triangles":
+        a["triangles"] = a["triangles"] + 0.5
+    elif case == "nodes of three coordinates":
+        a["nodes"] = np.column_stack([a["nodes"], a["nodes"][:, 0]])
+    elif case == "phase_tag short of a triangle":
+        a["phase_tag"] = a["phase_tag"][:-1]
+    elif case == "degenerate triangle":  # well formed; Mesh refuses its zero area
+        a["triangles"][0] = [0, 0, 1]
+    np.savez(path, **a)
+    if case == "truncated":
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    elif case == "not a zip":  # the plain-text format of earlier versions
+        path.write_text("homsim-mesh 1\n3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0 1 2 0\n")
 
 
-@pytest.mark.parametrize("case", ["truncated", "negative index", "index past the nodes",
-                                  "non-numeric coordinate", "no counts",
+@pytest.mark.parametrize("case", ["truncated", "not a zip", "missing member", "negative index",
+                                  "index past the nodes", "non-numeric coordinate",
+                                  "non-finite coordinate", "non-integer triangles",
+                                  "nodes of three coordinates", "phase_tag short of a triangle",
                                   "degenerate triangle"])
 def test_malformed_mesh_file_is_refused(tmp_path, macro_mesh, case):
-    p = tmp_path / "mesh.txt"
-    _corrupt_mesh_file(macro_mesh, p, case)
-    with pytest.raises(MeshError, match="mesh.txt"):
-        load_mesh(p)
+    p = tmp_path / "mesh.npz"
+    _damaged_mesh_file(macro_mesh, p, case)
+    with pytest.raises(ArtifactError, match=r"mesh\.npz: .*; re-run `homsim online`$"):
+        load_mesh(p, "online")
+
+
+def test_pickled_mesh_array_is_refused(tmp_path, macro_mesh):
+    """np.load keeps allow_pickle=False: an object array is refused unread."""
+    a = _arrays(macro_mesh)
+    a["nodes"] = a["nodes"].astype(object)
+    np.savez(tmp_path / "mesh.npz", **a)
+    with pytest.raises(ArtifactError, match="unreadable .*allow_pickle=False"):
+        load_mesh(tmp_path / "mesh.npz", "offline")
 
 
 def test_mesh_arrays_frozen(disk_cell_mesh):
@@ -248,28 +286,3 @@ def test_boundary_nodes_match_the_edge_row_formula(disk_cell_mesh, stripe_cell_m
         ref = _boundary_nodes_by_edge_rows(m.triangles)
         assert np.array_equal(m.boundary_nodes, ref)
         assert m.boundary_nodes.dtype == ref.dtype
-
-
-def _save_mesh_line_by_line(mesh, path):
-    """The plain-text mesh writer, one formatted write per line."""
-    with open(path, "w") as f:
-        f.write("homsim-mesh 1\n")
-        f.write(f"{mesh.num_nodes} {mesh.num_triangles}\n")
-        for x, y in mesh.nodes:
-            f.write(f"{float(x)!r} {float(y)!r}\n")
-        for (a, b, c), t in zip(mesh.triangles, mesh.phase_tag):
-            f.write(f"{a} {b} {c} {t}\n")
-
-
-def test_mesh_file_bytes_unchanged_and_reload_exact(tmp_path, disk_cell_mesh, macro_mesh):
-    from homsim.dns import build_tiled_mesh
-
-    for i, m in enumerate((macro_mesh, disk_cell_mesh, build_tiled_mesh(disk_cell_mesh, 0.25))):
-        p, ref = tmp_path / f"mesh{i}.txt", tmp_path / f"ref{i}.txt"
-        save_mesh(m, p)
-        _save_mesh_line_by_line(m, ref)
-        assert p.read_bytes() == ref.read_bytes()
-        loaded = load_mesh(p)
-        for name in ("nodes", "triangles", "phase_tag", "boundary_nodes"):
-            a, b = getattr(loaded, name), getattr(m, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name

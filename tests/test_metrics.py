@@ -95,7 +95,7 @@ def _run(mesh, grid, stride):
     for m in steps:
         T, Phi, U = ((1 + m) * f for f in (1.0 + x, 1.0 + y, np.stack([x, x * y])))
         snaps.append(macro.Snapshot(m, grid.time(m), T, T, Phi, U, U, U))
-    return macro.Trajectory(mesh, grid, snaps, {})
+    return macro.Trajectory(mesh, grid, snaps, {}, {})
 
 
 class _FieldsOfStep:

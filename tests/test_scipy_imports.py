@@ -10,7 +10,9 @@ at module level is listed under the module's name, and fails.
 
 The kernels compute what SciPy does with them: SpdSolver solves bit for bit
 as splu, and CsrMatrix multiplies bit for bit as csr_matrix, whether the
-kernels were loaded before the scipy packages or after.
+kernels were loaded before the scipy packages or after.  The numpy and SciPy
+installed are inside the ranges pyproject.toml declares, the versions these
+checks were verified on.
 """
 
 import ast
@@ -180,3 +182,18 @@ def test_kernels_compute_what_scipy_computes(order):
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "same bits"
+
+
+def test_installed_numpy_and_scipy_satisfy_the_declared_ranges():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    from importlib.metadata import version
+
+    from packaging.requirements import Requirement  # a dependency of pytest
+
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    declared = {r.name: r.specifier for r in map(Requirement, deps)}
+    assert sorted(declared) == ["numpy", "scipy"]
+    for name, spec in declared.items():
+        assert spec.contains(version(name)), f"{name} {version(name)} is outside {spec}"
+        assert not spec.contains("99"), f"{name} {spec} has no upper bound"

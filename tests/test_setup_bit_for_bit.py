@@ -3,11 +3,11 @@
 Each reference below is the earlier implementation of one set-up step: the
 Python tile loop with np.unique(axis=0), the int64-key argsort and
 searchsorted of CsrPattern, the einsum quadrature points, the searchsorted
-mass slots, the %-formatted mesh file, the disk cell built as a Mesh for
-every trial, the per-node boundary patches and the cumsum Dirichlet plan.
-The rewrites must return the same arrays (dtype, shape and bytes) and write
-the same file on the macro mesh, the disk cells and the epsilon=1/6 tiled
-mesh of the benchmark's cell.
+mass slots, the disk cell built as a Mesh for every trial, the per-node
+boundary patches and the cumsum Dirichlet plan.  The rewrites must return
+the same arrays (dtype, shape and bytes) on the macro mesh, the disk cells
+and the epsilon=1/6 tiled mesh of the benchmark's cell, and a mesh must
+reload from its file with the same arrays.
 """
 
 import math
@@ -26,8 +26,10 @@ from homsim.mesh import (
     PhaseGeometry,
     build_macro_mesh,
     build_unit_cell_mesh,
+    load_mesh,
     save_mesh,
 )
+from homsim.macro import Snapshot, TimeGrid, Trajectory, load_trajectory, save_trajectory
 
 MESH_ARRAYS = ("nodes", "triangles", "phase_tag", "areas", "grads", "boundary_nodes")
 
@@ -120,15 +122,6 @@ def ref_mass_slots(s, v):
     rows = fem._entry_rows(s.indptr).astype(np.int64)
     return np.stack([np.searchsorted(keys, (2 * rows + c) * n + 2 * s.indices + c)
                      for c in (0, 1)], axis=1)
-
-
-def ref_save_mesh(mesh, path):
-    with open(path, "w") as f:
-        f.write("homsim-mesh 1\n")
-        f.write(f"{mesh.num_nodes} {mesh.num_triangles}\n")
-        f.write(("%r %r\n" * mesh.num_nodes) % tuple(mesh.nodes.ravel().tolist()))
-        rows = np.column_stack([mesh.triangles, mesh.phase_tag])
-        f.write(("%d %d %d %d\n" * mesh.num_triangles) % tuple(rows.ravel().tolist()))
 
 
 def ref_disk_mesh(radius, n_theta, n_r, n_out):
@@ -344,13 +337,17 @@ def test_dirichlet_plans_are_the_running_count_plans(meshes):
                     assert_same(got, ref, name)
 
 
-def test_mesh_file_is_the_formatted_file(tmp_path, meshes):
+def test_mesh_file_reloads_array_for_array(tmp_path, meshes):
+    """A mesh file, and the mesh a trajectory file carries, reload with every
+    array of the mesh (dtype, shape and bytes) as it was saved."""
     odd = {  # signed zeros, a subnormal and a tiny coordinate, a negative and a huge tag
         "odd": Mesh(np.array([[0.0, -0.0], [1.0, 0.0], [-0.0, 1e-300], [5e-324, 2.0]]),
                     np.array([[0, 1, 2], [1, 3, 2]]), np.array([-7, 10**12])),
     }
     for name, m in dict(meshes, **odd).items():
-        p, ref = tmp_path / "mesh.txt", tmp_path / "ref.txt"
-        save_mesh(m, p)
-        ref_save_mesh(m, ref)
-        assert p.read_bytes() == ref.read_bytes(), name
+        save_mesh(m, tmp_path / "mesh.npz")
+        assert_same_mesh(load_mesh(tmp_path / "mesh.npz", "offline"), m)
+        T, U = np.zeros(m.num_nodes), np.zeros((2, m.num_nodes))
+        snap = Snapshot(1, 0.5, T, T, T, U, U, U)
+        save_trajectory(Trajectory(m, TimeGrid(0.5, 1), [snap], {}, {}), tmp_path / "traj.npz")
+        assert_same_mesh(load_trajectory(tmp_path / "traj.npz", "online").mesh, m)
