@@ -1,5 +1,6 @@
 """Unit-cell and macro mesh construction, queries and persistence."""
 
+import io
 import zipfile
 
 import numpy as np
@@ -205,6 +206,25 @@ def test_save_load_roundtrip(tmp_path, disk_cell_mesh, macro_mesh):
         for name in MESH_FIELDS:
             a, b = getattr(loaded, name), getattr(m, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_mesh_file_bytes_unchanged_and_reload_exact(tmp_path, disk_cell_mesh, macro_mesh):
+    """Each npz member is byte for byte np.save of the mesh's own array (no
+    cast, no reorder), and the reloaded mesh keeps the stored arrays exactly."""
+    from homsim.dns import build_tiled_mesh
+
+    for i, m in enumerate((macro_mesh, disk_cell_mesh, build_tiled_mesh(disk_cell_mesh, 0.25))):
+        p = tmp_path / f"mesh{i}.npz"
+        save_mesh(m, p)
+        with zipfile.ZipFile(p) as z:
+            for name in MESH_ARRAYS:
+                ref = io.BytesIO()
+                np.save(ref, getattr(m, name))
+                assert z.read(name + ".npy") == ref.getvalue(), name
+        loaded = load_mesh(p, "offline")
+        for name in (*MESH_ARRAYS, "boundary_nodes"):
+            a, b = getattr(loaded, name), getattr(m, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def _arrays(mesh):
