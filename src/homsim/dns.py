@@ -13,6 +13,7 @@ the elasticity as the element integrals of its two Lame parameters.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -72,8 +73,12 @@ class OscillatoryProvider:
         self.space = space
         self.law = law
         self._ab = law.per_element(space.mesh.phase_tag)
-        # the affine coefficients of beta, area-averaged to the nodes
-        self._beta_nodal_ab = tuple(space.average @ v for v in self._ab["beta"])
+
+    @cached_property
+    def _beta_nodal_ab(self):
+        """The affine coefficients of beta, area-averaged to the nodes; built,
+        with FemSpace.average, on the first nodal_beta_star call."""
+        return tuple(self.space.average @ v for v in self._ab["beta"])
 
     def _scal(self, q, T_qp):
         a, b = self._ab[q]
@@ -104,9 +109,10 @@ class OscillatoryProvider:
     def nodal_beta_star(self, T_nodal):
         """Nodal thermal modulus beta*_ij = beta delta_ij.
 
-        The affine coefficients are area-averaged to the nodes once, then
-        evaluated at the nodal temperature, so single-phase laws reproduce
-        beta(T_node) exactly.
+        The affine coefficients are area-averaged to the nodes on the first
+        call, then evaluated at the nodal temperature clamped to the law's
+        T_range, so a single-phase law gives beta(T_node) to rounding (a
+        node's area weights sum to 1 to rounding).
         """
         na, nb = self._beta_nodal_ab
         nodal = na + nb * np.clip(np.asarray(T_nodal), *self.law.T_range)

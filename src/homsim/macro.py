@@ -33,7 +33,10 @@ Scheme per step m (time level t_m -> t_{m+1}):
   theta = 1/2 (trapezoidal diffusion), Joule source from the half-step
   potential and the deformation-rate sink That * beta*_ij dV_i/dx_j with the
   backward-difference velocity V = (U^m - U^{m-1})/dt; displacement solve
-  fully implicit with a centered second difference in time.
+  fully implicit with a centered second difference in time.  A zero V
+  contributes an exactly zero sink, so the sink is not assembled then: no
+  gradient is recovered and no nodal beta* evaluated, and a run that starts
+  at rest builds no recovery operator (FemSpace.recovery) until V moves.
 Start-up: an elliptic potential solve at t_0, then the same temperature
 system with theta = 1 (backward Euler) over dt/2, driven by the initial
 velocity, provides the m=0 extrapolant; U^{-1} = U^0 - dt * initial velocity.
@@ -92,8 +95,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0 or self.n_steps < 1:
-            raise ValueError("time grid needs dt > 0 and n_steps >= 1")
+        if not (np.isfinite(self.dt) and self.dt > 0) or self.n_steps < 1:
+            raise ValueError(f"time grid needs a finite dt > 0 and n_steps >= 1, "
+                             f"got dt={self.dt}, n_steps={self.n_steps}")
 
     def time(self, m):
         return m * self.dt
@@ -324,16 +328,18 @@ class Stepper:
         """Theta-scheme temperature step of length tau from T_start, boundary values at t_end.
 
         S (T - T_start)/tau + K (theta T + (1 - theta) T_start) = Joule + f_T(t_src) - sink,
-        with the deformation-rate sink That * beta*_ij dV_i/dx_j of the velocity V.
+        with the deformation-rate sink That * beta*_ij dV_i/dx_j of the velocity V,
+        assembled only for a nonzero V.
         """
         space, mesh = self.space, self.mesh
         Ms = fem.assemble_mass(space, co["S"] / tau)
         K = fem.assemble_grad_grad(space, co["k"])
         b = fem.assemble_source(space, self._joule_qp(co, Phi) + self._qp_eval(self.data.f_T, t_src))
-        gV = recover_nodal_gradient(space, V)  # (2, nn, 2)
-        bstar = self.provider.nodal_beta_star(That)  # (2, 2, nn)
-        sink = That * np.einsum("ijn,inj->n", bstar, gV)
-        b -= fem.assemble_source(space, space.at_quadrature(sink))
+        if np.any(V):  # a zero V gives an exactly zero sink: not assembled
+            gV = recover_nodal_gradient(space, V)  # (2, nn, 2)
+            bstar = self.provider.nodal_beta_star(That)  # (2, 2, nn)
+            sink = That * np.einsum("ijn,inj->n", bstar, gV)
+            b -= fem.assemble_source(space, space.at_quadrature(sink))
         b += Ms @ T_start - (1.0 - theta) * (K @ T_start)
         A = space.scalar_pattern.matrix(Ms.data + theta * K.data)
         vals = np.asarray(self.data.bc_T(mesh.nodes[self._bn], t_end), float)
@@ -386,8 +392,8 @@ def load_trajectory(path, stage: str) -> Trajectory:
     """The trajectory save_trajectory wrote to path, on its own mesh
     (mesh.load_mesh); each array is read once.  Raises mesh.ArtifactError,
     naming path and `homsim stage`, which writes it, on a file mesh.read_npz
-    refuses, or an array of another dtype kind or shape than the mesh's node
-    count and the snapshot count give."""
+    refuses, an array of another dtype kind or shape than the mesh's node
+    count and the snapshot count give, or a grid TimeGrid refuses."""
     mesh = meshmod.load_mesh(path, stage)
     z = meshmod.read_npz(path, stage, ["dt", "n_steps", "stamp", *_SNAPSHOT_FIELDS], read=True)
     ns, nn = z["m"].size, mesh.num_nodes
@@ -395,7 +401,10 @@ def load_trajectory(path, stage: str) -> Trajectory:
         "dt": ("f", ()), "n_steps": ("iu", ()), "stamp": ("U", (z["stamp"].size // 2, 2)),
         "m": ("iu", (ns,)), "t": ("f", (ns,)), **dict.fromkeys(("T", "T_prev", "Phi"), ("f", (ns, nn))),
         **dict.fromkeys(("U", "U_prev", "U_prevprev"), ("f", (ns, 2, nn)))})
-    grid = TimeGrid(dt=float(z["dt"]), n_steps=int(z["n_steps"]))
+    try:
+        grid = TimeGrid(dt=float(z["dt"]), n_steps=int(z["n_steps"]))
+    except ValueError as e:
+        raise meshmod.ArtifactError(f"{path}: malformed: {e}; re-run `homsim {stage}`") from None
     # m and t as Python numbers, the others as rows of their arrays
     columns = {name: z[name] for name in _SNAPSHOT_FIELDS}
     columns["m"], columns["t"] = columns["m"].tolist(), columns["t"].tolist()

@@ -658,6 +658,22 @@ def test_errors_exits_2_on_a_trajectory_that_does_not_fit_its_mesh(pipeline, tmp
     assert f"{name}: malformed: T is float64" in err and f"homsim {stage}" in err
 
 
+@pytest.mark.parametrize("grid", [{"dt": np.float64(-0.001)}, {"n_steps": np.int64(0)}],
+                         ids=["dt < 0", "no step"])
+@pytest.mark.parametrize("name, stage", sorted(cli._ERRORS_INPUTS.items()))
+def test_errors_exits_2_on_a_trajectory_of_an_invalid_time_grid(pipeline, tmp_path, capsys,
+                                                                name, stage, grid):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "out", out)
+    _edit_npz(out / name, **grid)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_mini_config(out)))
+    assert cli.main(["errors", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}: malformed: time grid needs a finite dt > 0" in err
+    assert f"re-run `homsim {stage}`" in err
+
+
 @pytest.mark.parametrize("stage", ["online", "verify", "errors"])
 def test_archive_without_its_cell_mesh_exits_2(pipeline, tmp_path, capsys, stage):
     arch, p = _damaged_copy(pipeline, tmp_path)

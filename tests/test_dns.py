@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from homsim import dns, fem, macro
-from homsim.mesh import INCLUSION, MeshError
+from homsim.mesh import INCLUSION, MATRIX, MeshError
 
-from conftest import constant_problem_data, isotropic_elasticity
+from conftest import EXAMPLE_LAWS, constant_problem_data, isotropic_elasticity, single_material_law
 
 
 def test_tiled_mesh_geometry(disk_cell_mesh):
@@ -167,3 +167,113 @@ def test_degenerate_dns_matches_table_driven_solve(disk_cell_mesh, uniform_law,
     assert np.abs(a.T - b.T).max() < 1e-8 * max(1.0, np.abs(b.T).max())
     assert np.abs(a.Phi - b.Phi).max() < 1e-8 * max(1e-12, np.abs(b.Phi).max())
     assert np.abs(a.U - b.U).max() < 1e-8 * max(1e-12, np.abs(b.U).max())
+
+
+def test_nodal_beta_star_of_a_single_phase_law_is_beta_at_each_node(disk_cell_mesh):
+    """beta* = beta(T_node) delta_ij.  The area weights of each node sum to 1 only
+    to rounding, so the averaged coefficients (and beta*) are within a few ulp
+    of the law's, not bit for bit."""
+    law = single_material_law(EXAMPLE_LAWS[MATRIX])
+    for mesh in (disk_cell_mesh, dns.build_tiled_mesh(disk_cell_mesh, 0.5)):
+        provider = dns.OscillatoryProvider(fem.FemSpace(mesh), law)
+        T = np.linspace(*law.T_range, mesh.num_nodes)
+        got = provider.nodal_beta_star(T)
+        beta = law.eval(MATRIX, "beta", T)
+        assert got.shape == (2, 2, mesh.num_nodes)
+        assert np.array_equal(got[0, 0], got[1, 1])
+        assert not got[0, 1].any() and not got[1, 0].any()
+        assert np.abs(got[0, 0] - beta).max() <= 4 * np.finfo(float).eps * np.abs(beta).max()
+
+
+def test_nodal_beta_star_of_two_phases_averages_their_affine_coefficients(disk_cell_mesh,
+                                                                          example_law):
+    """Each phase's (a, b) of beta, averaged over a node's elements by area, at T_node."""
+    mesh = disk_cell_mesh
+    a, b = example_law.per_element(mesh.phase_tag)["beta"]
+    area = np.zeros(mesh.num_nodes)
+    na, nb = np.zeros(mesh.num_nodes), np.zeros(mesh.num_nodes)
+    for vertex in mesh.triangles.T:
+        np.add.at(area, vertex, mesh.areas)
+        np.add.at(na, vertex, mesh.areas * a)
+        np.add.at(nb, vertex, mesh.areas * b)
+    T = np.linspace(300.0, 800.0, mesh.num_nodes)
+    ref = (na + nb * T) / area
+    got = dns.OscillatoryProvider(fem.FemSpace(mesh), example_law).nodal_beta_star(T)
+    mixed = na / area
+    assert ((mixed > a.min()) & (mixed < a.max())).any()  # the interface nodes mix both phases
+    assert np.array_equal(got[0, 0], got[1, 1])
+    assert not got[0, 1].any() and not got[1, 0].any()
+    assert np.abs(got[0, 0] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_nodal_beta_star_clamps_temperature_to_the_law_range(disk_cell_mesh, example_law):
+    """T outside T_range is silently clamped to its nearer end (counted by no one yet)."""
+    provider = dns.OscillatoryProvider(fem.FemSpace(disk_cell_mesh), example_law)
+    nn = disk_cell_mesh.num_nodes
+    for end, outside in zip(example_law.T_range, (-100.0, 100.0)):
+        clamped = provider.nodal_beta_star(np.full(nn, end))
+        assert np.array_equal(provider.nodal_beta_star(np.full(nn, end + outside)), clamped)
+
+
+def test_dns_that_starts_at_rest_builds_no_recovery_or_average(monkeypatch, disk_cell_mesh,
+                                                               example_law):
+    """One step from rest: the velocity of both temperature solves is zero, so no
+    gradient is recovered and no nodal beta* is evaluated."""
+    spaces = []
+
+    class Kept(fem.FemSpace):
+        def __init__(self, mesh):
+            super().__init__(mesh)
+            spaces.append(self)
+
+    monkeypatch.setattr(fem, "FemSpace", Kept)
+    fine = dns.build_tiled_mesh(disk_cell_mesh, 0.5)
+    data = constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0)
+    traj = dns.run_dns(fine, example_law, data, macro.TimeGrid(dt=1e-3, n_steps=1), 1)
+    assert np.abs(traj.snapshots[-1].U).max() > 0
+    [space] = spaces
+    assert "recovery" not in vars(space) and "average" not in vars(space)
+
+
+class _SinkForEveryVelocity(macro.Stepper):
+    """Reference stepper: the temperature system with the sink assembled for
+    every velocity, zero or not."""
+
+    def _temperature_system(self, co, That, T_start, Phi, V, t_src, t_end, tau, theta):
+        space = self.space
+        Ms = fem.assemble_mass(space, co["S"] / tau)
+        K = fem.assemble_grad_grad(space, co["k"])
+        b = fem.assemble_source(space, self._joule_qp(co, Phi) + self._qp_eval(self.data.f_T, t_src))
+        gV = macro.recover_nodal_gradient(space, V)
+        sink = That * np.einsum("ijn,inj->n", self.provider.nodal_beta_star(That), gV)
+        b -= fem.assemble_source(space, space.at_quadrature(sink))
+        b += Ms @ T_start - (1.0 - theta) * (K @ T_start)
+        A = space.scalar_pattern.matrix(Ms.data + theta * K.data)
+        vals = np.asarray(self.data.bc_T(self.mesh.nodes[self._bn], t_end), float)
+        return self._scalar_bc.apply(A, b, vals)
+
+
+@pytest.mark.parametrize("V0, recoveries", [
+    (0.0, 1),  # at rest: the start-up half step and step 0 skip the sink, step 1 does not
+    (0.5, 3),  # moving from the start: every temperature solve recovers grad V
+], ids=["at rest", "moving"])
+def test_sink_is_skipped_for_a_zero_velocity_only_and_bit_for_bit(monkeypatch, disk_cell_mesh,
+                                                                  example_law, V0, recoveries):
+    fine = dns.build_tiled_mesh(disk_cell_mesh, 0.5)
+    space = fem.FemSpace(fine)
+    provider = dns.OscillatoryProvider(space, example_law)
+    data = dataclasses.replace(
+        constant_problem_data(value_T=300.0, f_T=2000.0, f_Phi=20.0, f_U=500.0),
+        V_init=lambda pts, t: V0 * np.stack([pts[:, 0] * pts[:, 1], pts[:, 0] - pts[:, 1]], axis=1))
+    grid = macro.TimeGrid(dt=1e-3, n_steps=2)
+    ref = _SinkForEveryVelocity(space, provider, data, grid, snapshot_stride=1).run()
+    calls = []
+    recover = macro.recover_nodal_gradient
+    monkeypatch.setattr(macro, "recover_nodal_gradient",
+                        lambda space, V: calls.append(V.copy()) or recover(space, V))
+    traj = macro.Stepper(space, provider, data, grid, snapshot_stride=1).run()
+    assert len(calls) == recoveries and all(V.any() for V in calls)
+    assert len(traj.snapshots) == len(ref.snapshots) == 3
+    for a, b in zip(traj.snapshots, ref.snapshots):
+        for name in ("T", "T_prev", "Phi", "U", "U_prev", "U_prevprev"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name

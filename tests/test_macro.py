@@ -133,6 +133,13 @@ def test_snapshot_stride_below_one_is_refused(macro_mesh, small_table):
                           constant_problem_data(), macro.TimeGrid(dt=1e-3, n_steps=2), stride)
 
 
+@pytest.mark.parametrize("dt, n_steps", [(float("nan"), 2), (float("inf"), 2), (-float("inf"), 2),
+                                         (0.0, 2), (-1e-3, 2), (1e-3, 0)])
+def test_time_grid_needs_a_finite_positive_dt_and_a_step(dt, n_steps):
+    with pytest.raises(ValueError, match="finite dt > 0 and n_steps >= 1"):
+        macro.TimeGrid(dt=dt, n_steps=n_steps)
+
+
 def test_gradient_recovery_exact_for_linear(macro_mesh):
     nodal = 4.0 * macro_mesh.nodes[:, 0] - macro_mesh.nodes[:, 1]
     g = macro.recover_nodal_gradient(fem.FemSpace(macro_mesh), nodal)
